@@ -16,8 +16,6 @@ zero-weight/zero-gradient guarantees structural rather than numerical.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError, UsageError
@@ -102,10 +100,6 @@ class Backbone:
 
     # ---------------------------------------------------------------- pieces
 
-    def full_masks(self) -> np.ndarray:
-        """Masks for every-domain-shares-everything (all zeros)."""
-        return np.zeros((self.num_domains, self.num_experts))
-
     def embed(self, features: np.ndarray) -> np.ndarray:
         """Concatenate per-field embedding rows into the input vector."""
         features = np.asarray(features, dtype=np.int64)
@@ -122,29 +116,8 @@ class Backbone:
             pieces.append(emb.values[col])
         return np.concatenate(pieces, axis=1)
 
-    def expert_outputs(self, x: np.ndarray, cache: bool = False) -> list:
-        """Every expert applied to x, in concatenation order."""
-        return [e.forward(x, cache=cache) for e in self.experts]
-
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
         return x @ self.gate_w[d].values.T + self.gate_b[d].values
-
-    def gate_weights(self, x: np.ndarray, d: int,
-                     mask: np.ndarray | None = None) -> np.ndarray:
-        if mask is None:
-            mask = np.zeros(self.num_experts)
-        return masked_softmax(self.gate_logits(x, d), mask)
-
-    @staticmethod
-    def mix(gate: np.ndarray, expert_outs: list) -> np.ndarray:
-        """Gate-weighted sum of expert outputs."""
-        if gate.shape[-1] != len(expert_outs):
-            raise UsageError(
-                f"gate covers {gate.shape[-1]} experts, got {len(expert_outs)}")
-        h = np.zeros_like(expert_outs[0])
-        for i, out in enumerate(expert_outs):
-            h += gate[:, i:i + 1] * out
-        return h
 
     # ------------------------------------------------------------- full pass
 
@@ -221,50 +194,11 @@ class Backbone:
             out += t.params()
         return out
 
-    def expert_params(self, i: int) -> list:
-        return self.experts[i].params()
-
-    # ------------------------------------------------------------ checkpoint
-
     def _meta(self) -> dict:
+        """Layer sizes that rebuild an equal-shaped network from a checkpoint."""
         return {"vocab_sizes": list(self.vocab_sizes),
                 "embed_dim": self.embed_dim,
                 "expert_counts": self.expert_counts,
                 "expert_hidden": self.expert_hidden,
                 "repr_dim": self.repr_dim,
                 "tower_hidden": self.tower_hidden}
-
-    def save(self, path, config_hash: str = "") -> None:
-        """Write every parameter tensor keyed by name, plus shape metadata
-        and the config hash; round-trips bit-exactly via npz."""
-        arrays = {f"param:{p.name}": p.values for p in self.params()}
-        arrays["meta"] = np.frombuffer(
-            json.dumps({"dims": self._meta(),
-                        "config_hash": config_hash}).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-
-    @classmethod
-    def load(cls, path, expected_hash: str | None = None) -> "Backbone":
-        with np.load(path) as zf:
-            meta = json.loads(bytes(zf["meta"]).decode())
-            dims = meta["dims"]
-            if expected_hash is not None and meta["config_hash"] != expected_hash:
-                raise ConfigError(
-                    f"checkpoint config hash {meta['config_hash']!r} does not "
-                    f"match expected {expected_hash!r}")
-            net = cls(dims["vocab_sizes"], dims["embed_dim"],
-                      dims["expert_counts"], dims["expert_hidden"],
-                      dims["repr_dim"], dims["tower_hidden"],
-                      np.random.default_rng(0))
-            for p in net.params():
-                key = f"param:{p.name}"
-                if key not in zf:
-                    raise ConfigError(f"checkpoint missing tensor {p.name!r}")
-                stored = zf[key]
-                if stored.shape != p.values.shape:
-                    raise ConfigError(
-                        f"checkpoint tensor {p.name!r} has shape {stored.shape}, "
-                        f"expected {p.values.shape}")
-                p.values[...] = stored
-        net.config_hash = meta["config_hash"]
-        return net

@@ -20,15 +20,20 @@ from .errors import ConfigError
 
 __all__ = ["RunConfig", "MODES", "load_dataset"]
 
-MODES = ("sdsp", "full-share", "fixed-subset", "exhaustive-oracle")
+MODES = ("sdsp", "full-share", "fixed-subset")
 OVERALL_METRICS = ("pooled", "mean")
-REWARD_METRICS = ("auc", "neg-logloss")
-VALUE_AGGREGATIONS = ("mean", "last", "ema")
 
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; field names are the config-file keys."""
+    """Everything a run needs; field names are the config-file keys.
+
+    mode is one of MODES: "sdsp" re-selects each domain's expert subset
+    every selection_interval steps, rewarding subsets with validation AUC
+    and scoring them by their running-mean reward; "full-share" shares
+    every expert with every domain; "fixed-subset" pins fixed_subsets.
+    from_dict rejects keys that are not fields.
+    """
 
     domains: int
     dataset: dict
@@ -51,10 +56,7 @@ class RunConfig:
     early_stop_patience: int = 5
     split_fractions: list = field(default_factory=lambda: [0.8, 0.1, 0.1])
     overall_metric: str = "pooled"
-    value_aggregation: str = "mean"
-    reward_metric: str = "auc"
     fixed_subsets: list | None = None
-    pin_full_share: bool = False
 
     def __post_init__(self):
         if self.domains < 1:
@@ -96,16 +98,9 @@ class RunConfig:
         if self.overall_metric not in OVERALL_METRICS:
             raise ConfigError(
                 f"overall_metric must be one of {OVERALL_METRICS}")
-        if self.value_aggregation not in VALUE_AGGREGATIONS:
-            raise ConfigError(
-                f"value_aggregation must be one of {VALUE_AGGREGATIONS}")
-        if self.reward_metric not in REWARD_METRICS:
-            raise ConfigError(f"reward_metric must be one of {REWARD_METRICS}")
         if len(self.split_fractions) != 3:
             raise ConfigError("split_fractions needs 3 entries")
         self.split_fractions = [float(f) for f in self.split_fractions]
-        if self.pin_full_share and self.mode != "sdsp":
-            raise ConfigError("pin_full_share only applies to sdsp mode")
         if self.mode == "fixed-subset":
             if self.fixed_subsets is None:
                 raise ConfigError("fixed-subset mode requires fixed_subsets")

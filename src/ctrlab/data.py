@@ -182,12 +182,6 @@ class DomainDataset:
     def counts(self, partition: str) -> list:
         return [len(dd) for dd in self.partitions[partition]]
 
-    def samples(self, partition: str):
-        """Yield Sample views in domain order (testing and export)."""
-        for d, dd in enumerate(self.partitions[partition]):
-            for i in range(len(dd)):
-                yield Sample(d, int(dd.labels[i]), tuple(dd.features[i]))
-
 
 def parse_row(line: str, schema: Schema, line_no: int) -> Sample | None:
     """One CSV data row to a Sample; None if structurally malformed."""
@@ -348,10 +342,6 @@ class QuotaSampler:
         self.rng = rng
         self._perms = [rng.permutation(len(dd)) for dd in datas]
         self._cursors = [0] * len(datas)
-
-    @property
-    def batch_size(self) -> int:
-        return sum(self.quotas)
 
     def _draw_domain(self, d: int) -> np.ndarray:
         dd, quota = self.datas[d], self.quotas[d]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import MetricError, UsageError
 
-__all__ = ["auc", "logloss", "accuracy", "per_domain_report"]
+__all__ = ["auc", "logloss", "per_domain_report"]
 
 _CLAMP = 1e-7
 
@@ -65,11 +65,6 @@ def logloss(scores, labels) -> float:
     scores, labels = _check_pair(scores, labels)
     p = np.clip(scores, _CLAMP, 1.0 - _CLAMP)
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
-
-
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
-    scores, labels = _check_pair(scores, labels)
-    return float(np.mean((scores >= threshold).astype(float) == labels))
 
 
 def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,

@@ -98,10 +98,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.weights[0].values.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].values.shape[0]
-
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -165,12 +161,6 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain softmax, implemented as masked_softmax with a zero mask."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return masked_softmax(logits, np.zeros(logits.shape[-1]))
-
-
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. logits given softmax output and its gradient.
 
@@ -197,18 +187,6 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     loss = float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
     grad = (p - labels) / (p * (1.0 - p)) / preds.size
     return loss, grad
-
-
-def l2_reconstruction(h: np.ndarray, h_hat: np.ndarray
-                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared L2 norm of (h - h_hat) with gradients for both arguments."""
-    h = np.asarray(h, dtype=np.float64)
-    h_hat = np.asarray(h_hat, dtype=np.float64)
-    if h.shape != h_hat.shape:
-        raise UsageError(f"shape mismatch {h.shape} vs {h_hat.shape}")
-    diff = h - h_hat
-    loss = float((diff * diff).sum())
-    return loss, 2.0 * diff, -2.0 * diff
 
 
 def sgd_step(params: list[Param], lr: float) -> None:

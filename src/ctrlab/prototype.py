@@ -21,9 +21,8 @@ import numpy as np
 from .errors import ConfigError, UsageError
 from .nn import Param, uniform_init
 
-__all__ = ["ProtoCoder", "proto_to_domain", "domain_distance",
-           "distance_matrix", "rank_domains", "distance_round",
-           "save_distance_csv"]
+__all__ = ["ProtoCoder", "domain_distance", "distance_matrix",
+           "rank_domains", "distance_round", "save_distance_csv"]
 
 
 def _sort_order(h: np.ndarray) -> np.ndarray:
@@ -97,19 +96,6 @@ class ProtoCoder:
         dh = np.empty_like(dhs)
         dh[order] = dhs
         return dh
-
-
-def proto_to_domain(p: np.ndarray, protos: np.ndarray) -> float:
-    """L2 distance from one prototype to the nearest prototype of a domain."""
-    p = np.asarray(p, dtype=np.float64)
-    protos = np.asarray(protos, dtype=np.float64)
-    if protos.ndim != 2 or protos.shape[0] == 0:
-        raise UsageError("target prototype set is empty")
-    if p.shape != (protos.shape[1],):
-        raise UsageError(
-            f"prototype of dim {p.shape} against set of dim {protos.shape[1]}")
-    diff = protos - p
-    return float(np.sqrt((diff * diff).sum(axis=1).min()))
 
 
 def domain_distance(protos_a: np.ndarray, protos_b: np.ndarray) -> float:

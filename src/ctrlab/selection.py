@@ -2,10 +2,10 @@
 
 Instead of searching all 2^(D-1) subsets that contain a domain, each domain
 considers only the D prefixes of its distance ranking: {d}, {d, nearest},
-..., everything. A per-domain value table scores subsets by the rewards
-(validation AUC) observed while they were active, and a decaying
-epsilon-greedy policy picks the next subset each selection round. Chosen
-subsets are turned into gate masks by the backbone.
+..., everything. A per-domain value table scores each subset by the
+running mean of the rewards (validation AUC) observed while it was active,
+and a decaying epsilon-greedy policy picks the next subset each selection
+round. Chosen subsets are turned into gate masks by the backbone.
 
 Reward attribution: a round first credits the reward measured now to the
 subset that was active during the interval just ended, then selects anew.
@@ -23,8 +23,6 @@ from .prototype import rank_domains
 
 __all__ = ["candidate_states", "ValueTable", "PolicyState", "select",
            "RoundRecord", "sdsp_round", "canonical"]
-
-AGGREGATIONS = ("mean", "last", "ema")
 
 
 def canonical(subset) -> tuple:
@@ -46,34 +44,19 @@ def candidate_states(ranking) -> list:
 
 
 class ValueTable:
-    """Per-domain subset values under a configurable aggregation rule."""
+    """Per-domain subset values: the running mean of credited rewards."""
 
-    def __init__(self, num_domains: int, aggregation: str = "mean",
-                 ema_alpha: float = 0.5):
-        if aggregation not in AGGREGATIONS:
-            raise ConfigError(
-                f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
-        if not 0.0 < ema_alpha <= 1.0:
-            raise ConfigError(f"ema_alpha must be in (0, 1], got {ema_alpha}")
+    def __init__(self, num_domains: int):
         self.num_domains = int(num_domains)
-        self.aggregation = aggregation
-        self.ema_alpha = float(ema_alpha)
         self._tables = [dict() for _ in range(self.num_domains)]
 
     def update(self, d: int, subset, reward: float) -> None:
-        """Fold one reward into the subset's value; count always increments."""
+        """Fold one reward into the subset's running mean."""
         if not np.isfinite(reward):
             raise MetricError(f"reward for domain {d} is not finite: {reward}")
         key = canonical(subset)
         value, count = self._tables[d].get(key, (0.0, 0))
-        if count == 0:
-            value = float(reward)
-        elif self.aggregation == "mean":
-            value = value + (float(reward) - value) / (count + 1)
-        elif self.aggregation == "last":
-            value = float(reward)
-        else:  # ema
-            value = (1.0 - self.ema_alpha) * value + self.ema_alpha * float(reward)
+        value = value + (float(reward) - value) / (count + 1)
         self._tables[d][key] = (value, count + 1)
 
     def value(self, d: int, subset) -> float | None:

@@ -125,16 +125,14 @@ class _Run:
                                              self.sampler_rng)
         self.proto_sampler = data_mod.QuotaSampler(train_datas, config.quotas,
                                                    self.proto_rng)
-        self.table = ValueTable(config.domains,
-                                aggregation=config.value_aggregation)
+        self.table = ValueTable(config.domains)
         self.policy = PolicyState(p=config.explore_init,
                                   decay_rate=config.explore_decay,
                                   period=config.selection_interval)
-        self.all_domains = canonical(range(config.domains))
         if config.mode == "fixed-subset":
             self.subsets = [canonical(s) for s in config.fixed_subsets]
         else:
-            self.subsets = [self.all_domains] * config.domains
+            self.subsets = [canonical(range(config.domains))] * config.domains
         self.masks = build_mask(self.subsets, config.expert_counts)
         self.trace = []
         self.steps_per_epoch = max(
@@ -189,20 +187,14 @@ class _Run:
     def reward_fn(self, d: int) -> float:
         dd = self.dataset.domain("val", d)
         preds = self.backbone.predict(dd.features, d, self.masks)
-        if self.config.reward_metric == "auc":
-            return metrics.auc(preds, dd.labels)
-        return -metrics.logloss(preds, dd.labels)
+        return metrics.auc(preds, dd.labels)
 
     def selection_round(self, iteration: int) -> None:
         rec = sdsp_round(iteration, self.distance_fn, self.reward_fn,
                          self.subsets, self.table, self.policy,
                          self.policy_rng, self.config.expert_counts)
-        if self.config.pin_full_share:
-            self.subsets = [self.all_domains] * self.config.domains
-            self.masks = build_mask(self.subsets, self.config.expert_counts)
-        else:
-            self.subsets = list(rec.chosen)
-            self.masks = rec.masks
+        self.subsets = list(rec.chosen)
+        self.masks = rec.masks
         self.trace.append(rec.trace_line())
 
     def final_greedy_subsets(self) -> list | None:
@@ -341,7 +333,13 @@ def save_checkpoint(result: TrainResult, path) -> None:
 
 
 def load_checkpoint(path, expected_hash: str | None = None):
-    """Rebuild (backbone, coders, masks, subsets) from a checkpoint file."""
+    """Rebuild (backbone, coders, masks, subsets) from a checkpoint file.
+
+    The config hash must equal expected_hash when one is given, and every
+    parameter must be stored with exactly the shape the recorded layer
+    sizes give it; anything else raises ConfigError rather than being
+    broadcast into place.
+    """
     with np.load(path) as zf:
         meta = json.loads(bytes(zf["meta"]).decode())
         if expected_hash is not None and meta["config_hash"] != expected_hash:
@@ -363,7 +361,12 @@ def load_checkpoint(path, expected_hash: str | None = None):
             key = f"param:{p.name}"
             if key not in zf:
                 raise ConfigError(f"checkpoint missing tensor {p.name!r}")
-            p.values[...] = zf[key]
+            stored = zf[key]
+            if stored.shape != p.values.shape:
+                raise ConfigError(
+                    f"checkpoint tensor {p.name!r} has shape {stored.shape}, "
+                    f"expected {p.values.shape}")
+            p.values[...] = stored
         subsets = [canonical(s) for s in meta["subsets"]]
         masks = build_mask(subsets, dims["expert_counts"])
     return backbone, coders, masks, subsets

@@ -98,56 +98,32 @@ class TestEmbed:
             assert relative_error(emb.grad, fd) < 1e-4, emb.name
 
 
-class TestExpertOutputs:
-    def test_order_and_identical_experts(self):
-        net = small_net(expert_counts=(2, 1))
-        x = net.embed(rand_features(net, 3))
-        # copy expert 0's parameters into expert 1
-        for p, q in zip(net.experts[0].params(), net.experts[1].params()):
-            q.values[...] = p.values
-        outs = net.expert_outputs(x)
-        assert len(outs) == 3
-        np.testing.assert_array_equal(outs[0], outs[1])
-        assert not np.array_equal(outs[0], outs[2])
-
-
 class TestGateWeights:
+    """Gate weights as forward_domain composes them: the masked softmax of
+    a domain's gate logits."""
+
     def test_zero_gate_is_uniform(self):
         net = small_net()
         net.gate_w[0].values[...] = 0.0
-        g = net.gate_weights(net.embed(rand_features(net, 2)), 0)
+        x = net.embed(rand_features(net, 2))
+        g = nn.masked_softmax(net.gate_logits(x, 0), np.zeros(3))
         np.testing.assert_allclose(g, np.full((2, 3), 1 / 3))
 
     def test_dominant_logit_saturates(self):
         net = small_net()
         net.gate_w[1].values[...] = 0.0
         net.gate_b[1].values = np.array([50.0, 0.0, 0.0])
-        g = net.gate_weights(net.embed(rand_features(net, 1)), 1)
+        x = net.embed(rand_features(net, 1))
+        g = nn.masked_softmax(net.gate_logits(x, 1), np.zeros(3))
         assert g[0, 0] > 0.999999
 
     def test_exp_normalize_oracle(self):
         net = small_net()
         net.gate_w[2].values[...] = 0.0
         net.gate_b[2].values = np.array([1.0, 2.0, 3.0])
-        g = net.gate_weights(net.embed(rand_features(net, 1)), 2)
+        x = net.embed(rand_features(net, 1))
+        g = nn.masked_softmax(net.gate_logits(x, 2), np.zeros(3))
         np.testing.assert_allclose(g[0], [0.09003, 0.24473, 0.66524], atol=5e-6)
-
-
-class TestMix:
-    def test_one_hot_selects(self):
-        outs = [np.array([[1.0, 0.0]]), np.array([[5.0, 5.0]])]
-        np.testing.assert_array_equal(
-            Backbone.mix(np.array([[0.0, 1.0]]), outs), [[5.0, 5.0]])
-
-    def test_uniform_over_identical(self):
-        out = np.array([[2.0, -1.0]])
-        got = Backbone.mix(np.array([[0.5, 0.5]]), [out, out.copy()])
-        np.testing.assert_allclose(got, out)
-
-    def test_hand_mix(self):
-        outs = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
-        got = Backbone.mix(np.array([[0.5, 0.5]]), outs)
-        np.testing.assert_allclose(got, [[0.5, 0.5]])
 
 
 class TestMaskedForward:
@@ -175,7 +151,8 @@ class TestMaskedForward:
         net.gate_w[0].values[...] = 0.0
         net.gate_b[0].values = np.array([1.0, 1.0, 1.0])
         masks = build_mask([{0, 2}, {1}, {2}], net.expert_counts)
-        g = net.gate_weights(net.embed(rand_features(net, 2)), 0, masks[0])
+        x = net.embed(rand_features(net, 2))
+        g = nn.masked_softmax(net.gate_logits(x, 0), masks[0])
         np.testing.assert_allclose(g, np.tile([0.5, 0.0, 0.5], (2, 1)))
         assert np.all(g[:, 1] == 0.0)
 
@@ -185,7 +162,7 @@ class TestMaskedForward:
         masks = build_mask([{0, 1}, {1}, {0, 2}], net.expert_counts)
         x = net.embed(feats)
         for d in range(3):
-            g = net.gate_weights(x, d, masks[d])
+            g = nn.masked_softmax(net.gate_logits(x, d), masks[d])
             np.testing.assert_allclose(g.sum(axis=1), np.ones(6), atol=1e-12)
             banned = np.isneginf(masks[d])
             assert np.all(g[:, banned] == 0.0)
@@ -264,25 +241,3 @@ class TestBackwardDiscipline:
         net.forward_domain(rand_features(net, 3), 1)
         with pytest.raises(UsageError):
             net.backward_domain(0, np.zeros(3))
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        net = small_net(seed=21, expert_counts=(2, 1, 1))
-        path = tmp_path / "model.npz"
-        net.save(path, config_hash="abc123")
-        again = Backbone.load(path, expected_hash="abc123")
-        for p, q in zip(net.params(), again.params()):
-            assert p.name == q.name
-            assert np.array_equal(p.values, q.values)
-        feats = rand_features(net, 5)
-        a, _ = net.forward_domain(feats, 0, cache=False)
-        b, _ = again.forward_domain(feats, 0, cache=False)
-        assert np.array_equal(a, b)
-
-    def test_hash_mismatch_rejected(self, tmp_path):
-        net = small_net()
-        path = tmp_path / "model.npz"
-        net.save(path, config_hash="abc")
-        with pytest.raises(ConfigError):
-            Backbone.load(path, expected_hash="xyz")

@@ -101,11 +101,6 @@ class TestLogloss:
         assert sharp < blunt
 
 
-class TestAccuracy:
-    def test_simple(self):
-        assert metrics.accuracy([0.9, 0.1, 0.6], [1, 0, 0]) == pytest.approx(2 / 3)
-
-
 class TestPerDomainReport:
     def _toy(self):
         scores = {"A": np.array([0.8, 0.2, 0.7, 0.3]),

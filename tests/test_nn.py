@@ -102,8 +102,8 @@ class TestMaskedSoftmax:
     def test_zero_mask_matches_plain_softmax_bitwise(self):
         logits = np.random.default_rng(2).normal(size=(5, 4))
         a = nn.masked_softmax(logits, np.zeros(4))
-        b = nn.softmax(logits)
-        assert np.array_equal(a, b)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert np.array_equal(a, e / e.sum(axis=-1, keepdims=True))
 
     def test_two_way_uniform(self):
         np.testing.assert_allclose(
@@ -113,7 +113,7 @@ class TestMaskedSoftmax:
         logits = np.array([1.0, 2.0, 3.0])
         e = np.exp(logits - logits.max())
         oracle = e / e.sum()
-        out = nn.softmax(logits)
+        out = nn.masked_softmax(logits, np.zeros(3))
         np.testing.assert_allclose(out, oracle, rtol=1e-12)
         np.testing.assert_allclose(out, [0.09003, 0.24473, 0.66524], atol=5e-6)
 
@@ -143,11 +143,12 @@ class TestSoftmaxBackward:
         rng = np.random.default_rng(21)
         logits = rng.normal(size=6)
         dprobs = rng.normal(size=6)
-        probs = nn.softmax(logits)
+        mask = np.zeros(6)
+        probs = nn.masked_softmax(logits, mask)
         analytic = nn.softmax_backward(probs, dprobs)
 
         def objective():
-            return float((nn.softmax(logits) * dprobs).sum())
+            return float((nn.masked_softmax(logits, mask) * dprobs).sum())
 
         fd = nn.numeric_gradient(objective, logits)
         assert relative_error(analytic, fd) < 1e-4
@@ -189,39 +190,6 @@ class TestBceLoss:
     def test_length_mismatch_is_usage_error(self):
         with pytest.raises(UsageError):
             nn.bce_loss(np.array([0.5, 0.5]), np.array([1.0]))
-
-
-class TestL2Reconstruction:
-    def test_zero_for_identical(self):
-        h = np.random.default_rng(0).normal(size=(4, 3))
-        loss, dh, dhh = nn.l2_reconstruction(h, h.copy())
-        assert loss == 0.0
-        np.testing.assert_array_equal(dh, np.zeros_like(h))
-
-    def test_unit_difference(self):
-        loss, _, _ = nn.l2_reconstruction(np.array([[1.0, 0.0]]),
-                                          np.array([[0.0, 0.0]]))
-        assert loss == 1.0
-
-    def test_sums_across_domains(self):
-        # per-domain squared norms 1 and 3 add to 4
-        l1, _, _ = nn.l2_reconstruction(np.array([1.0, 0.0]), np.zeros(2))
-        l2, _, _ = nn.l2_reconstruction(np.array([1.0, 1.0, 1.0]), np.zeros(3))
-        assert l1 + l2 == pytest.approx(4.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(UsageError):
-            nn.l2_reconstruction(np.zeros((2, 2)), np.zeros((2, 3)))
-
-    def test_gradients(self):
-        rng = np.random.default_rng(9)
-        h = rng.normal(size=(3, 4))
-        hh = rng.normal(size=(3, 4))
-        _, dh, dhh = nn.l2_reconstruction(h, hh)
-        fd_h = nn.numeric_gradient(lambda: nn.l2_reconstruction(h, hh)[0], h)
-        fd_hh = nn.numeric_gradient(lambda: nn.l2_reconstruction(h, hh)[0], hh)
-        assert relative_error(dh, fd_h) < 1e-4
-        assert relative_error(dhh, fd_hh) < 1e-4
 
 
 class TestSgdStep:

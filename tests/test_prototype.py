@@ -138,26 +138,25 @@ class TestReconstructionGradients:
             np.testing.assert_allclose(p.grad, 0.25 * g)
 
 
-class TestProtoToDomain:
-    def test_member_prototype_is_zero(self):
+class TestDomainDistance:
+    def test_single_source_member_is_zero(self):
         protos = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert proto.proto_to_domain(np.array([3.0, 4.0]), protos) == 0.0
+        assert proto.domain_distance(np.array([[3.0, 4.0]]), protos) == 0.0
 
-    def test_nearest_of_two(self):
+    def test_single_source_nearest_of_two(self):
         protos = np.array([[1.0, 0.0], [3.0, 0.0]])
-        assert proto.proto_to_domain(np.zeros(2), protos) == pytest.approx(1.0)
+        assert proto.domain_distance(np.zeros((1, 2)), protos) == \
+            pytest.approx(1.0)
 
-    def test_single_prototype_is_plain_l2(self):
-        got = proto.proto_to_domain(np.array([1.0, 1.0]),
+    def test_single_rows_are_plain_l2(self):
+        got = proto.domain_distance(np.array([[1.0, 1.0]]),
                                     np.array([[4.0, 5.0]]))
         assert got == pytest.approx(5.0)
 
-    def test_empty_set(self):
+    def test_empty_target_set(self):
         with pytest.raises(UsageError):
-            proto.proto_to_domain(np.zeros(2), np.zeros((0, 2)))
+            proto.domain_distance(np.zeros((1, 2)), np.zeros((0, 2)))
 
-
-class TestDomainDistance:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

@@ -57,6 +57,9 @@ class TestValueTable:
         t.update(0, (0, 1), 0.9)
         assert t.value(0, (0, 1)) == pytest.approx(0.85)
         assert t.count(0, (0, 1)) == 2
+        t.update(0, (0, 1), 0.7)
+        assert t.value(0, (0, 1)) == pytest.approx(0.8)
+        assert t.count(0, (0, 1)) == 3
 
     def test_isolation(self):
         t = sel.ValueTable(2)
@@ -72,24 +75,10 @@ class TestValueTable:
         t.update(0, (0, 1), 0.8)
         assert t.value(0, {0, 1}) == pytest.approx(0.7)
 
-    def test_aggregation_modes(self):
-        rewards = [0.8, 0.9, 0.7]
-        expected = {"mean": 0.8, "last": 0.7, "ema": 0.775}
-        for mode, want in expected.items():
-            t = sel.ValueTable(1, aggregation=mode)
-            for r in rewards:
-                t.update(0, (0,), r)
-            assert t.value(0, (0,)) == pytest.approx(want), mode
-            assert t.count(0, (0,)) == 3
-
     def test_non_finite_reward(self):
         t = sel.ValueTable(1)
         with pytest.raises(MetricError):
             t.update(0, (0,), float("nan"))
-
-    def test_bad_aggregation(self):
-        with pytest.raises(ConfigError):
-            sel.ValueTable(1, aggregation="median")
 
     def test_snapshot_is_json_friendly(self):
         t = sel.ValueTable(2)
