@@ -74,6 +74,7 @@ class Backbone:
         self.owners = expert_owners(self.expert_counts)
         self.num_experts = int(self.owners.size)
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
+        self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint64)
 
         self.embeddings = [
             Param(f"embedding.f{j}", uniform_init(rng, (v, self.embed_dim),
@@ -107,13 +108,15 @@ class Backbone:
             raise UsageError(
                 f"features must be (n, {len(self.vocab_sizes)}), "
                 f"got {features.shape}")
-        pieces = []
-        for j, (emb, vocab) in enumerate(zip(self.embeddings, self.vocab_sizes)):
-            col = features[:, j]
-            if col.size and (col.min() < 0 or col.max() >= vocab):
-                raise DataError(
-                    f"field {j} index outside [0, {vocab})")
-            pieces.append(emb.values[col])
+        # Read as unsigned, a negative index is huge, so one comparison
+        # checks both bounds of every field.
+        bad = features.view(np.uint64) >= self._vocab_bounds
+        if bad.any():
+            j = int(np.flatnonzero(bad.any(axis=0))[0])
+            raise DataError(
+                f"field {j} index outside [0, {self.vocab_sizes[j]})")
+        pieces = [emb.values[features[:, j]]
+                  for j, emb in enumerate(self.embeddings)]
         return np.concatenate(pieces, axis=1)
 
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:

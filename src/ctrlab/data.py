@@ -321,10 +321,13 @@ class QuotaSampler:
     """Fixed-quota multi-domain batch sampler.
 
     Every batch contains exactly quotas[d] samples of domain d, drawn from a
-    per-domain shuffled cursor. An exhausted domain reshuffles and wraps;
-    whenever the domain holds at least quota samples, a batch never repeats
-    a sample (wrap-time collisions are swapped forward inside the fresh
-    permutation, preserving full-pass coverage).
+    per-domain shuffled cursor. A batch that does not cross the end of the
+    permutation is a plain slice of it. An exhausted domain reshuffles and
+    wraps, lazily: the fresh permutation is drawn only when another sample
+    is needed. Whenever the domain holds at least quota samples, a batch
+    never repeats a sample: only a wrapping batch can collide, and its
+    collisions are swapped forward inside the fresh permutation, preserving
+    full-pass coverage.
     """
 
     def __init__(self, datas, quotas, rng: np.random.Generator):
@@ -346,6 +349,12 @@ class QuotaSampler:
     def _draw_domain(self, d: int) -> np.ndarray:
         dd, quota = self.datas[d], self.quotas[d]
         n = len(dd)
+        cur = self._cursors[d]
+        if cur + quota <= n:
+            # Within one pass of a permutation no index repeats, so the
+            # loop below would take exactly this slice and swap nothing.
+            self._cursors[d] = cur + quota
+            return self._perms[d][cur:cur + quota].copy()
         taken = []
         taken_set = set()
         dedup = n >= quota

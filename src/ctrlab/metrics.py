@@ -3,7 +3,9 @@
 AUC is computed with the rank-sum formulation: assign average ranks to the
 pooled scores, then AUC = (R_pos - n_pos(n_pos+1)/2) / (n_pos * n_neg).
 This is O(n log n) and handles ties by average rank, which is equivalent to
-counting tied positive/negative pairs as half-concordant.
+counting tied positive/negative pairs as half-concordant. Tied blocks are
+found without a per-row loop: the run boundaries of equal neighbours in the
+stably sorted scores, compared in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -35,15 +37,14 @@ def _check_pair(scores, labels):
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties replaced by the mean rank of the tied block."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=float)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # A tied block is a run of equal neighbours in sorted order; block k
+    # spans sorted positions starts[k]..ends[k] inclusive.
+    breaks = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [scores.size])) - 1
+    ranks = np.empty(scores.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

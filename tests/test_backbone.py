@@ -80,6 +80,20 @@ class TestEmbed:
         with pytest.raises(DataError):
             net.embed(np.array([[0, 3]]))
 
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_error_names_the_offending_field(self, bad):
+        net = small_net(vocab=(5, 7, 4))
+        feats = np.array([[0, 0, 0], [4, bad, 3]])
+        with pytest.raises(DataError,
+                           match=r"^field 1 index outside \[0, 7\)$"):
+            net.embed(feats)
+
+    def test_lowest_bad_field_is_named(self):
+        net = small_net(vocab=(5, 7, 4))
+        feats = np.array([[0, 0, 4], [0, -2, 0]])
+        with pytest.raises(DataError, match=r"^field 1 index outside"):
+            net.embed(feats)
+
     def test_embedding_gradient_matches_finite_differences(self):
         net = small_net(seed=3)
         feats = rand_features(net, 6, seed=4)

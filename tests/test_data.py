@@ -36,6 +36,41 @@ def logreg_scores(X, w, b):
     return 1.0 / (1.0 + np.exp(-(X @ w + b)))
 
 
+class LoopSampler(D.QuotaSampler):
+    """Reference sampler: draws each sample in a per-sample Python loop.
+
+    Counts the de-duplication swaps it makes, so a test can show that its
+    case really exercises them.
+    """
+
+    def __init__(self, datas, quotas, rng):
+        super().__init__(datas, quotas, rng)
+        self.swaps = 0
+
+    def _draw_domain(self, d: int) -> np.ndarray:
+        dd, quota = self.datas[d], self.quotas[d]
+        n = len(dd)
+        taken = []
+        taken_set = set()
+        dedup = n >= quota
+        for _ in range(quota):
+            if self._cursors[d] == n:
+                self._perms[d] = self.rng.permutation(n)
+                self._cursors[d] = 0
+            perm, cur = self._perms[d], self._cursors[d]
+            if dedup and perm[cur] in taken_set:
+                j = cur + 1
+                while j < n and perm[j] in taken_set:
+                    j += 1
+                if j < n:
+                    perm[cur], perm[j] = perm[j], perm[cur]
+                    self.swaps += 1
+            taken.append(perm[cur])
+            taken_set.add(int(perm[cur]))
+            self._cursors[d] += 1
+        return np.array(taken, dtype=np.int64)
+
+
 class TestSchema:
     def test_round_trip_json(self):
         s = two_field_schema(3)
@@ -271,6 +306,49 @@ class TestQuotaSampler:
             for (fa, la), (fb, lb) in zip(a.next_batch(), b.next_batch()):
                 np.testing.assert_array_equal(fa, fb)
                 np.testing.assert_array_equal(la, lb)
+
+
+class TestSamplerMatchesLoop:
+    """The shipped sampler draws exactly the reference loop's sequence."""
+
+    @staticmethod
+    def index_domains(sizes):
+        # One feature column holding the row's own index, so every batch's
+        # features are its index array.
+        return [D.DomainData(np.arange(n).reshape(-1, 1), np.zeros(n))
+                for n in sizes]
+
+    def run_both(self, sizes, quotas, epochs=3, seed=9):
+        datas = self.index_domains(sizes)
+        shipped = D.QuotaSampler(datas, quotas, np.random.default_rng(seed))
+        loop = LoopSampler(datas, quotas, np.random.default_rng(seed))
+        # An epoch is one pass over the largest domain, in batches.
+        batches = epochs * max(-(-n // q) for n, q in zip(sizes, quotas))
+        for _ in range(batches):
+            for (got, _), (want, _) in zip(shipped.next_batch(),
+                                           loop.next_batch()):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        assert (shipped.rng.bit_generator.state
+                == loop.rng.bit_generator.state)
+        return loop
+
+    def test_cursor_lands_on_end_of_permutation(self):
+        self.run_both([12], [4])
+
+    def test_wrap_with_dedup_swaps(self):
+        loop = self.run_both([5], [3], epochs=20)
+        assert loop.swaps > 0
+
+    def test_quota_equals_domain_size(self):
+        self.run_both([6], [6])
+
+    def test_quota_exceeds_domain_size(self):
+        self.run_both([3], [8], epochs=5)
+
+    def test_domains_of_different_sizes(self):
+        loop = self.run_both([40, 7, 3, 16], [5, 4, 5, 16], epochs=5)
+        assert loop.swaps > 0
 
 
 class TestSynthGenerate:

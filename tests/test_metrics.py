@@ -22,6 +22,21 @@ def pairwise_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def loop_average_ranks(scores: np.ndarray) -> np.ndarray:
+    """Reference tie-averaged ranks: one Python pass over the sorted rows."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=float)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestAuc:
     def test_worked_example(self):
         scores = [0.1, 0.4, 0.35, 0.8]
@@ -166,3 +181,20 @@ class TestMetricProperties:
                 0.01, 0.99)
             assert metrics.logloss(noisy, labels) >= base
         assert metrics.logloss(np.full(n, labels.mean()), labels) >= base
+
+
+class TestAverageRanks:
+    """The vectorized ranks equal the loop reference bit for bit."""
+
+    @pytest.mark.parametrize("scores", [
+        np.random.default_rng(5).integers(0, 1000, 200_000) / 1000.0,
+        np.full(50, 0.25),
+        np.array([0.7]),
+        np.linspace(-1.0, 1.0, 101),
+        np.linspace(1.0, -1.0, 101),
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]),
+    ], ids=["heavy-ties-200k", "all-tied", "single", "increasing",
+            "decreasing", "signed-zeros"])
+    def test_bit_identical_to_loop(self, scores):
+        expected = loop_average_ranks(scores)
+        assert metrics._average_ranks(scores).tobytes() == expected.tobytes()

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from ctrlab import train
+from ctrlab import data, metrics, train
 from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError
+from test_data import LoopSampler
+from test_metrics import loop_average_ranks
 
 CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
 FIXED = [[0], [0, 1], [1, 2]]
@@ -77,6 +79,47 @@ def test_full_share_activates_every_expert(results):
     result, _ = results["full-share"]
     assert result.report["selection"]["active_subsets"] == [[0, 1, 2]] * 3
     assert np.array_equal(result.masks, np.zeros((3, 4)))
+
+
+def test_timing_has_every_stage(results):
+    stages = {"train_seconds", "train_step_s", "selection_distance_s",
+              "selection_reward_s", "epoch_eval_s"}
+    for mode, (result, _) in results.items():
+        timing = result.report["timing"]
+        assert set(timing) == stages, mode
+        assert all(v >= 0.0 for v in timing.values()), mode
+        assert timing["train_step_s"] > 0.0
+    sdsp = results["sdsp"][0].report["timing"]
+    assert sdsp["selection_distance_s"] > 0.0
+    assert sdsp["selection_reward_s"] > 0.0
+
+
+def test_same_decisions_as_loop_references(monkeypatch):
+    """Vectorized ranks and slice draws change no report or trace byte.
+
+    Domain 2's train split (48 rows) is a little larger than its quota (40),
+    so most of its batches wrap and go through de-duplication."""
+    config = tiny_config("sdsp").replace(
+        dataset={"kind": "synth", "affinity": CHAIN3, "noise": [0.0] * 3,
+                 "sizes": [240, 200, 60]},
+        batch_size=56, quotas=[8, 8, 40])
+    shipped = train.train(config)
+
+    samplers = []
+
+    class RecordingLoopSampler(LoopSampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            samplers.append(self)
+
+    monkeypatch.setattr(metrics, "_average_ranks", loop_average_ranks)
+    monkeypatch.setattr(data, "QuotaSampler", RecordingLoopSampler)
+    reference = train.train(config)
+
+    assert sum(s.swaps for s in samplers) > 0
+    assert without_timing(shipped.report) == without_timing(reference.report)
+    assert (json.dumps(shipped.trace, sort_keys=True)
+            == json.dumps(reference.trace, sort_keys=True))
 
 
 class TestCheckpoint:
