@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import feature_indices
 from .errors import ConfigError, DataError, InvariantError, UsageError
 from .nn import Mlp, Param, masked_softmax, softmax_backward, uniform_init
 
@@ -75,11 +76,26 @@ class Backbone:
         self.num_experts = int(self.owners.size)
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
         self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint64)
+        # Row of each field's first entry in the field tables stacked in
+        # field order.
+        self._field_offsets = np.cumsum((0,) + self.vocab_sizes[:-1],
+                                        dtype=np.int64)
 
+        # The field tables and their gradients are stored stacked in field
+        # order; each field's Param holds its rows of the stack as views,
+        # so one gather or one np.add.at reaches every field.
         self.embeddings = [
             Param(f"embedding.f{j}", uniform_init(rng, (v, self.embed_dim),
                                                   self.embed_dim))
             for j, v in enumerate(self.vocab_sizes)]
+        self._table = np.concatenate([e.values for e in self.embeddings])
+        self._table_grad = np.zeros_like(self._table)
+        for emb, start, v in zip(self.embeddings, self._field_offsets,
+                                 self.vocab_sizes):
+            emb.values = self._table[start:start + v]
+            emb.grad = self._table_grad[start:start + v]
+        self._table_views = [e.values for e in self.embeddings]
+        self._table_grad_views = [e.grad for e in self.embeddings]
         self.experts = []
         for d, count in enumerate(self.expert_counts):
             for k in range(count):
@@ -102,8 +118,17 @@ class Backbone:
     # ---------------------------------------------------------------- pieces
 
     def embed(self, features: np.ndarray) -> np.ndarray:
-        """Concatenate per-field embedding rows into the input vector."""
-        features = np.asarray(features, dtype=np.int64)
+        """Concatenate per-field embedding rows into the input vector.
+
+        While every field's ``values`` is still its view of the stacked
+        table, one ``np.take`` reads row ``features[:, j] + offset of field
+        j`` for every field at once; the result has the bits and the layout
+        of the per-field gathers concatenated along axis 1. Once a caller
+        has rebound a field's ``values`` to another array, the fields are
+        gathered one by one and concatenated. Either way the cost grows
+        with the rows read, not with the vocabulary.
+        """
+        features = feature_indices(features)
         if features.ndim != 2 or features.shape[1] != len(self.vocab_sizes):
             raise UsageError(
                 f"features must be (n, {len(self.vocab_sizes)}), "
@@ -115,9 +140,35 @@ class Backbone:
             j = int(np.flatnonzero(bad.any(axis=0))[0])
             raise DataError(
                 f"field {j} index outside [0, {self.vocab_sizes[j]})")
+        if all(e.values is v
+               for e, v in zip(self.embeddings, self._table_views)):
+            rows = np.take(self._table, features + self._field_offsets,
+                           axis=0)
+            return rows.reshape(features.shape[0], self.x_dim)
         pieces = [emb.values[features[:, j]]
                   for j, emb in enumerate(self.embeddings)]
         return np.concatenate(pieces, axis=1)
+
+    def _embed_backward(self, features: np.ndarray, dx: np.ndarray) -> None:
+        """Add the input gradient ``dx`` to the embedding rows it came from.
+
+        While every field's ``grad`` is still its view of the stacked
+        gradient, one 1-D ``np.add.at`` into the stack does it; otherwise
+        one 2-D ``np.add.at`` per field. Each gradient entry receives the
+        same additions in the same row order either way, starting from its
+        current value, so the sums are bit for bit the same.
+        """
+        if all(e.grad is g
+               for e, g in zip(self.embeddings, self._table_grad_views)):
+            cols = np.arange(self.embed_dim)
+            flat = ((features + self._field_offsets)[:, :, None]
+                    * self.embed_dim + cols)
+            np.add.at(self._table_grad.reshape(-1), flat.reshape(-1),
+                      dx.reshape(-1))
+            return
+        for j, emb in enumerate(self.embeddings):
+            sl = dx[:, j * self.embed_dim:(j + 1) * self.embed_dim]
+            np.add.at(emb.grad, features[:, j], sl)
 
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
         return x @ self.gate_w[d].values.T + self.gate_b[d].values
@@ -135,6 +186,7 @@ class Backbone:
             raise UsageError(f"domain {d} outside [0, {self.num_domains})")
         mask = (np.zeros(self.num_experts) if masks is None
                 else np.asarray(masks[d], dtype=np.float64))
+        features = feature_indices(features)
         x = self.embed(features)
         active = np.flatnonzero(mask == 0.0)
         gate = masked_softmax(self.gate_logits(x, d), mask)
@@ -144,7 +196,7 @@ class Backbone:
             h += gate[:, i:i + 1] * out
         preds = self.towers[d].forward(h, cache=cache).ravel()
         if cache:
-            self._cache = {"d": d, "x": x, "features": np.asarray(features),
+            self._cache = {"d": d, "x": x, "features": features,
                            "gate": gate, "outs": outs}
         return preds, h
 
@@ -180,9 +232,7 @@ class Backbone:
         self.gate_w[d].grad += dlogits.T @ x
         self.gate_b[d].grad += dlogits.sum(axis=0)
         dx += dlogits @ self.gate_w[d].values
-        for j in range(len(self.embeddings)):
-            sl = dx[:, j * self.embed_dim:(j + 1) * self.embed_dim]
-            np.add.at(self.embeddings[j].grad, features[:, j], sl)
+        self._embed_backward(features, dx)
 
     # ------------------------------------------------------------ parameters
 

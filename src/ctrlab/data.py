@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, SchemaError, SplitError, UsageError
 __all__ = [
     "FeatureField", "Schema", "Sample", "DomainData", "DomainDataset",
     "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
-    "equal_quotas", "QuotaSampler", "synth_generate",
+    "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
 ]
 
 log = logging.getLogger(__name__)
@@ -105,11 +105,29 @@ class Sample:
     features: tuple
 
 
+def feature_indices(features) -> np.ndarray:
+    """``features`` as an int64 array, refusing values that are not whole.
+
+    An int64 array is returned as it is, after one dtype check. Any other
+    input is cast, and a value the cast would change (1.7, NaN, inf, or
+    one outside the int64 range) raises ``DataError`` instead of silently
+    becoming a different index.
+    """
+    features = np.asarray(features)
+    if features.dtype == np.int64:
+        return features
+    with np.errstate(invalid="ignore"):
+        whole = features.astype(np.int64)
+    if not np.array_equal(whole, features):
+        raise DataError("feature values must be whole numbers")
+    return whole
+
+
 class DomainData:
     """Feature/label arrays for one domain within one partition."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
-        features = np.asarray(features, dtype=np.int64)
+        features = feature_indices(features)
         labels = np.asarray(labels, dtype=np.float64)
         if features.ndim != 2 or labels.ndim != 1:
             raise UsageError("features must be (n, F), labels (n,)")

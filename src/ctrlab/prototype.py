@@ -26,8 +26,19 @@ __all__ = ["ProtoCoder", "domain_distance", "distance_matrix",
 
 
 def _sort_order(h: np.ndarray) -> np.ndarray:
-    """Stable lexicographic row order: first column is the primary key."""
-    return np.lexsort(h.T[::-1])
+    """Stable lexicographic row order: first column is the primary key.
+
+    A stable argsort of column 0 alone gives that order when column 0
+    holds no tie (``-0.0`` ties ``0.0``) and no NaN, which is the usual
+    case for real-valued representations. Otherwise ``np.lexsort`` over
+    every column decides.
+    """
+    first = h[:, 0]
+    order = np.argsort(first, kind="stable")
+    ranked = first[order]
+    if (ranked[1:] == ranked[:-1]).any() or np.isnan(ranked[-1]):
+        return np.lexsort(h.T[::-1])
+    return order
 
 
 class ProtoCoder:

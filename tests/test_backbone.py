@@ -18,6 +18,21 @@ def rand_features(net, n, seed=1):
     return np.stack(cols, axis=1)
 
 
+def loop_embed(net, features):
+    """Reference ``Backbone.embed``: one gather per field, concatenated."""
+    features = np.asarray(features, dtype=np.int64)
+    pieces = [emb.values[features[:, j]]
+              for j, emb in enumerate(net.embeddings)]
+    return np.concatenate(pieces, axis=1)
+
+
+def loop_embed_backward(net, features, dx):
+    """Reference ``Backbone._embed_backward``: one 2-D np.add.at per field."""
+    for j, emb in enumerate(net.embeddings):
+        sl = dx[:, j * net.embed_dim:(j + 1) * net.embed_dim]
+        np.add.at(emb.grad, features[:, j], sl)
+
+
 def relative_error(a, b, floor=1e-4):
     a, b = np.asarray(a), np.asarray(b)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
@@ -93,6 +108,74 @@ class TestEmbed:
         feats = np.array([[0, 0, 4], [0, -2, 0]])
         with pytest.raises(DataError, match=r"^field 1 index outside"):
             net.embed(feats)
+
+    @pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf])
+    def test_non_whole_feature_rejected(self, bad):
+        net = small_net(vocab=(3, 3))
+        with pytest.raises(DataError, match="whole numbers"):
+            net.embed(np.array([[0.0, bad]]))
+
+    def test_whole_float_features_are_indices(self):
+        net = small_net(vocab=(3, 3))
+        np.testing.assert_array_equal(net.embed(np.array([[2.0, 1.0]])),
+                                      net.embed(np.array([[2, 1]])))
+
+    def test_same_bits_as_per_field_gathers(self):
+        net = small_net(seed=6, vocab=tuple(range(2, 18)), embed_dim=3)
+        feats = rand_features(net, 300, seed=7)
+        x = net.embed(feats)
+        assert x.flags.c_contiguous
+        assert x.tobytes() == loop_embed(net, feats).tobytes()
+
+    def test_field_tables_are_rows_of_one_stack(self):
+        """What lets embed and its gradient cost O(rows read), not
+        O(vocabulary): no per-call stacking of the field tables."""
+        net = small_net(vocab=(3, 9, 2, 5))
+        for emb in net.embeddings:
+            assert emb.values.base is net.embeddings[0].values.base
+            assert emb.grad.base is net.embeddings[0].grad.base
+
+    def test_in_place_table_edit_is_read(self):
+        net = small_net(vocab=(3, 4))
+        net.embeddings[1].values[2] = [7.0, -7.0]
+        x = net.embed(np.array([[0, 2]]))
+        np.testing.assert_array_equal(x[0, 2:], [7.0, -7.0])
+
+    def test_rebound_tables_give_the_same_bits(self):
+        """Rebinding a field's values and grad switches embed and its
+        gradient to the per-field path; outputs and gradients stay the
+        same bits as on the stacked path."""
+        def run(rebind):
+            net = small_net(seed=6, vocab=(3, 9, 2, 5), embed_dim=3)
+            if rebind:
+                for emb in net.embeddings[1::2]:
+                    emb.values = emb.values.copy()
+                    emb.grad = emb.grad.copy()
+            rng = np.random.default_rng(8)
+            outs = []
+            for d in (0, 1):
+                preds, _ = net.forward_domain(rand_features(net, 64, d), d)
+                net.backward_domain(d, rng.normal(size=preds.shape))
+                outs.append(preds.tobytes())
+            return outs + [emb.grad.tobytes() for emb in net.embeddings]
+
+        assert run(rebind=True) == run(rebind=False)
+
+    def test_gradient_same_bits_as_per_field_add_at(self, monkeypatch):
+        """Two backward passes onto nonzero gradients, with repeated rows."""
+        def grads():
+            net = small_net(seed=6, vocab=(3, 9, 2, 5), embed_dim=3)
+            rng = np.random.default_rng(8)
+            for emb in net.embeddings:
+                emb.grad[...] = rng.normal(size=emb.grad.shape)
+            for d in (0, 1):
+                preds, _ = net.forward_domain(rand_features(net, 64, d), d)
+                net.backward_domain(d, rng.normal(size=preds.shape))
+            return b"".join(emb.grad.tobytes() for emb in net.embeddings)
+
+        shipped = grads()
+        monkeypatch.setattr(Backbone, "_embed_backward", loop_embed_backward)
+        assert grads() == shipped
 
     def test_embedding_gradient_matches_finite_differences(self):
         net = small_net(seed=3)

@@ -94,6 +94,24 @@ class TestSchema:
         assert D.Schema.load(path) == s
 
 
+class TestDomainData:
+    @pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf, 2.0 ** 63])
+    def test_non_whole_feature_rejected(self, bad):
+        with pytest.raises(DataError, match="whole numbers"):
+            D.DomainData(np.array([[0.0, bad]]), np.array([1.0]))
+
+    def test_int64_features_kept_as_given(self):
+        feats = np.array([[0, 1]], dtype=np.int64)
+        assert D.DomainData(feats, np.array([1.0])).features is feats
+
+    @pytest.mark.parametrize("feats", [
+        [[0, 1]], np.array([[0.0, 1.0]]), np.array([[0, 1]], dtype=np.int32)])
+    def test_whole_values_become_int64(self, feats):
+        out = D.DomainData(feats, np.array([1.0])).features
+        assert out.dtype == np.int64
+        assert out.tolist() == [[0, 1]]
+
+
 class TestParseRow:
     def test_direct_parse(self):
         s = two_field_schema()

@@ -5,6 +5,23 @@ from ctrlab import nn
 from ctrlab.errors import ConfigError, MaskError, NumericError, UsageError
 
 
+def loop_masked_softmax(logits, mask):
+    """Reference ``masked_softmax`` arithmetic, row maximum by max(axis=-1)."""
+    shifted = np.asarray(logits, dtype=np.float64) + mask
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def loop_activate_grad(tag, z, a):
+    """Reference activation gradients, ReLU's as a float np.where."""
+    if tag == "relu":
+        return np.where(z > 0.0, 1.0, 0.0)
+    if tag == "sigmoid":
+        return a * (1.0 - a)
+    return np.ones_like(z)
+
+
 def relative_error(a, b, floor=1e-4):
     a = np.asarray(a)
     b = np.asarray(b)
@@ -136,6 +153,43 @@ class TestMaskedSoftmax:
     def test_bad_mask_values_rejected(self):
         with pytest.raises(UsageError):
             nn.masked_softmax(np.zeros(3), np.array([0.0, -1.0, 0.0]))
+
+
+class TestSameBitsAsReferences:
+    RNG = np.random.default_rng(11)
+    CASES = {
+        "column 0 masked": (RNG.normal(size=(200, 8)),
+                            np.array([-np.inf, 0, -np.inf, 0, 0, -np.inf,
+                                      0, 0])),
+        "one active column": (RNG.normal(size=(50, 6)),
+                              np.array([-np.inf] * 5 + [0.0])),
+        "signed zero ties": (np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -0.0],
+                                       [-0.0, -0.0, -3.0], [-0.0, 0.0, 0.0]]),
+                             np.zeros(3)),
+        "signed zero ties, masked": (np.array([[-0.0, 0.0, 0.0],
+                                               [0.0, 5.0, -0.0]]),
+                                     np.array([0.0, -np.inf, 0.0])),
+        "1-D logits": (RNG.normal(size=7),
+                       np.array([0, -np.inf, 0, 0, -np.inf, 0, 0.0])),
+        "1-D, one column": (np.array([-0.0]), np.zeros(1)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_masked_softmax(self, case):
+        logits, mask = self.CASES[case]
+        out = nn.masked_softmax(logits, mask)
+        assert out.tobytes() == loop_masked_softmax(logits, mask).tobytes()
+
+    def test_relu_gradient(self):
+        z = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, np.nan, np.inf, -np.inf])
+        da = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf])
+        z, da = np.meshgrid(z, da)
+        a = np.maximum(z, 0.0)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            shipped = da * nn._activate_grad("relu", z, a)
+            reference = da * loop_activate_grad("relu", z, a)
+        assert shipped.dtype == np.float64
+        assert shipped.tobytes() == reference.tobytes()
 
 
 class TestSoftmaxBackward:

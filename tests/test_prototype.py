@@ -18,6 +18,11 @@ def make_coder(batch=6, protos=2, domain=0, seed=0):
     return proto.ProtoCoder(domain, batch, protos, np.random.default_rng(seed))
 
 
+def lexsort_order(h):
+    """Reference ``_sort_order``: np.lexsort over every column."""
+    return np.lexsort(h.T[::-1])
+
+
 def relative_error(a, b, floor=1e-4):
     a, b = np.asarray(a), np.asarray(b)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
@@ -53,6 +58,33 @@ class TestEncode:
         coder = make_coder(batch=6)
         with pytest.raises(ConfigError):
             coder.encode(np.zeros((5, 3)))
+
+
+def sort_cases():
+    """Row sets for ``_sort_order``. Where column 0 ties, the later
+    columns order the tied rows against their index order, so a missed
+    fallback to the full lexsort shows."""
+    base = np.random.default_rng(12).normal(size=(12, 3))
+    cases = {name: base.copy() for name in (
+        "tie", "signed zero", "two nan", "one nan", "constant", "distinct")}
+    h = cases["tie"]
+    h[[2, 7, 9], 0] = h[4, 0]
+    h[[2, 4, 7, 9], 1] = [3.0, 1.0, 1.0, -2.0]
+    cases["signed zero"][[3, 8], :2] = [[0.0, 1.0], [-0.0, -1.0]]
+    cases["two nan"][[1, 6], :2] = [[np.nan, 5.0], [np.nan, -5.0]]
+    cases["one nan"][5, 0] = np.nan
+    cases["constant"][:, 0] = 1.0
+    cases["constant"][::2, 1] = 0.5
+    return cases
+
+
+class TestSortOrder:
+    CASES = sort_cases()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_order_as_lexsort(self, case):
+        h = self.CASES[case]
+        assert proto._sort_order(h).tobytes() == lexsort_order(h).tobytes()
 
 
 class TestDecodeAndReconstruction:

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from ctrlab import data, metrics, train
+from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError
+from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
 from test_metrics import loop_average_ranks
+from test_nn import loop_activate_grad, loop_masked_softmax
+from test_prototype import lexsort_order
 
 CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
 FIXED = [[0], [0, 1], [1, 2]]
@@ -117,6 +120,24 @@ def test_same_decisions_as_loop_references(monkeypatch):
     reference = train.train(config)
 
     assert sum(s.swaps for s in samplers) > 0
+    assert without_timing(shipped.report) == without_timing(reference.report)
+    assert (json.dumps(shipped.trace, sort_keys=True)
+            == json.dumps(reference.trace, sort_keys=True))
+
+
+def test_same_decisions_as_per_call_references(results, monkeypatch):
+    """The single-gather embed, the flat embedding gradient, the column-wise
+    softmax maximum, the bool ReLU gradient and the argsort row order
+    change no report or trace byte."""
+    shipped, _ = results["sdsp"]
+    monkeypatch.setattr(backbone.Backbone, "embed", loop_embed)
+    monkeypatch.setattr(backbone.Backbone, "_embed_backward",
+                        loop_embed_backward)
+    monkeypatch.setattr(backbone, "masked_softmax", loop_masked_softmax)
+    monkeypatch.setattr(nn, "_activate_grad", loop_activate_grad)
+    monkeypatch.setattr(prototype, "_sort_order", lexsort_order)
+    reference = train.train(tiny_config("sdsp"))
+
     assert without_timing(shipped.report) == without_timing(reference.report)
     assert (json.dumps(shipped.trace, sort_keys=True)
             == json.dumps(reference.trace, sort_keys=True))
