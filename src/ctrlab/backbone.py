@@ -1,10 +1,11 @@
 """Mixture-of-experts CTR backbone with per-domain masked mixing.
 
-Layout: a shared embedding table feeds a bank of small expert networks,
-grouped by owning domain and concatenated in domain order. Each domain has
-a gate (affine map over the input, softmaxed across all experts), and a
-tower mapping the mixed representation to a click probability. A domain's
-mask is an additive {0, -inf} vector over experts: -inf entries knock the
+Layout: a shared embedding table (one Param stacking the per-field tables
+in field order) feeds a bank of small expert networks, grouped by owning
+domain and concatenated in domain order. Each domain has a gate (affine
+map over the input, softmaxed across all experts), and a tower mapping the
+mixed representation to a click probability. A domain's mask is an
+additive {0, -inf} vector over experts: -inf entries knock the
 corresponding experts out of the gate softmax, so unselected domains'
 experts receive exactly zero mixing weight and exactly zero gradient. The
 mask is added to the raw gate logits before the softmax; an all-zero mask
@@ -76,26 +77,12 @@ class Backbone:
         self.num_experts = int(self.owners.size)
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
         self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint64)
-        # Row of each field's first entry in the field tables stacked in
-        # field order.
+        # Row of each field's first entry in the embedding table, which
+        # stacks the field tables in field order.
         self._field_offsets = np.cumsum((0,) + self.vocab_sizes[:-1],
                                         dtype=np.int64)
-
-        # The field tables and their gradients are stored stacked in field
-        # order; each field's Param holds its rows of the stack as views,
-        # so one gather or one np.add.at reaches every field.
-        self.embeddings = [
-            Param(f"embedding.f{j}", uniform_init(rng, (v, self.embed_dim),
-                                                  self.embed_dim))
-            for j, v in enumerate(self.vocab_sizes)]
-        self._table = np.concatenate([e.values for e in self.embeddings])
-        self._table_grad = np.zeros_like(self._table)
-        for emb, start, v in zip(self.embeddings, self._field_offsets,
-                                 self.vocab_sizes):
-            emb.values = self._table[start:start + v]
-            emb.grad = self._table_grad[start:start + v]
-        self._table_views = [e.values for e in self.embeddings]
-        self._table_grad_views = [e.grad for e in self.embeddings]
+        self.embedding = Param("embedding", uniform_init(
+            rng, (sum(self.vocab_sizes), self.embed_dim), self.embed_dim))
         self.experts = []
         for d, count in enumerate(self.expert_counts):
             for k in range(count):
@@ -120,13 +107,9 @@ class Backbone:
     def embed(self, features: np.ndarray) -> np.ndarray:
         """Concatenate per-field embedding rows into the input vector.
 
-        While every field's ``values`` is still its view of the stacked
-        table, one ``np.take`` reads row ``features[:, j] + offset of field
-        j`` for every field at once; the result has the bits and the layout
-        of the per-field gathers concatenated along axis 1. Once a caller
-        has rebound a field's ``values`` to another array, the fields are
-        gathered one by one and concatenated. Either way the cost grows
-        with the rows read, not with the vocabulary.
+        One ``np.take`` reads row ``features[:, j] + offset of field j`` of
+        the table for every field at once, so the cost grows with the rows
+        read, not with the vocabulary.
         """
         features = feature_indices(features)
         if features.ndim != 2 or features.shape[1] != len(self.vocab_sizes):
@@ -140,35 +123,18 @@ class Backbone:
             j = int(np.flatnonzero(bad.any(axis=0))[0])
             raise DataError(
                 f"field {j} index outside [0, {self.vocab_sizes[j]})")
-        if all(e.values is v
-               for e, v in zip(self.embeddings, self._table_views)):
-            rows = np.take(self._table, features + self._field_offsets,
-                           axis=0)
-            return rows.reshape(features.shape[0], self.x_dim)
-        pieces = [emb.values[features[:, j]]
-                  for j, emb in enumerate(self.embeddings)]
-        return np.concatenate(pieces, axis=1)
+        rows = np.take(self.embedding.values, features + self._field_offsets,
+                       axis=0)
+        return rows.reshape(features.shape[0], self.x_dim)
 
     def _embed_backward(self, features: np.ndarray, dx: np.ndarray) -> None:
-        """Add the input gradient ``dx`` to the embedding rows it came from.
-
-        While every field's ``grad`` is still its view of the stacked
-        gradient, one 1-D ``np.add.at`` into the stack does it; otherwise
-        one 2-D ``np.add.at`` per field. Each gradient entry receives the
-        same additions in the same row order either way, starting from its
-        current value, so the sums are bit for bit the same.
-        """
-        if all(e.grad is g
-               for e, g in zip(self.embeddings, self._table_grad_views)):
-            cols = np.arange(self.embed_dim)
-            flat = ((features + self._field_offsets)[:, :, None]
-                    * self.embed_dim + cols)
-            np.add.at(self._table_grad.reshape(-1), flat.reshape(-1),
-                      dx.reshape(-1))
-            return
-        for j, emb in enumerate(self.embeddings):
-            sl = dx[:, j * self.embed_dim:(j + 1) * self.embed_dim]
-            np.add.at(emb.grad, features[:, j], sl)
+        """Add the input gradient ``dx`` to the embedding rows it came from,
+        with one 1-D ``np.add.at`` into the flattened table gradient."""
+        cols = np.arange(self.embed_dim)
+        flat = ((features + self._field_offsets)[:, :, None]
+                * self.embed_dim + cols)
+        np.add.at(self.embedding.grad.reshape(-1), flat.reshape(-1),
+                  dx.reshape(-1))
 
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
         return x @ self.gate_w[d].values.T + self.gate_b[d].values
@@ -237,7 +203,7 @@ class Backbone:
     # ------------------------------------------------------------ parameters
 
     def params(self) -> list:
-        out = list(self.embeddings)
+        out = [self.embedding]
         for e in self.experts:
             out += e.params()
         for d in range(self.num_domains):

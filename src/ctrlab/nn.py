@@ -2,9 +2,11 @@
 
 Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
-state is ever touched.  There is no autograd here on purpose; the
-finite-difference helper at the bottom is the independent check that the
-manual gradients are right.
+state is ever touched. A ``ParamStore`` packs a run's parameters into one
+flat values array and one flat gradient array, so the SGD step is one
+array operation over all of them. There is no autograd here on purpose;
+the finite-difference helper at the bottom is the independent check that
+the manual gradients are right.
 """
 
 import numpy as np
@@ -27,11 +29,33 @@ class Param:
         self.values = np.array(values, dtype=np.float64)
         self.grad = np.zeros_like(self.values)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.values.shape})"
+
+
+class ParamStore:
+    """Params' values and gradients packed into one flat array each.
+
+    ``values`` and ``grad`` concatenate the params' values and gradients,
+    in list order; each Param's ``values`` and ``grad`` is rebound to a
+    reshaped view of its slice, so writes through either side are seen by
+    the other. A Param whose ``values`` or ``grad`` is rebound after
+    packing is no longer trained: the store keeps stepping the old slice.
+    """
+
+    def __init__(self, params):
+        self.params = list(params)
+        sizes = [p.values.size for p in self.params]
+        # One past the last flat entry of each param.
+        self._ends = np.cumsum(sizes, dtype=np.int64)
+        self.values = np.empty(sum(sizes))
+        self.grad = np.empty(sum(sizes))
+        for p, stop, size in zip(self.params, self._ends, sizes):
+            flat = slice(stop - size, stop)
+            self.values[flat] = p.values.ravel()
+            self.grad[flat] = p.grad.ravel()
+            p.values = self.values[flat].reshape(p.values.shape)
+            p.grad = self.grad[flat].reshape(p.grad.shape)
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -201,15 +225,20 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def sgd_step(params: list[Param], lr: float) -> None:
-    """Plain gradient descent; zeroes every gradient afterwards."""
+def sgd_step(store: ParamStore, lr: float) -> None:
+    """Plain gradient descent on every packed param; zeroes the gradients.
+
+    All or nothing: a non-finite gradient anywhere raises NumericError,
+    naming the first param that holds one, before any value changes.
+    """
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
-        p.values -= lr * p.grad
-        p.zero_grad()
+    if not np.isfinite(store.grad).all():
+        first = np.flatnonzero(~np.isfinite(store.grad))[0]
+        bad = store.params[np.searchsorted(store._ends, first, side="right")]
+        raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
+    store.values -= lr * store.grad
+    store.grad[...] = 0.0
 
 
 def numeric_gradient(f, values: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -58,13 +58,9 @@ class TrainResult:
     trace: list
 
 
-def _snapshot(params: list) -> list:
-    return [p.values.copy() for p in params]
-
-
-def _restore(params: list, snap: list) -> None:
-    for p, values in zip(params, snap):
-        p.values[...] = values
+def _all_params(backbone: Backbone, coders: list) -> list:
+    """The backbone's params, then each prototype coder's, in domain order."""
+    return backbone.params() + [p for c in coders for p in c.params()]
 
 
 def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
@@ -104,9 +100,15 @@ class _Run:
                                       seed=config.seed)
         for d in range(config.domains):
             for part in ("train", "val", "test"):
-                if len(self.dataset.domain(part, d)) == 0:
+                labels = self.dataset.domain(part, d).labels
+                if len(labels) == 0:
                     raise ConfigError(
                         f"{part} partition is empty for domain {d}")
+                # Validation and test AUC need both classes.
+                if part != "train" and np.all(labels == labels[0]):
+                    raise ConfigError(
+                        f"{part} partition of domain {d} holds only label "
+                        f"{labels[0]:g}; its AUC is undefined")
         ss = np.random.SeedSequence(config.seed)
         streams = ss.spawn(5)
         self.init_rng = np.random.default_rng(streams[0])
@@ -122,6 +124,7 @@ class _Run:
         self.coders = [ProtoCoder(d, config.quotas[d], config.num_prototypes,
                                   self.init_rng)
                        for d in range(config.domains)]
+        self.store = nn.ParamStore(_all_params(self.backbone, self.coders))
         train_datas = [self.dataset.domain("train", d)
                        for d in range(config.domains)]
         self.sampler = data_mod.QuotaSampler(train_datas, config.quotas,
@@ -144,12 +147,6 @@ class _Run:
              "epoch_eval_s"), 0.0)
         self.steps_per_epoch = max(
             -(-len(dd) // q) for dd, q in zip(train_datas, config.quotas))
-
-    def params(self) -> list:
-        out = self.backbone.params()
-        for coder in self.coders:
-            out += coder.params()
-        return out
 
     @contextmanager
     def timed(self, stage: str):
@@ -186,7 +183,7 @@ class _Run:
             raise NumericError(
                 f"non-finite loss (ctr={total_ctr}, rec={total_rec}); "
                 "reduce the learning rate or the prototype loss weight")
-        nn.sgd_step(self.params(), cfg.learning_rate)
+        nn.sgd_step(self.store, cfg.learning_rate)
         return total_ctr, total_rec, total_final
 
     # ------------------------------------------------------ selection pieces
@@ -267,7 +264,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         epochs_run = epoch + 1
         if val["overall_auc"] > best["auc"]:
             best.update(auc=val["overall_auc"], epoch=epoch,
-                        params=_snapshot(run.params()),
+                        params=run.store.values.copy(),
                         masks=run.masks.copy(),
                         subsets=[tuple(s) for s in run.subsets])
             patience_left = cfg.early_stop_patience
@@ -275,7 +272,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             patience_left -= 1
             if patience_left < 0:
                 break
-    _restore(run.params(), best["params"])
+    run.store.values[...] = best["params"]
     run.masks = best["masks"]
     run.subsets = list(best["subsets"])
 
@@ -337,10 +334,8 @@ def write_outputs(result: TrainResult, out_dir) -> None:
 
 def save_checkpoint(result: TrainResult, path) -> None:
     """All parameters (backbone + prototype coders) plus run metadata."""
-    arrays = {f"param:{p.name}": p.values for p in result.backbone.params()}
-    for coder in result.coders:
-        for p in coder.params():
-            arrays[f"param:{p.name}"] = p.values
+    arrays = {f"param:{p.name}": p.values
+              for p in _all_params(result.backbone, result.coders)}
     meta = {
         "backbone": result.backbone._meta(),
         "coders": [{"domain": c.domain, "batch_count": c.batch_count,
@@ -375,10 +370,7 @@ def load_checkpoint(path, expected_hash: str | None = None):
         coders = [ProtoCoder(c["domain"], c["batch_count"],
                              c["num_prototypes"], np.random.default_rng(0))
                   for c in meta["coders"]]
-        params = list(backbone.params())
-        for coder in coders:
-            params += coder.params()
-        for p in params:
+        for p in _all_params(backbone, coders):
             key = f"param:{p.name}"
             if key not in zf:
                 raise ConfigError(f"checkpoint missing tensor {p.name!r}")

@@ -18,19 +18,25 @@ def rand_features(net, n, seed=1):
     return np.stack(cols, axis=1)
 
 
+def field_tables(net, table):
+    """``table`` split at the field offsets: one (vocab, embed_dim) view per
+    field."""
+    return np.split(table, np.cumsum(net.vocab_sizes)[:-1])
+
+
 def loop_embed(net, features):
     """Reference ``Backbone.embed``: one gather per field, concatenated."""
     features = np.asarray(features, dtype=np.int64)
-    pieces = [emb.values[features[:, j]]
-              for j, emb in enumerate(net.embeddings)]
+    tables = field_tables(net, net.embedding.values)
+    pieces = [table[features[:, j]] for j, table in enumerate(tables)]
     return np.concatenate(pieces, axis=1)
 
 
 def loop_embed_backward(net, features, dx):
     """Reference ``Backbone._embed_backward``: one 2-D np.add.at per field."""
-    for j, emb in enumerate(net.embeddings):
+    for j, grad in enumerate(field_tables(net, net.embedding.grad)):
         sl = dx[:, j * net.embed_dim:(j + 1) * net.embed_dim]
-        np.add.at(emb.grad, features[:, j], sl)
+        np.add.at(grad, features[:, j], sl)
 
 
 def relative_error(a, b, floor=1e-4):
@@ -78,15 +84,14 @@ class TestBuildMask:
 class TestEmbed:
     def test_concatenation(self):
         net = small_net(vocab=(2, 2), embed_dim=2)
-        net.embeddings[0].values = np.array([[9.0, 9.0], [1.0, 2.0]])
-        net.embeddings[1].values = np.array([[3.0, 4.0], [8.0, 8.0]])
+        net.embedding.values[...] = [[9.0, 9.0], [1.0, 2.0],
+                                     [3.0, 4.0], [8.0, 8.0]]
         x = net.embed(np.array([[1, 0]]))
         np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_zero_table(self):
         net = small_net()
-        for emb in net.embeddings:
-            emb.values[...] = 0.0
+        net.embedding.values[...] = 0.0
         x = net.embed(rand_features(net, 4))
         np.testing.assert_array_equal(x, np.zeros((4, net.x_dim)))
 
@@ -127,51 +132,58 @@ class TestEmbed:
         assert x.flags.c_contiguous
         assert x.tobytes() == loop_embed(net, feats).tobytes()
 
-    def test_field_tables_are_rows_of_one_stack(self):
-        """What lets embed and its gradient cost O(rows read), not
-        O(vocabulary): no per-call stacking of the field tables."""
-        net = small_net(vocab=(3, 9, 2, 5))
-        for emb in net.embeddings:
-            assert emb.values.base is net.embeddings[0].values.base
-            assert emb.grad.base is net.embeddings[0].grad.base
-
     def test_in_place_table_edit_is_read(self):
         net = small_net(vocab=(3, 4))
-        net.embeddings[1].values[2] = [7.0, -7.0]
+        net.embedding.values[3 + 2] = [7.0, -7.0]
         x = net.embed(np.array([[0, 2]]))
         np.testing.assert_array_equal(x[0, 2:], [7.0, -7.0])
 
-    def test_rebound_tables_give_the_same_bits(self):
-        """Rebinding a field's values and grad switches embed and its
-        gradient to the per-field path; outputs and gradients stay the
-        same bits as on the stacked path."""
-        def run(rebind):
+    def test_table_is_one_draw_of_every_field(self):
+        """One (sum of vocab, embed_dim) draw: the bits the per-field draws
+        gave, with the generator left in the same state."""
+        vocab, dim = (3, 9, 2, 5), 3
+        rng = np.random.default_rng(6)
+        per_field = np.concatenate([nn.uniform_init(rng, (v, dim), dim)
+                                    for v in vocab])
+        net = small_net(seed=6, vocab=vocab, embed_dim=dim)
+        assert net.embedding.values.shape == (sum(vocab), dim)
+        assert net.embedding.values.tobytes() == per_field.tobytes()
+        expert_w = nn.uniform_init(rng, (4, 4 * dim), 4 * dim)
+        assert net.experts[0].weights[0].values.tobytes() == expert_w.tobytes()
+
+    def test_packed_into_a_store(self):
+        """A store that repacks every param changes no prediction or
+        gradient bit; the gradients land in the store's flat array, and
+        in-place edits of the table through the Param are read."""
+        def run(pack):
             net = small_net(seed=6, vocab=(3, 9, 2, 5), embed_dim=3)
-            if rebind:
-                for emb in net.embeddings[1::2]:
-                    emb.values = emb.values.copy()
-                    emb.grad = emb.grad.copy()
+            store = nn.ParamStore(net.params()) if pack else None
             rng = np.random.default_rng(8)
             outs = []
             for d in (0, 1):
                 preds, _ = net.forward_domain(rand_features(net, 64, d), d)
                 net.backward_domain(d, rng.normal(size=preds.shape))
                 outs.append(preds.tobytes())
-            return outs + [emb.grad.tobytes() for emb in net.embeddings]
+            grads = b"".join(p.grad.tobytes() for p in net.params())
+            if pack:
+                assert store.grad.tobytes() == grads
+                net.embedding.values[3 + 4] = [7.0, -7.0, 0.5]
+                x = net.embed(np.array([[0, 4, 0, 0]]))
+                np.testing.assert_array_equal(x[0, 3:6], [7.0, -7.0, 0.5])
+            return outs + [grads]
 
-        assert run(rebind=True) == run(rebind=False)
+        assert run(pack=True) == run(pack=False)
 
     def test_gradient_same_bits_as_per_field_add_at(self, monkeypatch):
         """Two backward passes onto nonzero gradients, with repeated rows."""
         def grads():
             net = small_net(seed=6, vocab=(3, 9, 2, 5), embed_dim=3)
             rng = np.random.default_rng(8)
-            for emb in net.embeddings:
-                emb.grad[...] = rng.normal(size=emb.grad.shape)
+            net.embedding.grad[...] = rng.normal(size=net.embedding.grad.shape)
             for d in (0, 1):
                 preds, _ = net.forward_domain(rand_features(net, 64, d), d)
                 net.backward_domain(d, rng.normal(size=preds.shape))
-            return b"".join(emb.grad.tobytes() for emb in net.embeddings)
+            return net.embedding.grad.tobytes()
 
         shipped = grads()
         monkeypatch.setattr(Backbone, "_embed_backward", loop_embed_backward)
@@ -190,9 +202,8 @@ class TestEmbed:
         preds, _ = net.forward_domain(feats, 0)
         _, dpreds = nn.bce_loss(preds, labels)
         net.backward_domain(0, dpreds)
-        for emb in net.embeddings:
-            fd = nn.numeric_gradient(loss, emb.values)
-            assert relative_error(emb.grad, fd) < 1e-4, emb.name
+        fd = nn.numeric_gradient(loss, net.embedding.values)
+        assert relative_error(net.embedding.grad, fd) < 1e-4
 
 
 class TestGateWeights:

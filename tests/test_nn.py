@@ -22,6 +22,17 @@ def loop_activate_grad(tag, z, a):
     return np.ones_like(z)
 
 
+def loop_sgd_step(store, lr):
+    """Reference ``sgd_step``: one finiteness check and update per Param."""
+    if lr <= 0.0:
+        raise ConfigError(f"learning rate must be positive, got {lr}")
+    for p in store.params:
+        if not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
+        p.values -= lr * p.grad
+        p.grad[...] = 0.0
+
+
 def relative_error(a, b, floor=1e-4):
     a = np.asarray(a)
     b = np.asarray(b)
@@ -106,7 +117,7 @@ class TestMlpBackward:
         for p in net.params():
             fd = nn.numeric_gradient(objective, p.values, eps=1e-5)
             assert relative_error(p.grad, fd) < 1e-4, p.name
-            p.zero_grad()
+            p.grad[...] = 0.0
 
 
 class TestMaskedSoftmax:
@@ -246,35 +257,82 @@ class TestBceLoss:
             nn.bce_loss(np.array([0.5, 0.5]), np.array([1.0]))
 
 
+def ragged_params(seed=0):
+    """Params of several shapes, including a scalar and an empty one, with
+    nonzero gradients."""
+    rng = np.random.default_rng(seed)
+    params = [nn.Param(f"p{i}", rng.normal(size=shape))
+              for i, shape in enumerate([(3, 4), (5,), (), (0, 2), (2, 2, 3)])]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.grad.shape)
+    return params
+
+
+class TestParamStore:
+    def test_views_share_the_flat_arrays(self):
+        params = ragged_params()
+        store = nn.ParamStore(params)
+        assert store.values.shape == store.grad.shape == (12 + 5 + 1 + 12,)
+        for p in params:
+            assert p.values.base is store.values
+            assert p.grad.base is store.grad
+        params[0].values[1, 2] = 42.0
+        params[4].grad[...] = 7.0
+        assert store.values[6] == 42.0
+        assert np.all(store.grad[-12:] == 7.0)
+        store.values[12] = -3.0
+        assert params[1].values[0] == -3.0
+
+    def test_packing_keeps_shapes_and_bits(self):
+        before = ragged_params()
+        after = ragged_params()
+        store = nn.ParamStore(after)
+        assert store.params == after
+        for p, q in zip(before, after):
+            assert q.values.shape == p.values.shape
+            assert q.grad.shape == p.grad.shape
+            assert q.values.tobytes() == p.values.tobytes()
+            assert q.grad.tobytes() == p.grad.tobytes()
+        assert store.values.tobytes() == b"".join(p.values.tobytes()
+                                                  for p in before)
+
+    def test_empty(self):
+        store = nn.ParamStore([])
+        assert store.values.shape == store.grad.shape == (0,)
+        nn.sgd_step(store, lr=0.1)
+
+
 class TestSgdStep:
     def test_single_step(self):
         p = nn.Param("w", np.array([1.0]))
         p.grad[...] = 0.5
-        nn.sgd_step([p], lr=0.1)
+        nn.sgd_step(nn.ParamStore([p]), lr=0.1)
         assert p.values[0] == pytest.approx(0.95)
         assert p.grad[0] == 0.0
 
     def test_zero_grad_leaves_values(self):
         p = nn.Param("w", np.array([1.0, -2.0]))
-        nn.sgd_step([p], lr=0.3)
+        nn.sgd_step(nn.ParamStore([p]), lr=0.3)
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
 
     def test_two_steps_on_quadratic(self):
         # f(w) = w^2, grad 2w; lr 0.25 halves w each step
         p = nn.Param("w", np.array([1.0]))
+        store = nn.ParamStore([p])
         for _ in range(2):
             p.grad[...] = 2.0 * p.values
-            nn.sgd_step([p], lr=0.25)
+            nn.sgd_step(store, lr=0.25)
         assert p.values[0] == pytest.approx(0.25)
 
     def test_descends_convex_quadratic(self):
         # f(w) = 0.5 * c * w^2 decreases strictly for lr < 2/c
         c = 4.0
         p = nn.Param("w", np.array([3.0]))
+        store = nn.ParamStore([p])
         prev = 0.5 * c * p.values[0] ** 2
         for _ in range(20):
             p.grad[...] = c * p.values
-            nn.sgd_step([p], lr=0.4)
+            nn.sgd_step(store, lr=0.4)
             cur = 0.5 * c * p.values[0] ** 2
             assert cur < prev
             prev = cur
@@ -283,8 +341,47 @@ class TestSgdStep:
         p = nn.Param("broken", np.array([1.0]))
         p.grad[...] = np.nan
         with pytest.raises(NumericError, match="broken"):
-            nn.sgd_step([p], lr=0.1)
+            nn.sgd_step(nn.ParamStore([p]), lr=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grad_changes_nothing(self, bad):
+        """The error names the param holding the bad gradient, and no
+        param, the earlier ones included, has been stepped."""
+        first = nn.Param("first", np.array([1.0, 2.0]))
+        second = nn.Param("second", np.array([[3.0], [4.0]]))
+        first.grad[...] = 0.5
+        second.grad[1, 0] = bad
+        store = nn.ParamStore([first, second])
+        with pytest.raises(NumericError, match="'second'"):
+            nn.sgd_step(store, lr=0.1)
+        np.testing.assert_array_equal(first.values, [1.0, 2.0])
+        np.testing.assert_array_equal(first.grad, [0.5, 0.5])
+        np.testing.assert_array_equal(second.values, [[3.0], [4.0]])
+
+    @pytest.mark.parametrize("i,entry", [(0, (0, 0)), (1, (4,)), (2, ()),
+                                         (4, (0, 0, 0)), (4, (1, 1, 2))])
+    def test_error_names_the_first_bad_param(self, i, entry):
+        """The first and last entries of params around the empty p3."""
+        params = ragged_params()
+        params[i].grad[entry] = np.nan
+        params[4].grad[1, 1, 2] = np.inf
+        with pytest.raises(NumericError, match=f"'p{i}'"):
+            nn.sgd_step(nn.ParamStore(params), lr=0.1)
+
+    def test_same_bits_as_per_param_loop(self):
+        def steps(step):
+            params = ragged_params(seed=3)
+            store = nn.ParamStore(params)
+            rng = np.random.default_rng(4)
+            for lr in (0.1, 0.37, 1e-3):
+                for p in params:
+                    p.grad[...] += rng.normal(size=p.grad.shape)
+                step(store, lr)
+                assert not store.grad.any()
+            return store.values.tobytes()
+
+        assert steps(nn.sgd_step) == steps(loop_sgd_step)
 
     def test_bad_lr(self):
         with pytest.raises(ConfigError):
-            nn.sgd_step([], lr=0.0)
+            nn.sgd_step(nn.ParamStore([]), lr=0.0)

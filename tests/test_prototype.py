@@ -111,14 +111,15 @@ class TestDecodeAndReconstruction:
     def test_training_reduces_loss_ninety_percent(self):
         coder = make_coder(batch=6, protos=2, seed=9)
         h = np.random.default_rng(5).normal(size=(6, 4))
+        store = nn.ParamStore(coder.params())
         first, _ = coder.reconstruction(h)
         coder.backward()
-        nn.sgd_step(coder.params(), lr=0.01)
+        nn.sgd_step(store, lr=0.01)
         last = first
         for _ in range(499):
             last, _ = coder.reconstruction(h)
             coder.backward()
-            nn.sgd_step(coder.params(), lr=0.01)
+            nn.sgd_step(store, lr=0.01)
         assert last <= 0.1 * first
 
     def test_reconstruction_invariant_to_row_order(self):
@@ -149,7 +150,7 @@ class TestReconstructionGradients:
         for p in self.coder.params():
             fd = nn.numeric_gradient(self._objective, p.values)
             assert relative_error(p.grad, fd) < 1e-4, p.name
-            p.zero_grad()
+            p.grad[...] = 0.0
 
     def test_representation_gradient_respects_row_order(self):
         self.coder.reconstruction(self.h)
@@ -162,7 +163,7 @@ class TestReconstructionGradients:
         dh_full = self.coder.backward(scale=1.0)
         grads_full = [p.grad.copy() for p in self.coder.params()]
         for p in self.coder.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         self.coder.reconstruction(self.h)
         dh_quarter = self.coder.backward(scale=0.25)
         np.testing.assert_allclose(dh_quarter, 0.25 * dh_full)

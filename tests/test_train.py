@@ -10,7 +10,7 @@ from ctrlab.errors import ConfigError
 from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
 from test_metrics import loop_average_ranks
-from test_nn import loop_activate_grad, loop_masked_softmax
+from test_nn import loop_activate_grad, loop_masked_softmax, loop_sgd_step
 from test_prototype import lexsort_order
 
 CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
@@ -84,6 +84,18 @@ def test_full_share_activates_every_expert(results):
     assert np.array_equal(result.masks, np.zeros((3, 4)))
 
 
+def test_best_epoch_params_are_restored(results):
+    """The report's val section is the best epoch's, also where that epoch
+    is not the last: the snapshot is a copy, not a view of the live
+    parameters."""
+    for mode, (result, _) in results.items():
+        report = result.report
+        best = report["history"][report["best_epoch"]]
+        assert report["val"]["domains"] == best["val_domains"], mode
+        assert report["val"]["overall_auc"] == best["val_overall_auc"], mode
+    assert results["full-share"][0].report["best_epoch"] == 0
+
+
 def test_timing_has_every_stage(results):
     stages = {"train_seconds", "train_step_s", "selection_distance_s",
               "selection_reward_s", "epoch_eval_s"}
@@ -127,8 +139,8 @@ def test_same_decisions_as_loop_references(monkeypatch):
 
 def test_same_decisions_as_per_call_references(results, monkeypatch):
     """The single-gather embed, the flat embedding gradient, the column-wise
-    softmax maximum, the bool ReLU gradient and the argsort row order
-    change no report or trace byte."""
+    softmax maximum, the bool ReLU gradient, the argsort row order and the
+    one-array SGD step change no report or trace byte."""
     shipped, _ = results["sdsp"]
     monkeypatch.setattr(backbone.Backbone, "embed", loop_embed)
     monkeypatch.setattr(backbone.Backbone, "_embed_backward",
@@ -136,11 +148,33 @@ def test_same_decisions_as_per_call_references(results, monkeypatch):
     monkeypatch.setattr(backbone, "masked_softmax", loop_masked_softmax)
     monkeypatch.setattr(nn, "_activate_grad", loop_activate_grad)
     monkeypatch.setattr(prototype, "_sort_order", lexsort_order)
+    monkeypatch.setattr(nn, "sgd_step", loop_sgd_step)
     reference = train.train(tiny_config("sdsp"))
 
     assert without_timing(shipped.report) == without_timing(reference.report)
     assert (json.dumps(shipped.trace, sort_keys=True)
             == json.dumps(reference.trace, sort_keys=True))
+
+
+@pytest.mark.parametrize("mode,part,label", [
+    ("sdsp", "val", 0.0), ("full-share", "val", 0.0),
+    ("fixed-subset", "test", 1.0)])
+def test_single_class_partition_is_config_error(mode, part, label,
+                                                monkeypatch):
+    """Domain 1's val or test rows carry one label, so its AUC there is
+    undefined: the run stops before training and says where, instead of
+    failing at the first selection round or evaluation."""
+    split = data.split
+
+    def one_class(*args, **kwargs):
+        dataset = split(*args, **kwargs)
+        dataset.domain(part, 1).labels[...] = label
+        return dataset
+
+    monkeypatch.setattr(data, "split", one_class)
+    with pytest.raises(ConfigError, match=rf"^{part} partition of domain 1 "
+                       rf"holds only label {label:g}; its AUC is undefined$"):
+        train.train(tiny_config(mode))
 
 
 class TestCheckpoint:
@@ -199,4 +233,21 @@ class TestCheckpoint:
 
         self.rewrite(path, truncate)
         with pytest.raises(ConfigError, match="shape"):
+            train.load_checkpoint(path)
+
+    def test_per_field_embedding_tensors_rejected(self, saved):
+        """The table is one (sum of vocab, embed_dim) tensor; a checkpoint
+        that stores it per field does not load."""
+        result, path = saved
+        vocab = result.backbone.vocab_sizes
+
+        def per_field(arrays):
+            table = arrays.pop("param:embedding")
+            assert table.shape == (sum(vocab), result.backbone.embed_dim)
+            for j, rows in enumerate(
+                    np.split(table, np.cumsum(vocab)[:-1])):
+                arrays[f"param:embedding.f{j}"] = rows
+
+        self.rewrite(path, per_field)
+        with pytest.raises(ConfigError, match="missing tensor 'embedding'"):
             train.load_checkpoint(path)
