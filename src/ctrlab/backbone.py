@@ -146,7 +146,9 @@ class Backbone:
         """Predictions and mixed representation for one domain's batch.
 
         Experts masked out for domain d are never evaluated; their mixing
-        weight is exactly zero by masked-softmax construction.
+        weight is exactly zero by masked-softmax construction. Without
+        ``cache`` nothing is kept for ``backward_domain`` and the returned
+        arrays are new.
         """
         if not 0 <= d < self.num_domains:
             raise UsageError(f"domain {d} outside [0, {self.num_domains})")
@@ -156,9 +158,12 @@ class Backbone:
         x = self.embed(features)
         active = np.flatnonzero(mask == 0.0)
         gate = masked_softmax(self.gate_logits(x, d), mask)
-        outs = {int(i): self.experts[i].forward(x, cache=cache) for i in active}
         h = np.zeros((x.shape[0], self.repr_dim))
-        for i, out in outs.items():
+        outs = {}
+        for i in active:
+            out = self.experts[i].forward(x, cache=cache)
+            if cache:
+                outs[int(i)] = out
             h += gate[:, i:i + 1] * out
         preds = self.towers[d].forward(h, cache=cache).ravel()
         if cache:

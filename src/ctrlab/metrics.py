@@ -1,11 +1,17 @@
 """Evaluation metrics for binary CTR prediction.
 
-AUC is computed with the rank-sum formulation: assign average ranks to the
-pooled scores, then AUC = (R_pos - n_pos(n_pos+1)/2) / (n_pos * n_neg).
-This is O(n log n) and handles ties by average rank, which is equivalent to
-counting tied positive/negative pairs as half-concordant. Tied blocks are
-found without a per-row loop: the run boundaries of equal neighbours in the
-stably sorted scores, compared in one vectorized pass.
+AUC is the Mann-Whitney rank-sum statistic (Hanley & McNeil, Radiology
+1982): AUC = (R_pos - n_pos(n_pos+1)/2) / (n_pos * n_neg), where R_pos sums
+the 1-based ranks of the positives and a tied block of scores shares its
+mean rank, which counts tied positive/negative pairs as half-concordant.
+
+The rank sum is read off one sort, and that sort need not be stable:
+every member of a tied block gets the block's mean rank, so R_pos is the
+sum over blocks of the block's positive count times its mean rank,
+whatever order the block's members are in. Every such term is a multiple
+of 1/2 and, below about 9e7 rows, every partial sum is below 2^52, so
+float64 adds them exactly in any order: the sum is the same number
+however the rows are sorted or grouped.
 """
 
 from __future__ import annotations
@@ -34,20 +40,6 @@ def _check_pair(scores, labels):
     return scores, labels
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties replaced by the mean rank of the tied block."""
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # A tied block is a run of equal neighbours in sorted order; block k
-    # spans sorted positions starts[k]..ends[k] inclusive.
-    breaks = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [scores.size])) - 1
-    ranks = np.empty(scores.size, dtype=float)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
-
-
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
     scores, labels = _check_pair(scores, labels)
@@ -56,8 +48,16 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricError(
             f"AUC undefined for single-class labels (pos={n_pos}, neg={n_neg})")
-    ranks = _average_ranks(scores)
-    rank_sum = ranks[labels == 1.0].sum()
+    order = np.argsort(scores)
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    # A tied block is a run of equal neighbours in sorted order; block k
+    # spans sorted positions starts[k]..ends[k] inclusive.
+    breaks = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [scores.size])) - 1
+    block_pos = np.add.reduceat(sorted_labels, starts)
+    rank_sum = (block_pos * (0.5 * (starts + ends) + 1.0)).sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

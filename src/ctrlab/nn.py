@@ -66,7 +66,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 def _activate(tag: str, z: np.ndarray) -> np.ndarray:
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        # In place: the caller passes a fresh z, and backward reads a
+        # ReLU layer's z only as z > 0, which max(z, 0) leaves unchanged.
+        return np.maximum(z, 0.0, out=z)
     if tag == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
     return z
@@ -84,9 +86,9 @@ def _activate_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 class Mlp:
     """A stack of affine layers, each tagged relu / sigmoid / linear.
 
-    ``forward`` caches intermediates; ``backward`` consumes the cache,
-    accumulates parameter gradients and returns the input gradient.
-    Inputs are row batches of shape (batch, in_dim).
+    ``forward`` caches intermediates unless told not to; ``backward``
+    consumes the cache, accumulates parameter gradients and returns the
+    input gradient. Inputs are row batches of shape (batch, in_dim).
     """
 
     def __init__(self, name: str, weights: list[Param], biases: list[Param],
@@ -124,6 +126,14 @@ class Mlp:
         return self.weights[0].values.shape[1]
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """The net's output for a row batch ``x``.
+
+        Each layer adds its bias and applies ReLU in place on the fresh
+        product. With ``cache`` the layers' inputs and pre-activations are
+        kept for ``backward``. Without it nothing is kept, a cache left by
+        an earlier forward stays as it is, and the returned array is new
+        and the caller's to modify.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ConfigError(f"{self.name}: expected input of shape (batch, "
@@ -131,12 +141,14 @@ class Mlp:
         steps = []
         a = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ w.values.T + b.values
+            z = a @ w.values.T
+            z += b.values
             a_next = _activate(act, z)
             if cache:
                 steps.append((a, z, a_next))
             a = a_next
-        self._cache = steps if cache else None
+        if cache:
+            self._cache = steps
         return a
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
@@ -165,10 +177,14 @@ class Mlp:
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax of ``logits + mask`` where mask entries are 0 or -inf.
 
-    Positions masked with -inf come out exactly 0.  With an all-zero mask
-    this is the plain softmax, bit for bit, because the code path is
-    identical.  Accepts a single vector or a (batch, n) matrix of logits;
-    the mask is one vector broadcast over the batch.
+    Positions masked with -inf come out exactly +0.0, and their logits are
+    never read: the row maximum and ``exp`` run over the active columns
+    only, into a zero-filled full-width array that the row sum and the
+    divide then cover. numpy adds that array's rows in the same order as
+    it would the exponentials of every column, so the result has the same
+    bits. With an all-zero mask this is the plain softmax, bit for bit.
+    Accepts a single vector or a (batch, n) matrix of logits; the mask is
+    one vector broadcast over the batch.
     """
     logits = np.asarray(logits, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -180,21 +196,25 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise UsageError("mask entries must be 0 or -inf")
     if not valid.any():
         raise MaskError("degenerate mask: every position is masked")
-    shifted = logits + mask
-    # The row maximum, one column at a time: over a gate's few experts and
-    # a batch of rows, np.maximum per column is several times faster than
-    # max(axis=-1). Measured with numpy 2.4 on a 2-vCPU x86_64 host, it is
-    # slower below about 16 rows per column and gains little or loses
-    # above 16 columns; the benchmark's gates have 8 columns and 128 or
-    # more rows, so it checks only that side. Only the sign of a zero
-    # maximum can differ, and subtracting either zero gives values that
-    # exp maps to the same bits.
-    top = shifted[..., 0].copy()
-    for k in range(1, shifted.shape[-1]):
-        np.maximum(top, shifted[..., k], out=top)
-    shifted = shifted - top[..., None]
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    active = np.flatnonzero(valid)
+    # The row maximum, one active column at a time: over a gate's few
+    # experts and a batch of rows, np.maximum per column is several times
+    # faster than max(axis=-1). Measured with numpy 2.4 on a 2-vCPU x86_64
+    # host, it is slower below about 16 rows per column and gains little
+    # or loses above 16 columns; the benchmark's gates have 8 columns and
+    # 128 or more rows, so it checks only that side. Only the sign of a
+    # zero maximum can differ, and subtracting either zero gives values
+    # that exp maps to the same bits.
+    top = logits[..., active[0]].copy()
+    for k in active[1:]:
+        np.maximum(top, logits[..., k], out=top)
+    # Indexing the last axis with an array gives a column-major copy, whose
+    # row sums numpy would add in another order; the C-ordered full-width
+    # array keeps the order of a plain softmax.
+    probs = np.zeros(logits.shape)
+    probs[..., active] = np.exp(logits[..., active] - top[..., None])
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:

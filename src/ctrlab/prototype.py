@@ -109,31 +109,59 @@ class ProtoCoder:
         return dh
 
 
-def domain_distance(protos_a: np.ndarray, protos_b: np.ndarray) -> float:
-    """Mean over source prototypes of the nearest-target-prototype distance."""
-    protos_a = np.asarray(protos_a, dtype=np.float64)
-    protos_b = np.asarray(protos_b, dtype=np.float64)
-    if protos_a.ndim != 2 or protos_b.ndim != 2:
+def _protoset(protos) -> np.ndarray:
+    """One prototype set as a non-empty 2-D float64 array."""
+    protos = np.asarray(protos, dtype=np.float64)
+    if protos.ndim != 2:
         raise UsageError("prototype sets must be 2-D")
-    if protos_a.shape[0] == 0 or protos_b.shape[0] == 0:
+    if protos.shape[0] == 0:
         raise UsageError("prototype sets must be non-empty")
+    return protos
+
+
+def _check_dims(protos_a: np.ndarray, protos_b: np.ndarray) -> None:
     if protos_a.shape[1] != protos_b.shape[1]:
         raise UsageError(
             f"dim mismatch: {protos_a.shape[1]} vs {protos_b.shape[1]}")
+
+
+def domain_distance(protos_a: np.ndarray, protos_b: np.ndarray) -> float:
+    """Mean over source prototypes of the nearest-target-prototype distance."""
+    protos_a, protos_b = _protoset(protos_a), _protoset(protos_b)
+    _check_dims(protos_a, protos_b)
     diff = protos_a[:, None, :] - protos_b[None, :, :]
     sq = (diff * diff).sum(axis=2)
     return float(np.mean(np.sqrt(sq.min(axis=1))))
 
 
 def distance_matrix(protosets: list) -> np.ndarray:
-    """All ordered domain pairs; entry (i, j) = distance from i to j."""
+    """All ordered domain pairs; entry (i, j) = distance from i to j.
+
+    One pass per source domain against every target's prototypes stacked:
+    each squared distance is summed over the same contiguous axis as in
+    ``domain_distance``, the nearest target prototype is a minimum over
+    that target's block of columns, and the mean runs over a contiguous
+    row, so every entry has ``domain_distance``'s bits.
+    """
     d = len(protosets)
     if d < 2:
         raise UsageError(f"need at least 2 domains, got {d}")
-    out = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = domain_distance(protosets[i], protosets[j])
+    # Checked one set at a time, so the first error raised is the one the
+    # per-pair loop over (0, 0), (0, 1), ... would meet first.
+    sets = []
+    for protos in protosets:
+        sets.append(_protoset(protos))
+        _check_dims(sets[0], sets[-1])
+    targets = np.concatenate(sets)
+    starts = np.cumsum([0] + [len(p) for p in sets[:-1]])
+    out = np.empty((d, d))
+    for i, source in enumerate(sets):
+        diff = source[:, None, :] - targets[None, :, :]
+        sq = (diff * diff).sum(axis=2)
+        nearest = np.minimum.reduceat(sq, starts, axis=1)
+        # C order makes each target's distances a contiguous row; numpy
+        # would add the rows of the transposed view in another order.
+        out[i] = np.sqrt(nearest.T, order="C").mean(axis=1)
     return out
 
 

@@ -234,7 +234,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     cfg = config
     selecting = cfg.mode == "sdsp"
     history = []
-    best = {"auc": -np.inf, "epoch": -1, "params": None,
+    best = {"auc": -np.inf, "epoch": -1, "val": None, "params": None,
             "masks": None, "subsets": None}
     patience_left = cfg.early_stop_patience
     iteration = 0
@@ -263,7 +263,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         })
         epochs_run = epoch + 1
         if val["overall_auc"] > best["auc"]:
-            best.update(auc=val["overall_auc"], epoch=epoch,
+            best.update(auc=val["overall_auc"], epoch=epoch, val=val,
                         params=run.store.values.copy(),
                         masks=run.masks.copy(),
                         subsets=[tuple(s) for s in run.subsets])
@@ -276,8 +276,8 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     run.masks = best["masks"]
     run.subsets = list(best["subsets"])
 
-    val_report = evaluate_partition(run.backbone, run.dataset, "val",
-                                    run.masks, cfg.overall_metric)
+    # The restored params and masks are the best epoch's, so its val
+    # report is what evaluating them again would give.
     test_report = evaluate_partition(run.backbone, run.dataset, "test",
                                      run.masks, cfg.overall_metric)
     final_matrix = measure_distances(run.backbone, run.coders, run.dataset,
@@ -291,7 +291,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         "epochs_run": epochs_run,
         "best_epoch": best["epoch"],
         "history": history,
-        "val": val_report,
+        "val": best["val"],
         "test": test_report,
         "selection": {
             "rounds": len(run.trace),

@@ -301,6 +301,44 @@ class TestMaskedForward:
         assert any(np.any(p.grad != 0.0) for p in net.experts[1].params())
 
 
+class TestNoCacheForward:
+    @pytest.mark.parametrize("subsets", [
+        [{0, 1, 2}] * 3, [{0}, {1}, {2}], [{0, 2}, {0, 1}, {1, 2}]])
+    def test_same_bits_as_cached_forward(self, subsets):
+        net = small_net(seed=15, expert_counts=(2, 1, 3))
+        masks = build_mask(subsets, net.expert_counts)
+        for d in range(3):
+            feats = rand_features(net, 130, seed=d)
+            preds, h = net.forward_domain(feats, d, masks=masks)
+            fast_preds, fast_h = net.forward_domain(feats, d, masks=masks,
+                                                    cache=False)
+            assert fast_preds.tobytes() == preds.tobytes()
+            assert fast_h.tobytes() == h.tobytes()
+            assert net.predict(feats, d, masks).tobytes() == preds.tobytes()
+
+    def test_output_is_the_callers(self):
+        """Writing to a no-cache forward's outputs changes no param, and a
+        cached forward before it still backs the same gradients."""
+        def grads(predict_between):
+            net = small_net(seed=16, expert_counts=(2, 1, 1))
+            masks = build_mask([{0, 2}, {1}, {2}], net.expert_counts)
+            feats = rand_features(net, 40)
+            before = [p.values.copy() for p in net.params()]
+            preds, _ = net.forward_domain(feats, 0, masks=masks)
+            if predict_between:
+                fast_preds, fast_h = net.forward_domain(feats, 0, masks=masks,
+                                                        cache=False)
+                fast_preds[...] = np.nan
+                fast_h[...] = np.nan
+            for p, value in zip(net.params(), before):
+                assert p.values.tobytes() == value.tobytes(), p.name
+            net.backward_domain(0, preds - 0.5)
+            return [p.grad.copy() for p in net.params()]
+
+        for a, b in zip(grads(False), grads(True)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestPredict:
     def test_zero_tower_gives_half(self):
         net = small_net()

@@ -37,6 +37,17 @@ def loop_average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def loop_auc(scores, labels) -> float:
+    """Reference ``auc``: the loop's tie-averaged ranks, summed over the
+    positives as floats."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    labels = np.asarray(labels, dtype=float).ravel()
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    rank_sum = loop_average_ranks(scores)[labels == 1.0].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 class TestAuc:
     def test_worked_example(self):
         scores = [0.1, 0.4, 0.35, 0.8]
@@ -183,18 +194,30 @@ class TestMetricProperties:
         assert metrics.logloss(np.full(n, labels.mean()), labels) >= base
 
 
+def two_class_labels(n: int, seed: int) -> np.ndarray:
+    labels = (np.random.default_rng(seed).random(n) < 0.3).astype(float)
+    labels[:2] = [1.0, 0.0]
+    return labels
+
+
 class TestAverageRanks:
-    """The vectorized ranks equal the loop reference bit for bit."""
+    """The AUC read off one unstable sort equals the AUC of the loop's
+    tie-averaged ranks bit for bit."""
 
     @pytest.mark.parametrize("scores", [
         np.random.default_rng(5).integers(0, 1000, 200_000) / 1000.0,
         np.full(50, 0.25),
-        np.array([0.7]),
+        np.array([0.7, 0.2]),
         np.linspace(-1.0, 1.0, 101),
         np.linspace(1.0, -1.0, 101),
         np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, -0.0]),
+        np.random.default_rng(6).random(2_000),
     ], ids=["heavy-ties-200k", "all-tied", "single", "increasing",
-            "decreasing", "signed-zeros"])
+            "decreasing", "signed-zeros", "no-ties-2000"])
     def test_bit_identical_to_loop(self, scores):
-        expected = loop_average_ranks(scores)
-        assert metrics._average_ranks(scores).tobytes() == expected.tobytes()
+        # "single" is the one pair a two-class AUC needs.
+        for seed in range(3):
+            labels = two_class_labels(scores.size, seed)
+            expected = loop_auc(scores, labels)
+            got = metrics.auc(scores, labels)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()

@@ -191,6 +191,63 @@ class TestSameBitsAsReferences:
         out = nn.masked_softmax(logits, mask)
         assert out.tobytes() == loop_masked_softmax(logits, mask).tobytes()
 
+    MASKS = {
+        "one active column": np.array([-np.inf, -np.inf, 0.0, -np.inf,
+                                       -np.inf, -np.inf, -np.inf, -np.inf,
+                                       -np.inf]),
+        "column 0 masked": np.array([-np.inf] + [0.0] * 8),
+        "last column masked": np.array([0.0] * 8 + [-np.inf]),
+        "all active": np.zeros(9),
+    }
+
+    @pytest.mark.parametrize("rows", [None, 1, 7, 128, 2_000])
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_masked_softmax_over_active_columns(self, rows, mask):
+        """Nine columns, so a row sum over the active ones alone would be
+        grouped differently from the full-width one; rows=None is 1-D."""
+        shape = (9,) if rows is None else (rows, 9)
+        logits = np.random.default_rng(rows or 0).normal(scale=4.0,
+                                                         size=shape)
+        mask = self.MASKS[mask]
+        out = nn.masked_softmax(logits, mask)
+        assert out.shape == logits.shape
+        assert out.tobytes() == loop_masked_softmax(logits, mask).tobytes()
+        assert np.signbit(out[..., np.isneginf(mask)]).sum() == 0
+
+    @pytest.mark.parametrize("dims,acts", [
+        ([5, 16, 3], ["relu", "linear"]),
+        ([3, 8, 1], ["relu", "sigmoid"]),
+        ([4, 6, 6, 2], ["sigmoid", "relu", "relu"]),
+    ])
+    def test_no_cache_forward(self, dims, acts):
+        """The no-cache forward has the cached forward's bits, and
+        its output is the caller's: writing to it changes no param, no
+        input, no pending cache and no later forward."""
+        rng = np.random.default_rng(8)
+        net = make_mlp("nc", dims, acts, seed=4)
+        for p in net.params():
+            p.values = p.values + 0.1  # nonzero biases
+        x = rng.normal(size=(130, dims[0]))
+        upstream = rng.normal(size=(130, dims[-1]))
+        x_before = x.copy()
+        params_before = [p.values.copy() for p in net.params()]
+        cached = net.forward(x)
+        out = net.forward(x, cache=False)
+        assert out.tobytes() == cached.tobytes()
+        out[...] = np.nan
+        assert x.tobytes() == x_before.tobytes()
+        for p, before in zip(net.params(), params_before):
+            assert p.values.tobytes() == before.tobytes(), p.name
+        assert net.forward(x, cache=False).tobytes() == cached.tobytes()
+        dx = net.backward(upstream)
+        fresh = make_mlp("nc", dims, acts, seed=4)
+        for p, before in zip(fresh.params(), params_before):
+            p.values = before
+        fresh.forward(x)
+        assert dx.tobytes() == fresh.backward(upstream).tobytes()
+        for p, q in zip(net.params(), fresh.params()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
     def test_relu_gradient(self):
         z = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, np.nan, np.inf, -np.inf])
         da = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf])
@@ -200,6 +257,18 @@ class TestSameBitsAsReferences:
             shipped = da * nn._activate_grad("relu", z, a)
             reference = da * loop_activate_grad("relu", z, a)
         assert shipped.dtype == np.float64
+        assert shipped.tobytes() == reference.tobytes()
+
+    def test_relu_gradient_of_cached_activation(self):
+        """A cached ReLU layer keeps max(z, 0), applied in place, as its z;
+        the gradient it gives has the bits of the raw z's."""
+        z = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, np.nan, np.inf, -np.inf])
+        da = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf])
+        z, da = np.meshgrid(z, da)
+        a = nn._activate("relu", z.copy())
+        with np.errstate(invalid="ignore"):  # inf * 0
+            shipped = da * nn._activate_grad("relu", a, a)
+            reference = da * loop_activate_grad("relu", z, np.maximum(z, 0.0))
         assert shipped.tobytes() == reference.tobytes()
 
 

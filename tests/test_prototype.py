@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ def oracle_domain_distance(a, b):
     for p in a:
         vals.append(min(np.linalg.norm(p - q) for q in b))
     return sum(vals) / len(vals)
+
+
+def loop_distance_matrix(protosets):
+    """Reference ``distance_matrix``: one ``domain_distance`` per ordered
+    pair."""
+    d = len(protosets)
+    if d < 2:
+        raise UsageError(f"need at least 2 domains, got {d}")
+    out = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            out[i, j] = proto.domain_distance(protosets[i], protosets[j])
+    return out
 
 
 def make_coder(batch=6, protos=2, domain=0, seed=0):
@@ -252,6 +267,38 @@ class TestDistanceMatrix:
         m = proto.distance_matrix(sets)
         np.testing.assert_array_equal(np.diag(m), np.zeros(4))
         assert np.all(m >= 0.0)
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_same_bits_as_per_pair_loop(self, ragged):
+        """Ten or more prototypes per set, so a mean or squared-distance sum
+        grouped differently from ``domain_distance``'s would show."""
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            d = int(rng.integers(2, 9))
+            dim = int(rng.integers(1, 20))
+            sizes = rng.integers(1, 40, size=d) if ragged else [10] * d
+            sets = [rng.normal(scale=rng.uniform(0.1, 100.0), size=(m, dim))
+                    for m in sizes]
+            got = proto.distance_matrix(sets)
+            assert got.tobytes() == loop_distance_matrix(sets).tobytes()
+
+    @pytest.mark.parametrize("sets", [
+        [np.zeros((2, 3))],
+        [np.zeros((2, 3)), np.zeros(3)],
+        [np.zeros((2, 3)), np.zeros((0, 3))],
+        [np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 4))],
+        [np.zeros((2, 3)), np.zeros((2, 4)), np.zeros(3)],
+        [np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((0, 3))],
+        [np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((2, 4))],
+    ], ids=["one set", "1-D set", "empty set", "dim mismatch",
+            "dim mismatch before 1-D set", "dim mismatch before empty set",
+            "empty set before dim mismatch"])
+    def test_same_errors_as_per_pair_loop(self, sets):
+        with pytest.raises(UsageError) as expected:
+            loop_distance_matrix(sets)
+        message = re.escape(str(expected.value))
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            proto.distance_matrix(sets)
 
 
 class TestRankDomains:

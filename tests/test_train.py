@@ -9,9 +9,9 @@ from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError
 from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
-from test_metrics import loop_average_ranks
+from test_metrics import loop_auc
 from test_nn import loop_activate_grad, loop_masked_softmax, loop_sgd_step
-from test_prototype import lexsort_order
+from test_prototype import lexsort_order, loop_distance_matrix
 
 CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
 FIXED = [[0], [0, 1], [1, 2]]
@@ -96,6 +96,24 @@ def test_best_epoch_params_are_restored(results):
     assert results["full-share"][0].report["best_epoch"] == 0
 
 
+@pytest.mark.parametrize("mode", ["sdsp", "full-share"])
+def test_val_is_evaluated_once_per_epoch_plus_test(mode, monkeypatch):
+    """The report's val section is the best epoch's kept report, not a
+    second pass over the val rows: one evaluation per epoch plus the test
+    partition's."""
+    calls = []
+    evaluate = train.evaluate_partition
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(train, "evaluate_partition", counting)
+    config = tiny_config(mode).replace(epochs=4, early_stop_patience=1)
+    report = train.train(config).report
+    assert calls == ["val"] * report["epochs_run"] + ["test"]
+
+
 def test_timing_has_every_stage(results):
     stages = {"train_seconds", "train_step_s", "selection_distance_s",
               "selection_reward_s", "epoch_eval_s"}
@@ -110,7 +128,8 @@ def test_timing_has_every_stage(results):
 
 
 def test_same_decisions_as_loop_references(monkeypatch):
-    """Vectorized ranks and slice draws change no report or trace byte.
+    """The rank sum read off one unstable sort and the slice draws change
+    no report or trace byte.
 
     Domain 2's train split (48 rows) is a little larger than its quota (40),
     so most of its batches wrap and go through de-duplication."""
@@ -127,7 +146,7 @@ def test_same_decisions_as_loop_references(monkeypatch):
             super().__init__(*args)
             samplers.append(self)
 
-    monkeypatch.setattr(metrics, "_average_ranks", loop_average_ranks)
+    monkeypatch.setattr(metrics, "auc", loop_auc)
     monkeypatch.setattr(data, "QuotaSampler", RecordingLoopSampler)
     reference = train.train(config)
 
@@ -138,9 +157,10 @@ def test_same_decisions_as_loop_references(monkeypatch):
 
 
 def test_same_decisions_as_per_call_references(results, monkeypatch):
-    """The single-gather embed, the flat embedding gradient, the column-wise
-    softmax maximum, the bool ReLU gradient, the argsort row order and the
-    one-array SGD step change no report or trace byte."""
+    """The single-gather embed, the flat embedding gradient, the softmax
+    over active columns, the bool ReLU gradient, the argsort row order, the
+    one-array SGD step and the one-pass-per-source distance matrix change
+    no report or trace byte."""
     shipped, _ = results["sdsp"]
     monkeypatch.setattr(backbone.Backbone, "embed", loop_embed)
     monkeypatch.setattr(backbone.Backbone, "_embed_backward",
@@ -149,6 +169,7 @@ def test_same_decisions_as_per_call_references(results, monkeypatch):
     monkeypatch.setattr(nn, "_activate_grad", loop_activate_grad)
     monkeypatch.setattr(prototype, "_sort_order", lexsort_order)
     monkeypatch.setattr(nn, "sgd_step", loop_sgd_step)
+    monkeypatch.setattr(prototype, "distance_matrix", loop_distance_matrix)
     reference = train.train(tiny_config("sdsp"))
 
     assert without_timing(shipped.report) == without_timing(reference.report)
