@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
+from .data import as_int
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "MODES", "load_dataset"]
@@ -59,13 +60,16 @@ class RunConfig:
     fixed_subsets: list | None = None
 
     def __post_init__(self):
+        self.domains = as_int(self.domains, "domains")
         if self.domains < 1:
             raise ConfigError(f"domains must be >= 1, got {self.domains}")
+        self.seed = as_int(self.seed, "seed")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.expert_counts is None:
             self.expert_counts = [1] * self.domains
-        self.expert_counts = [int(c) for c in self.expert_counts]
+        self.expert_counts = [as_int(c, f"expert_counts[{i}]")
+                              for i, c in enumerate(self.expert_counts)]
         if len(self.expert_counts) != self.domains or min(self.expert_counts) < 1:
             raise ConfigError(
                 f"expert_counts needs {self.domains} positive entries, "
@@ -73,13 +77,17 @@ class RunConfig:
         for name in ("embedding_dim", "expert_hidden", "repr_dim",
                      "tower_hidden", "batch_size", "num_prototypes",
                      "selection_interval", "epochs"):
+            setattr(self, name, as_int(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        self.early_stop_patience = as_int(self.early_stop_patience,
+                                          "early_stop_patience")
         if self.early_stop_patience < 0:
             raise ConfigError("early_stop_patience must be >= 0")
         if self.quotas is None:
             self.quotas = data_mod.equal_quotas(self.batch_size, self.domains)
-        self.quotas = [int(q) for q in self.quotas]
+        self.quotas = [as_int(q, f"quotas[{i}]")
+                       for i, q in enumerate(self.quotas)]
         if len(self.quotas) != self.domains or min(self.quotas) < 1:
             raise ConfigError(
                 f"quotas needs {self.domains} positive entries, got {self.quotas}")
@@ -110,7 +118,8 @@ class RunConfig:
                     f"fixed_subsets needs {self.domains} entries")
             normalized = []
             for d, subset in enumerate(self.fixed_subsets):
-                members = sorted(int(s) for s in subset)
+                members = sorted(as_int(s, f"fixed_subsets[{d}] entry")
+                                 for s in subset)
                 if d not in members:
                     raise ConfigError(
                         f"fixed_subsets[{d}] must contain domain {d}")
@@ -135,6 +144,12 @@ class RunConfig:
                     f"affinity must be {self.domains}x{self.domains}")
             if len(self.dataset["sizes"]) != self.domains:
                 raise ConfigError(f"sizes needs {self.domains} entries")
+            checked = {"sizes": [as_int(n, f"dataset sizes[{d}]")
+                                 for d, n in enumerate(self.dataset["sizes"])]}
+            for key in ("fields_per_concept", "vocab_size"):
+                if key in self.dataset:
+                    checked[key] = as_int(self.dataset[key], f"dataset {key}")
+            self.dataset = {**self.dataset, **checked}
         elif kind == "csv":
             for key in ("path", "schema"):
                 if key not in self.dataset:
@@ -202,8 +217,8 @@ def load_dataset(config: RunConfig) -> data_mod.DomainDataset:
             noise=np.asarray(ds_cfg["noise"], dtype=float))
         return data_mod.synth_generate(
             spec, ds_cfg["sizes"], seed=config.seed,
-            fields_per_concept=int(ds_cfg.get("fields_per_concept", 2)),
-            vocab_size=int(ds_cfg.get("vocab_size", 16)),
+            fields_per_concept=ds_cfg.get("fields_per_concept", 2),
+            vocab_size=ds_cfg.get("vocab_size", 16),
             feature_noise=float(ds_cfg.get("feature_noise", 0.3)))
     schema = data_mod.Schema.load(ds_cfg["schema"])
     if schema.domains != config.domains:

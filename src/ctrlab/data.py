@@ -20,17 +20,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError, SplitError, UsageError
+from .errors import (ConfigError, DataError, InvariantError, SchemaError,
+                     SplitError, UsageError)
 
 __all__ = [
     "FeatureField", "Schema", "Sample", "DomainData", "DomainDataset",
     "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
+    "as_int",
 ]
 
 log = logging.getLogger(__name__)
 
 PARTITIONS = ("train", "val", "test")
+
+# Characters of whole lines that load_csv reads and parses at a time.
+_CHUNK_CHARS = 1 << 16
+# The longest cell parsed by digit arithmetic: 10**18 - 1 < 2**63.
+_MAX_DIGITS = 18
+_POW10 = np.array([10 ** k for k in range(_MAX_DIGITS)], dtype=np.int64)
+
+
+def as_int(value, name: str, error=ConfigError) -> int:
+    """``value`` as an ``int`` if it is an int or a numpy integer and not a
+    bool; anything else raises ``error`` naming ``name`` and the value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +63,7 @@ class Schema:
     fields: tuple
 
     def __post_init__(self):
+        as_int(self.domains, "domains", SchemaError)
         if self.domains < 1:
             raise SchemaError(f"domain count must be >= 1, got {self.domains}")
         if not self.fields:
@@ -55,6 +72,7 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in {names}")
         for f in self.fields:
+            as_int(f.vocab_size, f"field {f.name!r} vocab_size", SchemaError)
             if f.vocab_size < 1:
                 raise SchemaError(f"field {f.name!r} has vocab_size < 1")
             if "," in f.name or "\n" in f.name or not f.name:
@@ -82,9 +100,9 @@ class Schema:
     def from_json(cls, text: str) -> "Schema":
         try:
             raw = json.loads(text)
-            fields = tuple(FeatureField(f["name"], int(f["vocab_size"]))
+            fields = tuple(FeatureField(f["name"], f["vocab_size"])
                            for f in raw["fields"])
-            return cls(domains=int(raw["domains"]), fields=fields)
+            return cls(domains=raw["domains"], fields=fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"cannot parse schema: {exc}") from exc
 
@@ -230,10 +248,47 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     Structurally malformed rows (wrong column count, non-integer cells) are
     skipped, counted, and reported; semantically invalid rows (out-of-range
     domain, label, or vocabulary index) abort with a data error naming the
-    line.
+    line. Blank and whitespace-only lines are skipped. Lines end at "\\n"
+    after the text-mode newline translation, as file iteration splits them.
+
+    The result, the malformed count and every error are those of reading
+    the file line by line through ``parse_row``:
+
+    * A canonical line holds only ASCII digits and commas, with one cell
+      per column, none of them empty or longer than 18 digits. Canonical
+      lines are parsed by digit arithmetic and range-checked against one
+      bound row, a chunk at a time.
+    * Every other non-blank line (whitespace, signs, underscores, non-ASCII
+      digits, a wrong column count) goes to ``parse_row``, so ``int()``
+      still decides which cells are integers.
+    * The first invalid line in file order raises, through ``parse_row``,
+      so its ``DataError`` is the line-by-line read's. A file that cannot
+      be decoded is read again line by line, so that a row the line-by-line
+      read rejects before it reaches the undecodable bytes still wins.
+    * Whole lines are read about ``_CHUNK_CHARS`` characters at a time. A
+      chunk's valid rows are kept as one int64 block per domain, and each
+      domain's blocks are concatenated once at the end, so the peak is
+      about the blocks plus the result plus one chunk's working arrays,
+      never a multiple of the file's text.
     """
-    feats_by_domain = [[] for _ in range(schema.domains)]
-    labels_by_domain = [[] for _ in range(schema.domains)]
+    try:
+        return _load_chunks(path, schema)
+    except UnicodeDecodeError as exc:
+        undecodable = exc
+    # A chunk is decoded before any of its lines is parsed; line by line,
+    # a row before the undecodable bytes is parsed before they are decoded.
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, line in enumerate(fh, start=2):
+            if line.strip():
+                parse_row(line, schema, line_no)
+    raise undecodable
+
+
+def _load_chunks(path, schema: Schema) -> DomainDataset:
+    """``load_csv``, reading the file a chunk of lines at a time."""
+    bound = np.array((schema.domains, 2) + schema.vocab_sizes, dtype=np.int64)
+    blocks = [[] for _ in range(schema.domains)]
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -244,25 +299,94 @@ def load_csv(path, schema: Schema) -> DomainDataset:
             raise SchemaError(
                 f"header mismatch: missing columns {missing}; "
                 f"expected {expected!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            sample = parse_row(line, schema, line_no)
-            if sample is None:
-                malformed += 1
-                continue
-            feats_by_domain[sample.domain].append(sample.features)
-            labels_by_domain[sample.domain].append(sample.label)
+        line_no = 2
+        while lines := fh.readlines(_CHUNK_CHARS):
+            rows, skipped = _parse_chunk(lines, schema, line_no, bound)
+            malformed += skipped
+            line_no += len(lines)
+            counts = np.bincount(rows[:, 0], minlength=schema.domains)
+            present = np.flatnonzero(counts)
+            by_domain = rows[np.argsort(rows[:, 0], kind="stable")]
+            for d, block in zip(present.tolist(), np.split(
+                    by_domain, np.cumsum(counts[present])[:-1])):
+                blocks[d].append(block)
     if malformed:
         log.warning("%s: skipped %d malformed row(s)", path, malformed)
     datas = []
-    for d in range(schema.domains):
-        if feats_by_domain[d]:
-            datas.append(DomainData(np.array(feats_by_domain[d], dtype=np.int64),
-                                    np.array(labels_by_domain[d], dtype=np.float64)))
+    for d_blocks in blocks:
+        if d_blocks:
+            datas.append(DomainData(
+                np.concatenate([b[:, 2:] for b in d_blocks]),
+                np.concatenate([b[:, 1] for b in d_blocks],
+                               dtype=np.float64)))
         else:
             datas.append(DomainData.empty(schema.num_fields))
     return DomainDataset(schema, {"all": datas}, malformed=malformed)
+
+
+def _parse_chunk(lines: list, schema: Schema, first_line_no: int,
+                 bound: np.ndarray):
+    """The valid rows of consecutive lines, in line order, as an int64
+    (rows, 2 + F) matrix, and the count of malformed lines among them.
+
+    Raises the first invalid line's ``DataError``.
+    """
+    text = "".join(lines)
+    if not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    canonical, values = _canonical_rows(text, len(bound))
+    rows = np.empty((len(lines), len(bound)), dtype=np.int64)
+    rows[canonical] = values
+    invalid = np.flatnonzero(canonical)[(values >= bound).any(axis=1)]
+    stop = int(invalid[0]) if len(invalid) else len(lines)
+    valid = canonical.copy()
+    malformed = 0
+    for i in np.flatnonzero(~canonical[:stop]).tolist():
+        line = lines[i]
+        if not line.strip():
+            continue
+        sample = parse_row(line, schema, first_line_no + i)
+        if sample is None:
+            malformed += 1
+            continue
+        rows[i] = (sample.domain, sample.label) + sample.features
+        valid[i] = True
+    if stop < len(lines):
+        parse_row(lines[stop], schema, first_line_no + stop)
+        raise InvariantError(f"parse_row accepted line {first_line_no + stop}")
+    return rows[valid], malformed
+
+
+def _canonical_rows(text: str, num_cols: int):
+    """Which lines of ``text`` are canonical, and their values.
+
+    ``text`` is whole lines, each ending in "\\n". Returns a bool per line
+    and the canonical lines' cells as an int64 (lines, num_cols) matrix.
+    """
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    newline = buf == ord("\n")
+    sep = newline | (buf == ord(","))
+    sep_at = np.flatnonzero(sep)
+    ends = np.flatnonzero(newline[sep_at])  # each line's last separator
+    seps = np.diff(ends, prepend=-1)
+    canonical = seps == num_cols
+    cell_len = np.diff(sep_at, prepend=-1) - 1
+    bad_cells = np.flatnonzero((cell_len == 0) | (cell_len > _MAX_DIGITS))
+    canonical[np.searchsorted(ends, bad_cells)] = False
+    # Bytes that are neither a separator nor an ASCII digit (uint8 wraps
+    # below "0").
+    odd = np.flatnonzero(~sep & (buf - ord("0") > 9))
+    canonical[np.searchsorted(sep_at[ends], odd)] = False
+    kept = np.repeat(canonical, seps)
+    cell_end, cell_len = sep_at[kept], cell_len[kept]
+    values = np.zeros(len(cell_end), dtype=np.int64)
+    for k in range(int(cell_len.max(initial=0))):  # k-th digit from the right
+        # A cell of k digits or fewer reads a byte before it, which
+        # np.where drops. The index is valid: at worst -(k + 1), and buf
+        # holds the longest cell and its separator.
+        digit = buf[cell_end - 1 - k] - ord("0")
+        values += np.where(cell_len > k, digit, 0) * _POW10[k]
+    return canonical, values.reshape(-1, num_cols)
 
 
 def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
@@ -332,7 +456,8 @@ def split(dataset: DomainDataset, fractions, seed: int,
         for name, size in zip(PARTITIONS, sizes):
             out[name].append(dd.take(perm[start:start + size]))
             start += size
-    return DomainDataset(dataset.schema, out, affinity=dataset.affinity)
+    return DomainDataset(dataset.schema, out, affinity=dataset.affinity,
+                         malformed=dataset.malformed)
 
 
 class QuotaSampler:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ctrlab.config import RunConfig
@@ -55,3 +56,48 @@ class TestRunConfig:
             cfg.replace(mode="fixed-subset")  # needs fixed_subsets
         with pytest.raises(ConfigError):
             cfg.replace(reward_metric="auc")
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"expert_counts": [2.7, 1.2]},
+         "expert_counts[0] must be an integer, got 2.7"),
+        ({"quotas": [4.9, 4.2]}, "quotas[0] must be an integer, got 4.9"),
+        ({"mode": "fixed-subset", "fixed_subsets": [[0, 1.9], [1]]},
+         "fixed_subsets[0] entry must be an integer, got 1.9"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"embedding_dim": True},
+         "embedding_dim must be an integer, got True"),
+        ({"early_stop_patience": "3"},
+         "early_stop_patience must be an integer, got '3'"),
+        ({"domains": 2.0}, "domains must be an integer, got 2.0"),
+        ({"seed": np.float64(3.0)},
+         "seed must be an integer, got np.float64(3.0)"),
+        ({"expert_counts": [np.bool_(True), 1]},
+         "expert_counts[0] must be an integer, got np.True_"),
+    ])
+    def test_non_integer_fields_rejected(self, changes, named):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw_config(**changes))
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("key, value", [
+        ("sizes", [50.7, 50]), ("fields_per_concept", 2.5),
+        ("vocab_size", False)])
+    def test_non_integer_synth_entries_rejected(self, key, value):
+        raw = raw_config()
+        raw["dataset"] = dict(raw["dataset"], **{key: value})
+        with pytest.raises(ConfigError, match=f"dataset {key}"):
+            RunConfig.from_dict(raw)
+
+    def test_numpy_integers_become_ints(self):
+        raw = raw_config(epochs=np.int64(3), quotas=[np.int32(5), 3],
+                         expert_counts=[np.int64(2), 1],
+                         mode="fixed-subset",
+                         fixed_subsets=[[np.int64(0)], [1, np.uint8(0)]])
+        raw["dataset"] = dict(raw["dataset"], sizes=[np.int64(50), 50])
+        cfg = RunConfig.from_dict(raw)
+        assert cfg.config_hash() == RunConfig.from_dict(raw_config(
+            epochs=3, quotas=[5, 3], expert_counts=[2, 1],
+            mode="fixed-subset", fixed_subsets=[[0], [1, 0]])).config_hash()
+        assert type(cfg.epochs) is int
+        assert [type(v) for v in cfg.quotas + cfg.dataset["sizes"]] == [int] * 4
+        assert raw["dataset"]["sizes"][0].dtype == np.int64  # caller's dict

@@ -1,3 +1,7 @@
+import json
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +75,43 @@ class LoopSampler(D.QuotaSampler):
         return np.array(taken, dtype=np.int64)
 
 
+def loop_load_csv(path, schema):
+    """Reference loader: parses the CSV line by line through ``parse_row``
+    and builds each domain's arrays from per-row tuples."""
+    feats_by_domain = [[] for _ in range(schema.domains)]
+    labels_by_domain = [[] for _ in range(schema.domains)]
+    malformed = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        expected = schema.header()
+        if header != expected:
+            missing = [c for c in expected.split(",")
+                       if c not in header.split(",")]
+            raise SchemaError(
+                f"header mismatch: missing columns {missing}; "
+                f"expected {expected!r}, got {header!r}")
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            sample = D.parse_row(line, schema, line_no)
+            if sample is None:
+                malformed += 1
+                continue
+            feats_by_domain[sample.domain].append(sample.features)
+            labels_by_domain[sample.domain].append(sample.label)
+    if malformed:
+        D.log.warning("%s: skipped %d malformed row(s)", path, malformed)
+    datas = []
+    for d in range(schema.domains):
+        if feats_by_domain[d]:
+            datas.append(D.DomainData(
+                np.array(feats_by_domain[d], dtype=np.int64),
+                np.array(labels_by_domain[d], dtype=np.float64)))
+        else:
+            datas.append(D.DomainData.empty(schema.num_fields))
+    return D.DomainDataset(schema, {"all": datas}, malformed=malformed)
+
+
 class TestSchema:
     def test_round_trip_json(self):
         s = two_field_schema(3)
@@ -92,6 +133,29 @@ class TestSchema:
         path = tmp_path / "schema.json"
         s.save(path)
         assert D.Schema.load(path) == s
+
+    @pytest.mark.parametrize("domains, vocab, named", [
+        ("2.9", "8", "domains must be an integer, got 2.9"),
+        ('"2"', "8", "domains must be an integer, got '2'"),
+        ("true", "8", "domains must be an integer, got True"),
+        ("2", "16.7", "field 'f0' vocab_size must be an integer, got 16.7"),
+        ("2", "false", "field 'f0' vocab_size must be an integer, got False"),
+    ])
+    def test_non_integer_counts_rejected(self, domains, vocab, named):
+        text = (f'{{"domains": {domains}, '
+                f'"fields": [{{"name": "f0", "vocab_size": {vocab}}}]}}')
+        with pytest.raises(SchemaError) as err:
+            D.Schema.from_json(text)
+        assert str(err.value) == named
+        raw = json.loads(text)
+        with pytest.raises(SchemaError) as err:
+            D.Schema(raw["domains"], (D.FeatureField(
+                "f0", raw["fields"][0]["vocab_size"]),))
+        assert str(err.value) == named
+
+    def test_numpy_integer_counts_accepted(self):
+        s = D.Schema(np.int64(2), (D.FeatureField("f0", np.int32(8)),))
+        assert s.domains == 2 and s.vocab_sizes == (8,)
 
 
 class TestDomainData:
@@ -186,6 +250,178 @@ class TestCsvIO:
                                           ds.domain("all", d).labels)
 
 
+def write_csv(tmp_path, schema, body, name="data.csv"):
+    """The schema's header and ``body`` (str or bytes), written as bytes so
+    that no newline is translated on the way out."""
+    if isinstance(body, str):
+        body = body.encode("utf-8")
+    path = tmp_path / name
+    path.write_bytes(schema.header().encode() + b"\n" + body)
+    return path
+
+
+def assert_same_as_loop(path, schema, caplog):
+    """``load_csv`` gives exactly what ``loop_load_csv`` gives: equal arrays
+    (values, dtype, shape, C order), malformed count and warnings, or an
+    exception of the same type and message. Returns the loop's result."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=D.log.name):
+        try:
+            want = loop_load_csv(path, schema)
+        except Exception as exc:
+            want = exc
+        want_log = list(caplog.messages)
+        caplog.clear()
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                D.load_csv(path, schema)
+            assert type(got.value) is type(want)
+            assert str(got.value) == str(want)
+            return want
+        got = D.load_csv(path, schema)
+        assert caplog.messages == want_log
+    assert got.malformed == want.malformed
+    for d in range(schema.domains):
+        g, w = got.domain("all", d), want.domain("all", d)
+        for a, b in ((g.features, w.features), (g.labels, w.labels)):
+            assert a.dtype == b.dtype
+            assert a.shape == b.shape
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            np.testing.assert_array_equal(a, b)
+    return want
+
+
+GOOD = "0,1,2,3\n1,0,4,5\n"
+
+# Each body follows two_field_schema()'s header: domain < 2, label 0/1,
+# f0 < 8, f1 < 32.
+LOOP_CASES = {
+    "crlf": "0,1,2,3\r\n1,0,4,5\r\n0,0,7,31\r\n",
+    "lone-cr": "0,1,2,3\r1,0,4,5\r0,0,7,31\r",
+    "mixed-endings-no-final-newline": "0,1,2,3\r\n1,0,4,5\r0,0,7,31\n1,1,0,0",
+    "blank-and-whitespace-lines":
+        "\n0,1,2,3\n   \n\t\n\x0c\n\x0b\n\x85\n \n \r\n1,0,4,5\n\n",
+    # str.splitlines breaks on these; file iteration and int() do not.
+    "line-breaks-inside-cells":
+        "0,1\x0b,2,3\n1,0,4\x1c,5\n0,1,\x1d2,3\n1,1,5,6\x1e\n0,0,1\x85,2\n"
+        "1,0,3,4 \n0,0, 1,2\n0,1,\x0c3,3\n",
+    "cells-int-accepts":
+        "0,1, 3,4\n1,0,+3,4\n-0,1,3,4\n1,0,007,4\n0,1,3,1_0\n1,1,３,4\n"
+        "0,0,\x0c3,4\n0,1,3 ,4\n١,0,3,4\n",
+    "malformed-rows":
+        "0,1,2\n0,1,2,3,4\n0,1,2,3,\n0,1,,3\n,0,1,2\n0,1,3.0,3\n0,1,spam,3\n"
+        "0,1,--1,3\n0,1,2,3,,\n" + GOOD,
+    "long-cells-that-are-in-range":
+        "0,1,2,000000000000000031\n1,0,0000000000000000004,5\n"
+        "0,1,2," + "0" * 30 + "7\n",
+    "domain-out-of-range": GOOD + "2,1,2,3\n",
+    "label-out-of-range": GOOD + "0,2,2,3\n",
+    "f0-out-of-range": GOOD + "0,1,8,3\n",
+    "f1-out-of-range": GOOD + "0,1,2,32\n",
+    "every-cell-out-of-range": GOOD + "5,7,9,99\n",
+    "negative-domain": GOOD + "-1,1,2,3\n",
+    "negative-label": GOOD + "0,-1,2,3\n",
+    "negative-feature": GOOD + "0,1,2,-3\n",
+    "18-digit-value": GOOD + "0,1,2,999999999999999999\n",
+    "25-digit-value": GOOD + "0,1,2," + "1" * 25 + "\n",
+    "malformed-before-first-bad-line": "0,1,spam,3\n" + GOOD + "1,5,2,3\n",
+    "non-canonical-bad-line-first": GOOD + " 1,3,2,3\n1,2,2,3\n",
+    "canonical-bad-line-first": GOOD + "1,3,2,3\n 1,2,2,3\n",
+    "bad-line-without-final-newline": GOOD + "0,1,2,40",
+    "undecodable": GOOD.encode() + b"0,1,\xff,3\n",
+}
+
+
+class TestLoadCsvMatchesLoop:
+    """The chunked loader returns or raises exactly what the line-by-line
+    reference loop does."""
+
+    @pytest.mark.parametrize("body", LOOP_CASES.values(), ids=LOOP_CASES)
+    def test_case(self, tmp_path, caplog, body):
+        assert_same_as_loop(write_csv(tmp_path, two_field_schema(), body),
+                            two_field_schema(), caplog)
+
+    def test_save_csv_output_with_an_empty_domain(self, tmp_path, caplog):
+        ds = synthetic([20, 30, 25], seed=4)
+        parts = list(ds.partitions["all"])
+        parts[1] = D.DomainData.empty(ds.schema.num_fields)
+        path = tmp_path / "ds.csv"
+        D.save_csv(D.DomainDataset(ds.schema, {"all": parts}), path)
+        want = assert_same_as_loop(path, ds.schema, caplog)
+        assert want.counts("all") == [20, 0, 25]
+
+    @staticmethod
+    def many_chunks(bad_at=None):
+        """Canonical rows over more than three chunks, with odd lines in
+        several of them and, if ``bad_at`` is given, an out-of-range row
+        at that line number (counted from the header's 1)."""
+        rng = np.random.default_rng(3)
+        n = 40_000
+        cells = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n),
+                                 rng.integers(0, 8, n), rng.integers(0, 32, n)])
+        lines = [",".join(map(str, row)) + "\n" for row in cells.tolist()]
+        odd = {100: " 1,0,3,4\n", 9_000: "0,1,spam,3\n", 9_001: "\n",
+               17_500: "1,1,+7,1_0\n", 26_000: "0,1,2\n",
+               33_000: "1,0,３,4\n", 39_999: "0,1,2,3,4\n"}
+        for i, line in odd.items():
+            lines[i] = line
+        if bad_at is not None:
+            lines[bad_at - 2] = "1,0,3,32\n"
+        return "".join(lines)
+
+    @pytest.mark.parametrize("bad_at", [None, 30_000])
+    def test_more_than_three_chunks(self, tmp_path, caplog, bad_at):
+        schema = two_field_schema()
+        path = write_csv(tmp_path, schema, self.many_chunks(bad_at))
+        assert path.stat().st_size > 3 * D._CHUNK_CHARS
+        want = assert_same_as_loop(path, schema, caplog)
+        if bad_at is None:
+            assert want.malformed == 3
+        else:
+            assert str(want).startswith(f"line {bad_at}:")
+
+    def test_bad_row_before_undecodable_bytes_in_its_chunk(self, tmp_path,
+                                                           caplog):
+        # The byte that is not UTF-8 sits about 16K characters after line
+        # 3: inside line 3's chunk, but beyond what the line-by-line read
+        # has decoded when it rejects line 3.
+        body = (GOOD.replace("1,0,4,5", "1,0,4,99").encode()
+                + GOOD.encode() * 1_000 + b"0,1,\xff,3\n")
+        want = assert_same_as_loop(
+            write_csv(tmp_path, two_field_schema(), body),
+            two_field_schema(), caplog)
+        assert isinstance(want, DataError)
+        assert str(want).startswith("line 3:")
+
+
+class TestLoadCsvMemory:
+    def test_peak_within_the_result_plus_one_chunk(self, tmp_path):
+        # About 200,000 rows in the benchmark's blocks8 shape (8 domains,
+        # 16 fields). A whole-file vectorized parse needs several times
+        # the result; the chunked one stays close to twice it.
+        fields = tuple(D.FeatureField(f"c{k}r{r}", 16)
+                       for k in range(8) for r in range(2))
+        schema = D.Schema(domains=8, fields=fields)
+        rng = np.random.default_rng(0)
+        cells = np.column_stack([rng.integers(0, 8, 2_000),
+                                 rng.integers(0, 2, 2_000),
+                                 rng.integers(0, 16, (2_000, 16))])
+        block = "".join(",".join(map(str, row)) + "\n"
+                        for row in cells.tolist())
+        path = write_csv(tmp_path, schema, block * 100)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = D.load_csv(path, schema)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(ds.counts("all")) == 200_000
+        result = sum(dd.features.nbytes + dd.labels.nbytes
+                     for dd in ds.partitions["all"])
+        assert peak <= 2.5 * result + 4 * 2 ** 20
+
+
 def synthetic(sizes, seed=0):
     d = len(sizes)
     spec = D.AffinitySpec(d, np.eye(d), np.zeros(d))
@@ -245,6 +481,14 @@ class TestSplit:
         ds = synthetic([10, 10])
         with pytest.raises(ConfigError):
             D.split(ds, (0.5, 0.2, 0.2), seed=0)
+
+    def test_keeps_the_malformed_count(self, tmp_path):
+        s = two_field_schema()
+        rows = "".join(f"{i % 2},{i % 3 % 2},{i % 8},{i}\n" for i in range(20))
+        path = write_csv(tmp_path, s, rows[:40] + "0,1,2\nspam\n" + rows[40:])
+        ds = D.load_csv(path, s)
+        assert ds.malformed == 2
+        assert D.split(ds, (0.8, 0.1, 0.1), seed=0).malformed == 2
 
 
 class TestEqualQuotas:
