@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,21 @@ __all__ = ["RunConfig", "MODES", "load_dataset"]
 
 MODES = ("sdsp", "full-share", "fixed-subset")
 OVERALL_METRICS = ("pooled", "mean")
+
+
+def _as_float(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a finite int, float or numpy number
+    and not a bool; anything else raises ConfigError naming ``name`` and the
+    value."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -95,6 +111,9 @@ class RunConfig:
             raise ConfigError(
                 f"quotas {self.quotas} sum to {sum(self.quotas)}, "
                 f"batch_size is {self.batch_size}")
+        for name in ("learning_rate", "proto_loss_weight", "explore_init",
+                     "explore_decay"):
+            setattr(self, name, _as_float(getattr(self, name), name))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.proto_loss_weight < 0:
@@ -108,7 +127,8 @@ class RunConfig:
                 f"overall_metric must be one of {OVERALL_METRICS}")
         if len(self.split_fractions) != 3:
             raise ConfigError("split_fractions needs 3 entries")
-        self.split_fractions = [float(f) for f in self.split_fractions]
+        self.split_fractions = [_as_float(f, f"split_fractions[{i}]")
+                                for i, f in enumerate(self.split_fractions)]
         if self.mode == "fixed-subset":
             if self.fixed_subsets is None:
                 raise ConfigError("fixed-subset mode requires fixed_subsets")

@@ -63,7 +63,9 @@ class Schema:
     fields: tuple
 
     def __post_init__(self):
-        as_int(self.domains, "domains", SchemaError)
+        # Frozen: store the checked ints, so numpy integers serialize.
+        object.__setattr__(self, "domains",
+                           as_int(self.domains, "domains", SchemaError))
         if self.domains < 1:
             raise SchemaError(f"domain count must be >= 1, got {self.domains}")
         if not self.fields:
@@ -71,8 +73,12 @@ class Schema:
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in {names}")
+        object.__setattr__(self, "fields", tuple(
+            FeatureField(f.name, as_int(f.vocab_size,
+                                        f"field {f.name!r} vocab_size",
+                                        SchemaError))
+            for f in self.fields))
         for f in self.fields:
-            as_int(f.vocab_size, f"field {f.name!r} vocab_size", SchemaError)
             if f.vocab_size < 1:
                 raise SchemaError(f"field {f.name!r} has vocab_size < 1")
             if "," in f.name or "\n" in f.name or not f.name:
@@ -422,12 +428,11 @@ def equal_quotas(batch_size: int, domains: int) -> list:
     return _largest_remainder(batch_size, np.ones(domains))
 
 
-def split(dataset: DomainDataset, fractions, seed: int,
-          source: str = "all", enforce_min: bool = True) -> DomainDataset:
-    """Per-domain random split into train/val/test.
+def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
+    """Per-domain random split of partition "all" into train/val/test.
 
-    With enforce_min, every domain needs at least 3 samples and each
-    positive-fraction partition receives at least one sample per domain.
+    Every domain needs at least 3 samples, and each positive-fraction
+    partition receives at least one sample per domain.
     """
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3:
@@ -438,19 +443,18 @@ def split(dataset: DomainDataset, fractions, seed: int,
         raise ConfigError("at least one fraction must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = {name: [] for name in PARTITIONS}
-    for d, dd in enumerate(dataset.partitions[source]):
+    for d, dd in enumerate(dataset.partitions["all"]):
         n = len(dd)
-        if enforce_min and n < 3:
+        if n < 3:
             raise SplitError(
                 f"domain {d} has {n} sample(s); need >= 3 to split")
-        sizes = _largest_remainder(n, fractions) if n else [0, 0, 0]
-        if enforce_min and n >= 3:
-            # guarantee one sample per requested partition
-            for i, f in enumerate(fractions):
-                if f > 0 and sizes[i] == 0:
-                    donor = int(np.argmax(sizes))
-                    sizes[donor] -= 1
-                    sizes[i] += 1
+        sizes = _largest_remainder(n, fractions)
+        # guarantee one sample per requested partition
+        for i, f in enumerate(fractions):
+            if f > 0 and sizes[i] == 0:
+                donor = int(np.argmax(sizes))
+                sizes[donor] -= 1
+                sizes[i] += 1
         perm = rng.permutation(n)
         start = 0
         for name, size in zip(PARTITIONS, sizes):
@@ -477,14 +481,15 @@ class QuotaSampler:
         if len(quotas) != len(datas):
             raise ConfigError(
                 f"{len(quotas)} quotas for {len(datas)} domains")
-        for d, (dd, q) in enumerate(zip(datas, quotas)):
+        self.quotas = [as_int(q, f"quotas[{d}]")
+                       for d, q in enumerate(quotas)]
+        for d, (dd, q) in enumerate(zip(datas, self.quotas)):
             if q <= 0:
                 raise ConfigError(
                     f"domain {d} has zero quota but participates in training")
             if len(dd) == 0:
                 raise ConfigError(f"domain {d} is empty; cannot sample")
         self.datas = list(datas)
-        self.quotas = [int(q) for q in quotas]
         self.rng = rng
         self._perms = [rng.permutation(len(dd)) for dd in datas]
         self._cursors = [0] * len(datas)
@@ -552,7 +557,7 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     half_range = 1.5
     datas = []
     for d in range(d_count):
-        n = int(sizes[d])
+        n = as_int(sizes[d], f"sizes[{d}]")
         u = rng.uniform(-1.0, 1.0, size=(n, d_count))
         score = u @ spec.affinity[d]
         labels = (score > 0.0).astype(np.float64)

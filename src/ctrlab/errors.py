@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module.
 
-Each error carries a machine-readable ``category`` string; the CLI maps
-categories to exit codes so callers can branch without parsing messages.
+Each error carries a machine-readable ``category`` string, so callers can
+branch on the kind of failure without parsing messages. The package has no
+command-line entry point, so nothing maps categories to exit codes yet.
 """
 
 

@@ -4,25 +4,25 @@ Instead of searching all 2^(D-1) subsets that contain a domain, each domain
 considers only the D prefixes of its distance ranking: {d}, {d, nearest},
 ..., everything. A per-domain value table scores each subset by the
 running mean of the rewards (validation AUC) observed while it was active,
-and a decaying epsilon-greedy policy picks the next subset each selection
-round. Chosen subsets are turned into gate masks by the backbone.
+and an epsilon-greedy choice picks the next subset each selection round.
 
 Reward attribution: a round first credits the reward measured now to the
 subset that was active during the interval just ended, then selects anew.
+A round returns its JSON-ready trace line; the caller owns the exploration
+probability (decaying it once per round) and turns the chosen subsets into
+gate masks. ``greedy`` alone is the pick without exploration, and draws no
+random numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .backbone import build_mask
-from .errors import ConfigError, MetricError, UsageError
+from .errors import MetricError, UsageError
 from .prototype import rank_domains
 
-__all__ = ["candidate_states", "ValueTable", "PolicyState", "select",
-           "RoundRecord", "sdsp_round", "canonical"]
+__all__ = ["candidate_states", "ValueTable", "greedy", "select",
+           "sdsp_round", "canonical"]
 
 
 def canonical(subset) -> tuple:
@@ -73,108 +73,65 @@ class ValueTable:
                 for t in self._tables]
 
 
-@dataclass
-class PolicyState:
-    """Decaying epsilon-greedy state; p never increases."""
+def greedy(d: int, candidates: list, table: ValueTable) -> tuple:
+    """The candidate with the highest value.
 
-    p: float
-    decay_rate: float
-    period: int
-    rounds: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"exploration probability must be in [0,1]: {self.p}")
-        if not 0.0 < self.decay_rate <= 1.0:
-            raise ConfigError(f"decay rate must be in (0,1]: {self.decay_rate}")
-        if self.period < 1:
-            raise ConfigError(f"selection period must be >= 1: {self.period}")
-
-    def due(self, iteration: int) -> bool:
-        return iteration % self.period == 0
-
-    def decay(self) -> None:
-        self.p *= self.decay_rate
-        self.rounds += 1
-
-
-def select(d: int, candidates: list, table: ValueTable, policy: PolicyState,
-           rng: np.random.Generator) -> tuple:
-    """One epsilon-greedy choice; returns (subset, explored_flag).
-
-    Greedy treats unvisited subsets as infinitely valuable so every prefix
-    gets tried even after exploration has decayed; ties go to the smallest
+    Unvisited subsets count as infinitely valuable, so every prefix gets
+    tried even after exploration has decayed; ties go to the smallest
     subset (candidates arrive smallest first).
     """
     if not candidates:
         raise UsageError(f"domain {d} has no candidate subsets")
-    rnd = rng.random()
-    if policy.p > 0.0 and rnd <= policy.p:
-        return candidates[int(rng.integers(len(candidates)))], True
     best, best_value = None, -np.inf
     for subset in candidates:
         v = table.value(d, subset)
         v = np.inf if v is None else v
         if v > best_value:
             best, best_value = subset, v
-    return best, False
+    return best
 
 
-@dataclass
-class RoundRecord:
-    """Everything one selection round measured and decided."""
+def select(d: int, candidates: list, table: ValueTable, p: float,
+           rng: np.random.Generator) -> tuple:
+    """One epsilon-greedy choice; returns (subset, explored_flag).
 
-    iteration: int
-    p: float
-    matrix: np.ndarray
-    rankings: list
-    rewards: list
-    credited: list
-    chosen: list
-    explored: list
-    masks: np.ndarray
-
-    def trace_line(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "p": self.p,
-            "distance_matrix": [[float(v) for v in row] for row in self.matrix],
-            "rankings": [list(map(int, r)) for r in self.rankings],
-            "rewards": [float(r) for r in self.rewards],
-            "credited_subsets": [list(s) for s in self.credited],
-            "chosen_subsets": [list(s) for s in self.chosen],
-            "explored": [bool(e) for e in self.explored],
-        }
+    Draws one uniform number, and one more to pick a random candidate
+    when that number falls within the exploration probability p.
+    """
+    rnd = rng.random()
+    if p > 0.0 and rnd <= p:
+        return candidates[int(rng.integers(len(candidates)))], True
+    return greedy(d, candidates, table), False
 
 
 def sdsp_round(iteration: int, distance_fn, reward_fn, active_subsets: list,
-               table: ValueTable, policy: PolicyState, rng: np.random.Generator,
-               expert_counts) -> RoundRecord:
-    """One selection round, in measurement order.
+               table: ValueTable, p: float, rng: np.random.Generator) -> dict:
+    """One selection round, in measurement order; returns its trace line.
 
     distance_fn() -> fresh domain-distance matrix; reward_fn(d) -> the
     domain's current validation metric. Credits each reward to the subset
-    active until now, then picks new subsets, rebuilds masks, and decays p.
+    active until now, then picks each domain's next subset with
+    exploration probability p.
     """
-    num_domains = len(expert_counts)
+    matrix = distance_fn()
+    num_domains = len(matrix)
     if len(active_subsets) != num_domains:
         raise UsageError(
             f"{len(active_subsets)} active subsets for {num_domains} domains")
-    matrix = distance_fn()
     rankings = [rank_domains(matrix, d) for d in range(num_domains)]
-    candidates = [candidate_states(r) for r in rankings]
     rewards = [float(reward_fn(d)) for d in range(num_domains)]
     credited = [canonical(s) for s in active_subsets]
     for d in range(num_domains):
         table.update(d, credited[d], rewards[d])
-    p_used = policy.p
-    chosen, explored = [], []
-    for d in range(num_domains):
-        subset, was_random = select(d, candidates[d], table, policy, rng)
-        chosen.append(subset)
-        explored.append(was_random)
-    masks = build_mask(chosen, expert_counts)
-    policy.decay()
-    return RoundRecord(iteration=iteration, p=p_used, matrix=matrix,
-                       rankings=rankings, rewards=rewards, credited=credited,
-                       chosen=chosen, explored=explored, masks=masks)
+    picks = [select(d, candidate_states(rankings[d]), table, p, rng)
+             for d in range(num_domains)]
+    return {
+        "iteration": iteration,
+        "p": p,
+        "distance_matrix": [[float(v) for v in row] for row in matrix],
+        "rankings": rankings,
+        "rewards": rewards,
+        "credited_subsets": [list(s) for s in credited],
+        "chosen_subsets": [list(s) for s, _ in picks],
+        "explored": [e for _, e in picks],
+    }

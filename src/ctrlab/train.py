@@ -10,9 +10,12 @@ per-domain prototype reconstruction errors. In sdsp mode, every
 selection_interval-th iteration (starting at iteration 0, after that
 iteration's train step) runs a selection round: measure domain distances
 from a fresh quota batch, credit each domain's validation metric to its
-active subset, epsilon-greedily pick new subsets, rebuild gate masks, decay
-the exploration probability. full-share keeps all-zero masks and never
-selects; fixed-subset pins the masks from the config.
+active subset, epsilon-greedily pick new subsets, rebuild gate masks, and
+multiply the exploration probability by explore_decay. full-share keeps
+all-zero masks and never selects; fixed-subset pins the masks from the
+config. The rounds' distance pass and the report's final distance matrix
+share one path: a quota batch, a no-cache forward per domain, then
+prototype.distance_round.
 
 Randomness is split into named streams (init, batches, distance batches,
 policy) derived from the run seed, so, for example, selection rounds never
@@ -38,7 +41,7 @@ from .backbone import Backbone, build_mask
 from .config import RunConfig, load_dataset
 from .errors import ConfigError, NumericError
 from .prototype import ProtoCoder, distance_round, save_distance_csv
-from .selection import PolicyState, ValueTable, canonical, sdsp_round, select, candidate_states
+from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_round
 
 __all__ = ["train", "TrainResult", "evaluate_partition", "save_checkpoint",
            "load_checkpoint", "measure_distances", "write_outputs"]
@@ -53,8 +56,6 @@ class TrainResult:
     dataset: data_mod.DomainDataset
     masks: np.ndarray
     subsets: list
-    table: ValueTable
-    policy: PolicyState
     trace: list
 
 
@@ -75,19 +76,21 @@ def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
     return metrics.per_domain_report(scores, labels, overall=overall)
 
 
+def _distances(backbone: Backbone, coders: list, masks: np.ndarray,
+               sampler: data_mod.QuotaSampler) -> np.ndarray:
+    """The sampler's next batch -> representations -> distance matrix."""
+    hs = [backbone.forward_domain(feats, d, masks, cache=False)[1]
+          for d, (feats, _) in enumerate(sampler.next_batch())]
+    return distance_round(hs, coders)
+
+
 def measure_distances(backbone: Backbone, coders: list,
                       dataset: data_mod.DomainDataset, masks: np.ndarray,
-                      quotas: list, rng: np.random.Generator,
-                      partition: str = "train") -> np.ndarray:
-    """Fresh quota batch per domain -> representations -> distance matrix."""
-    datas = [dataset.domain(partition, d) for d in range(backbone.num_domains)]
+                      quotas: list, rng: np.random.Generator) -> np.ndarray:
+    """Distance matrix from a fresh quota batch of train rows per domain."""
+    datas = [dataset.domain("train", d) for d in range(backbone.num_domains)]
     sampler = data_mod.QuotaSampler(datas, quotas, rng)
-    batch = sampler.next_batch()
-    hs = []
-    for d, (feats, _) in enumerate(batch):
-        _, h = backbone.forward_domain(feats, d, masks, cache=False)
-        hs.append(h)
-    return distance_round(hs, coders)
+    return _distances(backbone, coders, masks, sampler)
 
 
 class _Run:
@@ -132,9 +135,8 @@ class _Run:
         self.proto_sampler = data_mod.QuotaSampler(train_datas, config.quotas,
                                                    self.proto_rng)
         self.table = ValueTable(config.domains)
-        self.policy = PolicyState(p=config.explore_init,
-                                  decay_rate=config.explore_decay,
-                                  period=config.selection_interval)
+        # Exploration probability of the next selection round.
+        self.p = config.explore_init
         if config.mode == "fixed-subset":
             self.subsets = [canonical(s) for s in config.fixed_subsets]
         else:
@@ -190,13 +192,8 @@ class _Run:
 
     def distance_fn(self) -> np.ndarray:
         with self.timed("selection_distance_s"):
-            batch = self.proto_sampler.next_batch()
-            hs = []
-            for d, (feats, _) in enumerate(batch):
-                _, h = self.backbone.forward_domain(feats, d, self.masks,
-                                                    cache=False)
-                hs.append(h)
-            return distance_round(hs, self.coders)
+            return _distances(self.backbone, self.coders, self.masks,
+                              self.proto_sampler)
 
     def reward_fn(self, d: int) -> float:
         with self.timed("selection_reward_s"):
@@ -205,26 +202,19 @@ class _Run:
             return metrics.auc(preds, dd.labels)
 
     def selection_round(self, iteration: int) -> None:
-        rec = sdsp_round(iteration, self.distance_fn, self.reward_fn,
-                         self.subsets, self.table, self.policy,
-                         self.policy_rng, self.config.expert_counts)
-        self.subsets = list(rec.chosen)
-        self.masks = rec.masks
-        self.trace.append(rec.trace_line())
+        line = sdsp_round(iteration, self.distance_fn, self.reward_fn,
+                          self.subsets, self.table, self.p, self.policy_rng)
+        self.subsets = [canonical(s) for s in line["chosen_subsets"]]
+        self.masks = build_mask(self.subsets, self.config.expert_counts)
+        self.p *= self.config.explore_decay
+        self.trace.append(line)
 
     def final_greedy_subsets(self) -> list | None:
         """Argmax subsets from the last round's rankings and the full table."""
         if not self.trace:
             return None
-        rankings = self.trace[-1]["rankings"]
-        frozen = PolicyState(p=0.0, decay_rate=self.config.explore_decay,
-                             period=self.config.selection_interval)
-        out = []
-        for d in range(self.config.domains):
-            cands = candidate_states(rankings[d])
-            subset, _ = select(d, cands, self.table, frozen, self.policy_rng)
-            out.append(list(subset))
-        return out
+        return [list(greedy(d, candidate_states(ranking), self.table))
+                for d, ranking in enumerate(self.trace[-1]["rankings"])]
 
 
 def train(config: RunConfig, out_dir=None) -> TrainResult:
@@ -245,7 +235,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             with run.timed("train_step_s"):
                 losses = run.train_step()
             sums += losses
-            if selecting and run.policy.due(iteration):
+            if selecting and iteration % cfg.selection_interval == 0:
                 run.selection_round(iteration)
             iteration += 1
         means = sums / run.steps_per_epoch
@@ -295,7 +285,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         "test": test_report,
         "selection": {
             "rounds": len(run.trace),
-            "final_p": run.policy.p,
+            "final_p": run.p,
             "active_subsets": [list(s) for s in run.subsets],
             "final_greedy_subsets": run.final_greedy_subsets(),
             "value_table": run.table.snapshot(),
@@ -308,7 +298,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     result = TrainResult(config=cfg, report=report, backbone=run.backbone,
                          coders=run.coders, dataset=run.dataset,
                          masks=run.masks, subsets=list(run.subsets),
-                         table=run.table, policy=run.policy, trace=run.trace)
+                         trace=run.trace)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result

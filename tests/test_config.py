@@ -73,8 +73,29 @@ class TestRunConfig:
          "seed must be an integer, got np.float64(3.0)"),
         ({"expert_counts": [np.bool_(True), 1]},
          "expert_counts[0] must be an integer, got np.True_"),
+        ({"explore_init": 1.5}, "explore_init must lie in [0, 1]"),
+        ({"explore_decay": 0.0}, "explore_decay must lie in (0, 1]"),
+        ({"selection_interval": 0}, "selection_interval must be >= 1"),
+        ({"learning_rate": float("nan")},
+         "learning_rate must be a finite number, got nan"),
+        ({"proto_loss_weight": float("nan")},
+         "proto_loss_weight must be a finite number, got nan"),
+        ({"split_fractions": [0.8, float("nan"), 0.1]},
+         "split_fractions[1] must be a finite number, got nan"),
+        ({"explore_decay": float("inf")},
+         "explore_decay must be a finite number, got inf"),
+        ({"learning_rate": True},
+         "learning_rate must be a finite number, got True"),
+        ({"explore_init": np.bool_(False)},
+         "explore_init must be a finite number, got np.False_"),
+        ({"learning_rate": "0.1"},
+         "learning_rate must be a finite number, got '0.1'"),
+        ({"split_fractions": ["a", 0.1, 0.1]},
+         "split_fractions[0] must be a finite number, got 'a'"),
     ])
     def test_non_integer_fields_rejected(self, changes, named):
+        """A malformed or out-of-range number fails with a ConfigError that
+        names its field."""
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict(raw_config(**changes))
         assert str(err.value) == named
@@ -101,3 +122,18 @@ class TestRunConfig:
         assert type(cfg.epochs) is int
         assert [type(v) for v in cfg.quotas + cfg.dataset["sizes"]] == [int] * 4
         assert raw["dataset"]["sizes"][0].dtype == np.int64  # caller's dict
+
+    def test_numbers_become_floats(self):
+        """Float fields store Python floats, so a numpy number hashes and
+        an int hashes like the float it equals."""
+        numpy_raw = raw_config(
+            learning_rate=1, proto_loss_weight=np.float32(0.5),
+            explore_init=np.float64(1), explore_decay=np.int64(1),
+            split_fractions=[np.float32(0.5), 0.25, 0.25])
+        cfg = RunConfig.from_dict(numpy_raw)
+        assert cfg.config_hash() == RunConfig.from_dict(raw_config(
+            learning_rate=1.0, proto_loss_weight=0.5, explore_init=1.0,
+            explore_decay=1.0, split_fractions=[0.5, 0.25, 0.25])).config_hash()
+        values = [cfg.learning_rate, cfg.proto_loss_weight, cfg.explore_init,
+                  cfg.explore_decay] + cfg.split_fractions
+        assert [type(v) for v in values] == [float] * 7

@@ -157,6 +157,16 @@ class TestSchema:
         s = D.Schema(np.int64(2), (D.FeatureField("f0", np.int32(8)),))
         assert s.domains == 2 and s.vocab_sizes == (8,)
 
+    def test_numpy_integer_counts_are_stored_as_ints(self, tmp_path):
+        """The schema keeps ints, so it saves and loads back equal."""
+        s = D.Schema(np.int64(2), (D.FeatureField("f0", np.int32(8)),
+                                   D.FeatureField("f1", np.uint8(3))))
+        assert [type(v) for v in (s.domains, *s.vocab_sizes)] == [int] * 3
+        path = tmp_path / "schema.json"
+        s.save(path)
+        assert D.Schema.load(path) == s == D.Schema(
+            2, (D.FeatureField("f0", 8), D.FeatureField("f1", 3)))
+
 
 class TestDomainData:
     @pytest.mark.parametrize("bad", [1.7, -0.5, np.nan, np.inf, 2.0 ** 63])
@@ -436,12 +446,6 @@ class TestSplit:
         assert out.counts("val") == [10, 10]
         assert out.counts("test") == [10, 10]
 
-    def test_all_train_when_relaxed(self):
-        ds = synthetic([7, 9])
-        out = D.split(ds, (1.0, 0.0, 0.0), seed=1, enforce_min=False)
-        assert out.counts("train") == [7, 9]
-        assert out.counts("val") == [0, 0]
-
     def test_same_seed_identical(self):
         ds = synthetic([50, 37])
         a = D.split(ds, (0.8, 0.1, 0.1), seed=9)
@@ -551,6 +555,16 @@ class TestQuotaSampler:
         feats, labels = sampler.next_batch()[0]
         assert feats.shape[0] == 5
 
+    def test_fractional_quota_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"^quotas\[0\] must be an integer, got 2.9$"):
+            self._sampler([10], [2.9])
+
+    def test_numpy_quota_stored_as_int(self):
+        sampler, _ = self._sampler([10], [np.int64(3)])
+        assert sampler.quotas == [3] and type(sampler.quotas[0]) is int
+        assert len(sampler.next_batch()[0][1]) == 3
+
     def test_zero_quota_rejected(self):
         with pytest.raises(ConfigError, match="zero quota"):
             self._sampler([10, 10], [2, 0])
@@ -623,6 +637,14 @@ class TestSynthGenerate:
                                           b.domain("all", d).features)
             np.testing.assert_array_equal(a.domain("all", d).labels,
                                           b.domain("all", d).labels)
+
+    def test_fractional_size_rejected(self):
+        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
+        with pytest.raises(ConfigError,
+                           match=r"^sizes\[0\] must be an integer, got 50.7$"):
+            D.synth_generate(spec, [50.7, 50], seed=1)
+        ds = D.synth_generate(spec, [np.int64(50), 40], seed=1)
+        assert ds.counts("all") == [50, 40]
 
     def test_records_spec_and_respects_vocab(self):
         spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))

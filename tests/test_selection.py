@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlab import selection as sel
-from ctrlab.backbone import build_mask
-from ctrlab.errors import ConfigError, MetricError, UsageError
+from ctrlab.errors import MetricError, UsageError
 
 
 class TestCandidateStates:
@@ -86,51 +85,17 @@ class TestValueTable:
         json.dumps(t.snapshot())
 
 
-class TestPolicyState:
-    def test_single_decay(self):
-        p = sel.PolicyState(p=1.0, decay_rate=0.9, period=2)
-        p.decay()
-        assert p.p == pytest.approx(0.9)
-        assert p.rounds == 1
-
-    def test_geometric_decay(self):
-        p = sel.PolicyState(p=1.0, decay_rate=0.9, period=2)
-        for _ in range(7):
-            p.decay()
-        assert p.p == pytest.approx(0.9 ** 7, rel=1e-12)
-
-    def test_degenerate_decay_rate(self):
-        p = sel.PolicyState(p=0.5, decay_rate=1.0, period=1)
-        for _ in range(10):
-            p.decay()
-        assert p.p == 0.5
-
-    def test_due_every_period(self):
-        p = sel.PolicyState(p=1.0, decay_rate=0.9, period=2)
-        fired = [i for i in range(7) if p.due(i)]
-        assert fired == [0, 2, 4, 6]
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            sel.PolicyState(p=1.5, decay_rate=0.9, period=2)
-        with pytest.raises(ConfigError):
-            sel.PolicyState(p=1.0, decay_rate=0.0, period=2)
-        with pytest.raises(ConfigError):
-            sel.PolicyState(p=1.0, decay_rate=0.9, period=0)
-
-
 class TestSelect:
     def _cands(self):
         return [(0,), (0, 1), (0, 1, 2)]
 
     def test_pure_exploration_is_uniform(self):
         table = sel.ValueTable(1)
-        policy = sel.PolicyState(p=1.0, decay_rate=1.0, period=1)
         rng = np.random.default_rng(0)
         counts = {c: 0 for c in self._cands()}
         n = 10_000
         for _ in range(n):
-            choice, explored = sel.select(0, self._cands(), table, policy, rng)
+            choice, explored = sel.select(0, self._cands(), table, 1.0, rng)
             assert explored
             counts[choice] += 1
         for c, k in counts.items():
@@ -140,18 +105,17 @@ class TestSelect:
         table = sel.ValueTable(1)
         for subset, r in zip(self._cands(), (0.7, 0.9, 0.8)):
             table.update(0, subset, r)
-        policy = sel.PolicyState(p=0.0, decay_rate=0.9, period=1)
-        choice, explored = sel.select(0, self._cands(), table, policy,
+        choice, explored = sel.select(0, self._cands(), table, 0.0,
                                       np.random.default_rng(1))
         assert choice == (0, 1)
         assert not explored
+        assert sel.greedy(0, self._cands(), table) == (0, 1)
 
     def test_optimism_prefers_unvisited(self):
         table = sel.ValueTable(1)
         table.update(0, (0,), 0.99)
         table.update(0, (0, 1, 2), 0.98)
-        policy = sel.PolicyState(p=0.0, decay_rate=0.9, period=1)
-        choice, _ = sel.select(0, self._cands(), table, policy,
+        choice, _ = sel.select(0, self._cands(), table, 0.0,
                                np.random.default_rng(2))
         assert choice == (0, 1)
 
@@ -159,8 +123,7 @@ class TestSelect:
         table = sel.ValueTable(1)
         for subset in self._cands():
             table.update(0, subset, 0.5)
-        policy = sel.PolicyState(p=0.0, decay_rate=0.9, period=1)
-        choice, _ = sel.select(0, self._cands(), table, policy,
+        choice, _ = sel.select(0, self._cands(), table, 0.0,
                                np.random.default_rng(3))
         assert choice == (0,)
 
@@ -169,17 +132,30 @@ class TestSelect:
         for subset in self._cands():
             table.update(0, subset, 0.5)
         for p_target in (0.25, 0.5, 0.75):
-            policy = sel.PolicyState(p=p_target, decay_rate=1.0, period=1)
             rng = np.random.default_rng(4)
-            hits = sum(sel.select(0, self._cands(), table, policy, rng)[1]
+            hits = sum(sel.select(0, self._cands(), table, p_target, rng)[1]
                        for _ in range(10_000))
             assert abs(hits / 10_000 - p_target) < 0.02
 
     def test_empty_candidates(self):
-        policy = sel.PolicyState(p=0.0, decay_rate=0.9, period=1)
         with pytest.raises(UsageError):
-            sel.select(0, [], sel.ValueTable(1), policy,
+            sel.select(0, [], sel.ValueTable(1), 0.0,
                        np.random.default_rng(0))
+        with pytest.raises(UsageError):
+            sel.greedy(0, [], sel.ValueTable(1))
+
+    @pytest.mark.parametrize("p, draws", [(0.0, 1), (0.5, 1), (1.0, 2)])
+    def test_draws_one_number_unless_exploring(self, p, draws):
+        """select draws one uniform number, plus the random pick when it
+        explores (seed 7's first draw is about 0.63); greedy draws none."""
+        rng = np.random.default_rng(7)
+        _, explored = sel.select(0, self._cands(), sel.ValueTable(1), p, rng)
+        assert explored == (draws == 2)
+        reference = np.random.default_rng(7)
+        reference.random()
+        if explored:
+            reference.integers(3)
+        assert rng.random() == reference.random()
 
 
 class TestStationaryBanditConvergence:
@@ -191,14 +167,14 @@ class TestStationaryBanditConvergence:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             table = sel.ValueTable(1)
-            policy = sel.PolicyState(p=1.0, decay_rate=0.9, period=2)
+            p = 1.0
             active = (0, 1, 2)
             history = []
             for _ in range(1000):
                 reward = means[active] + rng.normal(0.0, 0.02)
                 table.update(0, active, reward)
-                active, _ = sel.select(0, cands, table, policy, rng)
-                policy.decay()
+                active, _ = sel.select(0, cands, table, p, rng)
+                p *= 0.9
                 history.append(active)
             hits += sum(1 for c in history[-100:] if c == (0, 1))
             total += 100
@@ -223,26 +199,25 @@ class TestSdspRound:
 
     def test_full_flow(self):
         table = sel.ValueTable(3)
-        policy = sel.PolicyState(p=1.0, decay_rate=0.9, period=2)
         rewards = FakeRewards([0.6, 0.7, 0.8])
         active = [(0, 1, 2)] * 3
         rng = np.random.default_rng(5)
-        rec = sel.sdsp_round(iteration=4, distance_fn=self._matrix,
-                             reward_fn=rewards, active_subsets=active,
-                             table=table, policy=policy, rng=rng,
-                             expert_counts=[1, 1, 1])
-        assert rec.iteration == 4
-        assert rec.p == 1.0                      # probability used this round
-        assert policy.p == pytest.approx(0.9)    # decayed afterwards
-        assert rec.rankings[0] == [0, 1, 2]
-        assert rec.rankings[2] == [2, 1, 0]
-        assert rec.credited == [(0, 1, 2)] * 3
+        line = sel.sdsp_round(iteration=4, distance_fn=self._matrix,
+                              reward_fn=rewards, active_subsets=active,
+                              table=table, p=1.0, rng=rng)
+        assert line["iteration"] == 4
+        assert line["p"] == 1.0                  # probability used this round
+        assert line["distance_matrix"] == self._matrix().tolist()
+        assert line["rankings"][0] == [0, 1, 2]
+        assert line["rankings"][2] == [2, 1, 0]
+        assert line["rewards"] == [0.6, 0.7, 0.8]
+        assert rewards.calls == [0, 1, 2]
+        assert line["credited_subsets"] == [[0, 1, 2]] * 3
+        assert line["explored"] == [True] * 3
         for d in range(3):
             assert table.value(d, (0, 1, 2)) == pytest.approx([0.6, 0.7, 0.8][d])
-            assert d in rec.chosen[d]
-        np.testing.assert_array_equal(
-            rec.masks, build_mask(rec.chosen, [1, 1, 1]))
-        json.dumps(rec.trace_line())
+            assert d in line["chosen_subsets"][d]
+        assert json.loads(json.dumps(line)) == line
 
     def test_greedy_round_uses_accumulated_values(self):
         table = sel.ValueTable(3)
@@ -251,19 +226,16 @@ class TestSdspRound:
             for subset in sel.candidate_states(rankings[d]):
                 table.update(d, subset, 0.5)
             table.update(d, (d,), 0.9)  # singleton clearly best
-        policy = sel.PolicyState(p=0.0, decay_rate=0.9, period=2)
-        rec = sel.sdsp_round(iteration=0, distance_fn=self._matrix,
-                             reward_fn=FakeRewards([0.5, 0.5, 0.5]),
-                             active_subsets=[(0,), (1,), (2,)],
-                             table=table, policy=policy,
-                             rng=np.random.default_rng(6),
-                             expert_counts=[1, 1, 1])
-        assert rec.chosen == [(0,), (1,), (2,)]
-        assert rec.explored == [False, False, False]
+        line = sel.sdsp_round(iteration=0, distance_fn=self._matrix,
+                              reward_fn=FakeRewards([0.5, 0.5, 0.5]),
+                              active_subsets=[(0,), (1,), (2,)],
+                              table=table, p=0.0,
+                              rng=np.random.default_rng(6))
+        assert line["chosen_subsets"] == [[0], [1], [2]]
+        assert line["explored"] == [False, False, False]
 
     def test_subset_count_mismatch(self):
-        policy = sel.PolicyState(p=1.0, decay_rate=0.9, period=2)
         with pytest.raises(UsageError):
             sel.sdsp_round(0, self._matrix, FakeRewards([0.5] * 3),
-                           [(0,)], sel.ValueTable(3), policy,
-                           np.random.default_rng(0), [1, 1, 1])
+                           [(0,)], sel.ValueTable(3), 1.0,
+                           np.random.default_rng(0))

@@ -59,6 +59,11 @@ class TestTrain:
                     if mode == "sdsp" else 0)
         assert report["selection"]["rounds"] == expected
         assert len(result.trace) == expected
+        # A round follows the train step of every selection_interval-th
+        # iteration, starting at iteration 0.
+        assert ([line["iteration"] for line in result.trace]
+                == list(range(0, iterations,
+                              result.config.selection_interval))[:expected])
 
     def test_outputs_reproduce_val_report(self, results, mode, tmp_path):
         result, _ = results[mode]
@@ -112,6 +117,42 @@ def test_val_is_evaluated_once_per_epoch_plus_test(mode, monkeypatch):
     config = tiny_config(mode).replace(epochs=4, early_stop_patience=1)
     report = train.train(config).report
     assert calls == ["val"] * report["epochs_run"] + ["test"]
+
+
+@pytest.mark.parametrize("decay", [0.9, 1.0])
+def test_p_decays_once_per_earlier_round(results, decay):
+    """Each round explores with explore_init multiplied by explore_decay
+    once per earlier round, and final_p is that product after the last
+    round: the same bits, not merely close. A decay of 1 keeps p."""
+    result = (results["sdsp"][0] if decay == 0.9 else train.train(
+        tiny_config("sdsp").replace(explore_init=0.5, explore_decay=decay)))
+    p = result.config.explore_init
+    assert result.config.explore_decay == decay
+    for line in result.trace:
+        assert line["p"].hex() == p.hex()
+        p *= decay
+    assert result.report["selection"]["final_p"].hex() == p.hex()
+    if decay == 1.0:
+        assert p == 0.5
+
+
+def test_round_masks_follow_chosen_subsets(monkeypatch):
+    """After every round the gate masks are the chosen subsets' masks."""
+    seen = []
+    selection_round = train._Run.selection_round
+
+    def recording(run, iteration):
+        selection_round(run, iteration)
+        seen.append((run.trace[-1]["chosen_subsets"], run.masks.copy()))
+
+    monkeypatch.setattr(train._Run, "selection_round", recording)
+    result = train.train(tiny_config("sdsp"))
+    assert len(seen) == result.report["selection"]["rounds"]
+    for chosen, masks in seen:
+        assert np.array_equal(
+            masks, backbone.build_mask(chosen, result.config.expert_counts))
+    # Some round leaves an expert out, so the masks are not all zero.
+    assert any(np.isneginf(masks).any() for _, masks in seen)
 
 
 def test_timing_has_every_stage(results):
