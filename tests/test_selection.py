@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from ctrlab import selection as sel
+from ctrlab import train
 from ctrlab.errors import MetricError, UsageError
+from test_train import tiny_config
 
 
 class TestCandidateStates:
@@ -83,6 +85,46 @@ class TestValueTable:
         t = sel.ValueTable(2)
         t.update(0, (0, 1), 0.5)
         json.dumps(t.snapshot())
+
+
+class TestPolicyState:
+    """The exploration policy's state as the training run keeps it: the
+    probability p of the next round and the iterations a round follows."""
+
+    @staticmethod
+    def _run(**changes):
+        return train._Run(tiny_config("sdsp").replace(
+            explore_init=1.0, explore_decay=0.9, selection_interval=2,
+            **changes))
+
+    def test_single_decay(self):
+        run = self._run()
+        run.selection_round(0)
+        assert run.trace[0]["p"] == 1.0
+        assert run.p == pytest.approx(0.9)
+        assert len(run.trace) == 1
+
+    def test_geometric_decay(self):
+        run = self._run()
+        for i in range(7):
+            run.selection_round(2 * i)
+        assert run.p == pytest.approx(0.9 ** 7, rel=1e-12)
+
+    def test_due_every_period(self, monkeypatch):
+        fired = []
+        selection_round = train._Run.selection_round
+
+        def recording(run, iteration):
+            fired.append(iteration)
+            selection_round(run, iteration)
+
+        monkeypatch.setattr(train._Run, "selection_round", recording)
+        config = tiny_config("sdsp").replace(selection_interval=2)
+        report = train.train(config).report
+        iterations = report["epochs_run"] * report["steps_per_epoch"]
+        assert iterations >= 7
+        assert fired[:4] == [0, 2, 4, 6]
+        assert fired == list(range(0, iterations, 2))
 
 
 class TestSelect:
