@@ -120,7 +120,7 @@ class Backbone:
         # checks both bounds of every field.
         bad = features.view(np.uint64) >= self._vocab_bounds
         if bad.any():
-            j = int(np.flatnonzero(bad.any(axis=0))[0])
+            j = int(bad.any(axis=0).nonzero()[0][0])
             raise DataError(
                 f"field {j} index outside [0, {self.vocab_sizes[j]})")
         rows = np.take(self.embedding.values, features + self._field_offsets,
@@ -129,12 +129,19 @@ class Backbone:
 
     def _embed_backward(self, features: np.ndarray, dx: np.ndarray) -> None:
         """Add the input gradient ``dx`` to the embedding rows it came from,
-        with one 1-D ``np.add.at`` into the flattened table gradient."""
-        cols = np.arange(self.embed_dim)
-        flat = ((features + self._field_offsets)[:, :, None]
-                * self.embed_dim + cols)
-        np.add.at(self.embedding.grad.reshape(-1), flat.reshape(-1),
-                  dx.reshape(-1))
+        with one 1-D ``np.add.at`` into the flattened table gradient.
+
+        Entry (i, j, c) of ``dx``, read as (n, fields, embed_dim), goes to
+        flat entry ``(features[i, j] + offset of field j) * embed_dim + c``:
+        each row start repeated ``embed_dim`` times plus the column offsets
+        tiled, in ``dx``'s own order.
+        """
+        e = self.embed_dim
+        starts = (features + self._field_offsets).reshape(-1)
+        starts *= e
+        flat = np.repeat(starts, e)
+        flat += np.tile(np.arange(e), starts.size)
+        np.add.at(self.embedding.grad.reshape(-1), flat, dx.reshape(-1))
 
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
         return x @ self.gate_w[d].values.T + self.gate_b[d].values
@@ -156,15 +163,17 @@ class Backbone:
                 else np.asarray(masks[d], dtype=np.float64))
         features = feature_indices(features)
         x = self.embed(features)
-        active = np.flatnonzero(mask == 0.0)
+        active = (mask == 0.0).nonzero()[0].tolist()
         gate = masked_softmax(self.gate_logits(x, d), mask)
         h = np.zeros((x.shape[0], self.repr_dim))
         outs = {}
         for i in active:
             out = self.experts[i].forward(x, cache=cache)
             if cache:
-                outs[int(i)] = out
-            h += gate[:, i:i + 1] * out
+                outs[i] = out
+            # An uncached output is new, so the product may overwrite it.
+            h += np.multiply(gate[:, i:i + 1], out,
+                             out=None if cache else out)
         preds = self.towers[d].forward(h, cache=cache).ravel()
         if cache:
             self._cache = {"d": d, "x": x, "features": features,
@@ -193,15 +202,16 @@ class Backbone:
         features = cache["features"]
         dh = self.towers[d].backward(np.asarray(dpreds).reshape(-1, 1))
         if dh_extra is not None:
-            dh = dh + dh_extra
-        dgate = np.zeros_like(gate)
-        dx = np.zeros_like(x)
+            # The tower's input gradient is new, so it takes the sum.
+            dh += dh_extra
+        dgate = np.zeros(gate.shape)
+        dx = np.zeros(x.shape)
         for i, out in outs.items():
-            dgate[:, i] = (out * dh).sum(axis=1)
+            dgate[:, i] = np.add.reduce(out * dh, axis=1)
             dx += self.experts[i].backward(gate[:, i:i + 1] * dh)
         dlogits = softmax_backward(gate, dgate)
         self.gate_w[d].grad += dlogits.T @ x
-        self.gate_b[d].grad += dlogits.sum(axis=0)
+        self.gate_b[d].grad += np.add.reduce(dlogits, axis=0)
         dx += dlogits @ self.gate_w[d].values
         self._embed_backward(features, dx)
 

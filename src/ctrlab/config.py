@@ -41,6 +41,16 @@ def _as_float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def _as_list(value, name: str) -> list:
+    """``value`` as a list if it is a list, a tuple or a numpy array of at
+    least one dimension; anything else raises ConfigError naming ``name``
+    and the value."""
+    if isinstance(value, (list, tuple)) or (
+            isinstance(value, np.ndarray) and value.ndim >= 1):
+        return list(value)
+    raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; field names are the config-file keys.
@@ -84,8 +94,9 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.expert_counts is None:
             self.expert_counts = [1] * self.domains
-        self.expert_counts = [as_int(c, f"expert_counts[{i}]")
-                              for i, c in enumerate(self.expert_counts)]
+        self.expert_counts = [
+            as_int(c, f"expert_counts[{i}]") for i, c in
+            enumerate(_as_list(self.expert_counts, "expert_counts"))]
         if len(self.expert_counts) != self.domains or min(self.expert_counts) < 1:
             raise ConfigError(
                 f"expert_counts needs {self.domains} positive entries, "
@@ -103,7 +114,7 @@ class RunConfig:
         if self.quotas is None:
             self.quotas = data_mod.equal_quotas(self.batch_size, self.domains)
         self.quotas = [as_int(q, f"quotas[{i}]")
-                       for i, q in enumerate(self.quotas)]
+                       for i, q in enumerate(_as_list(self.quotas, "quotas"))]
         if len(self.quotas) != self.domains or min(self.quotas) < 1:
             raise ConfigError(
                 f"quotas needs {self.domains} positive entries, got {self.quotas}")
@@ -125,21 +136,24 @@ class RunConfig:
         if self.overall_metric not in OVERALL_METRICS:
             raise ConfigError(
                 f"overall_metric must be one of {OVERALL_METRICS}")
-        if len(self.split_fractions) != 3:
+        fractions = _as_list(self.split_fractions, "split_fractions")
+        if len(fractions) != 3:
             raise ConfigError("split_fractions needs 3 entries")
         self.split_fractions = [_as_float(f, f"split_fractions[{i}]")
-                                for i, f in enumerate(self.split_fractions)]
+                                for i, f in enumerate(fractions)]
         if self.mode == "fixed-subset":
             if self.fixed_subsets is None:
                 raise ConfigError("fixed-subset mode requires fixed_subsets")
         if self.fixed_subsets is not None:
-            if len(self.fixed_subsets) != self.domains:
+            subsets = _as_list(self.fixed_subsets, "fixed_subsets")
+            if len(subsets) != self.domains:
                 raise ConfigError(
                     f"fixed_subsets needs {self.domains} entries")
             normalized = []
-            for d, subset in enumerate(self.fixed_subsets):
-                members = sorted(as_int(s, f"fixed_subsets[{d}] entry")
-                                 for s in subset)
+            for d, subset in enumerate(subsets):
+                members = sorted(
+                    as_int(s, f"fixed_subsets[{d}] entry")
+                    for s in _as_list(subset, f"fixed_subsets[{d}]"))
                 if d not in members:
                     raise ConfigError(
                         f"fixed_subsets[{d}] must contain domain {d}")
@@ -158,14 +172,29 @@ class RunConfig:
             for key in ("affinity", "noise", "sizes"):
                 if key not in self.dataset:
                     raise ConfigError(f"synthetic dataset needs {key!r}")
-            aff = np.asarray(self.dataset["affinity"], dtype=float)
-            if aff.shape != (self.domains, self.domains):
+            rows = [_as_list(row, f"dataset affinity[{i}]") for i, row in
+                    enumerate(_as_list(self.dataset["affinity"],
+                                       "dataset affinity"))]
+            if (len(rows) != self.domains
+                    or any(len(row) != self.domains for row in rows)):
                 raise ConfigError(
                     f"affinity must be {self.domains}x{self.domains}")
-            if len(self.dataset["sizes"]) != self.domains:
+            affinity = [[_as_float(v, f"dataset affinity[{i}][{j}]")
+                         for j, v in enumerate(row)]
+                        for i, row in enumerate(rows)]
+            noise = [_as_float(v, f"dataset noise[{d}]") for d, v in
+                     enumerate(_as_list(self.dataset["noise"],
+                                        "dataset noise"))]
+            # The spec's own checks: noise length and both value ranges.
+            data_mod.AffinitySpec(self.domains, affinity, noise)
+            if "feature_noise" in self.dataset:
+                _as_float(self.dataset["feature_noise"],
+                          "dataset feature_noise")
+            sizes = _as_list(self.dataset["sizes"], "dataset sizes")
+            if len(sizes) != self.domains:
                 raise ConfigError(f"sizes needs {self.domains} entries")
             checked = {"sizes": [as_int(n, f"dataset sizes[{d}]")
-                                 for d, n in enumerate(self.dataset["sizes"])]}
+                                 for d, n in enumerate(sizes)]}
             for key in ("fields_per_concept", "vocab_size"):
                 if key in self.dataset:
                     checked[key] = as_int(self.dataset[key], f"dataset {key}")

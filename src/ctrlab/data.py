@@ -193,13 +193,14 @@ class AffinitySpec:
         if self.affinity.shape != (d, d):
             raise ConfigError(
                 f"affinity must be {d}x{d}, got {self.affinity.shape}")
-        if np.any(self.affinity < 0.0) or np.any(self.affinity > 1.0):
+        # Written so that NaN fails too.
+        if not ((self.affinity >= 0.0) & (self.affinity <= 1.0)).all():
             raise ConfigError("affinity entries must lie in [0, 1]")
         if np.any(np.diag(self.affinity) <= 0.0):
             raise ConfigError("affinity diagonal must be positive")
         if self.noise.shape != (d,):
             raise ConfigError(f"noise must have shape ({d},)")
-        if np.any(self.noise < 0.0) or np.any(self.noise > 0.5):
+        if not ((self.noise >= 0.0) & (self.noise <= 0.5)).all():
             raise ConfigError("noise probabilities must lie in [0, 0.5]")
 
 
@@ -396,13 +397,20 @@ def _canonical_rows(text: str, num_cols: int):
 
 
 def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
+    """Write one partition as the CSV ``load_csv`` reads: the schema header,
+    then a ``domain,label,features...`` line per sample, domain by domain.
+
+    The lines are formatted from one int64 table of every row; labels are
+    truncated to integers, as ``int`` would.
+    """
+    table = np.concatenate([
+        np.column_stack((np.full(len(dd), d), dd.labels.astype(np.int64),
+                         dd.features))
+        for d, dd in enumerate(dataset.partitions[partition])])
+    line = ",".join(["%d"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dataset.schema.header() + "\n")
-        for d, dd in enumerate(dataset.partitions[partition]):
-            for i in range(len(dd)):
-                row = [str(d), str(int(dd.labels[i]))]
-                row += [str(int(v)) for v in dd.features[i]]
-                fh.write(",".join(row) + "\n")
+        fh.write("".join([line % tuple(row) for row in table.tolist()]))
 
 
 def _largest_remainder(total: int, weights) -> list:
@@ -471,10 +479,15 @@ class QuotaSampler:
     per-domain shuffled cursor. A batch that does not cross the end of the
     permutation is a plain slice of it. An exhausted domain reshuffles and
     wraps, lazily: the fresh permutation is drawn only when another sample
-    is needed. Whenever the domain holds at least quota samples, a batch
-    never repeats a sample: only a wrapping batch can collide, and its
-    collisions are swapped forward inside the fresh permutation, preserving
-    full-pass coverage.
+    is needed. A wrapping batch is the rest of the old permutation followed
+    by the head of the fresh one. Whenever the domain holds at least quota
+    samples, a batch never repeats a sample: the head samples that the rest
+    already holds are moved back, in their order, to the places of the
+    first samples after the head that it does not hold, and those fill the
+    head in theirs. That is the permutation a per-sample loop leaves when
+    it swaps each collision with the next sample not yet taken, and it
+    preserves full-pass coverage. A domain smaller than its quota repeats
+    samples and swaps nothing.
     """
 
     def __init__(self, datas, quotas, rng: np.random.Generator):
@@ -495,32 +508,25 @@ class QuotaSampler:
         self._cursors = [0] * len(datas)
 
     def _draw_domain(self, d: int) -> np.ndarray:
-        dd, quota = self.datas[d], self.quotas[d]
-        n = len(dd)
+        n, quota = len(self.datas[d]), self.quotas[d]
         cur = self._cursors[d]
         if cur + quota <= n:
-            # Within one pass of a permutation no index repeats, so the
-            # loop below would take exactly this slice and swap nothing.
             self._cursors[d] = cur + quota
             return self._perms[d][cur:cur + quota].copy()
-        taken = []
-        taken_set = set()
-        dedup = n >= quota
-        for _ in range(quota):
-            if self._cursors[d] == n:
-                self._perms[d] = self.rng.permutation(n)
-                self._cursors[d] = 0
-            perm, cur = self._perms[d], self._cursors[d]
-            if dedup and perm[cur] in taken_set:
-                j = cur + 1
-                while j < n and perm[j] in taken_set:
-                    j += 1
-                if j < n:
-                    perm[cur], perm[j] = perm[j], perm[cur]
-            taken.append(perm[cur])
-            taken_set.add(int(perm[cur]))
-            self._cursors[d] += 1
-        return np.array(taken, dtype=np.int64)
+        tail = self._perms[d][cur:]
+        parts = [tail]
+        rest = quota - tail.size
+        # One fresh permutation when n >= quota; as many as it takes when
+        # the domain is smaller than its quota.
+        while rest:
+            perm = self.rng.permutation(n)
+            take = min(n, rest)
+            if n >= quota and tail.size:
+                _move_tail_samples_back(perm, tail, take)
+            parts.append(perm[:take])
+            rest -= take
+        self._perms[d], self._cursors[d] = perm, take
+        return np.concatenate(parts)
 
     def next_batch(self) -> list:
         """One batch: list over domains of (features, labels) arrays."""
@@ -530,6 +536,39 @@ class QuotaSampler:
             dd = self.datas[d]
             batch.append((dd.features[idx], dd.labels[idx]))
         return batch
+
+
+def _move_tail_samples_back(perm: np.ndarray, tail: np.ndarray,
+                            take: int) -> None:
+    """Rearrange ``perm`` in place so its first ``take`` entries avoid
+    ``tail``, exactly as this loop would: for each head position c in
+    turn, if the sample there is in ``tail``, swap it with the sample at
+    the next position that holds one not in ``tail``.
+
+    The loop fills head position c from the c-th position holding a sample
+    not in ``tail``, so the head becomes those samples in order. A tail
+    sample it bumps from position c lands on that c-th position, and is
+    bumped on from there while that is inside the head; every bumped
+    sample ends past the head. The hops are followed by repeated squaring
+    of the hop map, a few array operations for any head length.
+    ``take + len(tail)`` entries always hold ``take`` samples not in
+    ``tail``, so only that many are read.
+    """
+    window = perm[:take + tail.size]
+    in_tail = np.zeros(perm.size, dtype=bool)
+    in_tail[tail] = True
+    hit = in_tail[window]
+    free = (~hit).nonzero()[0][:take]
+    start = hit[:take].nonzero()[0]
+    bumped = window[start]
+    # Where the sample at each position goes when its turn comes; past the
+    # head, it stays.
+    hop = np.arange(window.size)
+    hop[:take] = free
+    while (hop[start] < take).any():
+        hop = hop[hop]
+    perm[:take] = window[free]
+    perm[hop[start]] = bumped
 
 
 def synth_generate(spec: AffinitySpec, sizes, seed: int,
@@ -547,8 +586,9 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
         raise ConfigError(f"{len(sizes)} sizes for {spec.domains} domains")
     if fields_per_concept < 1 or vocab_size < 2:
         raise ConfigError("need fields_per_concept >= 1 and vocab_size >= 2")
-    if feature_noise < 0:
-        raise ConfigError("feature_noise must be >= 0")
+    if not 0 <= feature_noise < np.inf:
+        raise ConfigError(
+            f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d_count = spec.domains
     fields = tuple(FeatureField(f"c{k}r{r}", vocab_size)

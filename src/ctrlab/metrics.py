@@ -33,9 +33,9 @@ def _check_pair(scores, labels):
             f"scores and labels differ in length: {scores.size} vs {labels.size}")
     if scores.size == 0:
         raise UsageError("empty score array")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise MetricError("scores contain non-finite values")
-    if not np.all((labels == 0.0) | (labels == 1.0)):
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise MetricError("labels must be 0 or 1")
     return scores, labels
 
@@ -43,7 +43,7 @@ def _check_pair(scores, labels):
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
     scores, labels = _check_pair(scores, labels)
-    n_pos = int(labels.sum())
+    n_pos = int(np.add.reduce(labels))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError(
@@ -53,19 +53,21 @@ def auc(scores, labels) -> float:
     sorted_labels = labels[order]
     # A tied block is a run of equal neighbours in sorted order; block k
     # spans sorted positions starts[k]..ends[k] inclusive.
-    breaks = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    breaks = (sorted_scores[1:] != sorted_scores[:-1]).nonzero()[0] + 1
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [scores.size])) - 1
     block_pos = np.add.reduceat(sorted_labels, starts)
-    rank_sum = (block_pos * (0.5 * (starts + ends) + 1.0)).sum()
+    rank_sum = np.add.reduce(block_pos * (0.5 * (starts + ends) + 1.0))
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def logloss(scores, labels) -> float:
     """Mean binary cross-entropy; scores clamped away from {0,1}."""
     scores, labels = _check_pair(scores, labels)
-    p = np.clip(scores, _CLAMP, 1.0 - _CLAMP)
-    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+    p = np.minimum(np.maximum(scores, _CLAMP), 1.0 - _CLAMP)
+    terms = labels * np.log(p)
+    terms += (1.0 - labels) * np.log(1.0 - p)
+    return float(-(np.add.reduce(terms) / terms.size))
 
 
 def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,

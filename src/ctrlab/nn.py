@@ -75,12 +75,15 @@ def _activate(tag: str, z: np.ndarray) -> np.ndarray:
 
 
 def _activate_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The activation's derivative at ``z``, for a relu or sigmoid layer.
+
+    A linear layer has none: its derivative is 1, and ``backward`` passes
+    the upstream gradient through unchanged instead of multiplying by ones.
+    """
     if tag == "relu":
         # A bool array: multiplying by True/False is multiplying by 1.0/0.0.
         return z > 0.0
-    if tag == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
+    return a * (1.0 - a)
 
 
 class Mlp:
@@ -159,9 +162,9 @@ class Mlp:
                                         reversed(self.weights),
                                         reversed(self.biases),
                                         reversed(self.activations)):
-            dz = da * _activate_grad(act, z, a)
+            dz = da if act == "linear" else da * _activate_grad(act, z, a)
             w.grad += dz.T @ x
-            b.grad += dz.sum(axis=0)
+            b.grad += np.add.reduce(dz, axis=0)
             da = dz @ w.values
         self._cache = None
         return da
@@ -192,11 +195,11 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise UsageError(f"mask of shape {mask.shape} does not match logits "
                          f"{logits.shape}")
     valid = mask == 0.0
-    if not np.all(valid | np.isneginf(mask)):
+    if not (valid | (mask == -np.inf)).all():
         raise UsageError("mask entries must be 0 or -inf")
     if not valid.any():
         raise MaskError("degenerate mask: every position is masked")
-    active = np.flatnonzero(valid)
+    active = valid.nonzero()[0]
     # The row maximum, one active column at a time: over a gate's few
     # experts and a batch of rows, np.maximum per column is several times
     # faster than max(axis=-1). Measured with numpy 2.4 on a 2-vCPU x86_64
@@ -209,11 +212,15 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     for k in active[1:]:
         np.maximum(top, logits[..., k], out=top)
     # Indexing the last axis with an array gives a column-major copy, whose
-    # row sums numpy would add in another order; the C-ordered full-width
-    # array keeps the order of a plain softmax.
+    # row sums numpy would add in another order. The copy is shifted and
+    # exponentiated in place and written into the C-ordered full-width
+    # array, whose row sums (np.add.reduce, the loop ndarray.sum runs)
+    # keep the order of a plain softmax.
     probs = np.zeros(logits.shape)
-    probs[..., active] = np.exp(logits[..., active] - top[..., None])
-    probs /= probs.sum(axis=-1, keepdims=True)
+    shifted = logits[..., active]
+    shifted -= top[..., None]
+    probs[..., active] = np.exp(shifted, out=shifted)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
 
 
@@ -223,7 +230,7 @@ def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     Exactly-zero probabilities (masked positions) yield exactly-zero
     logit gradients, so masking needs no special casing downstream.
     """
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -239,8 +246,11 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         raise UsageError(f"preds {preds.shape} and labels {labels.shape} differ")
     if preds.size == 0:
         raise UsageError("empty prediction batch")
-    p = np.clip(preds, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    loss = float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
+    p = np.minimum(np.maximum(preds, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    terms = labels * np.log(p)
+    terms += (1.0 - labels) * np.log(1.0 - p)
+    np.negative(terms, out=terms)
+    loss = float(np.add.reduce(terms, axis=None) / terms.size)
     grad = (p - labels) / (p * (1.0 - p)) / preds.size
     return loss, grad
 

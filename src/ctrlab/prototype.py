@@ -85,7 +85,7 @@ class ProtoCoder:
         p = self.enc_w.values @ hs + self.enc_b.values[:, None]
         h_hat = self.dec_w.values @ p + self.dec_b.values[:, None]
         diff = hs - h_hat
-        loss = float((diff * diff).sum())
+        loss = float(np.add.reduce(diff * diff, axis=None))
         self._cache = {"order": order, "hs": hs, "p": p, "diff": diff}
         return loss, p
 
@@ -99,10 +99,10 @@ class ProtoCoder:
         order, hs, p, diff = c["order"], c["hs"], c["p"], c["diff"]
         dh_hat = -2.0 * diff * scale
         self.dec_w.grad += dh_hat @ p.T
-        self.dec_b.grad += dh_hat.sum(axis=1)
+        self.dec_b.grad += np.add.reduce(dh_hat, axis=1)
         dp = self.dec_w.values.T @ dh_hat
         self.enc_w.grad += dp @ hs.T
-        self.enc_b.grad += dp.sum(axis=1)
+        self.enc_b.grad += np.add.reduce(dp, axis=1)
         dhs = self.enc_w.values.T @ dp + 2.0 * diff * scale
         dh = np.empty_like(dhs)
         dh[order] = dhs
@@ -130,8 +130,9 @@ def domain_distance(protos_a: np.ndarray, protos_b: np.ndarray) -> float:
     protos_a, protos_b = _protoset(protos_a), _protoset(protos_b)
     _check_dims(protos_a, protos_b)
     diff = protos_a[:, None, :] - protos_b[None, :, :]
-    sq = (diff * diff).sum(axis=2)
-    return float(np.mean(np.sqrt(sq.min(axis=1))))
+    sq = np.add.reduce(diff * diff, axis=2)
+    nearest = np.sqrt(sq.min(axis=1))
+    return float(np.add.reduce(nearest) / nearest.size)
 
 
 def distance_matrix(protosets: list) -> np.ndarray:
@@ -157,11 +158,13 @@ def distance_matrix(protosets: list) -> np.ndarray:
     out = np.empty((d, d))
     for i, source in enumerate(sets):
         diff = source[:, None, :] - targets[None, :, :]
-        sq = (diff * diff).sum(axis=2)
+        diff *= diff
+        sq = np.add.reduce(diff, axis=2)
         nearest = np.minimum.reduceat(sq, starts, axis=1)
         # C order makes each target's distances a contiguous row; numpy
         # would add the rows of the transposed view in another order.
-        out[i] = np.sqrt(nearest.T, order="C").mean(axis=1)
+        out[i] = np.add.reduce(np.sqrt(nearest.T, order="C"), axis=1)
+        out[i] /= len(source)
     return out
 
 
@@ -171,7 +174,7 @@ def rank_domains(matrix: np.ndarray, d: int) -> list:
     matrix = np.asarray(matrix, dtype=np.float64)
     if not 0 <= d < matrix.shape[0]:
         raise UsageError(f"domain {d} outside matrix of size {matrix.shape}")
-    if not np.all(np.isfinite(matrix[d])):
+    if not np.isfinite(matrix[d]).all():
         raise UsageError(f"row {d} contains non-finite distances")
     others = [j for j in range(matrix.shape[0]) if j != d]
     others.sort(key=lambda j: (matrix[d, j], j))

@@ -4,6 +4,8 @@ import pytest
 from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
 from ctrlab.errors import ConfigError, DataError, InvariantError, UsageError
+from test_nn import (SPECIAL_VALUES, same_bits, with_specials,
+                     wrapper_mlp_backward, wrapper_softmax_backward)
 
 
 def small_net(seed=0, vocab=(5, 7), embed_dim=2, expert_counts=(1, 1, 1),
@@ -37,6 +39,37 @@ def loop_embed_backward(net, features, dx):
     for j, grad in enumerate(field_tables(net, net.embedding.grad)):
         sl = dx[:, j * net.embed_dim:(j + 1) * net.embed_dim]
         np.add.at(grad, features[:, j], sl)
+
+
+def broadcast_embed_backward(net, features, dx):
+    """Reference ``Backbone._embed_backward``: the flat index broadcast
+    through an (n, fields, embed_dim) array."""
+    cols = np.arange(net.embed_dim)
+    flat = ((features + net._field_offsets)[:, :, None] * net.embed_dim
+            + cols)
+    np.add.at(net.embedding.grad.reshape(-1), flat.reshape(-1),
+              dx.reshape(-1))
+
+
+def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
+    """Reference ``Backbone.backward_domain``: zeros_like, ndarray.sum for
+    the gate sums and the reference Mlp and embedding backward passes."""
+    cache, net._cache = net._cache, None
+    x, gate, outs = cache["x"], cache["gate"], cache["outs"]
+    dh = wrapper_mlp_backward(net.towers[d],
+                              np.asarray(dpreds).reshape(-1, 1))
+    if dh_extra is not None:
+        dh = dh + dh_extra
+    dgate = np.zeros_like(gate)
+    dx = np.zeros_like(x)
+    for i, out in outs.items():
+        dgate[:, i] = (out * dh).sum(axis=1)
+        dx += wrapper_mlp_backward(net.experts[i], gate[:, i:i + 1] * dh)
+    dlogits = wrapper_softmax_backward(gate, dgate)
+    net.gate_w[d].grad += dlogits.T @ x
+    net.gate_b[d].grad += dlogits.sum(axis=0)
+    dx += dlogits @ net.gate_w[d].values
+    broadcast_embed_backward(net, cache["features"], dx)
 
 
 def relative_error(a, b, floor=1e-4):
@@ -387,3 +420,51 @@ class TestBackwardDiscipline:
         net.forward_domain(rand_features(net, 3), 1)
         with pytest.raises(UsageError):
             net.backward_domain(0, np.zeros(3))
+
+
+class TestSameBitsAsWrapperExpressions:
+    """The backward pass's direct ufunc calls and the repeat-and-tile
+    embedding index give the bits of the expressions they replace, on
+    gradients holding signed zeros, subnormals, infinities and NaN."""
+
+    @pytest.mark.parametrize("embed_dim", [1, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 2, 256])
+    def test_embed_backward_index(self, embed_dim, rows):
+        """Few rows per field, so most entries are hit many times, and
+        magnitudes far apart, so a different order of the adds would round
+        differently."""
+        def grad(backward):
+            net = small_net(seed=2, vocab=(3, 1, 4, 2), embed_dim=embed_dim)
+            net.embedding.grad[...] = with_specials(net.embedding.grad.shape,
+                                                    5, SPECIAL_VALUES[:5])
+            values = np.concatenate([SPECIAL_VALUES, [1e16, -1e16, 1.0, 3.0]])
+            dx = with_specials((rows, net.x_dim), 6, values, scale=1e8)
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                backward(net, rand_features(net, rows, seed=7), dx)
+            return net.embedding.grad
+
+        shipped = grad(Backbone._embed_backward)
+        assert same_bits(shipped, grad(broadcast_embed_backward))
+
+    @pytest.mark.parametrize("specials", ["finite", "all"])
+    @pytest.mark.parametrize("subsets", [
+        [{0, 1, 2}] * 3, [{0, 2}, {1}, {1, 2}]])
+    def test_backward_domain(self, subsets, specials):
+        """The gate sums, the zero-filled gradients and the expert and
+        tower passes: every parameter's gradient has the reference's bits."""
+        values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
+        nets = [small_net(seed=9, expert_counts=(2, 1, 2)) for _ in range(2)]
+        masks = build_mask(subsets, nets[0].expert_counts)
+        backward = [Backbone.backward_domain, wrapper_backward_domain]
+        for d in range(3):
+            feats = rand_features(nets[0], 33, seed=d)
+            dpreds = with_specials(33, 10 + d, values)
+            dh_extra = with_specials((33, nets[0].repr_dim), 20 + d, values)
+            with np.errstate(all="ignore"):
+                for net, back in zip(nets, backward):
+                    net.forward_domain(feats, d, masks)
+                    back(net, d, dpreds, dh_extra)
+        for p, q in zip(nets[0].params(), nets[1].params()):
+            assert same_bits(p.grad, q.grad), p.name
+        if specials == "finite":
+            assert all(np.isfinite(p.grad).all() for p in nets[0].params())

@@ -109,6 +109,65 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"dataset {key}"):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("changes, named", [
+        ({"split_fractions": 0.5}, "split_fractions must be a list, got 0.5"),
+        ({"mode": "fixed-subset", "fixed_subsets": [0, 1]},
+         "fixed_subsets[0] must be a list, got 0"),
+        ({"fixed_subsets": 1}, "fixed_subsets must be a list, got 1"),
+        ({"expert_counts": 3}, "expert_counts must be a list, got 3"),
+        ({"quotas": 5}, "quotas must be a list, got 5"),
+        ({"quotas": "44"}, "quotas must be a list, got '44'"),
+    ])
+    def test_non_list_fields_rejected(self, changes, named):
+        """A scalar where a list belongs fails with a ConfigError that names
+        its field, not with a TypeError from len() or iteration."""
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw_config(**changes))
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("sizes", 50, "dataset sizes must be a list, got 50"),
+        ("noise", 0.1, "dataset noise must be a list, got 0.1"),
+        ("noise", [float("nan"), 0.1],
+         "dataset noise[0] must be a finite number, got nan"),
+        ("noise", [0.1, "0.1"],
+         "dataset noise[1] must be a finite number, got '0.1'"),
+        ("noise", [0.1, 0.7], "noise probabilities must lie in [0, 0.5]"),
+        ("noise", [0.1], "noise must have shape (2,)"),
+        ("feature_noise", float("nan"),
+         "dataset feature_noise must be a finite number, got nan"),
+        ("feature_noise", float("inf"),
+         "dataset feature_noise must be a finite number, got inf"),
+        ("feature_noise", "x",
+         "dataset feature_noise must be a finite number, got 'x'"),
+        ("affinity", [[1.0, float("nan")], [0.5, 1.0]],
+         "dataset affinity[0][1] must be a finite number, got nan"),
+        ("affinity", [[1.0, 0.5], [True, 1.0]],
+         "dataset affinity[1][0] must be a finite number, got True"),
+        ("affinity", [[1.0, 0.5], [0.5, 2.0]],
+         "affinity entries must lie in [0, 1]"),
+        ("affinity", [[1.0, 0.5], 0.5],
+         "dataset affinity[1] must be a list, got 0.5"),
+        ("affinity", 1.0, "dataset affinity must be a list, got 1.0"),
+        ("affinity", [[1.0, 0.5]], "affinity must be 2x2"),
+    ])
+    def test_malformed_synth_entries_rejected(self, key, value, named):
+        raw = raw_config()
+        raw["dataset"] = dict(raw["dataset"], **{key: value})
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw)
+        assert str(err.value) == named
+
+    def test_synth_values_are_stored_as_given(self):
+        """The synthetic spec is checked, not rewritten: ints stay ints, so
+        the config hash is unchanged."""
+        raw = raw_config()
+        raw["dataset"] = dict(raw["dataset"], affinity=[[1, 0], [0, 1]],
+                              noise=(0, 0.25), feature_noise=0)
+        cfg = RunConfig.from_dict(raw)
+        for key in ("affinity", "noise", "feature_noise"):
+            assert cfg.dataset[key] == raw["dataset"][key]
+
     def test_numpy_integers_become_ints(self):
         raw = raw_config(epochs=np.int64(3), quotas=[np.int32(5), 3],
                          expert_counts=[np.int64(2), 1],

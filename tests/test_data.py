@@ -40,8 +40,37 @@ def logreg_scores(X, w, b):
     return 1.0 / (1.0 + np.exp(-(X @ w + b)))
 
 
+def loop_draw_domain(sampler, d):
+    """Reference ``QuotaSampler._draw_domain``: one sample per loop pass,
+    drawing a fresh permutation when the cursor reaches its end and, when
+    the domain holds at least its quota, swapping a sample the batch
+    already took with the next one it did not. Returns the indices and the
+    number of swaps."""
+    n, quota = len(sampler.datas[d]), sampler.quotas[d]
+    taken = []
+    taken_set = set()
+    swaps = 0
+    dedup = n >= quota
+    for _ in range(quota):
+        if sampler._cursors[d] == n:
+            sampler._perms[d] = sampler.rng.permutation(n)
+            sampler._cursors[d] = 0
+        perm, cur = sampler._perms[d], sampler._cursors[d]
+        if dedup and perm[cur] in taken_set:
+            j = cur + 1
+            while j < n and perm[j] in taken_set:
+                j += 1
+            if j < n:
+                perm[cur], perm[j] = perm[j], perm[cur]
+                swaps += 1
+        taken.append(perm[cur])
+        taken_set.add(int(perm[cur]))
+        sampler._cursors[d] += 1
+    return np.array(taken, dtype=np.int64), swaps
+
+
 class LoopSampler(D.QuotaSampler):
-    """Reference sampler: draws each sample in a per-sample Python loop.
+    """Reference sampler: draws each sample in ``loop_draw_domain``.
 
     Counts the de-duplication swaps it makes, so a test can show that its
     case really exercises them.
@@ -52,27 +81,20 @@ class LoopSampler(D.QuotaSampler):
         self.swaps = 0
 
     def _draw_domain(self, d: int) -> np.ndarray:
-        dd, quota = self.datas[d], self.quotas[d]
-        n = len(dd)
-        taken = []
-        taken_set = set()
-        dedup = n >= quota
-        for _ in range(quota):
-            if self._cursors[d] == n:
-                self._perms[d] = self.rng.permutation(n)
-                self._cursors[d] = 0
-            perm, cur = self._perms[d], self._cursors[d]
-            if dedup and perm[cur] in taken_set:
-                j = cur + 1
-                while j < n and perm[j] in taken_set:
-                    j += 1
-                if j < n:
-                    perm[cur], perm[j] = perm[j], perm[cur]
-                    self.swaps += 1
-            taken.append(perm[cur])
-            taken_set.add(int(perm[cur]))
-            self._cursors[d] += 1
-        return np.array(taken, dtype=np.int64)
+        taken, swaps = loop_draw_domain(self, d)
+        self.swaps += swaps
+        return taken
+
+
+def loop_save_csv(dataset, path, partition="all"):
+    """Reference ``save_csv``: every cell formatted in a per-row loop."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(dataset.schema.header() + "\n")
+        for d, dd in enumerate(dataset.partitions[partition]):
+            for i in range(len(dd)):
+                row = [str(d), str(int(dd.labels[i]))]
+                row += [str(int(v)) for v in dd.features[i]]
+                fh.write(",".join(row) + "\n")
 
 
 def loop_load_csv(path, schema):
@@ -627,6 +649,92 @@ class TestSamplerMatchesLoop:
         assert loop.swaps > 0
 
 
+class TestDrawDomainMatchesLoop:
+    """From any cursor, each draw returns the reference loop's indices and
+    leaves its permutation, cursor and generator state."""
+
+    @pytest.mark.parametrize("quota", [1, 3, 8, 9, 16, 40])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 16, 33])
+    def test_grid(self, n, quota):
+        data = D.DomainData(np.arange(n).reshape(-1, 1), np.zeros(n))
+        for cursor in sorted({0, 1, n // 2, max(n - quota, 0), n - 1, n}):
+            seed = 1000 * n + quota + cursor
+            shipped = D.QuotaSampler([data], [quota], np.random.default_rng(seed))
+            loop = D.QuotaSampler([data], [quota], np.random.default_rng(seed))
+            shipped._cursors[0] = loop._cursors[0] = cursor
+            for _ in range(8):
+                got = shipped._draw_domain(0)
+                want, _ = loop_draw_domain(loop, 0)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                assert shipped._perms[0].dtype == loop._perms[0].dtype
+                np.testing.assert_array_equal(shipped._perms[0],
+                                              loop._perms[0])
+                assert shipped._cursors == loop._cursors
+                assert (shipped.rng.bit_generator.state
+                        == loop.rng.bit_generator.state)
+
+    def test_long_run_of_bumped_samples(self):
+        """The one sample left in the old permutation comes first in the
+        fresh one, so the loop bumps it once per head position before it
+        lands just past the head."""
+        n, quota = 300, 150
+        data = D.DomainData(np.arange(n).reshape(-1, 1), np.zeros(n))
+        rng = np.random.default_rng(5)
+        rng.permutation(n)  # the sampler's first permutation
+        first = rng.permutation(n)[0]  # the head of the fresh one
+        old = np.concatenate([np.delete(np.arange(n), first), [first]])
+        samplers = [D.QuotaSampler([data], [quota], np.random.default_rng(5))
+                    for _ in range(2)]
+        for sampler in samplers:
+            sampler._perms[0] = old.copy()
+            sampler._cursors[0] = n - 1
+        got = samplers[0]._draw_domain(0)
+        want, swaps = loop_draw_domain(samplers[1], 0)
+        assert swaps == quota - 1
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(samplers[0]._perms[0],
+                                      samplers[1]._perms[0])
+        assert samplers[1]._perms[0][quota - 1] == first
+
+
+class TestSaveCsvMatchesLoop:
+    """``save_csv`` writes the bytes of the per-row reference writer."""
+
+    def same_bytes(self, dataset, tmp_path, partition="all"):
+        D.save_csv(dataset, tmp_path / "shipped.csv", partition)
+        loop_save_csv(dataset, tmp_path / "loop.csv", partition)
+        got = (tmp_path / "shipped.csv").read_bytes()
+        assert got == (tmp_path / "loop.csv").read_bytes()
+        return got
+
+    def test_an_empty_domain(self, tmp_path):
+        ds = synthetic([20, 30, 25], seed=4)
+        parts = list(ds.partitions["all"])
+        parts[1] = D.DomainData.empty(ds.schema.num_fields)
+        self.same_bytes(D.DomainDataset(ds.schema, {"all": parts}), tmp_path)
+
+    def test_every_domain_empty(self, tmp_path):
+        ds = synthetic([20, 30], seed=4)
+        parts = [D.DomainData.empty(ds.schema.num_fields)] * 2
+        got = self.same_bytes(D.DomainDataset(ds.schema, {"all": parts}),
+                              tmp_path)
+        assert got.count(b"\n") == 1
+
+    def test_blocks8_shaped(self, tmp_path):
+        """Eight domains of 12,000 down to 600 rows, 16 fields, two-domain
+        affinity blocks; the train partition of its split too."""
+        affinity = [[1.0 if i == j else 0.8 if i // 2 == j // 2 else 0.0
+                     for j in range(8)] for i in range(8)]
+        sizes = [round(12_000 * 0.05 ** (k / 7)) for k in range(8)]
+        ds = D.synth_generate(D.AffinitySpec(8, affinity, np.zeros(8)),
+                              sizes, seed=3)
+        got = self.same_bytes(ds, tmp_path)
+        assert got.count(b"\n") == 1 + sum(sizes)
+        self.same_bytes(D.split(ds, (0.8, 0.1, 0.1), seed=3), tmp_path,
+                        "train")
+
+
 class TestSynthGenerate:
     def test_deterministic(self):
         spec = D.AffinitySpec(3, np.eye(3), np.full(3, 0.1))
@@ -661,6 +769,24 @@ class TestSynthGenerate:
             D.AffinitySpec(2, np.eye(2) * 2.0, np.zeros(2))
         with pytest.raises(ConfigError):
             D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.9]))
+
+    @pytest.mark.parametrize("affinity, noise, named", [
+        ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0], "affinity entries"),
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0], "affinity entries"),
+        ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0], "affinity entries"),
+        (np.eye(2), [np.nan, 0.1], "noise probabilities"),
+        (np.eye(2), [0.1, -np.inf], "noise probabilities"),
+    ])
+    def test_non_finite_spec_rejected(self, affinity, noise, named):
+        with pytest.raises(ConfigError, match=named):
+            D.AffinitySpec(2, affinity, noise)
+
+    @pytest.mark.parametrize("feature_noise", [np.nan, np.inf, -0.1])
+    def test_bad_feature_noise_rejected(self, feature_noise):
+        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
+        with pytest.raises(ConfigError, match="feature_noise must be"):
+            D.synth_generate(spec, [10, 10], seed=1,
+                             feature_noise=feature_noise)
 
     def test_identity_affinity_foreign_domains_uninformative(self):
         # train a linear probe on domain 0; foreign AUC must hover at chance

@@ -3,6 +3,7 @@ import pytest
 
 from ctrlab import metrics
 from ctrlab.errors import MetricError, UsageError
+from test_nn import MAX_SUBNORMAL
 
 
 def pairwise_auc(scores, labels):
@@ -46,6 +47,55 @@ def loop_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     rank_sum = loop_average_ranks(scores)[labels == 1.0].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def wrapper_logloss(scores, labels) -> float:
+    """Reference ``logloss`` arithmetic through np.clip and np.mean."""
+    scores, labels = metrics._check_pair(scores, labels)
+    p = np.clip(scores, metrics._CLAMP, 1.0 - metrics._CLAMP)
+    return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+
+
+def wrapper_report(scores_by_domain, labels_by_domain,
+                   overall="pooled") -> dict:
+    """Reference ``per_domain_report`` with the log-loss of
+    ``wrapper_logloss``."""
+    report = {"domains": {}, "overall_mode": overall}
+    for name in sorted(scores_by_domain):
+        s, y = scores_by_domain[name], labels_by_domain[name]
+        try:
+            report["domains"][name] = {
+                "auc": metrics.auc(s, y),
+                "logloss": wrapper_logloss(s, y),
+                "count": int(np.asarray(s).size),
+            }
+        except MetricError as exc:
+            raise MetricError(f"domain {name}: {exc}") from exc
+    if overall == "pooled":
+        all_s = np.concatenate([np.asarray(scores_by_domain[n], dtype=float)
+                                .ravel() for n in sorted(scores_by_domain)])
+        all_y = np.concatenate([np.asarray(labels_by_domain[n], dtype=float)
+                                .ravel() for n in sorted(labels_by_domain)])
+        report["overall_auc"] = metrics.auc(all_s, all_y)
+        report["overall_logloss"] = wrapper_logloss(all_s, all_y)
+    else:
+        vals = [report["domains"][n]["auc"] for n in report["domains"]]
+        report["overall_auc"] = float(np.mean(vals))
+        lls = [report["domains"][n]["logloss"] for n in report["domains"]]
+        report["overall_logloss"] = float(np.mean(lls))
+    return report
+
+
+def edge_scores(n: int, seed: int) -> np.ndarray:
+    """Scores in [0, 1] with signed zeros, subnormals, values on and past
+    the clamp, exact ones and ties."""
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    edges = np.array([0.0, -0.0, 5e-324, MAX_SUBNORMAL, 1e-8, 1e-7,
+                      1.0 - 1e-7, 1.0 - 1e-8, 1.0, 0.5, 0.5])
+    spots = rng.permutation(n)[:n // 2]
+    scores[spots] = np.resize(edges, spots.size)
+    return scores
 
 
 class TestAuc:
@@ -221,3 +271,50 @@ class TestAverageRanks:
             expected = loop_auc(scores, labels)
             got = metrics.auc(scores, labels)
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+class TestSameBitsAsWrapperExpressions:
+    """``logloss`` calls ufuncs directly, with the bits of the wrapper
+    expressions, alone and in a report, and the report's errors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 128, 5_000])
+    def test_logloss(self, n):
+        scores = edge_scores(n, n)
+        labels = two_class_labels(n, n) if n > 1 else np.array([1.0])
+        labels[::3] = np.where(labels[::3] == 0.0, -0.0, 1.0)
+        got = metrics.logloss(scores, labels)
+        assert np.isfinite(got)
+        assert np.float64(got).tobytes() == np.float64(
+            wrapper_logloss(scores, labels)).tobytes()
+
+    @pytest.mark.parametrize("overall", ["pooled", "mean"])
+    def test_report(self, overall):
+        scores = {str(d): edge_scores(n, d) for d, n in enumerate([2, 9, 400])}
+        labels = {str(d): two_class_labels(s.size, d + 7)
+                  for d, s in enumerate(scores.values())}
+        labels["1"][:4] = [-0.0, 1.0, -0.0, 1.0]
+        got = metrics.per_domain_report(scores, labels, overall=overall)
+        want = wrapper_report(scores, labels, overall=overall)
+        assert got == want
+        for key in ("overall_auc", "overall_logloss"):
+            assert np.float64(got[key]).tobytes() == np.float64(
+                want[key]).tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"scores": np.array([0.2, np.nan, 0.4])}, MetricError),
+        ({"scores": np.array([0.2, np.inf, 0.4])}, MetricError),
+        ({"labels": np.array([1.0, 2.0, 0.0])}, MetricError),
+        ({"labels": np.array([1.0, 1.0, 1.0])}, MetricError),
+        ({"scores": np.array([0.2, 0.4])}, UsageError),
+        ({"scores": np.array([]), "labels": np.array([])}, UsageError),
+    ])
+    def test_errors(self, bad, error):
+        scores = {"a": np.array([0.3, 0.6]), "b": np.array([0.1, 0.5, 0.9])}
+        labels = {"a": np.array([0.0, 1.0]), "b": np.array([1.0, 0.0, 1.0])}
+        scores["b"] = bad.get("scores", scores["b"])
+        labels["b"] = bad.get("labels", labels["b"])
+        with pytest.raises(error) as got:
+            metrics.per_domain_report(scores, labels)
+        with pytest.raises(error) as want:
+            wrapper_report(scores, labels)
+        assert str(got.value) == str(want.value)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ctrlab import nn
-from ctrlab.errors import ConfigError, MaskError, NumericError, UsageError
+from ctrlab.errors import (ConfigError, LabError, MaskError, NumericError,
+                           UsageError)
 
 
 def loop_masked_softmax(logits, mask):
@@ -20,6 +21,91 @@ def loop_activate_grad(tag, z, a):
     if tag == "sigmoid":
         return a * (1.0 - a)
     return np.ones_like(z)
+
+
+# The largest subnormal float64.
+MAX_SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0.0)
+# Signed zeros, the smallest and largest subnormals, infinities and NaN.
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, MAX_SUBNORMAL,
+                           np.inf, -np.inf, np.nan])
+
+
+def with_specials(shape, seed, values=SPECIAL_VALUES, scale=1.0, loc=0.0):
+    """Normal draws of ``shape`` with ``values`` written over a third of the
+    entries, each value at least once when the array is large enough."""
+    rng = np.random.default_rng(seed)
+    out = rng.normal(loc=loc, scale=scale, size=shape)
+    flat = out.reshape(-1)
+    spots = rng.permutation(flat.size)[:max(1, flat.size // 3)]
+    flat[spots] = np.resize(values, spots.size)
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bytes: NaN payloads and zero signs count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def wrapper_bce_loss(preds, labels):
+    """Reference ``bce_loss`` arithmetic through np.clip and np.mean."""
+    preds = np.asarray(preds, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    p = np.clip(preds, nn.CLAMP_EPS, 1.0 - nn.CLAMP_EPS)
+    loss = float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
+    grad = (p - labels) / (p * (1.0 - p)) / preds.size
+    return loss, grad
+
+
+def wrapper_mlp_backward(net, upstream):
+    """Reference ``Mlp.backward``: a linear layer's gradient multiplied by
+    np.ones_like(z), the bias gradient by ndarray.sum."""
+    da = np.asarray(upstream, dtype=np.float64)
+    for (x, z, a), w, b, act in zip(reversed(net._cache),
+                                    reversed(net.weights),
+                                    reversed(net.biases),
+                                    reversed(net.activations)):
+        if act == "relu":
+            dz = da * (z > 0.0)
+        elif act == "sigmoid":
+            dz = da * (a * (1.0 - a))
+        else:
+            dz = da * np.ones_like(z)
+        w.grad += dz.T @ x
+        b.grad += dz.sum(axis=0)
+        da = dz @ w.values
+    net._cache = None
+    return da
+
+
+def wrapper_masked_softmax(logits, mask):
+    """Reference ``masked_softmax``: the mask checked through np.all,
+    np.isneginf and np.flatnonzero, exp of a subtracted copy of the active
+    columns, and the row sums by ndarray.sum."""
+    logits = np.asarray(logits, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 1 or mask.shape[0] != logits.shape[-1]:
+        raise UsageError(f"mask of shape {mask.shape} does not match logits "
+                         f"{logits.shape}")
+    valid = mask == 0.0
+    if not np.all(valid | np.isneginf(mask)):
+        raise UsageError("mask entries must be 0 or -inf")
+    if not valid.any():
+        raise MaskError("degenerate mask: every position is masked")
+    active = np.flatnonzero(valid)
+    top = logits[..., active[0]].copy()
+    for k in active[1:]:
+        np.maximum(top, logits[..., k], out=top)
+    probs = np.zeros(logits.shape)
+    probs[..., active] = np.exp(logits[..., active] - top[..., None])
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def wrapper_softmax_backward(probs, dprobs):
+    """Reference ``softmax_backward`` with the row sums by ndarray.sum."""
+    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
+    return probs * (dprobs - inner)
 
 
 def loop_sgd_step(store, lr):
@@ -270,6 +356,102 @@ class TestSameBitsAsReferences:
             shipped = da * nn._activate_grad("relu", a, a)
             reference = da * loop_activate_grad("relu", z, np.maximum(z, 0.0))
         assert shipped.tobytes() == reference.tobytes()
+
+
+class TestSameBitsAsWrapperExpressions:
+    """Direct ufunc calls, the identity gradient left out and in-place
+    steps give the bits of the numpy-wrapper expressions they replace, on
+    inputs holding signed zeros, subnormals, infinities and NaN."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (128,), (1_000,), (7, 9)])
+    def test_bce_loss(self, shape):
+        near_clamp = np.array([1e-8, 1e-7, 0.9999999, 1.0 - 1e-8, 1.0, 0.5])
+        preds = with_specials(shape, 1, np.concatenate(
+            [SPECIAL_VALUES, near_clamp]), scale=0.3, loc=0.5)
+        labels = (np.random.default_rng(2).random(shape) < 0.5) * 1.0
+        labels.reshape(-1)[::7] = -0.0
+        with np.errstate(all="ignore"):
+            loss, grad = nn.bce_loss(preds, labels)
+            want_loss, want_grad = wrapper_bce_loss(preds, labels)
+        assert same_bits(np.float64(loss), np.float64(want_loss))
+        assert same_bits(grad, want_grad)
+
+    def test_bce_loss_of_finite_predictions_is_finite(self):
+        """With the specials only among finite, in-range predictions the
+        loss is a number, so the comparison above is not NaN against NaN."""
+        preds = np.array([0.0, -0.0, 5e-324, 1.0, 1e-8, 0.9999999, 0.25])
+        labels = np.array([0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 0.0])
+        loss, grad = nn.bce_loss(preds, labels)
+        want_loss, want_grad = wrapper_bce_loss(preds, labels)
+        assert np.isfinite(loss)
+        assert same_bits(np.float64(loss), np.float64(want_loss))
+        assert same_bits(grad, want_grad)
+
+    @pytest.mark.parametrize("dims,acts", [
+        ([6, 5, 4], ["relu", "linear"]),
+        ([4, 3, 1], ["relu", "sigmoid"]),
+        ([3, 4, 4, 2], ["sigmoid", "linear", "relu"]),
+    ])
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    def test_mlp_backward(self, dims, acts, rows):
+        """The linear layer's gradient passes through without ones_like,
+        and the bias gradient is np.add.reduce."""
+        x = with_specials((rows, dims[0]), 3)
+        upstream = with_specials((rows, dims[-1]), 4, scale=2.0)
+        shipped = make_mlp("m", dims, acts, seed=5)
+        reference = make_mlp("m", dims, acts, seed=5)
+        with np.errstate(all="ignore"):
+            shipped.forward(x)
+            reference.forward(x)
+            dx = shipped.backward(upstream)
+            want_dx = wrapper_mlp_backward(reference, upstream)
+        assert same_bits(dx, want_dx)
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same_bits(p.grad, q.grad), p.name
+
+    MASKS = {
+        "all active": np.zeros(8),
+        "five active": np.array([0.0, -np.inf, 0.0, 0.0, -np.inf, 0.0,
+                                 -np.inf, 0.0]),
+        "one active": np.array([-np.inf] * 7 + [0.0]),
+    }
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (2, 8), (130, 8)])
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_masked_softmax_and_backward(self, shape, mask):
+        logits = with_specials(shape, 7, scale=3.0)
+        dprobs = with_specials(shape, 8)
+        mask = self.MASKS[mask]
+        with np.errstate(all="ignore"):
+            probs = nn.masked_softmax(logits, mask)
+            want = wrapper_masked_softmax(logits, mask)
+            dlogits = nn.softmax_backward(probs, dprobs)
+            want_dlogits = wrapper_softmax_backward(want, dprobs)
+        assert same_bits(probs, want)
+        assert same_bits(dlogits, want_dlogits)
+
+    def test_masked_softmax_of_finite_logits_is_finite(self):
+        """Signed zeros and subnormals only: a NaN-free case of the above."""
+        logits = with_specials((50, 8), 9, SPECIAL_VALUES[:5])
+        dprobs = with_specials((50, 8), 10, SPECIAL_VALUES[:5])
+        mask = self.MASKS["five active"]
+        probs = nn.masked_softmax(logits, mask)
+        assert np.isfinite(probs).all()
+        assert same_bits(probs, wrapper_masked_softmax(logits, mask))
+        assert same_bits(nn.softmax_backward(probs, dprobs),
+                         wrapper_softmax_backward(probs, dprobs))
+
+    @pytest.mark.parametrize("mask", [
+        [0.0, np.nan], [0.0, np.inf], [-np.inf, -np.inf], [0.0, -1.0],
+        [[0.0, 0.0]], [0.0]])
+    def test_masked_softmax_errors(self, mask):
+        logits = np.zeros((3, 2))
+        with pytest.raises(LabError) as got:
+            nn.masked_softmax(logits, np.array(mask))
+        with pytest.raises(LabError) as want:
+            wrapper_masked_softmax(logits, np.array(mask))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestSoftmaxBackward:

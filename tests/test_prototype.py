@@ -6,6 +6,7 @@ import pytest
 from ctrlab import nn
 from ctrlab import prototype as proto
 from ctrlab.errors import ConfigError, UsageError
+from test_nn import SPECIAL_VALUES, same_bits, with_specials
 
 
 def oracle_domain_distance(a, b):
@@ -27,6 +28,46 @@ def loop_distance_matrix(protosets):
         for j in range(d):
             out[i, j] = proto.domain_distance(protosets[i], protosets[j])
     return out
+
+
+def wrapper_domain_distance(a, b):
+    """Reference ``domain_distance`` through ndarray.sum and np.mean."""
+    a, b = proto._protoset(a), proto._protoset(b)
+    proto._check_dims(a, b)
+    diff = a[:, None, :] - b[None, :, :]
+    sq = (diff * diff).sum(axis=2)
+    return float(np.mean(np.sqrt(sq.min(axis=1))))
+
+
+def wrapper_reconstruction(coder, h):
+    """Reference ``ProtoCoder.reconstruction``: a new array per step and
+    the loss by ndarray.sum."""
+    h = coder._check_batch(h)
+    order = proto._sort_order(h)
+    hs = h[order]
+    p = coder.enc_w.values @ hs + coder.enc_b.values[:, None]
+    h_hat = coder.dec_w.values @ p + coder.dec_b.values[:, None]
+    diff = hs - h_hat
+    loss = float((diff * diff).sum())
+    coder._cache = {"order": order, "hs": hs, "p": p, "diff": diff}
+    return loss, p
+
+
+def wrapper_proto_backward(coder, scale=1.0):
+    """Reference ``ProtoCoder.backward`` with the bias sums by
+    ndarray.sum."""
+    c, coder._cache = coder._cache, None
+    order, hs, p, diff = c["order"], c["hs"], c["p"], c["diff"]
+    dh_hat = -2.0 * diff * scale
+    coder.dec_w.grad += dh_hat @ p.T
+    coder.dec_b.grad += dh_hat.sum(axis=1)
+    dp = coder.dec_w.values.T @ dh_hat
+    coder.enc_w.grad += dp @ hs.T
+    coder.enc_b.grad += dp.sum(axis=1)
+    dhs = coder.enc_w.values.T @ dp + 2.0 * diff * scale
+    dh = np.empty_like(dhs)
+    dh[order] = dhs
+    return dh
 
 
 def make_coder(batch=6, protos=2, domain=0, seed=0):
@@ -354,3 +395,52 @@ class TestDistanceCsv:
         parsed = np.array([[float(v) for v in line.split(",")[1:]]
                            for line in lines[1:]])
         np.testing.assert_array_equal(parsed, m)
+
+
+class TestSameBitsAsWrapperExpressions:
+    """Direct ufunc calls give the bits of the expressions they replace,
+    on inputs holding signed zeros, subnormals and, where the arithmetic
+    allows, infinities and NaN."""
+
+    @pytest.mark.parametrize("specials", ["finite", "all"])
+    @pytest.mark.parametrize("batch, dim", [(1, 1), (2, 3), (16, 8), (64, 9)])
+    def test_reconstruction_and_backward(self, batch, dim, specials):
+        values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
+        # Magnitudes far apart, so adding the squares in another order
+        # would round differently.
+        h = with_specials((batch, dim), batch + dim, values) * np.logspace(
+            -3, 3, dim)
+        coders = [make_coder(batch=batch, protos=3, seed=4) for _ in range(2)]
+        for coder in coders:
+            for p in coder.params():
+                p.values[...] = with_specials(p.values.shape, p.values.size,
+                                              SPECIAL_VALUES[:5])
+        with np.errstate(all="ignore"):
+            encoded = coders[0].encode(h)
+            loss, p = coders[0].reconstruction(h)
+            dh = coders[0].backward(scale=0.25)
+            want_loss, want_p = wrapper_reconstruction(coders[1], h)
+            want_dh = wrapper_proto_backward(coders[1], scale=0.25)
+        assert same_bits(np.float64(loss), np.float64(want_loss))
+        assert same_bits(p, want_p)
+        assert same_bits(encoded, want_p)
+        assert same_bits(dh, want_dh)
+        for a, b in zip(coders[0].params(), coders[1].params()):
+            assert same_bits(a.grad, b.grad), a.name
+        if specials == "finite":
+            assert np.isfinite(loss) and np.isfinite(dh).all()
+
+    @pytest.mark.parametrize("specials", ["finite", "all"])
+    def test_distances(self, specials):
+        values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
+        rng = np.random.default_rng(3)
+        sets = [with_specials((int(m), 6), i, values, scale=10.0)
+                for i, m in enumerate(rng.integers(1, 14, size=5))]
+        with np.errstate(all="ignore"):
+            want = np.array([[wrapper_domain_distance(a, b) for b in sets]
+                             for a in sets])
+            got = proto.distance_matrix(sets)
+            pairs = np.array([[proto.domain_distance(a, b) for b in sets]
+                              for a in sets])
+        assert same_bits(got, want)
+        assert same_bits(pairs, want)
