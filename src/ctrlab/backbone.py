@@ -148,10 +148,11 @@ class Backbone:
 
     # ------------------------------------------------------------- full pass
 
-    def forward_domain(self, features: np.ndarray, d: int,
-                       masks: np.ndarray | None = None, cache: bool = True):
+    def forward_domain(self, features: np.ndarray, d: int, masks: np.ndarray,
+                       cache: bool = True):
         """Predictions and mixed representation for one domain's batch.
 
+        Row d of ``masks`` is the domain's additive mask (``build_mask``).
         Experts masked out for domain d are never evaluated; their mixing
         weight is exactly zero by masked-softmax construction. Without
         ``cache`` nothing is kept for ``backward_domain`` and the returned
@@ -159,8 +160,7 @@ class Backbone:
         """
         if not 0 <= d < self.num_domains:
             raise UsageError(f"domain {d} outside [0, {self.num_domains})")
-        mask = (np.zeros(self.num_experts) if masks is None
-                else np.asarray(masks[d], dtype=np.float64))
+        mask = np.asarray(masks[d], dtype=np.float64)
         features = feature_indices(features)
         x = self.embed(features)
         active = (mask == 0.0).nonzero()[0].tolist()
@@ -181,7 +181,7 @@ class Backbone:
         return preds, h
 
     def predict(self, features: np.ndarray, d: int,
-                masks: np.ndarray | None = None) -> np.ndarray:
+                masks: np.ndarray) -> np.ndarray:
         """Forward only; no caches touched."""
         preds, _ = self.forward_domain(features, d, masks, cache=False)
         return preds

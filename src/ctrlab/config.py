@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,11 @@ __all__ = ["RunConfig", "MODES", "load_dataset"]
 
 MODES = ("sdsp", "full-share", "fixed-subset")
 OVERALL_METRICS = ("pooled", "mean")
+# synth_generate's options, which a synthetic spec may set.
+SYNTH_OPTIONS = ("fields_per_concept", "vocab_size", "feature_noise")
+# The keys beside "kind" that each dataset kind requires, then may set.
+DATASET_KEYS = {"synth": (("affinity", "noise", "sizes"), SYNTH_OPTIONS),
+                "csv": (("path", "schema"), ())}
 
 
 def _as_float(value, name: str) -> float:
@@ -49,6 +55,21 @@ def _as_list(value, name: str) -> list:
             isinstance(value, np.ndarray) and value.ndim >= 1):
         return list(value)
     raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
+def _synth_options(spec: dict) -> dict:
+    """The synthetic spec's options, as ``synth_generate`` keywords."""
+    return {key: spec[key] for key in SYNTH_OPTIONS if key in spec}
+
+
+def _plain(value):
+    """``value`` with each numpy array or number in it, at any depth of
+    lists and tuples, replaced by the equal Python value."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 @dataclass
@@ -136,11 +157,9 @@ class RunConfig:
         if self.overall_metric not in OVERALL_METRICS:
             raise ConfigError(
                 f"overall_metric must be one of {OVERALL_METRICS}")
-        fractions = _as_list(self.split_fractions, "split_fractions")
-        if len(fractions) != 3:
-            raise ConfigError("split_fractions needs 3 entries")
-        self.split_fractions = [_as_float(f, f"split_fractions[{i}]")
-                                for i, f in enumerate(fractions)]
+        self.split_fractions = data_mod.check_fractions(
+            [_as_float(f, f"split_fractions[{i}]") for i, f in
+             enumerate(_as_list(self.split_fractions, "split_fractions"))])
         if self.mode == "fixed-subset":
             if self.fixed_subsets is None:
                 raise ConfigError("fixed-subset mode requires fixed_subsets")
@@ -165,13 +184,22 @@ class RunConfig:
         self._validate_dataset()
 
     def _validate_dataset(self):
+        """Check the dataset spec by its consumers' rules, and store its
+        numpy values and paths as the equal JSON values."""
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError('dataset must be an object with a "kind" key')
         kind = self.dataset["kind"]
+        if not isinstance(kind, str) or kind not in DATASET_KEYS:
+            raise ConfigError(f'dataset kind must be "synth" or "csv", '
+                              f'got {kind!r}')
+        required, optional = DATASET_KEYS[kind]
+        for key in required:
+            if key not in self.dataset:
+                raise ConfigError(f"{kind} dataset needs {key!r}")
+        for key in self.dataset:
+            if key not in ("kind",) + required + optional:
+                raise ConfigError(f"{kind} dataset has unknown key {key!r}")
         if kind == "synth":
-            for key in ("affinity", "noise", "sizes"):
-                if key not in self.dataset:
-                    raise ConfigError(f"synthetic dataset needs {key!r}")
             rows = [_as_list(row, f"dataset affinity[{i}]") for i, row in
                     enumerate(_as_list(self.dataset["affinity"],
                                        "dataset affinity"))]
@@ -198,14 +226,21 @@ class RunConfig:
             for key in ("fields_per_concept", "vocab_size"):
                 if key in self.dataset:
                     checked[key] = as_int(self.dataset[key], f"dataset {key}")
-            self.dataset = {**self.dataset, **checked}
-        elif kind == "csv":
-            for key in ("path", "schema"):
-                if key not in self.dataset:
-                    raise ConfigError(f"csv dataset needs {key!r}")
+            for key in ("affinity", "noise", "feature_noise"):
+                if key in self.dataset:
+                    checked[key] = _plain(self.dataset[key])
+            data_mod.check_synth_options(**_synth_options(
+                {**self.dataset, **checked}))
         else:
-            raise ConfigError(f'dataset kind must be "synth" or "csv", '
-                              f'got {kind!r}')
+            checked = {}
+            for key in required:
+                value = self.dataset[key]
+                checked[key] = (os.fspath(value)
+                                if isinstance(value, os.PathLike) else value)
+                if not isinstance(checked[key], str):
+                    raise ConfigError(f"dataset {key} must be a str or "
+                                      f"os.PathLike, got {value!r}")
+        self.dataset = {**self.dataset, **checked}
 
     # ------------------------------------------------------------ round trip
 
@@ -260,15 +295,10 @@ def load_dataset(config: RunConfig) -> data_mod.DomainDataset:
     """Materialize the unsplit dataset named by the config."""
     ds_cfg = config.dataset
     if ds_cfg["kind"] == "synth":
-        spec = data_mod.AffinitySpec(
-            domains=config.domains,
-            affinity=np.asarray(ds_cfg["affinity"], dtype=float),
-            noise=np.asarray(ds_cfg["noise"], dtype=float))
-        return data_mod.synth_generate(
-            spec, ds_cfg["sizes"], seed=config.seed,
-            fields_per_concept=ds_cfg.get("fields_per_concept", 2),
-            vocab_size=ds_cfg.get("vocab_size", 16),
-            feature_noise=float(ds_cfg.get("feature_noise", 0.3)))
+        spec = data_mod.AffinitySpec(config.domains, ds_cfg["affinity"],
+                                     ds_cfg["noise"])
+        return data_mod.synth_generate(spec, ds_cfg["sizes"], seed=config.seed,
+                                       **_synth_options(ds_cfg))
     schema = data_mod.Schema.load(ds_cfg["schema"])
     if schema.domains != config.domains:
         raise ConfigError(

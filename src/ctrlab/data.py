@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .errors import (ConfigError, DataError, InvariantError, SchemaError,
                      SplitError, UsageError)
 
 __all__ = [
-    "FeatureField", "Schema", "Sample", "DomainData", "DomainDataset",
+    "FeatureField", "Schema", "DomainData", "DomainDataset",
     "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
-    "as_int",
+    "as_int", "check_fractions", "check_synth_options",
 ]
 
 log = logging.getLogger(__name__)
@@ -120,13 +120,6 @@ class Schema:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-
-@dataclass(frozen=True)
-class Sample:
-    domain: int
-    label: int
-    features: tuple
 
 
 def feature_indices(features) -> np.ndarray:
@@ -222,12 +215,10 @@ class DomainDataset:
     def domain(self, partition: str, d: int) -> DomainData:
         return self.partitions[partition][d]
 
-    def counts(self, partition: str) -> list:
-        return [len(dd) for dd in self.partitions[partition]]
 
-
-def parse_row(line: str, schema: Schema, line_no: int) -> Sample | None:
-    """One CSV data row to a Sample; None if structurally malformed."""
+def parse_row(line: str, schema: Schema, line_no: int) -> tuple | None:
+    """One CSV data row's ints as the tuple (domain, label, *features);
+    None if structurally malformed."""
     parts = line.rstrip("\n").split(",")
     if len(parts) != 2 + schema.num_fields:
         return None
@@ -246,7 +237,7 @@ def parse_row(line: str, schema: Schema, line_no: int) -> Sample | None:
             raise DataError(
                 f"line {line_no}: field {f.name!r} index {v} outside "
                 f"[0, {f.vocab_size})")
-    return Sample(domain, label, tuple(feats))
+    return tuple(values)
 
 
 def load_csv(path, schema: Schema) -> DomainDataset:
@@ -352,11 +343,11 @@ def _parse_chunk(lines: list, schema: Schema, first_line_no: int,
         line = lines[i]
         if not line.strip():
             continue
-        sample = parse_row(line, schema, first_line_no + i)
-        if sample is None:
+        row = parse_row(line, schema, first_line_no + i)
+        if row is None:
             malformed += 1
             continue
-        rows[i] = (sample.domain, sample.label) + sample.features
+        rows[i] = row
         valid[i] = True
     if stop < len(lines):
         parse_row(lines[stop], schema, first_line_no + stop)
@@ -436,19 +427,27 @@ def equal_quotas(batch_size: int, domains: int) -> list:
     return _largest_remainder(batch_size, np.ones(domains))
 
 
+def check_fractions(fractions) -> list:
+    """``split``'s rule: the train/val/test fractions as floats, if there
+    are 3 of them, none negative, summing to 1; else ConfigError."""
+    fractions = [float(f) for f in fractions]
+    if len(fractions) != 3:
+        raise ConfigError(
+            f"split_fractions needs 3 entries, got {len(fractions)}")
+    # Written so that a NaN sum fails too.
+    if min(fractions) < 0 or not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise ConfigError(
+            f"split_fractions must be >= 0 and sum to 1, got {fractions}")
+    return fractions
+
+
 def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
     """Per-domain random split of partition "all" into train/val/test.
 
     Every domain needs at least 3 samples, and each positive-fraction
     partition receives at least one sample per domain.
     """
-    fractions = [float(f) for f in fractions]
-    if len(fractions) != 3:
-        raise ConfigError(f"need 3 fractions, got {len(fractions)}")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be >= 0 and sum to 1: {fractions}")
-    if all(f == 0 for f in fractions):
-        raise ConfigError("at least one fraction must be positive")
+    fractions = check_fractions(fractions)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = {name: [] for name in PARTITIONS}
     for d, dd in enumerate(dataset.partitions["all"]):
@@ -571,6 +570,18 @@ def _move_tail_samples_back(perm: np.ndarray, tail: np.ndarray,
     perm[hop[start]] = bumped
 
 
+def check_synth_options(fields_per_concept: int = 2, vocab_size: int = 16,
+                        feature_noise: float = 0.3) -> None:
+    """``synth_generate``'s rule for its options, which default as there;
+    ConfigError unless fields_per_concept >= 1, vocab_size >= 2 and
+    feature_noise is a finite number >= 0."""
+    if fields_per_concept < 1 or vocab_size < 2:
+        raise ConfigError("need fields_per_concept >= 1 and vocab_size >= 2")
+    if not 0 <= feature_noise < np.inf:
+        raise ConfigError(
+            f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
+
+
 def synth_generate(spec: AffinitySpec, sizes, seed: int,
                    fields_per_concept: int = 2, vocab_size: int = 16,
                    feature_noise: float = 0.3) -> DomainDataset:
@@ -584,11 +595,7 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     """
     if len(sizes) != spec.domains:
         raise ConfigError(f"{len(sizes)} sizes for {spec.domains} domains")
-    if fields_per_concept < 1 or vocab_size < 2:
-        raise ConfigError("need fields_per_concept >= 1 and vocab_size >= 2")
-    if not 0 <= feature_noise < np.inf:
-        raise ConfigError(
-            f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
+    check_synth_options(fields_per_concept, vocab_size, feature_noise)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d_count = spec.domains
     fields = tuple(FeatureField(f"c{k}r{r}", vocab_size)

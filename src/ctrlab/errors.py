@@ -18,10 +18,6 @@ class UsageError(LabError):
     category = "usage"
 
 
-class GuardRailError(UsageError):
-    category = "guardrail"
-
-
 class DataError(LabError):
     category = "data"
 

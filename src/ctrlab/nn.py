@@ -5,8 +5,7 @@ numpy ``Generator``, gradients accumulate in place, and no global random
 state is ever touched. A ``ParamStore`` packs a run's parameters into one
 flat values array and one flat gradient array, so the SGD step is one
 array operation over all of them. There is no autograd here on purpose;
-the finite-difference helper at the bottom is the independent check that
-the manual gradients are right.
+the tests check the manual gradients against central finite differences.
 """
 
 import numpy as np
@@ -269,24 +268,3 @@ def sgd_step(store: ParamStore, lr: float) -> None:
         raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
     store.values -= lr * store.grad
     store.grad[...] = 0.0
-
-
-def numeric_gradient(f, values: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar f w.r.t. every entry of ``values``.
-
-    Mutates ``values`` in place during probing and restores it; used as the
-    independent oracle against the hand-written backward passes.
-    """
-    grad = np.zeros_like(values)
-    it = np.nditer(values, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = values[idx]
-        values[idx] = orig + eps
-        up = f()
-        values[idx] = orig - eps
-        down = f()
-        values[idx] = orig
-        grad[idx] = (up - down) / (2.0 * eps)
-        it.iternext()
-    return grad

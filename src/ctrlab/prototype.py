@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ConfigError, UsageError
 from .nn import Param, uniform_init
 
-__all__ = ["ProtoCoder", "domain_distance", "distance_matrix",
-           "rank_domains", "distance_round", "save_distance_csv"]
+__all__ = ["ProtoCoder", "distance_matrix", "rank_domains",
+           "distance_round", "save_distance_csv"]
 
 
 def _sort_order(h: np.ndarray) -> np.ndarray:
@@ -125,24 +125,16 @@ def _check_dims(protos_a: np.ndarray, protos_b: np.ndarray) -> None:
             f"dim mismatch: {protos_a.shape[1]} vs {protos_b.shape[1]}")
 
 
-def domain_distance(protos_a: np.ndarray, protos_b: np.ndarray) -> float:
-    """Mean over source prototypes of the nearest-target-prototype distance."""
-    protos_a, protos_b = _protoset(protos_a), _protoset(protos_b)
-    _check_dims(protos_a, protos_b)
-    diff = protos_a[:, None, :] - protos_b[None, :, :]
-    sq = np.add.reduce(diff * diff, axis=2)
-    nearest = np.sqrt(sq.min(axis=1))
-    return float(np.add.reduce(nearest) / nearest.size)
-
-
 def distance_matrix(protosets: list) -> np.ndarray:
-    """All ordered domain pairs; entry (i, j) = distance from i to j.
+    """All ordered domain pairs; entry (i, j) = distance from i to j, the
+    mean over i's prototypes of the L2 distance to j's nearest prototype.
 
     One pass per source domain against every target's prototypes stacked:
-    each squared distance is summed over the same contiguous axis as in
-    ``domain_distance``, the nearest target prototype is a minimum over
-    that target's block of columns, and the mean runs over a contiguous
-    row, so every entry has ``domain_distance``'s bits.
+    each squared distance is summed over the contiguous feature axis, the
+    nearest target prototype is a minimum over that target's block of
+    columns, and the mean runs over a contiguous row, so every entry has
+    the bits of the per-pair expression kept as ``domain_distance`` in
+    ``tests/test_prototype.py``.
     """
     d = len(protosets)
     if d < 2:

@@ -63,10 +63,6 @@ class ValueTable:
         entry = self._tables[d].get(canonical(subset))
         return None if entry is None else entry[0]
 
-    def count(self, d: int, subset) -> int:
-        entry = self._tables[d].get(canonical(subset))
-        return 0 if entry is None else entry[1]
-
     def snapshot(self) -> list:
         """JSON-friendly dump: per domain, {subset string: [value, count]}."""
         return [{",".join(map(str, k)): [v, c] for k, (v, c) in t.items()}

@@ -172,11 +172,9 @@ class _Run:
             preds, h = self.backbone.forward_domain(feats, d, self.masks)
             l_ctr, dpreds = nn.bce_loss(preds, labels)
             l_rec, _ = self.coders[d].reconstruction(h)
-            if gamma > 0.0:
-                dh = self.coders[d].backward(scale=gamma)
-            else:
-                dh = None
-                self.coders[d]._cache = None
+            # With gamma 0 the coder's cache stays until the next
+            # reconstruction replaces it.
+            dh = self.coders[d].backward(scale=gamma) if gamma > 0.0 else None
             self.backbone.backward_domain(d, dpreds, dh_extra=dh)
             total_ctr += l_ctr
             total_rec += l_rec

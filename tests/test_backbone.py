@@ -4,14 +4,20 @@ import pytest
 from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
 from ctrlab.errors import ConfigError, DataError, InvariantError, UsageError
-from test_nn import (SPECIAL_VALUES, same_bits, with_specials,
-                     wrapper_mlp_backward, wrapper_softmax_backward)
+from test_nn import (SPECIAL_VALUES, numeric_gradient, same_bits,
+                     with_specials, wrapper_mlp_backward,
+                     wrapper_softmax_backward)
 
 
 def small_net(seed=0, vocab=(5, 7), embed_dim=2, expert_counts=(1, 1, 1),
               expert_hidden=4, repr_dim=3, tower_hidden=4):
     return Backbone(vocab, embed_dim, expert_counts, expert_hidden,
                     repr_dim, tower_hidden, np.random.default_rng(seed))
+
+
+def unmasked(net):
+    """All-zero masks: every domain mixes every expert."""
+    return np.zeros((net.num_domains, net.num_experts))
 
 
 def rand_features(net, n, seed=1):
@@ -194,7 +200,8 @@ class TestEmbed:
             rng = np.random.default_rng(8)
             outs = []
             for d in (0, 1):
-                preds, _ = net.forward_domain(rand_features(net, 64, d), d)
+                preds, _ = net.forward_domain(rand_features(net, 64, d), d,
+                                              unmasked(net))
                 net.backward_domain(d, rng.normal(size=preds.shape))
                 outs.append(preds.tobytes())
             grads = b"".join(p.grad.tobytes() for p in net.params())
@@ -214,7 +221,8 @@ class TestEmbed:
             rng = np.random.default_rng(8)
             net.embedding.grad[...] = rng.normal(size=net.embedding.grad.shape)
             for d in (0, 1):
-                preds, _ = net.forward_domain(rand_features(net, 64, d), d)
+                preds, _ = net.forward_domain(rand_features(net, 64, d), d,
+                                              unmasked(net))
                 net.backward_domain(d, rng.normal(size=preds.shape))
             return net.embedding.grad.tobytes()
 
@@ -228,14 +236,16 @@ class TestEmbed:
         feats[0] = feats[1]  # force index collision to exercise accumulation
         labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
+        masks = unmasked(net)
+
         def loss():
-            preds, _ = net.forward_domain(feats, 0, cache=False)
+            preds, _ = net.forward_domain(feats, 0, masks, cache=False)
             return nn.bce_loss(preds, labels)[0]
 
-        preds, _ = net.forward_domain(feats, 0)
+        preds, _ = net.forward_domain(feats, 0, masks)
         _, dpreds = nn.bce_loss(preds, labels)
         net.backward_domain(0, dpreds)
-        fd = nn.numeric_gradient(loss, net.embedding.values)
+        fd = numeric_gradient(loss, net.embedding.values)
         assert relative_error(net.embedding.grad, fd) < 1e-4
 
 
@@ -273,7 +283,8 @@ class TestMaskedForward:
         feats = rand_features(net, 5)
         masks = build_mask([{0, 1, 2}] * 3, net.expert_counts)
         for d in range(3):
-            a, ha = net.forward_domain(feats, d, masks=None, cache=False)
+            a, ha = net.forward_domain(feats, d, masks=unmasked(net),
+                                       cache=False)
             b, hb = net.forward_domain(feats, d, masks=masks, cache=False)
             assert np.array_equal(a, b)
             assert np.array_equal(ha, hb)
@@ -377,12 +388,12 @@ class TestPredict:
         net = small_net()
         for p in net.towers[0].params():
             p.values[...] = 0.0
-        preds = net.predict(rand_features(net, 3), 0)
+        preds = net.predict(rand_features(net, 3), 0, unmasked(net))
         np.testing.assert_allclose(preds, [0.5, 0.5, 0.5])
 
     def test_open_interval(self):
         net = small_net(seed=12)
-        preds = net.predict(rand_features(net, 20), 2)
+        preds = net.predict(rand_features(net, 20), 2, unmasked(net))
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
 
     def test_end_to_end_gradients_match_finite_differences(self):
@@ -403,7 +414,7 @@ class TestPredict:
         for p in net.params():
             if np.all(p.grad == 0.0):
                 continue  # masked or unused parameters carry no gradient
-            fd = nn.numeric_gradient(loss, p.values)
+            fd = numeric_gradient(loss, p.values)
             assert relative_error(p.grad, fd) < 1e-4, p.name
             checked += 1
         assert checked >= 8
@@ -417,7 +428,7 @@ class TestBackwardDiscipline:
 
     def test_backward_wrong_domain(self):
         net = small_net()
-        net.forward_domain(rand_features(net, 3), 1)
+        net.forward_domain(rand_features(net, 3), 1, unmasked(net))
         with pytest.raises(UsageError):
             net.backward_domain(0, np.zeros(3))
 

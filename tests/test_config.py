@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError
 
 
+SYNTH = {"kind": "synth", "affinity": [[1.0, 0.5], [0.5, 1.0]],
+         "noise": [0.1, 0.1], "sizes": [50, 50]}
+
+
 def raw_config(**changes) -> dict:
     raw = {
         "domains": 2,
-        "dataset": {"kind": "synth", "affinity": [[1.0, 0.5], [0.5, 1.0]],
-                    "noise": [0.1, 0.1], "sizes": [50, 50]},
+        "dataset": dict(SYNTH),
         "seed": 3, "mode": "sdsp", "batch_size": 8, "learning_rate": 0.5,
     }
     raw.update(changes)
@@ -92,6 +97,12 @@ class TestRunConfig:
          "learning_rate must be a finite number, got '0.1'"),
         ({"split_fractions": ["a", 0.1, 0.1]},
          "split_fractions[0] must be a finite number, got 'a'"),
+        ({"split_fractions": [0.5, 0.5]},
+         "split_fractions needs 3 entries, got 2"),
+        ({"split_fractions": [0.5, 0.5, 0.5]},
+         "split_fractions must be >= 0 and sum to 1, got [0.5, 0.5, 0.5]"),
+        ({"split_fractions": [-0.1, 0.6, 0.5]},
+         "split_fractions must be >= 0 and sum to 1, got [-0.1, 0.6, 0.5]"),
     ])
     def test_non_integer_fields_rejected(self, changes, named):
         """A malformed or out-of-range number fails with a ConfigError that
@@ -150,6 +161,12 @@ class TestRunConfig:
          "dataset affinity[1] must be a list, got 0.5"),
         ("affinity", 1.0, "dataset affinity must be a list, got 1.0"),
         ("affinity", [[1.0, 0.5]], "affinity must be 2x2"),
+        ("fields_per_concept", 0,
+         "need fields_per_concept >= 1 and vocab_size >= 2"),
+        ("vocab_size", 1, "need fields_per_concept >= 1 and vocab_size >= 2"),
+        ("feature_noise", -1.0,
+         "feature_noise must be a finite number >= 0, got -1.0"),
+        ("feature_nosie", 0.1, "synth dataset has unknown key 'feature_nosie'"),
     ])
     def test_malformed_synth_entries_rejected(self, key, value, named):
         raw = raw_config()
@@ -157,6 +174,41 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict(raw)
         assert str(err.value) == named
+
+    @pytest.mark.parametrize("dataset, named", [
+        ({"kind": "csv", "path": 3, "schema": "s.json"},
+         "dataset path must be a str or os.PathLike, got 3"),
+        ({"kind": "csv", "path": "d.csv", "schema": b"s.json"},
+         "dataset schema must be a str or os.PathLike, got b's.json'"),
+        ({"kind": "csv", "path": "d.csv", "schema": "s.json", "sizes": [9]},
+         "csv dataset has unknown key 'sizes'"),
+        ({"kind": ["csv"]}, 'dataset kind must be "synth" or "csv", '
+                            "got ['csv']"),
+    ], ids=["int path", "bytes schema", "synth key in csv", "list kind"])
+    def test_malformed_dataset_rejected(self, dataset, named):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw_config(dataset=dataset))
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("dataset, plain", [
+        (dict(SYNTH, affinity=np.array([[1.0, 0.5], [0.5, 1.0]])),
+         dict(SYNTH, affinity=[[1.0, 0.5], [0.5, 1.0]])),
+        (dict(SYNTH, affinity=[np.array([1.0, 0.5]), [np.float32(0.5), 1]]),
+         dict(SYNTH, affinity=[[1.0, 0.5], [0.5, 1]])),
+        (dict(SYNTH, noise=np.array([0.1, 0.1])), dict(SYNTH, noise=[0.1, 0.1])),
+        (dict(SYNTH, feature_noise=np.float32(0.3)),
+         dict(SYNTH, feature_noise=float(np.float32(0.3)))),
+        ({"kind": "csv", "path": Path("d.csv"), "schema": Path("s.json")},
+         {"kind": "csv", "path": "d.csv", "schema": "s.json"}),
+    ], ids=["array affinity", "array row and float32 entry", "array noise",
+            "float32 feature_noise", "Path path and schema"])
+    def test_dataset_values_are_stored_as_json_values(self, dataset, plain):
+        """A numpy value or path in the dataset spec is stored as the equal
+        JSON value, so the config hashes like the spec written with it."""
+        cfg = RunConfig.from_dict(raw_config(dataset=dataset))
+        want = RunConfig.from_dict(raw_config(dataset=plain))
+        assert cfg.dataset == want.dataset
+        assert cfg.config_hash() == want.config_hash()
 
     def test_synth_values_are_stored_as_given(self):
         """The synthetic spec is checked, not rewritten: ints stay ints, so

@@ -97,6 +97,11 @@ def loop_save_csv(dataset, path, partition="all"):
                 fh.write(",".join(row) + "\n")
 
 
+def counts(ds, partition):
+    """Rows per domain in one partition."""
+    return [len(dd) for dd in ds.partitions[partition]]
+
+
 def loop_load_csv(path, schema):
     """Reference loader: parses the CSV line by line through ``parse_row``
     and builds each domain's arrays from per-row tuples."""
@@ -115,12 +120,13 @@ def loop_load_csv(path, schema):
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            sample = D.parse_row(line, schema, line_no)
-            if sample is None:
+            row = D.parse_row(line, schema, line_no)
+            if row is None:
                 malformed += 1
                 continue
-            feats_by_domain[sample.domain].append(sample.features)
-            labels_by_domain[sample.domain].append(sample.label)
+            domain, label, *features = row
+            feats_by_domain[domain].append(features)
+            labels_by_domain[domain].append(label)
     if malformed:
         D.log.warning("%s: skipped %d malformed row(s)", path, malformed)
     datas = []
@@ -211,8 +217,7 @@ class TestDomainData:
 class TestParseRow:
     def test_direct_parse(self):
         s = two_field_schema()
-        sample = D.parse_row("1,1,4,17", s, line_no=2)
-        assert sample == D.Sample(domain=1, label=1, features=(4, 17))
+        assert D.parse_row("1,1,4,17", s, line_no=2) == (1, 1, 4, 17)
 
     def test_wrong_column_count_is_malformed(self):
         assert D.parse_row("1,1,4", two_field_schema(), 2) is None
@@ -243,7 +248,7 @@ class TestCsvIO:
         path = tmp_path / "empty.csv"
         path.write_text(s.header() + "\n")
         ds = D.load_csv(path, s)
-        assert ds.counts("all") == [0, 0]
+        assert counts(ds, "all") == [0, 0]
         assert ds.malformed == 0
 
     def test_header_mismatch(self, tmp_path):
@@ -259,7 +264,7 @@ class TestCsvIO:
         path.write_text(s.header() + "\n0,1,2,3\nnot,a,row\n1,0,4,5\n")
         ds = D.load_csv(path, s)
         assert ds.malformed == 1
-        assert ds.counts("all") == [1, 1]
+        assert counts(ds, "all") == [1, 1]
 
     def test_vocab_violation_is_fatal_with_line(self, tmp_path):
         s = two_field_schema()
@@ -274,7 +279,7 @@ class TestCsvIO:
         path = tmp_path / "ds.csv"
         D.save_csv(ds, path)
         again = D.load_csv(path, ds.schema)
-        assert again.counts("all") == [20, 30]
+        assert counts(again, "all") == [20, 30]
         for d in range(2):
             np.testing.assert_array_equal(again.domain("all", d).features,
                                           ds.domain("all", d).features)
@@ -380,7 +385,7 @@ class TestLoadCsvMatchesLoop:
         path = tmp_path / "ds.csv"
         D.save_csv(D.DomainDataset(ds.schema, {"all": parts}), path)
         want = assert_same_as_loop(path, ds.schema, caplog)
-        assert want.counts("all") == [20, 0, 25]
+        assert counts(want, "all") == [20, 0, 25]
 
     @staticmethod
     def many_chunks(bad_at=None):
@@ -448,7 +453,7 @@ class TestLoadCsvMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert sum(ds.counts("all")) == 200_000
+        assert sum(counts(ds, "all")) == 200_000
         result = sum(dd.features.nbytes + dd.labels.nbytes
                      for dd in ds.partitions["all"])
         assert peak <= 2.5 * result + 4 * 2 ** 20
@@ -464,9 +469,9 @@ class TestSplit:
     def test_eight_one_one(self):
         ds = synthetic([100, 100])
         out = D.split(ds, (0.8, 0.1, 0.1), seed=1)
-        assert out.counts("train") == [80, 80]
-        assert out.counts("val") == [10, 10]
-        assert out.counts("test") == [10, 10]
+        assert counts(out, "train") == [80, 80]
+        assert counts(out, "val") == [10, 10]
+        assert counts(out, "test") == [10, 10]
 
     def test_same_seed_identical(self):
         ds = synthetic([50, 37])
@@ -507,6 +512,10 @@ class TestSplit:
         ds = synthetic([10, 10])
         with pytest.raises(ConfigError):
             D.split(ds, (0.5, 0.2, 0.2), seed=0)
+
+    def test_nan_fraction_rejected(self):
+        with pytest.raises(ConfigError, match="sum to 1"):
+            D.split(synthetic([10, 10]), (float("nan"), 0.5, 0.5), seed=0)
 
     def test_keeps_the_malformed_count(self, tmp_path):
         s = two_field_schema()
@@ -752,7 +761,7 @@ class TestSynthGenerate:
                            match=r"^sizes\[0\] must be an integer, got 50.7$"):
             D.synth_generate(spec, [50.7, 50], seed=1)
         ds = D.synth_generate(spec, [np.int64(50), 40], seed=1)
-        assert ds.counts("all") == [50, 40]
+        assert counts(ds, "all") == [50, 40]
 
     def test_records_spec_and_respects_vocab(self):
         spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))

@@ -50,17 +50,17 @@ class TestValueTable:
         t = sel.ValueTable(2)
         t.update(0, (0,), 0.8)
         assert t.value(0, (0,)) == pytest.approx(0.8)
-        assert t.count(0, (0,)) == 1
+        assert t.snapshot()[0]["0"][1] == 1
 
     def test_running_mean(self):
         t = sel.ValueTable(1)
         t.update(0, (0, 1), 0.8)
         t.update(0, (0, 1), 0.9)
         assert t.value(0, (0, 1)) == pytest.approx(0.85)
-        assert t.count(0, (0, 1)) == 2
+        assert t.snapshot()[0]["0,1"][1] == 2
         t.update(0, (0, 1), 0.7)
         assert t.value(0, (0, 1)) == pytest.approx(0.8)
-        assert t.count(0, (0, 1)) == 3
+        assert t.snapshot()[0]["0,1"][1] == 3
 
     def test_isolation(self):
         t = sel.ValueTable(2)

@@ -77,6 +77,19 @@ class TestTrain:
         assert val == result.report["val"]
 
 
+def test_zero_proto_loss_weight_leaves_the_coders_untrained():
+    """With proto_loss_weight 0 the reconstruction loss is still measured,
+    but no gradient reaches a prototype coder."""
+    config = tiny_config("sdsp").replace(proto_loss_weight=0.0)
+    initial = train._Run(config).coders
+    first, second = train.train(config), train.train(config)
+    for before, after in zip(initial, first.coders):
+        for p, q in zip(before.params(), after.params()):
+            assert p.values.tobytes() == q.values.tobytes(), p.name
+    assert all(np.isfinite(h["l_rec"]) for h in first.report["history"])
+    assert without_timing(first.report) == without_timing(second.report)
+
+
 def test_fixed_subset_keeps_configured_subsets(results):
     result, _ = results["fixed-subset"]
     assert result.report["selection"]["active_subsets"] == FIXED
