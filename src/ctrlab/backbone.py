@@ -69,12 +69,9 @@ class Backbone:
         self.vocab_sizes = tuple(int(v) for v in vocab_sizes)
         self.embed_dim = int(embed_dim)
         self.expert_counts = [int(c) for c in expert_counts]
-        self.expert_hidden = int(expert_hidden)
         self.repr_dim = int(repr_dim)
-        self.tower_hidden = int(tower_hidden)
         self.num_domains = len(self.expert_counts)
-        self.owners = expert_owners(self.expert_counts)
-        self.num_experts = int(self.owners.size)
+        self.num_experts = int(expert_owners(self.expert_counts).size)
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
         self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint64)
         # Row of each field's first entry in the embedding table, which
@@ -88,7 +85,7 @@ class Backbone:
             for k in range(count):
                 self.experts.append(Mlp.build(
                     f"expert.d{d}e{k}",
-                    [self.x_dim, self.expert_hidden, self.repr_dim],
+                    [self.x_dim, int(expert_hidden), self.repr_dim],
                     ["relu", "linear"], rng))
         self.gate_w = [Param(f"gate.d{d}.w",
                              uniform_init(rng, (self.num_experts, self.x_dim),
@@ -97,7 +94,7 @@ class Backbone:
         self.gate_b = [Param(f"gate.d{d}.b", np.zeros(self.num_experts))
                        for d in range(self.num_domains)]
         self.towers = [Mlp.build(f"tower.d{d}",
-                                 [self.repr_dim, self.tower_hidden, 1],
+                                 [self.repr_dim, int(tower_hidden), 1],
                                  ["relu", "sigmoid"], rng)
                        for d in range(self.num_domains)]
         self._cache = None
@@ -227,12 +224,3 @@ class Backbone:
         for t in self.towers:
             out += t.params()
         return out
-
-    def _meta(self) -> dict:
-        """Layer sizes that rebuild an equal-shaped network from a checkpoint."""
-        return {"vocab_sizes": list(self.vocab_sizes),
-                "embed_dim": self.embed_dim,
-                "expert_counts": self.expert_counts,
-                "expert_hidden": self.expert_hidden,
-                "repr_dim": self.repr_dim,
-                "tower_hidden": self.tower_hidden}

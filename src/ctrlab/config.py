@@ -79,7 +79,8 @@ class RunConfig:
     mode is one of MODES: "sdsp" re-selects each domain's expert subset
     every selection_interval steps, rewarding subsets with validation AUC
     and scoring them by their running-mean reward; "full-share" shares
-    every expert with every domain; "fixed-subset" pins fixed_subsets.
+    every expert with every domain; "fixed-subset" pins fixed_subsets,
+    which the other modes reject.
     from_dict rejects keys that are not fields.
     """
 
@@ -108,8 +109,9 @@ class RunConfig:
 
     def __post_init__(self):
         self.domains = as_int(self.domains, "domains")
-        if self.domains < 1:
-            raise ConfigError(f"domains must be >= 1, got {self.domains}")
+        # A distance matrix, and so a run, needs two domains.
+        if self.domains < 2:
+            raise ConfigError(f"domains must be >= 2, got {self.domains}")
         self.seed = as_int(self.seed, "seed")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -163,6 +165,9 @@ class RunConfig:
         if self.mode == "fixed-subset":
             if self.fixed_subsets is None:
                 raise ConfigError("fixed-subset mode requires fixed_subsets")
+        elif self.fixed_subsets is not None:
+            raise ConfigError(f"fixed_subsets is read only in fixed-subset "
+                              f"mode, not in {self.mode!r} mode")
         if self.fixed_subsets is not None:
             subsets = _as_list(self.fixed_subsets, "fixed_subsets")
             if len(subsets) != self.domains:

@@ -262,7 +262,8 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     * The first invalid line in file order raises, through ``parse_row``,
       so its ``DataError`` is the line-by-line read's. A file that cannot
       be decoded is read again line by line, so that a row the line-by-line
-      read rejects before it reaches the undecodable bytes still wins.
+      read rejects before it reaches the undecodable bytes still wins;
+      otherwise the file raises a DataError naming its path.
     * Whole lines are read about ``_CHUNK_CHARS`` characters at a time. A
       chunk's valid rows are kept as one int64 block per domain, and each
       domain's blocks are concatenated once at the end, so the peak is
@@ -275,12 +276,16 @@ def load_csv(path, schema: Schema) -> DomainDataset:
         undecodable = exc
     # A chunk is decoded before any of its lines is parsed; line by line,
     # a row before the undecodable bytes is parsed before they are decoded.
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line_no, line in enumerate(fh, start=2):
-            if line.strip():
-                parse_row(line, schema, line_no)
-    raise undecodable
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            for line_no, line in enumerate(fh, start=2):
+                if line.strip():
+                    parse_row(line, schema, line_no)
+    except UnicodeDecodeError as exc:
+        undecodable = exc
+    raise DataError(f"{path}: not UTF-8 text ({undecodable.reason})"
+                    ) from undecodable
 
 
 def _load_chunks(path, schema: Schema) -> DomainDataset:

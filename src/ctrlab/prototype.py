@@ -50,8 +50,7 @@ class ProtoCoder:
             raise ConfigError("batch count and prototype count must be >= 1")
         self.domain = int(domain)
         self.batch_count = int(batch_count)
-        self.num_prototypes = int(num_prototypes)
-        b, m = self.batch_count, self.num_prototypes
+        b, m = self.batch_count, int(num_prototypes)
         self.enc_w = Param(f"proto.d{domain}.enc_w",
                            uniform_init(rng, (m, b), b))
         self.enc_b = Param(f"proto.d{domain}.enc_b", np.zeros(m))

@@ -24,6 +24,13 @@ runs of the same config and seed, except for the wall-clock "timing"
 section: the whole run's seconds plus the seconds spent in train steps,
 in the selection rounds' distance and reward passes, and in the per-epoch
 validation.
+
+write_outputs fills a run directory with four files: report.json,
+selection_trace.log (one JSON line per selection round),
+distance_matrix.csv and checkpoint.npz. The checkpoint holds two arrays:
+"values", every parameter in one flat float64 array in the model store's
+order, and "meta", the JSON of the config, the vocabulary sizes and the
+active subsets, from which load_checkpoint rebuilds the model.
 """
 
 from __future__ import annotations
@@ -59,9 +66,18 @@ class TrainResult:
     trace: list
 
 
-def _all_params(backbone: Backbone, coders: list) -> list:
-    """The backbone's params, then each prototype coder's, in domain order."""
-    return backbone.params() + [p for c in coders for p in c.params()]
+def _build_model(config: RunConfig, vocab_sizes, rng: np.random.Generator):
+    """(backbone, coders, store): the backbone, then each domain's prototype
+    coder, drawn from rng in that order, and one ParamStore over the
+    backbone's params followed by each coder's."""
+    backbone = Backbone(vocab_sizes, config.embedding_dim,
+                        config.expert_counts, config.expert_hidden,
+                        config.repr_dim, config.tower_hidden, rng)
+    coders = [ProtoCoder(d, config.quotas[d], config.num_prototypes, rng)
+              for d in range(config.domains)]
+    store = nn.ParamStore(backbone.params()
+                          + [p for c in coders for p in c.params()])
+    return backbone, coders, store
 
 
 def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
@@ -120,14 +136,8 @@ class _Run:
         self.policy_rng = np.random.default_rng(streams[3])
         self.report_rng = np.random.default_rng(streams[4])
 
-        self.backbone = Backbone(
-            self.dataset.schema.vocab_sizes, config.embedding_dim,
-            config.expert_counts, config.expert_hidden, config.repr_dim,
-            config.tower_hidden, self.init_rng)
-        self.coders = [ProtoCoder(d, config.quotas[d], config.num_prototypes,
-                                  self.init_rng)
-                       for d in range(config.domains)]
-        self.store = nn.ParamStore(_all_params(self.backbone, self.coders))
+        self.backbone, self.coders, self.store = _build_model(
+            config, self.dataset.schema.vocab_sizes, self.init_rng)
         train_datas = [self.dataset.domain("train", d)
                        for d in range(config.domains)]
         self.sampler = data_mod.QuotaSampler(train_datas, config.quotas,
@@ -321,53 +331,42 @@ def write_outputs(result: TrainResult, out_dir) -> None:
 
 
 def save_checkpoint(result: TrainResult, path) -> None:
-    """All parameters (backbone + prototype coders) plus run metadata."""
-    arrays = {f"param:{p.name}": p.values
-              for p in _all_params(result.backbone, result.coders)}
-    meta = {
-        "backbone": result.backbone._meta(),
-        "coders": [{"domain": c.domain, "batch_count": c.batch_count,
-                    "num_prototypes": c.num_prototypes}
-                   for c in result.coders],
-        "config_hash": result.config.config_hash(),
-        "subsets": [list(s) for s in result.subsets],
-    }
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    """The run's parameters, flat in the model store's order, as "values",
+    and its config, vocabulary sizes and subsets as the JSON "meta"."""
+    params = result.backbone.params() + [
+        p for c in result.coders for p in c.params()]
+    meta = {"config": result.config.to_dict(),
+            "vocab_sizes": list(result.backbone.vocab_sizes),
+            "subsets": [list(s) for s in result.subsets]}
+    np.savez(path, values=np.concatenate([p.values.ravel() for p in params]),
+             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
 
-def load_checkpoint(path, expected_hash: str | None = None):
-    """Rebuild (backbone, coders, masks, subsets) from a checkpoint file.
+def load_checkpoint(path):
+    """Rebuild (config, backbone, coders, masks, subsets) from a checkpoint.
 
-    The config hash must equal expected_hash when one is given, and every
-    parameter must be stored with exactly the shape the recorded layer
-    sizes give it; anything else raises ConfigError rather than being
-    broadcast into place.
+    The file must hold exactly "values" and "meta", and "values" must be
+    float64 of exactly the shape the stored config gives the model;
+    anything else raises ConfigError rather than being cast or broadcast
+    into place.
     """
     with np.load(path) as zf:
+        if set(zf.files) != {"values", "meta"}:
+            raise ConfigError(f"checkpoint holds arrays {sorted(zf.files)}, "
+                              "expected ['meta', 'values']")
         meta = json.loads(bytes(zf["meta"]).decode())
-        if expected_hash is not None and meta["config_hash"] != expected_hash:
-            raise ConfigError(
-                f"checkpoint hash {meta['config_hash']!r} does not match "
-                f"config hash {expected_hash!r}")
-        dims = meta["backbone"]
-        backbone = Backbone(dims["vocab_sizes"], dims["embed_dim"],
-                            dims["expert_counts"], dims["expert_hidden"],
-                            dims["repr_dim"], dims["tower_hidden"],
-                            np.random.default_rng(0))
-        coders = [ProtoCoder(c["domain"], c["batch_count"],
-                             c["num_prototypes"], np.random.default_rng(0))
-                  for c in meta["coders"]]
-        for p in _all_params(backbone, coders):
-            key = f"param:{p.name}"
-            if key not in zf:
-                raise ConfigError(f"checkpoint missing tensor {p.name!r}")
-            stored = zf[key]
-            if stored.shape != p.values.shape:
-                raise ConfigError(
-                    f"checkpoint tensor {p.name!r} has shape {stored.shape}, "
-                    f"expected {p.values.shape}")
-            p.values[...] = stored
-        subsets = [canonical(s) for s in meta["subsets"]]
-        masks = build_mask(subsets, dims["expert_counts"])
-    return backbone, coders, masks, subsets
+        values = zf["values"]
+    if set(meta) != {"config", "vocab_sizes", "subsets"}:
+        raise ConfigError(f"checkpoint meta holds {sorted(meta)}, expected "
+                          "['config', 'subsets', 'vocab_sizes']")
+    config = RunConfig.from_dict(meta["config"])
+    backbone, coders, store = _build_model(config, meta["vocab_sizes"],
+                                           np.random.default_rng(0))
+    if values.dtype != np.float64 or values.shape != store.values.shape:
+        raise ConfigError(
+            f"checkpoint values are {values.dtype} of shape {values.shape}, "
+            f"expected float64 of shape {store.values.shape}")
+    store.values[...] = values
+    subsets = [canonical(s) for s in meta["subsets"]]
+    masks = build_mask(subsets, config.expert_counts)
+    return config, backbone, coders, masks, subsets

@@ -103,6 +103,8 @@ class TestRunConfig:
          "split_fractions must be >= 0 and sum to 1, got [0.5, 0.5, 0.5]"),
         ({"split_fractions": [-0.1, 0.6, 0.5]},
          "split_fractions must be >= 0 and sum to 1, got [-0.1, 0.6, 0.5]"),
+        ({"domains": 1}, "domains must be >= 2, got 1"),
+        ({"domains": 0}, "domains must be >= 2, got 0"),
     ])
     def test_non_integer_fields_rejected(self, changes, named):
         """A malformed or out-of-range number fails with a ConfigError that
@@ -120,11 +122,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"dataset {key}"):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("mode", ["sdsp", "full-share"])
+    def test_fixed_subsets_rejected_outside_fixed_subset_mode(self, mode):
+        """Only fixed-subset mode reads fixed_subsets; any other mode
+        refuses them instead of ignoring them."""
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw_config(mode=mode,
+                                           fixed_subsets=[[0], [1]]))
+        assert str(err.value) == (f"fixed_subsets is read only in "
+                                  f"fixed-subset mode, not in {mode!r} mode")
+
     @pytest.mark.parametrize("changes, named", [
         ({"split_fractions": 0.5}, "split_fractions must be a list, got 0.5"),
         ({"mode": "fixed-subset", "fixed_subsets": [0, 1]},
          "fixed_subsets[0] must be a list, got 0"),
-        ({"fixed_subsets": 1}, "fixed_subsets must be a list, got 1"),
+        ({"mode": "fixed-subset", "fixed_subsets": 1},
+         "fixed_subsets must be a list, got 1"),
         ({"expert_counts": 3}, "expert_counts must be a list, got 3"),
         ({"quotas": 5}, "quotas must be a list, got 5"),
         ({"quotas": "44"}, "quotas must be a list, got '44'"),

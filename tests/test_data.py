@@ -108,25 +108,28 @@ def loop_load_csv(path, schema):
     feats_by_domain = [[] for _ in range(schema.domains)]
     labels_by_domain = [[] for _ in range(schema.domains)]
     malformed = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        expected = schema.header()
-        if header != expected:
-            missing = [c for c in expected.split(",")
-                       if c not in header.split(",")]
-            raise SchemaError(
-                f"header mismatch: missing columns {missing}; "
-                f"expected {expected!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            row = D.parse_row(line, schema, line_no)
-            if row is None:
-                malformed += 1
-                continue
-            domain, label, *features = row
-            feats_by_domain[domain].append(features)
-            labels_by_domain[domain].append(label)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            expected = schema.header()
+            if header != expected:
+                missing = [c for c in expected.split(",")
+                           if c not in header.split(",")]
+                raise SchemaError(
+                    f"header mismatch: missing columns {missing}; "
+                    f"expected {expected!r}, got {header!r}")
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                row = D.parse_row(line, schema, line_no)
+                if row is None:
+                    malformed += 1
+                    continue
+                domain, label, *features = row
+                feats_by_domain[domain].append(features)
+                labels_by_domain[domain].append(label)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if malformed:
         D.log.warning("%s: skipped %d malformed row(s)", path, malformed)
     datas = []
@@ -272,6 +275,22 @@ class TestCsvIO:
         path.write_text(s.header() + "\n0,1,2,3\n0,1,2,32\n")
         with pytest.raises(DataError, match="line 3"):
             D.load_csv(path, s)
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_undecodable_bytes_are_data_error_naming_the_file(self, tmp_path,
+                                                              where):
+        """Bytes that are not UTF-8, in the header or in a row, fail with a
+        DataError that names the file, chained from the decode error."""
+        s = two_field_schema()
+        path = tmp_path / "latin1.csv"
+        header = s.header().encode() + b"\n"
+        path.write_bytes(header.replace(b"f0", b"f\xe90")
+                         if where == "header" else
+                         header + GOOD.encode() + b"1,0,\xff,4\n")
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            D.load_csv(path, s)
+        assert str(err.value).startswith(f"{path}: ")
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
 
     def test_save_load_round_trip(self, tmp_path):
         spec = D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.1]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlab import backbone, data, metrics, nn, prototype, train
-from ctrlab.config import RunConfig
+from ctrlab.config import RunConfig, load_dataset
 from ctrlab.errors import ConfigError
 from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
@@ -70,8 +70,8 @@ class TestTrain:
         train.write_outputs(result, tmp_path)
         with open(tmp_path / "report.json", encoding="utf-8") as fh:
             assert json.load(fh) == result.report
-        backbone, _, masks, _ = train.load_checkpoint(
-            tmp_path / "checkpoint.npz", result.config.config_hash())
+        _, backbone, _, masks, _ = train.load_checkpoint(
+            tmp_path / "checkpoint.npz")
         val = train.evaluate_partition(backbone, result.dataset, "val", masks,
                                        result.config.overall_metric)
         assert val == result.report["val"]
@@ -252,6 +252,32 @@ def test_single_class_partition_is_config_error(mode, part, label,
         train.train(tiny_config(mode))
 
 
+def test_csv_dataset_run_equals_synth_run(results, tmp_path):
+    """The synthetic dataset written out as CSV trains to the same report
+    (apart from the dataset spec it names) and the same trace, and the CSV
+    run's checkpoint takes its vocabulary sizes from the schema."""
+    synth, _ = results["sdsp"]
+    dataset = load_dataset(synth.config)
+    data.save_csv(dataset, tmp_path / "data.csv")
+    dataset.schema.save(tmp_path / "schema.json")
+    config = synth.config.replace(dataset={
+        "kind": "csv", "path": str(tmp_path / "data.csv"),
+        "schema": str(tmp_path / "schema.json")})
+    csv = train.train(config, out_dir=tmp_path / "run")
+
+    def decisions(report):
+        return json.dumps({k: v for k, v in report.items()
+                           if k not in ("timing", "config", "config_hash")},
+                          sort_keys=True)
+
+    assert decisions(csv.report) == decisions(synth.report)
+    assert csv.trace == synth.trace
+    loaded, backbone, *_ = train.load_checkpoint(
+        tmp_path / "run" / "checkpoint.npz")
+    assert loaded == config
+    assert backbone.vocab_sizes == dataset.schema.vocab_sizes
+
+
 class TestCheckpoint:
     """The one checkpoint format: train.save_checkpoint/load_checkpoint."""
 
@@ -272,8 +298,7 @@ class TestCheckpoint:
 
     def test_round_trip_bit_exact(self, saved):
         result, path = saved
-        backbone, coders, masks, subsets = train.load_checkpoint(
-            path, expected_hash=result.config.config_hash())
+        config, backbone, coders, masks, subsets = train.load_checkpoint(path)
         before = list(result.backbone.params())
         after = list(backbone.params())
         for old, new in zip(result.coders, coders):
@@ -283,46 +308,72 @@ class TestCheckpoint:
         for p, q in zip(before, after):
             assert p.name == q.name
             assert p.values.shape == q.values.shape
-            assert np.array_equal(p.values, q.values), p.name
+            assert p.values.tobytes() == q.values.tobytes(), p.name
         assert np.array_equal(masks, result.masks)
         assert subsets == result.subsets
 
-    def test_hash_mismatch_rejected(self, saved):
-        _, path = saved
-        with pytest.raises(ConfigError):
-            train.load_checkpoint(path, expected_hash="0" * 16)
-
-    def test_missing_tensor_rejected(self, saved):
-        _, path = saved
-        self.rewrite(path, lambda arrays: arrays.pop("param:proto.d1.dec_w"))
-        with pytest.raises(ConfigError, match="missing"):
-            train.load_checkpoint(path)
-
-    def test_truncated_tensor_rejected(self, saved):
-        _, path = saved
-        key = "param:expert.d1e0.l0.b"
-
-        def truncate(arrays):
-            assert arrays[key].shape == (8,)
-            arrays[key] = arrays[key][:1]
-
-        self.rewrite(path, truncate)
-        with pytest.raises(ConfigError, match="shape"):
-            train.load_checkpoint(path)
-
-    def test_per_field_embedding_tensors_rejected(self, saved):
-        """The table is one (sum of vocab, embed_dim) tensor; a checkpoint
-        that stores it per field does not load."""
+    def test_config_travels_with_the_file(self, saved):
         result, path = saved
-        vocab = result.backbone.vocab_sizes
+        config, *_ = train.load_checkpoint(path)
+        assert config == result.config
+        assert config.config_hash() == result.config.config_hash()
 
-        def per_field(arrays):
-            table = arrays.pop("param:embedding")
-            assert table.shape == (sum(vocab), result.backbone.embed_dim)
-            for j, rows in enumerate(
-                    np.split(table, np.cumsum(vocab)[:-1])):
-                arrays[f"param:embedding.f{j}"] = rows
+    def test_file_holds_exactly_values_and_meta(self, saved):
+        result, path = saved
+        with np.load(path) as zf:
+            assert sorted(zf.files) == ["meta", "values"]
+            meta = json.loads(bytes(zf["meta"]).decode())
+            values = zf["values"]
+        assert meta == {"config": result.config.to_dict(),
+                        "vocab_sizes": list(result.backbone.vocab_sizes),
+                        "subsets": [list(s) for s in result.subsets]}
+        params = result.backbone.params() + [
+            p for c in result.coders for p in c.params()]
+        assert values.dtype == np.float64
+        assert values.shape == (sum(p.values.size for p in params),)
 
-        self.rewrite(path, per_field)
-        with pytest.raises(ConfigError, match="missing tensor 'embedding'"):
+    @pytest.mark.parametrize("key", ["meta", "values"])
+    def test_missing_array_rejected(self, saved, key):
+        _, path = saved
+        self.rewrite(path, lambda arrays: arrays.pop(key))
+        with pytest.raises(ConfigError, match="checkpoint holds arrays"):
+            train.load_checkpoint(path)
+
+    def test_old_style_param_key_rejected(self, saved):
+        """A per-tensor array beside the two, as the earlier format stored
+        them, is refused rather than ignored."""
+        result, path = saved
+        self.rewrite(path, lambda arrays: arrays.update(
+            {"param:embedding": result.backbone.embedding.values}))
+        with pytest.raises(ConfigError, match="param:embedding"):
+            train.load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda values: values[:-1], "shape"),
+        (lambda values: values.astype(np.float32), "float32")],
+        ids=["truncated", "float32"])
+    def test_values_of_another_shape_or_dtype_rejected(self, saved, change,
+                                                       named):
+        _, path = saved
+        self.rewrite(path, lambda arrays: arrays.update(
+            values=change(arrays["values"])))
+        with pytest.raises(ConfigError, match=named):
+            train.load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda meta: meta.pop("config"), "checkpoint meta holds"),
+        (lambda meta: meta["config"].update(reward_metric="auc"),
+         "unknown config keys")],
+        ids=["no-config", "unknown-config-key"])
+    def test_bad_meta_rejected(self, saved, change, named):
+        _, path = saved
+
+        def change_meta(arrays):
+            meta = json.loads(bytes(arrays["meta"]).decode())
+            change(meta)
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+
+        self.rewrite(path, change_meta)
+        with pytest.raises(ConfigError, match=named):
             train.load_checkpoint(path)
