@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import feature_indices
+from .data import as_int, feature_indices
 from .errors import ConfigError, DataError, InvariantError, UsageError
 from .nn import Mlp, Param, masked_softmax, softmax_backward, uniform_init
 
@@ -66,7 +66,13 @@ class Backbone:
                  rng: np.random.Generator):
         if embed_dim < 1 or expert_hidden < 1 or repr_dim < 1 or tower_hidden < 1:
             raise ConfigError("all layer sizes must be >= 1")
-        self.vocab_sizes = tuple(int(v) for v in vocab_sizes)
+        self.vocab_sizes = tuple(as_int(v, f"vocab_sizes[{i}]")
+                                 for i, v in enumerate(vocab_sizes))
+        if not self.vocab_sizes:
+            raise ConfigError("vocab_sizes needs at least one field")
+        for i, v in enumerate(self.vocab_sizes):
+            if v < 1:
+                raise ConfigError(f"vocab_sizes[{i}] must be >= 1, got {v}")
         self.embed_dim = int(embed_dim)
         self.expert_counts = [int(c) for c in expert_counts]
         self.repr_dim = int(repr_dim)
@@ -83,7 +89,7 @@ class Backbone:
         self.experts = []
         for d, count in enumerate(self.expert_counts):
             for k in range(count):
-                self.experts.append(Mlp.build(
+                self.experts.append(Mlp(
                     f"expert.d{d}e{k}",
                     [self.x_dim, int(expert_hidden), self.repr_dim],
                     ["relu", "linear"], rng))
@@ -93,9 +99,9 @@ class Backbone:
                        for d in range(self.num_domains)]
         self.gate_b = [Param(f"gate.d{d}.b", np.zeros(self.num_experts))
                        for d in range(self.num_domains)]
-        self.towers = [Mlp.build(f"tower.d{d}",
-                                 [self.repr_dim, int(tower_hidden), 1],
-                                 ["relu", "sigmoid"], rng)
+        self.towers = [Mlp(f"tower.d{d}",
+                           [self.repr_dim, int(tower_hidden), 1],
+                           ["relu", "sigmoid"], rng)
                        for d in range(self.num_domains)]
         self._cache = None
 

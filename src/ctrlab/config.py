@@ -21,7 +21,7 @@ from . import data as data_mod
 from .data import as_int
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "MODES", "load_dataset"]
+__all__ = ["RunConfig", "MODES", "load_dataset", "check_subsets"]
 
 MODES = ("sdsp", "full-share", "fixed-subset")
 OVERALL_METRICS = ("pooled", "mean")
@@ -55,6 +55,26 @@ def _as_list(value, name: str) -> list:
             isinstance(value, np.ndarray) and value.ndim >= 1):
         return list(value)
     raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
+def check_subsets(subsets, domains: int, name: str) -> list:
+    """``subsets`` as one sorted list of ints per domain, if it holds one
+    list per domain and each holds its own domain and only known domains;
+    anything else raises ConfigError naming ``name``. The rule for
+    ``fixed_subsets`` and for a checkpoint's active subsets."""
+    subsets = _as_list(subsets, name)
+    if len(subsets) != domains:
+        raise ConfigError(f"{name} needs {domains} entries")
+    normalized = []
+    for d, subset in enumerate(subsets):
+        members = sorted(as_int(s, f"{name}[{d}] entry")
+                         for s in _as_list(subset, f"{name}[{d}]"))
+        if d not in members:
+            raise ConfigError(f"{name}[{d}] must contain domain {d}")
+        if any(not 0 <= s < domains for s in members):
+            raise ConfigError(f"{name}[{d}] references unknown domains")
+        normalized.append(members)
+    return normalized
 
 
 def _synth_options(spec: dict) -> dict:
@@ -162,6 +182,11 @@ class RunConfig:
         self.split_fractions = data_mod.check_fractions(
             [_as_float(f, f"split_fractions[{i}]") for i, f in
              enumerate(_as_list(self.split_fractions, "split_fractions"))])
+        # split gives each positive-fraction partition at least one row per
+        # domain; a run evaluates on val and test and trains on train.
+        if min(self.split_fractions) <= 0.0:
+            raise ConfigError(f"split_fractions must all be positive, got "
+                              f"{self.split_fractions}")
         if self.mode == "fixed-subset":
             if self.fixed_subsets is None:
                 raise ConfigError("fixed-subset mode requires fixed_subsets")
@@ -169,23 +194,8 @@ class RunConfig:
             raise ConfigError(f"fixed_subsets is read only in fixed-subset "
                               f"mode, not in {self.mode!r} mode")
         if self.fixed_subsets is not None:
-            subsets = _as_list(self.fixed_subsets, "fixed_subsets")
-            if len(subsets) != self.domains:
-                raise ConfigError(
-                    f"fixed_subsets needs {self.domains} entries")
-            normalized = []
-            for d, subset in enumerate(subsets):
-                members = sorted(
-                    as_int(s, f"fixed_subsets[{d}] entry")
-                    for s in _as_list(subset, f"fixed_subsets[{d}]"))
-                if d not in members:
-                    raise ConfigError(
-                        f"fixed_subsets[{d}] must contain domain {d}")
-                if any(not 0 <= s < self.domains for s in members):
-                    raise ConfigError(
-                        f"fixed_subsets[{d}] references unknown domains")
-                normalized.append(members)
-            self.fixed_subsets = normalized
+            self.fixed_subsets = check_subsets(self.fixed_subsets,
+                                               self.domains, "fixed_subsets")
         self._validate_dataset()
 
     def _validate_dataset(self):
@@ -257,6 +267,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(
+                f"config must be an object, got {type(raw).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -272,8 +285,6 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config JSON must be an object")
         return cls.from_dict(raw)
 
     @classmethod

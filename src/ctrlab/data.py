@@ -114,8 +114,13 @@ class Schema:
 
     @classmethod
     def load(cls, path) -> "Schema":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SchemaError(f"{path}: cannot be read ({exc.strerror or exc})"
+                              ) from exc
+        return cls.from_json(text)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -248,6 +253,7 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     domain, label, or vocabulary index) abort with a data error naming the
     line. Blank and whitespace-only lines are skipped. Lines end at "\\n"
     after the text-mode newline translation, as file iteration splits them.
+    A file that cannot be opened or read raises a DataError naming it.
 
     The result, the malformed count and every error are those of reading
     the file line by line through ``parse_row``:
@@ -274,6 +280,9 @@ def load_csv(path, schema: Schema) -> DomainDataset:
         return _load_chunks(path, schema)
     except UnicodeDecodeError as exc:
         undecodable = exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot be read ({exc.strerror or exc})"
+                        ) from exc
     # A chunk is decoded before any of its lines is parsed; line by line,
     # a row before the undecodable bytes is parsed before they are decoded.
     try:

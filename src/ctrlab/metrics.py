@@ -19,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MetricError, UsageError
+from .nn import bce_terms
 
 __all__ = ["auc", "logloss", "per_domain_report"]
-
-_CLAMP = 1e-7
 
 
 def _check_pair(scores, labels):
@@ -62,12 +61,10 @@ def auc(scores, labels) -> float:
 
 
 def logloss(scores, labels) -> float:
-    """Mean binary cross-entropy; scores clamped away from {0,1}."""
+    """Mean binary cross-entropy, over the clamped terms of nn.bce_terms."""
     scores, labels = _check_pair(scores, labels)
-    p = np.minimum(np.maximum(scores, _CLAMP), 1.0 - _CLAMP)
-    terms = labels * np.log(p)
-    terms += (1.0 - labels) * np.log(1.0 - p)
-    return float(-(np.add.reduce(terms) / terms.size))
+    _, terms = bce_terms(scores, labels)
+    return float(np.add.reduce(terms) / terms.size)
 
 
 def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,

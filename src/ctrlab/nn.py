@@ -4,8 +4,10 @@ Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
 state is ever touched. A ``ParamStore`` packs a run's parameters into one
 flat values array and one flat gradient array, so the SGD step is one
-array operation over all of them. There is no autograd here on purpose;
-the tests check the manual gradients against central finite differences.
+array operation over all of them. ``bce_terms`` owns the log-loss: the
+training loss and ``metrics.logloss`` average its clamped per-row terms.
+There is no autograd here on purpose; the tests check the manual
+gradients against central finite differences.
 """
 
 import numpy as np
@@ -88,44 +90,28 @@ def _activate_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 class Mlp:
     """A stack of affine layers, each tagged relu / sigmoid / linear.
 
-    ``forward`` caches intermediates unless told not to; ``backward``
-    consumes the cache, accumulates parameter gradients and returns the
-    input gradient. Inputs are row batches of shape (batch, in_dim).
+    Layer i maps ``dims[i]`` to ``dims[i + 1]``; its weights are drawn from
+    ``rng`` in layer order and its bias starts at zero. ``forward`` caches
+    intermediates unless told not to; ``backward`` consumes the cache,
+    accumulates parameter gradients and returns the input gradient. Inputs
+    are row batches of shape (batch, dims[0]).
     """
 
-    def __init__(self, name: str, weights: list[Param], biases: list[Param],
-                 activations: list[str]):
-        if not (len(weights) == len(biases) == len(activations)):
-            raise ConfigError(f"{name}: layer lists must align")
+    def __init__(self, name: str, dims: list[int], activations: list[str],
+                 rng: np.random.Generator):
+        if len(dims) != len(activations) + 1:
+            raise ConfigError(f"{name}: need {len(dims) - 1} activation tags")
         for act in activations:
             if act not in ACTIVATIONS:
                 raise ConfigError(f"{name}: unknown activation {act!r}")
-        for i in range(1, len(weights)):
-            if weights[i].values.shape[1] != weights[i - 1].values.shape[0]:
-                raise ConfigError(f"{name}: layer {i} input dim "
-                                  f"{weights[i].values.shape[1]} does not chain")
         self.name = name
-        self.weights = weights
-        self.biases = biases
-        self.activations = activations
+        self.weights = [Param(f"{name}.l{i}.w",
+                              uniform_init(rng, (dims[i + 1], dims[i]), dims[i]))
+                        for i in range(len(dims) - 1)]
+        self.biases = [Param(f"{name}.l{i}.b", np.zeros(dims[i + 1]))
+                       for i in range(len(dims) - 1)]
+        self.activations = list(activations)
         self._cache = None
-
-    @classmethod
-    def build(cls, name: str, dims: list[int], activations: list[str],
-              rng: np.random.Generator) -> "Mlp":
-        """Create a net with the given size chain; biases start at zero."""
-        if len(dims) != len(activations) + 1:
-            raise ConfigError(f"{name}: need {len(dims) - 1} activation tags")
-        weights, biases = [], []
-        for i in range(len(dims) - 1):
-            weights.append(Param(f"{name}.l{i}.w",
-                                 uniform_init(rng, (dims[i + 1], dims[i]), dims[i])))
-            biases.append(Param(f"{name}.l{i}.b", np.zeros(dims[i + 1])))
-        return cls(name, weights, biases, list(activations))
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].values.shape[1]
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """The net's output for a row batch ``x``.
@@ -137,9 +123,10 @@ class Mlp:
         and the caller's to modify.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        in_dim = self.weights[0].values.shape[1]
+        if x.ndim != 2 or x.shape[1] != in_dim:
             raise ConfigError(f"{self.name}: expected input of shape (batch, "
-                              f"{self.in_dim}), got {x.shape}")
+                              f"{in_dim}), got {x.shape}")
         steps = []
         a = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
@@ -233,11 +220,21 @@ def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
+def bce_terms(preds: np.ndarray, labels: np.ndarray) -> tuple:
+    """(p, terms) for float64 arrays of one shape: ``preds`` clamped to
+    [CLAMP_EPS, 1 - CLAMP_EPS], and each row's binary cross-entropy at p.
+    """
+    p = np.minimum(np.maximum(preds, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    terms = labels * np.log(p)
+    terms += (1.0 - labels) * np.log(1.0 - p)
+    return p, np.negative(terms, out=terms)
+
+
 def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient w.r.t. ``preds``.
 
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the log; the clamp
-    is treated as a pass-through in the backward direction.
+    The clamp of ``bce_terms`` is treated as a pass-through in the
+    backward direction.
     """
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -245,10 +242,7 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         raise UsageError(f"preds {preds.shape} and labels {labels.shape} differ")
     if preds.size == 0:
         raise UsageError("empty prediction batch")
-    p = np.minimum(np.maximum(preds, CLAMP_EPS), 1.0 - CLAMP_EPS)
-    terms = labels * np.log(p)
-    terms += (1.0 - labels) * np.log(1.0 - p)
-    np.negative(terms, out=terms)
+    p, terms = bce_terms(preds, labels)
     loss = float(np.add.reduce(terms, axis=None) / terms.size)
     grad = (p - labels) / (p * (1.0 - p)) / preds.size
     return loss, grad

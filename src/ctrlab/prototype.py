@@ -70,18 +70,20 @@ class ProtoCoder:
                 f"{self.batch_count} rows, got {h.shape}")
         return h
 
-    def encode(self, h: np.ndarray) -> np.ndarray:
-        """Prototypes for one batch; pure (no cache)."""
-        h = self._check_batch(h)
-        hs = h[_sort_order(h)]
-        return self.enc_w.values @ hs + self.enc_b.values[:, None]
-
-    def reconstruction(self, h: np.ndarray):
-        """Forward pass: (squared-L2 loss, prototypes); caches for backward."""
+    def _encode(self, h: np.ndarray) -> tuple:
+        """(row order, sorted batch, prototypes) for one batch."""
         h = self._check_batch(h)
         order = _sort_order(h)
         hs = h[order]
-        p = self.enc_w.values @ hs + self.enc_b.values[:, None]
+        return order, hs, self.enc_w.values @ hs + self.enc_b.values[:, None]
+
+    def encode(self, h: np.ndarray) -> np.ndarray:
+        """Prototypes for one batch; pure (no cache)."""
+        return self._encode(h)[2]
+
+    def reconstruction(self, h: np.ndarray):
+        """Forward pass: (squared-L2 loss, prototypes); caches for backward."""
+        order, hs, p = self._encode(h)
         h_hat = self.dec_w.values @ p + self.dec_b.values[:, None]
         diff = hs - h_hat
         loss = float(np.add.reduce(diff * diff, axis=None))

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ import numpy as np
 from . import data as data_mod
 from . import metrics, nn
 from .backbone import Backbone, build_mask
-from .config import RunConfig, load_dataset
+from .config import RunConfig, check_subsets, load_dataset
 from .errors import ConfigError, NumericError
 from .prototype import ProtoCoder, distance_round, save_distance_csv
 from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_round
@@ -64,6 +65,7 @@ class TrainResult:
     masks: np.ndarray
     subsets: list
     trace: list
+    store: nn.ParamStore
 
 
 def _build_model(config: RunConfig, vocab_sizes, rng: np.random.Generator):
@@ -117,14 +119,12 @@ class _Run:
         dataset = load_dataset(config)
         self.dataset = data_mod.split(dataset, config.split_fractions,
                                       seed=config.seed)
+        # RunConfig's positive split fractions give every partition of
+        # every domain a row. Validation and test AUC need both classes.
         for d in range(config.domains):
-            for part in ("train", "val", "test"):
+            for part in ("val", "test"):
                 labels = self.dataset.domain(part, d).labels
-                if len(labels) == 0:
-                    raise ConfigError(
-                        f"{part} partition is empty for domain {d}")
-                # Validation and test AUC need both classes.
-                if part != "train" and np.all(labels == labels[0]):
+                if np.all(labels == labels[0]):
                     raise ConfigError(
                         f"{part} partition of domain {d} holds only label "
                         f"{labels[0]:g}; its AUC is undefined")
@@ -306,7 +306,7 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
     result = TrainResult(config=cfg, report=report, backbone=run.backbone,
                          coders=run.coders, dataset=run.dataset,
                          masks=run.masks, subsets=list(run.subsets),
-                         trace=run.trace)
+                         trace=run.trace, store=run.store)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
@@ -331,35 +331,58 @@ def write_outputs(result: TrainResult, out_dir) -> None:
 
 
 def save_checkpoint(result: TrainResult, path) -> None:
-    """The run's parameters, flat in the model store's order, as "values",
-    and its config, vocabulary sizes and subsets as the JSON "meta"."""
-    params = result.backbone.params() + [
-        p for c in result.coders for p in c.params()]
+    """The run's store of parameters as "values", and its config,
+    vocabulary sizes and subsets as the JSON "meta"."""
     meta = {"config": result.config.to_dict(),
             "vocab_sizes": list(result.backbone.vocab_sizes),
             "subsets": [list(s) for s in result.subsets]}
-    np.savez(path, values=np.concatenate([p.values.ravel() for p in params]),
+    np.savez(path, values=result.store.values,
              meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
 
 def load_checkpoint(path):
     """Rebuild (config, backbone, coders, masks, subsets) from a checkpoint.
 
-    The file must hold exactly "values" and "meta", and "values" must be
-    float64 of exactly the shape the stored config gives the model;
-    anything else raises ConfigError rather than being cast or broadcast
-    into place.
+    The file must be an npz archive of exactly "values" and "meta"; "meta"
+    must be UTF-8 JSON whose config RunConfig accepts and whose subsets
+    pass the rule for fixed_subsets; and "values" must be float64 of
+    exactly the shape the stored config gives the model. Anything else
+    raises a ConfigError naming the path rather than being cast or
+    broadcast into place.
     """
-    with np.load(path) as zf:
-        if set(zf.files) != {"values", "meta"}:
-            raise ConfigError(f"checkpoint holds arrays {sorted(zf.files)}, "
-                              "expected ['meta', 'values']")
-        meta = json.loads(bytes(zf["meta"]).decode())
-        values = zf["values"]
-    if set(meta) != {"config", "vocab_sizes", "subsets"}:
-        raise ConfigError(f"checkpoint meta holds {sorted(meta)}, expected "
+    try:
+        return _load_checkpoint(path)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_checkpoint(path):
+    # np.load reads a file opened here, so the file is closed whatever
+    # np.load finds in it.
+    try:
+        with open(path, "rb") as fh:
+            zf = np.load(fh)
+            if not isinstance(zf, np.lib.npyio.NpzFile):
+                raise ConfigError("not a checkpoint file (an .npy array, "
+                                  "not an .npz archive)")
+            if set(zf.files) != {"values", "meta"}:
+                raise ConfigError(f"checkpoint holds arrays "
+                                  f"{sorted(zf.files)}, expected "
+                                  "['meta', 'values']")
+            meta = json.loads(bytes(zf["meta"]).decode())
+            values = zf["values"]
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"not a checkpoint file ({exc})") from exc
+    keys = sorted(meta) if isinstance(meta, dict) else meta
+    if keys != ["config", "subsets", "vocab_sizes"]:
+        raise ConfigError(f"checkpoint meta holds {keys!r}, expected "
                           "['config', 'subsets', 'vocab_sizes']")
+    if not isinstance(meta["vocab_sizes"], list):
+        raise ConfigError(f"checkpoint vocab_sizes must be a list, got "
+                          f"{meta['vocab_sizes']!r}")
     config = RunConfig.from_dict(meta["config"])
+    subsets = [canonical(s) for s in
+               check_subsets(meta["subsets"], config.domains, "subsets")]
     backbone, coders, store = _build_model(config, meta["vocab_sizes"],
                                            np.random.default_rng(0))
     if values.dtype != np.float64 or values.shape != store.values.shape:
@@ -367,6 +390,5 @@ def load_checkpoint(path):
             f"checkpoint values are {values.dtype} of shape {values.shape}, "
             f"expected float64 of shape {store.values.shape}")
     store.values[...] = values
-    subsets = [canonical(s) for s in meta["subsets"]]
     masks = build_mask(subsets, config.expert_counts)
     return config, backbone, coders, masks, subsets

@@ -120,6 +120,28 @@ class TestBuildMask:
             build_mask([{0, 5}, {1}], [1, 1])
 
 
+class TestVocabSizes:
+    @pytest.mark.parametrize("vocab, named", [
+        ((2.5, 2.5), "vocab_sizes[0] must be an integer, got 2.5"),
+        (("4", 4), "vocab_sizes[0] must be an integer, got '4'"),
+        ((4, True), "vocab_sizes[1] must be an integer, got True"),
+        ((4, 0), "vocab_sizes[1] must be >= 1, got 0"),
+        ((4, -3), "vocab_sizes[1] must be >= 1, got -3"),
+        ((), "vocab_sizes needs at least one field"),
+    ])
+    def test_bad_vocab_sizes_rejected(self, vocab, named):
+        """A size that is not a positive integer fails with a ConfigError
+        naming its field index, instead of being truncated or cast."""
+        with pytest.raises(ConfigError) as err:
+            small_net(vocab=vocab)
+        assert str(err.value) == named
+
+    def test_numpy_integer_sizes_kept_as_ints(self):
+        net = small_net(vocab=(np.int64(5), np.uint8(7)))
+        assert net.vocab_sizes == (5, 7)
+        assert [type(v) for v in net.vocab_sizes] == [int, int]
+
+
 class TestEmbed:
     def test_concatenation(self):
         net = small_net(vocab=(2, 2), embed_dim=2)

@@ -105,6 +105,14 @@ class TestRunConfig:
          "split_fractions must be >= 0 and sum to 1, got [-0.1, 0.6, 0.5]"),
         ({"domains": 1}, "domains must be >= 2, got 1"),
         ({"domains": 0}, "domains must be >= 2, got 0"),
+        # A run needs rows to train on, select by and test on in every
+        # domain, and split gives a zero-fraction partition none.
+        ({"split_fractions": [0.9, 0.1, 0.0]},
+         "split_fractions must all be positive, got [0.9, 0.1, 0.0]"),
+        ({"split_fractions": [0.0, 0.5, 0.5]},
+         "split_fractions must all be positive, got [0.0, 0.5, 0.5]"),
+        ({"split_fractions": [0.5, 0.5, -0.0]},
+         "split_fractions must all be positive, got [0.5, 0.5, -0.0]"),
     ])
     def test_non_integer_fields_rejected(self, changes, named):
         """A malformed or out-of-range number fails with a ConfigError that

@@ -165,6 +165,14 @@ class TestSchema:
         s.save(path)
         assert D.Schema.load(path) == s
 
+    def test_missing_file_is_schema_error_naming_it(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(SchemaError) as err:
+            D.Schema.load(path)
+        assert str(err.value).startswith(f"{path}: cannot be read (")
+        assert err.value.category == "schema"
+        assert isinstance(err.value.__cause__, FileNotFoundError)
+
     @pytest.mark.parametrize("domains, vocab, named", [
         ("2.9", "8", "domains must be an integer, got 2.9"),
         ('"2"', "8", "domains must be an integer, got '2'"),
@@ -291,6 +299,14 @@ class TestCsvIO:
             D.load_csv(path, s)
         assert str(err.value).startswith(f"{path}: ")
         assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+    def test_missing_file_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError) as err:
+            D.load_csv(path, two_field_schema())
+        assert str(err.value).startswith(f"{path}: cannot be read (")
+        assert err.value.category == "data"
+        assert isinstance(err.value.__cause__, FileNotFoundError)
 
     def test_save_load_round_trip(self, tmp_path):
         spec = D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.1]))

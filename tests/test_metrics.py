@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrlab import metrics
+from ctrlab import metrics, nn
 from ctrlab.errors import MetricError, UsageError
 from test_nn import MAX_SUBNORMAL
 
@@ -52,7 +52,7 @@ def loop_auc(scores, labels) -> float:
 def wrapper_logloss(scores, labels) -> float:
     """Reference ``logloss`` arithmetic through np.clip and np.mean."""
     scores, labels = metrics._check_pair(scores, labels)
-    p = np.clip(scores, metrics._CLAMP, 1.0 - metrics._CLAMP)
+    p = np.clip(scores, nn.CLAMP_EPS, 1.0 - nn.CLAMP_EPS)
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 
 
@@ -286,6 +286,17 @@ class TestSameBitsAsWrapperExpressions:
         assert np.isfinite(got)
         assert np.float64(got).tobytes() == np.float64(
             wrapper_logloss(scores, labels)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 128, 5_000])
+    def test_logloss_is_the_training_loss(self, n):
+        """``logloss`` and ``nn.bce_loss`` average the terms of one
+        ``nn.bce_terms``, so they give the same bits on finite scores."""
+        scores = edge_scores(n, n)
+        labels = two_class_labels(n, n) if n > 1 else np.array([1.0])
+        labels[::3] = np.where(labels[::3] == 0.0, -0.0, 1.0)
+        loss, _ = nn.bce_loss(scores, labels)
+        assert np.float64(metrics.logloss(scores, labels)).tobytes() == (
+            np.float64(loss).tobytes())
 
     @pytest.mark.parametrize("overall", ["pooled", "mean"])
     def test_report(self, overall):

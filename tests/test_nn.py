@@ -148,7 +148,32 @@ def numeric_gradient(f, values: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 
 
 def make_mlp(name, dims, activations, seed=0):
-    return nn.Mlp.build(name, dims, activations, np.random.default_rng(seed))
+    return nn.Mlp(name, dims, activations, np.random.default_rng(seed))
+
+
+class TestMlpConstruction:
+    def test_weights_drawn_in_layer_order_biases_zero(self):
+        """Layer i's weights are the i-th draw from the generator, each of
+        shape (dims[i + 1], dims[i]) and fan-in dims[i]."""
+        net = make_mlp("m", [5, 4, 3, 1], ["relu", "relu", "sigmoid"], seed=9)
+        rng = np.random.default_rng(9)
+        for i, (fan_in, fan_out) in enumerate([(5, 4), (4, 3), (3, 1)]):
+            want = nn.uniform_init(rng, (fan_out, fan_in), fan_in)
+            assert net.weights[i].values.tobytes() == want.tobytes()
+            assert net.weights[i].name == f"m.l{i}.w"
+            assert net.biases[i].values.tobytes() == np.zeros(fan_out).tobytes()
+            assert net.biases[i].name == f"m.l{i}.b"
+        assert net.params() == [net.weights[0], net.biases[0], net.weights[1],
+                                net.biases[1], net.weights[2], net.biases[2]]
+
+    @pytest.mark.parametrize("dims, acts, named", [
+        ([3, 2], ["relu", "linear"], "need 1 activation tags"),
+        ([3, 2, 1], ["relu"], "need 2 activation tags"),
+        ([3, 2], ["tanh"], "unknown activation 'tanh'")])
+    def test_bad_activations_rejected(self, dims, acts, named):
+        with pytest.raises(ConfigError) as err:
+            make_mlp("bad", dims, acts)
+        assert str(err.value) == f"bad: {named}"
 
 
 class TestMlpForward:

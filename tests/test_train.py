@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -28,6 +29,21 @@ def tiny_config(mode: str, seed: int = 5) -> RunConfig:
         learning_rate=0.5, num_prototypes=4, selection_interval=3, epochs=3,
         early_stop_patience=3,
         fixed_subsets=FIXED if mode == "fixed-subset" else None)
+
+
+def json_edit(change):
+    """An edit of checkpoint meta bytes: change(meta) on the decoded JSON."""
+    def edit(raw: bytes) -> bytes:
+        meta = json.loads(raw.decode())
+        change(meta)
+        return json.dumps(meta).encode()
+    return edit
+
+
+def npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +347,8 @@ class TestCheckpoint:
             p for c in result.coders for p in c.params()]
         assert values.dtype == np.float64
         assert values.shape == (sum(p.values.size for p in params),)
+        assert values.tobytes() == np.concatenate(
+            [p.values.ravel() for p in params]).tobytes()
 
     @pytest.mark.parametrize("key", ["meta", "values"])
     def test_missing_array_rejected(self, saved, key):
@@ -360,20 +378,43 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=named):
             train.load_checkpoint(path)
 
-    @pytest.mark.parametrize("change, named", [
-        (lambda meta: meta.pop("config"), "checkpoint meta holds"),
-        (lambda meta: meta["config"].update(reward_metric="auc"),
-         "unknown config keys")],
-        ids=["no-config", "unknown-config-key"])
-    def test_bad_meta_rejected(self, saved, change, named):
+    @pytest.mark.parametrize("edit, named", [
+        (json_edit(lambda meta: meta.pop("config")), "checkpoint meta holds"),
+        (json_edit(lambda meta: meta["config"].update(reward_metric="auc")),
+         "unknown config keys"),
+        (json_edit(lambda meta: meta.update(subsets=[[1], [0, 1], [1, 2]])),
+         "subsets[0] must contain domain 0"),
+        (json_edit(lambda meta: meta.update(subsets=["ab", [0, 1], [1, 2]])),
+         "subsets[0] must be a list, got 'ab'"),
+        (json_edit(lambda meta: meta.update(
+            vocab_sizes=[-3] + meta["vocab_sizes"][1:])),
+         "vocab_sizes[0] must be >= 1, got -3"),
+        (json_edit(lambda meta: meta.update(vocab_sizes=8)),
+         "checkpoint vocab_sizes must be a list, got 8"),
+        (json_edit(lambda meta: meta.update(config=[])),
+         "config must be an object, got list"),
+        (lambda raw: b"\xff" + raw, "not a checkpoint file"),
+        (lambda raw: b"[1, 2]", "checkpoint meta holds [1, 2]")],
+        ids=["no-config", "unknown-config-key", "subset-without-its-domain",
+             "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
+             "config-not-an-object", "not-utf8", "not-an-object"])
+    def test_bad_meta_rejected(self, saved, edit, named):
+        """Malformed meta fails with a ConfigError that names the file."""
         _, path = saved
-
-        def change_meta(arrays):
-            meta = json.loads(bytes(arrays["meta"]).decode())
-            change(meta)
-            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(),
-                                           dtype=np.uint8)
-
-        self.rewrite(path, change_meta)
-        with pytest.raises(ConfigError, match=named):
+        self.rewrite(path, lambda arrays: arrays.update(meta=np.frombuffer(
+            edit(bytes(arrays["meta"])), dtype=np.uint8)))
+        with pytest.raises(ConfigError) as err:
             train.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("content", [
+        b"values,meta\n", npy_bytes(np.zeros(3)), b"PK\x03\x04 truncated",
+        None], ids=["text", "npy", "truncated-zip", "missing"])
+    def test_file_that_is_not_an_npz_rejected(self, tmp_path, content):
+        path = tmp_path / "checkpoint.npz"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError) as err:
+            train.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: not a checkpoint file (")
