@@ -64,20 +64,18 @@ class Backbone:
     def __init__(self, vocab_sizes, embed_dim: int, expert_counts,
                  expert_hidden: int, repr_dim: int, tower_hidden: int,
                  rng: np.random.Generator):
-        if embed_dim < 1 or expert_hidden < 1 or repr_dim < 1 or tower_hidden < 1:
-            raise ConfigError("all layer sizes must be >= 1")
-        self.vocab_sizes = tuple(as_int(v, f"vocab_sizes[{i}]")
+        self.vocab_sizes = tuple(as_int(v, f"vocab_sizes[{i}]", minimum=1)
                                  for i, v in enumerate(vocab_sizes))
         if not self.vocab_sizes:
             raise ConfigError("vocab_sizes needs at least one field")
-        for i, v in enumerate(self.vocab_sizes):
-            if v < 1:
-                raise ConfigError(f"vocab_sizes[{i}] must be >= 1, got {v}")
-        self.embed_dim = int(embed_dim)
-        self.expert_counts = [int(c) for c in expert_counts]
-        self.repr_dim = int(repr_dim)
+        self.embed_dim = as_int(embed_dim, "embed_dim", minimum=1)
+        self.expert_counts = [as_int(c, f"expert_counts[{i}]", minimum=1)
+                              for i, c in enumerate(expert_counts)]
+        self.repr_dim = as_int(repr_dim, "repr_dim", minimum=1)
+        expert_hidden = as_int(expert_hidden, "expert_hidden", minimum=1)
+        tower_hidden = as_int(tower_hidden, "tower_hidden", minimum=1)
         self.num_domains = len(self.expert_counts)
-        self.num_experts = int(expert_owners(self.expert_counts).size)
+        self.num_experts = expert_owners(self.expert_counts).size
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
         self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint64)
         # Row of each field's first entry in the embedding table, which
@@ -91,7 +89,7 @@ class Backbone:
             for k in range(count):
                 self.experts.append(Mlp(
                     f"expert.d{d}e{k}",
-                    [self.x_dim, int(expert_hidden), self.repr_dim],
+                    [self.x_dim, expert_hidden, self.repr_dim],
                     ["relu", "linear"], rng))
         self.gate_w = [Param(f"gate.d{d}.w",
                              uniform_init(rng, (self.num_experts, self.x_dim),
@@ -100,7 +98,7 @@ class Backbone:
         self.gate_b = [Param(f"gate.d{d}.b", np.zeros(self.num_experts))
                        for d in range(self.num_domains)]
         self.towers = [Mlp(f"tower.d{d}",
-                           [self.repr_dim, int(tower_hidden), 1],
+                           [self.repr_dim, tower_hidden, 1],
                            ["relu", "sigmoid"], rng)
                        for d in range(self.num_domains)]
         self._cache = None

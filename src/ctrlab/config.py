@@ -11,14 +11,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as data_mod
-from .data import as_int
+from .data import as_float, as_int
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "MODES", "load_dataset", "check_subsets"]
@@ -30,21 +29,6 @@ SYNTH_OPTIONS = ("fields_per_concept", "vocab_size", "feature_noise")
 # The keys beside "kind" that each dataset kind requires, then may set.
 DATASET_KEYS = {"synth": (("affinity", "noise", "sizes"), SYNTH_OPTIONS),
                 "csv": (("path", "schema"), ())}
-
-
-def _as_float(value, name: str) -> float:
-    """``value`` as a ``float`` if it is a finite int, float or numpy number
-    and not a bool; anything else raises ConfigError naming ``name`` and the
-    value."""
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool)):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _as_list(value, name: str) -> list:
@@ -59,9 +43,9 @@ def _as_list(value, name: str) -> list:
 
 def check_subsets(subsets, domains: int, name: str) -> list:
     """``subsets`` as one sorted list of ints per domain, if it holds one
-    list per domain and each holds its own domain and only known domains;
-    anything else raises ConfigError naming ``name``. The rule for
-    ``fixed_subsets`` and for a checkpoint's active subsets."""
+    list per domain and each holds its own domain and only known domains,
+    none twice; anything else raises ConfigError naming ``name``. The rule
+    for ``fixed_subsets`` and for a checkpoint's active subsets."""
     subsets = _as_list(subsets, name)
     if len(subsets) != domains:
         raise ConfigError(f"{name} needs {domains} entries")
@@ -73,6 +57,8 @@ def check_subsets(subsets, domains: int, name: str) -> list:
             raise ConfigError(f"{name}[{d}] must contain domain {d}")
         if any(not 0 <= s < domains for s in members):
             raise ConfigError(f"{name}[{d}] references unknown domains")
+        if len(set(members)) != len(members):
+            raise ConfigError(f"{name}[{d}] names a domain twice: {members}")
         normalized.append(members)
     return normalized
 
@@ -128,46 +114,39 @@ class RunConfig:
     fixed_subsets: list | None = None
 
     def __post_init__(self):
-        self.domains = as_int(self.domains, "domains")
         # A distance matrix, and so a run, needs two domains.
-        if self.domains < 2:
-            raise ConfigError(f"domains must be >= 2, got {self.domains}")
-        self.seed = as_int(self.seed, "seed")
+        self.domains = as_int(self.domains, "domains", minimum=2)
+        self.seed = as_int(self.seed, "seed", minimum=0)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.expert_counts is None:
             self.expert_counts = [1] * self.domains
         self.expert_counts = [
-            as_int(c, f"expert_counts[{i}]") for i, c in
+            as_int(c, f"expert_counts[{i}]", minimum=1) for i, c in
             enumerate(_as_list(self.expert_counts, "expert_counts"))]
-        if len(self.expert_counts) != self.domains or min(self.expert_counts) < 1:
-            raise ConfigError(
-                f"expert_counts needs {self.domains} positive entries, "
-                f"got {self.expert_counts}")
+        if len(self.expert_counts) != self.domains:
+            raise ConfigError(f"expert_counts needs {self.domains} entries, "
+                              f"got {self.expert_counts}")
         for name in ("embedding_dim", "expert_hidden", "repr_dim",
                      "tower_hidden", "batch_size", "num_prototypes",
                      "selection_interval", "epochs"):
-            setattr(self, name, as_int(getattr(self, name), name))
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        self.early_stop_patience = as_int(self.early_stop_patience,
-                                          "early_stop_patience")
-        if self.early_stop_patience < 0:
-            raise ConfigError("early_stop_patience must be >= 0")
+            setattr(self, name, as_int(getattr(self, name), name, minimum=1))
+        self.early_stop_patience = as_int(
+            self.early_stop_patience, "early_stop_patience", minimum=0)
         if self.quotas is None:
             self.quotas = data_mod.equal_quotas(self.batch_size, self.domains)
-        self.quotas = [as_int(q, f"quotas[{i}]")
+        self.quotas = [as_int(q, f"quotas[{i}]", minimum=1)
                        for i, q in enumerate(_as_list(self.quotas, "quotas"))]
-        if len(self.quotas) != self.domains or min(self.quotas) < 1:
+        if len(self.quotas) != self.domains:
             raise ConfigError(
-                f"quotas needs {self.domains} positive entries, got {self.quotas}")
+                f"quotas needs {self.domains} entries, got {self.quotas}")
         if sum(self.quotas) != self.batch_size:
             raise ConfigError(
                 f"quotas {self.quotas} sum to {sum(self.quotas)}, "
                 f"batch_size is {self.batch_size}")
         for name in ("learning_rate", "proto_loss_weight", "explore_init",
                      "explore_decay"):
-            setattr(self, name, _as_float(getattr(self, name), name))
+            setattr(self, name, as_float(getattr(self, name), name))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.proto_loss_weight < 0:
@@ -180,8 +159,7 @@ class RunConfig:
             raise ConfigError(
                 f"overall_metric must be one of {OVERALL_METRICS}")
         self.split_fractions = data_mod.check_fractions(
-            [_as_float(f, f"split_fractions[{i}]") for i, f in
-             enumerate(_as_list(self.split_fractions, "split_fractions"))])
+            _as_list(self.split_fractions, "split_fractions"))
         # split gives each positive-fraction partition at least one row per
         # domain; a run evaluates on val and test and trains on train.
         if min(self.split_fractions) <= 0.0:
@@ -222,21 +200,21 @@ class RunConfig:
                     or any(len(row) != self.domains for row in rows)):
                 raise ConfigError(
                     f"affinity must be {self.domains}x{self.domains}")
-            affinity = [[_as_float(v, f"dataset affinity[{i}][{j}]")
+            affinity = [[as_float(v, f"dataset affinity[{i}][{j}]")
                          for j, v in enumerate(row)]
                         for i, row in enumerate(rows)]
-            noise = [_as_float(v, f"dataset noise[{d}]") for d, v in
+            noise = [as_float(v, f"dataset noise[{d}]") for d, v in
                      enumerate(_as_list(self.dataset["noise"],
                                         "dataset noise"))]
             # The spec's own checks: noise length and both value ranges.
             data_mod.AffinitySpec(self.domains, affinity, noise)
             if "feature_noise" in self.dataset:
-                _as_float(self.dataset["feature_noise"],
-                          "dataset feature_noise")
+                as_float(self.dataset["feature_noise"],
+                         "dataset feature_noise")
             sizes = _as_list(self.dataset["sizes"], "dataset sizes")
             if len(sizes) != self.domains:
                 raise ConfigError(f"sizes needs {self.domains} entries")
-            checked = {"sizes": [as_int(n, f"dataset sizes[{d}]")
+            checked = {"sizes": [as_int(n, f"dataset sizes[{d}]", minimum=0)
                                  for d, n in enumerate(sizes)]}
             for key in ("fields_per_concept", "vocab_size"):
                 if key in self.dataset:
@@ -289,8 +267,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(data_mod.read_text(path, ConfigError))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

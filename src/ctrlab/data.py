@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,8 @@ __all__ = [
     "FeatureField", "Schema", "DomainData", "DomainDataset",
     "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
-    "as_int", "check_fractions", "check_synth_options",
+    "as_int", "as_float", "read_text", "check_fractions",
+    "check_synth_options",
 ]
 
 log = logging.getLogger(__name__)
@@ -41,12 +44,53 @@ _MAX_DIGITS = 18
 _POW10 = np.array([10 ** k for k in range(_MAX_DIGITS)], dtype=np.int64)
 
 
-def as_int(value, name: str, error=ConfigError) -> int:
-    """``value`` as an ``int`` if it is an int or a numpy integer and not a
-    bool; anything else raises ``error`` naming ``name`` and the value."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
+def as_int(value, name: str, error=ConfigError, minimum=None) -> int:
+    """``value`` as an ``int`` if it is an int or a numpy integer, not a
+    bool, and at least ``minimum`` when one is given. Anything else raises
+    ``error("<name> must be an integer, got <value>")`` or
+    ``error("<name> must be >= <minimum>, got <value>")``: the one rule for
+    every count, size and seed the package takes."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def as_float(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a finite int, float or numpy number
+    and not a bool; anything else raises ConfigError naming ``name`` and the
+    value."""
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+@contextmanager
+def _reading(path, error):
+    """Raise ``error`` naming ``path`` for a file that cannot be read or is
+    not UTF-8 text, chained from the cause."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"{path}: cannot be read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_text(path, error) -> str:
+    """The whole text of a UTF-8 file, newlines translated as text mode
+    does; else ``error("<path>: cannot be read (...)")`` or
+    ``error("<path>: not UTF-8 text (...)")``."""
+    with _reading(path, error), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 @dataclass(frozen=True)
@@ -64,10 +108,8 @@ class Schema:
 
     def __post_init__(self):
         # Frozen: store the checked ints, so numpy integers serialize.
-        object.__setattr__(self, "domains",
-                           as_int(self.domains, "domains", SchemaError))
-        if self.domains < 1:
-            raise SchemaError(f"domain count must be >= 1, got {self.domains}")
+        object.__setattr__(self, "domains", as_int(
+            self.domains, "domains", SchemaError, minimum=1))
         if not self.fields:
             raise SchemaError("schema needs at least one feature field")
         names = [f.name for f in self.fields]
@@ -76,11 +118,9 @@ class Schema:
         object.__setattr__(self, "fields", tuple(
             FeatureField(f.name, as_int(f.vocab_size,
                                         f"field {f.name!r} vocab_size",
-                                        SchemaError))
+                                        SchemaError, minimum=1))
             for f in self.fields))
         for f in self.fields:
-            if f.vocab_size < 1:
-                raise SchemaError(f"field {f.name!r} has vocab_size < 1")
             if "," in f.name or "\n" in f.name or not f.name:
                 raise SchemaError(f"field name {f.name!r} is not CSV-safe")
 
@@ -114,13 +154,7 @@ class Schema:
 
     @classmethod
     def load(cls, path) -> "Schema":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"{path}: cannot be read ({exc.strerror or exc})"
-                              ) from exc
-        return cls.from_json(text)
+        return cls.from_json(read_text(path, SchemaError))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -185,9 +219,7 @@ class AffinitySpec:
     def __post_init__(self):
         self.affinity = np.asarray(self.affinity, dtype=np.float64)
         self.noise = np.asarray(self.noise, dtype=np.float64)
-        d = self.domains
-        if d < 1:
-            raise ConfigError("domain count must be >= 1")
+        self.domains = d = as_int(self.domains, "domains", minimum=1)
         if self.affinity.shape != (d, d):
             raise ConfigError(
                 f"affinity must be {d}x{d}, got {self.affinity.shape}")
@@ -253,10 +285,11 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     domain, label, or vocabulary index) abort with a data error naming the
     line. Blank and whitespace-only lines are skipped. Lines end at "\\n"
     after the text-mode newline translation, as file iteration splits them.
-    A file that cannot be opened or read raises a DataError naming it.
+    A file that cannot be opened or read, or that is not UTF-8 text, raises
+    a DataError naming it, as ``read_text`` does.
 
-    The result, the malformed count and every error are those of reading
-    the file line by line through ``parse_row``:
+    For a UTF-8 file, the result, the malformed count and every error are
+    those of reading the file line by line through ``parse_row``:
 
     * A canonical line holds only ASCII digits and commas, with one cell
       per column, none of them empty or longer than 18 digits. Canonical
@@ -266,35 +299,18 @@ def load_csv(path, schema: Schema) -> DomainDataset:
       digits, a wrong column count) goes to ``parse_row``, so ``int()``
       still decides which cells are integers.
     * The first invalid line in file order raises, through ``parse_row``,
-      so its ``DataError`` is the line-by-line read's. A file that cannot
-      be decoded is read again line by line, so that a row the line-by-line
-      read rejects before it reaches the undecodable bytes still wins;
-      otherwise the file raises a DataError naming its path.
+      so its ``DataError`` is the line-by-line read's.
     * Whole lines are read about ``_CHUNK_CHARS`` characters at a time. A
       chunk's valid rows are kept as one int64 block per domain, and each
       domain's blocks are concatenated once at the end, so the peak is
       about the blocks plus the result plus one chunk's working arrays,
-      never a multiple of the file's text.
+      never a multiple of the file's text. A chunk is decoded before any
+      of its lines is parsed, so bytes that are not UTF-8 raise before any
+      invalid line of their own chunk; an invalid line of an earlier
+      chunk, or a header that does not match, may raise first.
     """
-    try:
+    with _reading(path, DataError):
         return _load_chunks(path, schema)
-    except UnicodeDecodeError as exc:
-        undecodable = exc
-    except OSError as exc:
-        raise DataError(f"{path}: cannot be read ({exc.strerror or exc})"
-                        ) from exc
-    # A chunk is decoded before any of its lines is parsed; line by line,
-    # a row before the undecodable bytes is parsed before they are decoded.
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for line_no, line in enumerate(fh, start=2):
-                if line.strip():
-                    parse_row(line, schema, line_no)
-    except UnicodeDecodeError as exc:
-        undecodable = exc
-    raise DataError(f"{path}: not UTF-8 text ({undecodable.reason})"
-                    ) from undecodable
 
 
 def _load_chunks(path, schema: Schema) -> DomainDataset:
@@ -443,8 +459,10 @@ def equal_quotas(batch_size: int, domains: int) -> list:
 
 def check_fractions(fractions) -> list:
     """``split``'s rule: the train/val/test fractions as floats, if there
-    are 3 of them, none negative, summing to 1; else ConfigError."""
-    fractions = [float(f) for f in fractions]
+    are 3 of them, each a finite number by ``as_float``, none negative,
+    summing to 1; else ConfigError."""
+    fractions = [as_float(f, f"split_fractions[{i}]")
+                 for i, f in enumerate(fractions)]
     if len(fractions) != 3:
         raise ConfigError(
             f"split_fractions needs 3 entries, got {len(fractions)}")
@@ -462,6 +480,7 @@ def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
     partition receives at least one sample per domain.
     """
     fractions = check_fractions(fractions)
+    seed = as_int(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = {name: [] for name in PARTITIONS}
     for d, dd in enumerate(dataset.partitions["all"]):
@@ -507,12 +526,9 @@ class QuotaSampler:
         if len(quotas) != len(datas):
             raise ConfigError(
                 f"{len(quotas)} quotas for {len(datas)} domains")
-        self.quotas = [as_int(q, f"quotas[{d}]")
+        self.quotas = [as_int(q, f"quotas[{d}]", minimum=1)
                        for d, q in enumerate(quotas)]
-        for d, (dd, q) in enumerate(zip(datas, self.quotas)):
-            if q <= 0:
-                raise ConfigError(
-                    f"domain {d} has zero quota but participates in training")
+        for d, dd in enumerate(datas):
             if len(dd) == 0:
                 raise ConfigError(f"domain {d} is empty; cannot sample")
         self.datas = list(datas)
@@ -587,10 +603,10 @@ def _move_tail_samples_back(perm: np.ndarray, tail: np.ndarray,
 def check_synth_options(fields_per_concept: int = 2, vocab_size: int = 16,
                         feature_noise: float = 0.3) -> None:
     """``synth_generate``'s rule for its options, which default as there;
-    ConfigError unless fields_per_concept >= 1, vocab_size >= 2 and
-    feature_noise is a finite number >= 0."""
-    if fields_per_concept < 1 or vocab_size < 2:
-        raise ConfigError("need fields_per_concept >= 1 and vocab_size >= 2")
+    ConfigError unless fields_per_concept is an integer >= 1, vocab_size
+    an integer >= 2 and feature_noise a finite number >= 0."""
+    as_int(fields_per_concept, "fields_per_concept", minimum=1)
+    as_int(vocab_size, "vocab_size", minimum=2)
     if not 0 <= feature_noise < np.inf:
         raise ConfigError(
             f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
@@ -610,6 +626,7 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     if len(sizes) != spec.domains:
         raise ConfigError(f"{len(sizes)} sizes for {spec.domains} domains")
     check_synth_options(fields_per_concept, vocab_size, feature_noise)
+    seed = as_int(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d_count = spec.domains
     fields = tuple(FeatureField(f"c{k}r{r}", vocab_size)
@@ -618,7 +635,7 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     half_range = 1.5
     datas = []
     for d in range(d_count):
-        n = as_int(sizes[d], f"sizes[{d}]")
+        n = as_int(sizes[d], f"sizes[{d}]", minimum=0)
         u = rng.uniform(-1.0, 1.0, size=(n, d_count))
         score = u @ spec.affinity[d]
         labels = (score > 0.0).astype(np.float64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import as_int
 from .errors import ConfigError, UsageError
 from .nn import Param, uniform_init
 
@@ -46,11 +47,10 @@ class ProtoCoder:
 
     def __init__(self, domain: int, batch_count: int, num_prototypes: int,
                  rng: np.random.Generator):
-        if batch_count < 1 or num_prototypes < 1:
-            raise ConfigError("batch count and prototype count must be >= 1")
-        self.domain = int(domain)
-        self.batch_count = int(batch_count)
-        b, m = self.batch_count, int(num_prototypes)
+        self.domain = as_int(domain, "domain", minimum=0)
+        self.batch_count = as_int(batch_count, "batch_count", minimum=1)
+        b = self.batch_count
+        m = as_int(num_prototypes, "num_prototypes", minimum=1)
         self.enc_w = Param(f"proto.d{domain}.enc_w",
                            uniform_init(rng, (m, b), b))
         self.enc_b = Param(f"proto.d{domain}.enc_b", np.zeros(m))

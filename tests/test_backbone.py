@@ -142,6 +142,34 @@ class TestVocabSizes:
         assert [type(v) for v in net.vocab_sizes] == [int, int]
 
 
+class TestLayerSizes:
+    @pytest.mark.parametrize("changes, named", [
+        ({"embed_dim": 2.7}, "embed_dim must be an integer, got 2.7"),
+        ({"expert_counts": (1.9, 1, 1)},
+         "expert_counts[0] must be an integer, got 1.9"),
+        ({"expert_counts": (1, True, 1)},
+         "expert_counts[1] must be an integer, got True"),
+        ({"expert_hidden": 8.5}, "expert_hidden must be an integer, got 8.5"),
+        ({"repr_dim": True}, "repr_dim must be an integer, got True"),
+        ({"tower_hidden": 4.0}, "tower_hidden must be an integer, got 4.0"),
+        ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+        ({"tower_hidden": -2}, "tower_hidden must be >= 1, got -2"),
+    ])
+    def test_bad_sizes_rejected(self, changes, named):
+        """A layer size or expert count that is not a positive integer
+        fails with a ConfigError naming it, instead of being truncated."""
+        with pytest.raises(ConfigError) as err:
+            small_net(**changes)
+        assert str(err.value) == named
+
+    def test_numpy_integer_sizes_kept_as_ints(self):
+        net = small_net(embed_dim=np.int64(2), expert_counts=(np.uint8(2), 1),
+                        repr_dim=np.int32(3))
+        assert (net.embed_dim, net.expert_counts, net.repr_dim) == (2, [2, 1], 3)
+        assert [type(v) for v in (net.embed_dim, *net.expert_counts,
+                                  net.repr_dim)] == [int] * 4
+
+
 class TestEmbed:
     def test_concatenation(self):
         net = small_net(vocab=(2, 2), embed_dim=2)

@@ -80,7 +80,7 @@ class TestRunConfig:
          "expert_counts[0] must be an integer, got np.True_"),
         ({"explore_init": 1.5}, "explore_init must lie in [0, 1]"),
         ({"explore_decay": 0.0}, "explore_decay must lie in (0, 1]"),
-        ({"selection_interval": 0}, "selection_interval must be >= 1"),
+        ({"selection_interval": 0}, "selection_interval must be >= 1, got 0"),
         ({"learning_rate": float("nan")},
          "learning_rate must be a finite number, got nan"),
         ({"proto_loss_weight": float("nan")},
@@ -113,6 +113,16 @@ class TestRunConfig:
          "split_fractions must all be positive, got [0.0, 0.5, 0.5]"),
         ({"split_fractions": [0.5, 0.5, -0.0]},
          "split_fractions must all be positive, got [0.5, 0.5, -0.0]"),
+        # Integers below their field's minimum (numpy's seeding refuses a
+        # negative seed), then lists of the wrong length.
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"expert_counts": [1, 0]}, "expert_counts[1] must be >= 1, got 0"),
+        ({"quotas": [8, 0]}, "quotas[1] must be >= 1, got 0"),
+        ({"early_stop_patience": -1},
+         "early_stop_patience must be >= 0, got -1"),
+        ({"expert_counts": [1, 1, 1]},
+         "expert_counts needs 2 entries, got [1, 1, 1]"),
+        ({"quotas": [8]}, "quotas needs 2 entries, got [8]"),
     ])
     def test_non_integer_fields_rejected(self, changes, named):
         """A malformed or out-of-range number fails with a ConfigError that
@@ -129,6 +139,19 @@ class TestRunConfig:
         raw["dataset"] = dict(raw["dataset"], **{key: value})
         with pytest.raises(ConfigError, match=f"dataset {key}"):
             RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("subsets, named", [
+        ([[0, 0, 1], [1, 1]], "fixed_subsets[0] names a domain twice: "
+                              "[0, 0, 1]"),
+        ([[0], [1, np.int64(1)]], "fixed_subsets[1] names a domain twice: "
+                                  "[1, 1]")])
+    def test_subset_naming_a_domain_twice_rejected(self, subsets, named):
+        """A subset lists each domain once, so one run has one config
+        hash."""
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw_config(mode="fixed-subset",
+                                           fixed_subsets=subsets))
+        assert str(err.value) == named
 
     @pytest.mark.parametrize("mode", ["sdsp", "full-share"])
     def test_fixed_subsets_rejected_outside_fixed_subset_mode(self, mode):
@@ -182,12 +205,12 @@ class TestRunConfig:
          "dataset affinity[1] must be a list, got 0.5"),
         ("affinity", 1.0, "dataset affinity must be a list, got 1.0"),
         ("affinity", [[1.0, 0.5]], "affinity must be 2x2"),
-        ("fields_per_concept", 0,
-         "need fields_per_concept >= 1 and vocab_size >= 2"),
-        ("vocab_size", 1, "need fields_per_concept >= 1 and vocab_size >= 2"),
+        ("fields_per_concept", 0, "fields_per_concept must be >= 1, got 0"),
+        ("vocab_size", 1, "vocab_size must be >= 2, got 1"),
         ("feature_noise", -1.0,
          "feature_noise must be a finite number >= 0, got -1.0"),
         ("feature_nosie", 0.1, "synth dataset has unknown key 'feature_nosie'"),
+        ("sizes", [-5, 400], "dataset sizes[0] must be >= 0, got -5"),
     ])
     def test_malformed_synth_entries_rejected(self, key, value, named):
         raw = raw_config()

@@ -308,6 +308,21 @@ class TestCsvIO:
         assert err.value.category == "data"
         assert isinstance(err.value.__cause__, FileNotFoundError)
 
+    @pytest.mark.parametrize("filler", [0, 2_700],
+                             ids=["adjacent", "16K-characters-apart"])
+    def test_not_utf8_whatever_row_comes_first(self, tmp_path, filler):
+        """A bad domain on line 3 and a byte that is not UTF-8 on a later
+        line of the same chunk: the file is not UTF-8, however far apart
+        the two are."""
+        schema = D.Schema(2, (D.FeatureField("a", 3),))
+        path = write_csv(tmp_path, schema,
+                         b"0,1,2\n5,0,1\n" + b"0,1,2\n" * filler
+                         + b"0,1,\xe9\n")
+        with pytest.raises(DataError) as err:
+            D.load_csv(path, schema)
+        assert str(err.value) == (f"{path}: not UTF-8 text "
+                                  f"(invalid continuation byte)")
+
     def test_save_load_round_trip(self, tmp_path):
         spec = D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.1]))
         ds = D.synth_generate(spec, [20, 30], seed=5)
@@ -452,18 +467,17 @@ class TestLoadCsvMatchesLoop:
         else:
             assert str(want).startswith(f"line {bad_at}:")
 
-    def test_bad_row_before_undecodable_bytes_in_its_chunk(self, tmp_path,
-                                                           caplog):
+    def test_bad_row_before_undecodable_bytes_in_its_chunk(self, tmp_path):
         # The byte that is not UTF-8 sits about 16K characters after line
-        # 3: inside line 3's chunk, but beyond what the line-by-line read
-        # has decoded when it rejects line 3.
+        # 3: inside line 3's chunk, but beyond what a line-by-line read has
+        # decoded when it rejects line 3. The file is not UTF-8, and that
+        # is the error.
         body = (GOOD.replace("1,0,4,5", "1,0,4,99").encode()
                 + GOOD.encode() * 1_000 + b"0,1,\xff,3\n")
-        want = assert_same_as_loop(
-            write_csv(tmp_path, two_field_schema(), body),
-            two_field_schema(), caplog)
-        assert isinstance(want, DataError)
-        assert str(want).startswith("line 3:")
+        path = write_csv(tmp_path, two_field_schema(), body)
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            D.load_csv(path, two_field_schema())
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestLoadCsvMemory:
@@ -549,8 +563,32 @@ class TestSplit:
             D.split(ds, (0.5, 0.2, 0.2), seed=0)
 
     def test_nan_fraction_rejected(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
+        with pytest.raises(ConfigError, match=r"^split_fractions\[0\] must "
+                                              r"be a finite number, got nan$"):
             D.split(synthetic([10, 10]), (float("nan"), 0.5, 0.5), seed=0)
+
+    @pytest.mark.parametrize("fractions, named", [
+        (["0.8", "0.1", "0.1"],
+         "split_fractions[0] must be a finite number, got '0.8'"),
+        ([True, 0, 0], "split_fractions[0] must be a finite number, got True"),
+        (["a", 0.1, 0.1], "split_fractions[0] must be a finite number, got 'a'"),
+        ([0.8, np.inf, 0.1],
+         "split_fractions[1] must be a finite number, got inf"),
+    ])
+    def test_fractions_that_are_not_numbers_rejected(self, fractions, named):
+        """split applies RunConfig's rule for split_fractions: each entry a
+        finite number, not a string or a bool."""
+        with pytest.raises(ConfigError) as err:
+            D.split(synthetic([10, 10]), fractions, seed=0)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("seed, named", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.0, "seed must be an integer, got 1.0")])
+    def test_bad_seed_rejected(self, seed, named):
+        with pytest.raises(ConfigError) as err:
+            D.split(synthetic([10, 10]), (0.8, 0.1, 0.1), seed=seed)
+        assert str(err.value) == named
 
     def test_keeps_the_malformed_count(self, tmp_path):
         s = two_field_schema()
@@ -632,7 +670,8 @@ class TestQuotaSampler:
         assert len(sampler.next_batch()[0][1]) == 3
 
     def test_zero_quota_rejected(self):
-        with pytest.raises(ConfigError, match="zero quota"):
+        with pytest.raises(ConfigError,
+                           match=r"^quotas\[1\] must be >= 1, got 0$"):
             self._sampler([10, 10], [2, 0])
 
     def test_empty_domain_rejected(self):
@@ -824,6 +863,41 @@ class TestSynthGenerate:
     def test_non_finite_spec_rejected(self, affinity, noise, named):
         with pytest.raises(ConfigError, match=named):
             D.AffinitySpec(2, affinity, noise)
+
+    def test_non_integer_domain_count_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            D.AffinitySpec(2.0, np.eye(2), np.zeros(2))
+        assert str(err.value) == "domains must be an integer, got 2.0"
+        with pytest.raises(ConfigError) as err:
+            D.AffinitySpec(0, np.eye(0), np.zeros(0))
+        assert str(err.value) == "domains must be >= 1, got 0"
+        spec = D.AffinitySpec(np.int64(2), np.eye(2), np.zeros(2))
+        assert type(spec.domains) is int
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"fields_per_concept": 2.0},
+         "fields_per_concept must be an integer, got 2.0"),
+        ({"vocab_size": True}, "vocab_size must be an integer, got True"),
+        ({"fields_per_concept": 0}, "fields_per_concept must be >= 1, got 0"),
+        ({"vocab_size": 1}, "vocab_size must be >= 2, got 1"),
+        ({"sizes": [-5, 400]}, "sizes[0] must be >= 0, got -5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ])
+    def test_bad_counts_rejected(self, changes, named):
+        """Every count synth_generate takes is an integer of at least its
+        minimum; anything else is a ConfigError naming it, not a bare
+        numpy error."""
+        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
+        kwargs = {"sizes": [10, 10], "seed": 1, **changes}
+        with pytest.raises(ConfigError) as err:
+            D.synth_generate(spec, **kwargs)
+        assert str(err.value) == named
+
+    def test_empty_domain_generated(self):
+        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
+        ds = D.synth_generate(spec, [0, 10], seed=1)
+        assert counts(ds, "all") == [0, 10]
 
     @pytest.mark.parametrize("feature_noise", [np.nan, np.inf, -0.1])
     def test_bad_feature_noise_rejected(self, feature_noise):

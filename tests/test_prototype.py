@@ -102,6 +102,31 @@ def relative_error(a, b, floor=1e-4):
     return np.max(np.abs(a - b) / denom)
 
 
+class TestSizes:
+    @pytest.mark.parametrize("changes, named", [
+        ({"batch": 5.5}, "batch_count must be an integer, got 5.5"),
+        ({"protos": 2.2}, "num_prototypes must be an integer, got 2.2"),
+        ({"batch": True}, "batch_count must be an integer, got True"),
+        ({"domain": 1.0}, "domain must be an integer, got 1.0"),
+        ({"batch": 0}, "batch_count must be >= 1, got 0"),
+        ({"protos": 0}, "num_prototypes must be >= 1, got 0"),
+        ({"domain": -1}, "domain must be >= 0, got -1"),
+    ])
+    def test_bad_sizes_rejected(self, changes, named):
+        """A count that is not a non-negative (domain) or positive integer
+        fails with a ConfigError naming it, instead of being truncated."""
+        with pytest.raises(ConfigError) as err:
+            make_coder(**changes)
+        assert str(err.value) == named
+
+    def test_numpy_integers_kept_as_ints(self):
+        coder = make_coder(batch=np.int64(5), protos=np.uint8(2),
+                           domain=np.int32(1))
+        assert (coder.domain, coder.batch_count) == (1, 5)
+        assert type(coder.domain) is type(coder.batch_count) is int
+        assert coder.enc_w.values.shape == (2, 5)
+
+
 class TestEncode:
     def test_uniform_row_is_batch_mean(self):
         coder = make_coder(batch=5, protos=1)

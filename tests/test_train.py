@@ -7,7 +7,7 @@ import pytest
 
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
-from ctrlab.errors import ConfigError
+from ctrlab.errors import ConfigError, LabError
 from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
 from test_metrics import loop_auc
@@ -394,10 +394,13 @@ class TestCheckpoint:
         (json_edit(lambda meta: meta.update(config=[])),
          "config must be an object, got list"),
         (lambda raw: b"\xff" + raw, "not a checkpoint file"),
-        (lambda raw: b"[1, 2]", "checkpoint meta holds [1, 2]")],
+        (lambda raw: b"[1, 2]", "checkpoint meta holds [1, 2]"),
+        (json_edit(lambda meta: meta.update(subsets=[[0], [0, 1, 1], [1, 2]])),
+         "subsets[1] names a domain twice: [0, 1, 1]")],
         ids=["no-config", "unknown-config-key", "subset-without-its-domain",
              "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
-             "config-not-an-object", "not-utf8", "not-an-object"])
+             "config-not-an-object", "not-utf8", "not-an-object",
+             "subset-naming-a-domain-twice"])
     def test_bad_meta_rejected(self, saved, edit, named):
         """Malformed meta fails with a ConfigError that names the file."""
         _, path = saved
@@ -418,3 +421,43 @@ class TestCheckpoint:
         with pytest.raises(ConfigError) as err:
             train.load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: not a checkpoint file (")
+
+
+# Every loader of a file, called on a path; the first three read text.
+FILE_LOADERS = {
+    "load_csv": lambda path: data.load_csv(
+        path, data.Schema(2, (data.FeatureField("a", 3),))),
+    "Schema.load": data.Schema.load,
+    "RunConfig.load": RunConfig.load,
+    "load_checkpoint": train.load_checkpoint,
+}
+TEXT_LOADERS = ("load_csv", "Schema.load", "RunConfig.load")
+
+
+def causes(exc) -> list:
+    """The types along ``exc``'s chain of causes, ``exc``'s own first."""
+    chain = []
+    while exc is not None:
+        chain.append(type(exc))
+        exc = exc.__cause__
+    return chain
+
+
+@pytest.mark.parametrize("loader", FILE_LOADERS)
+def test_missing_file_is_a_lab_error_naming_it(tmp_path, loader):
+    path = tmp_path / "absent"
+    with pytest.raises(LabError) as err:
+        FILE_LOADERS[loader](path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert FileNotFoundError in causes(err.value)
+
+
+@pytest.mark.parametrize("loader", TEXT_LOADERS)
+def test_text_that_is_not_utf8_is_a_lab_error_naming_it(tmp_path, loader):
+    path = tmp_path / "latin1"
+    path.write_bytes('{"domains": 2, "fields": [{"name": "f\xe9"}]}'
+                     .encode("latin-1"))
+    with pytest.raises(LabError) as err:
+        FILE_LOADERS[loader](path)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text (")
+    assert causes(err.value)[1] is UnicodeDecodeError
