@@ -3,7 +3,8 @@
 The config file is a JSON object whose keys mirror RunConfig field names
 exactly. The dataset source is either a planted synthetic spec or a CSV
 path plus schema file. A short hash of the canonical config JSON travels
-with checkpoints and reports so artifacts can be matched to their run.
+with reports so they can be matched to their run; a checkpoint stores the
+config itself.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
-from .data import as_float, as_int
+from .data import as_float, as_int, as_list
 from .errors import ConfigError
 
 __all__ = ["RunConfig", "MODES", "load_dataset", "check_subsets"]
@@ -31,28 +32,18 @@ DATASET_KEYS = {"synth": (("affinity", "noise", "sizes"), SYNTH_OPTIONS),
                 "csv": (("path", "schema"), ())}
 
 
-def _as_list(value, name: str) -> list:
-    """``value`` as a list if it is a list, a tuple or a numpy array of at
-    least one dimension; anything else raises ConfigError naming ``name``
-    and the value."""
-    if isinstance(value, (list, tuple)) or (
-            isinstance(value, np.ndarray) and value.ndim >= 1):
-        return list(value)
-    raise ConfigError(f"{name} must be a list, got {value!r}")
-
-
 def check_subsets(subsets, domains: int, name: str) -> list:
     """``subsets`` as one sorted list of ints per domain, if it holds one
     list per domain and each holds its own domain and only known domains,
     none twice; anything else raises ConfigError naming ``name``. The rule
     for ``fixed_subsets`` and for a checkpoint's active subsets."""
-    subsets = _as_list(subsets, name)
+    subsets = as_list(subsets, name)
     if len(subsets) != domains:
         raise ConfigError(f"{name} needs {domains} entries")
     normalized = []
     for d, subset in enumerate(subsets):
         members = sorted(as_int(s, f"{name}[{d}] entry")
-                         for s in _as_list(subset, f"{name}[{d}]"))
+                         for s in as_list(subset, f"{name}[{d}]"))
         if d not in members:
             raise ConfigError(f"{name}[{d}] must contain domain {d}")
         if any(not 0 <= s < domains for s in members):
@@ -70,11 +61,14 @@ def _synth_options(spec: dict) -> dict:
 
 def _plain(value):
     """``value`` with each numpy array or number in it, at any depth of
-    lists and tuples, replaced by the equal Python value."""
+    lists and tuples, replaced by the equal Python value, and an
+    ``os.PathLike`` by its path."""
     if isinstance(value, (list, tuple)):
         return type(value)(map(_plain, value))
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
+    if isinstance(value, os.PathLike):
+        return os.fspath(value)
     return value
 
 
@@ -123,7 +117,7 @@ class RunConfig:
             self.expert_counts = [1] * self.domains
         self.expert_counts = [
             as_int(c, f"expert_counts[{i}]", minimum=1) for i, c in
-            enumerate(_as_list(self.expert_counts, "expert_counts"))]
+            enumerate(as_list(self.expert_counts, "expert_counts"))]
         if len(self.expert_counts) != self.domains:
             raise ConfigError(f"expert_counts needs {self.domains} entries, "
                               f"got {self.expert_counts}")
@@ -136,7 +130,7 @@ class RunConfig:
         if self.quotas is None:
             self.quotas = data_mod.equal_quotas(self.batch_size, self.domains)
         self.quotas = [as_int(q, f"quotas[{i}]", minimum=1)
-                       for i, q in enumerate(_as_list(self.quotas, "quotas"))]
+                       for i, q in enumerate(as_list(self.quotas, "quotas"))]
         if len(self.quotas) != self.domains:
             raise ConfigError(
                 f"quotas needs {self.domains} entries, got {self.quotas}")
@@ -158,8 +152,7 @@ class RunConfig:
         if self.overall_metric not in OVERALL_METRICS:
             raise ConfigError(
                 f"overall_metric must be one of {OVERALL_METRICS}")
-        self.split_fractions = data_mod.check_fractions(
-            _as_list(self.split_fractions, "split_fractions"))
+        self.split_fractions = data_mod.check_fractions(self.split_fractions)
         # split gives each positive-fraction partition at least one row per
         # domain; a run evaluates on val and test and trains on train.
         if min(self.split_fractions) <= 0.0:
@@ -192,48 +185,23 @@ class RunConfig:
         for key in self.dataset:
             if key not in ("kind",) + required + optional:
                 raise ConfigError(f"{kind} dataset has unknown key {key!r}")
+        checked = {key: _plain(value) for key, value in self.dataset.items()}
         if kind == "synth":
-            rows = [_as_list(row, f"dataset affinity[{i}]") for i, row in
-                    enumerate(_as_list(self.dataset["affinity"],
-                                       "dataset affinity"))]
-            if (len(rows) != self.domains
-                    or any(len(row) != self.domains for row in rows)):
-                raise ConfigError(
-                    f"affinity must be {self.domains}x{self.domains}")
-            affinity = [[as_float(v, f"dataset affinity[{i}][{j}]")
-                         for j, v in enumerate(row)]
-                        for i, row in enumerate(rows)]
-            noise = [as_float(v, f"dataset noise[{d}]") for d, v in
-                     enumerate(_as_list(self.dataset["noise"],
-                                        "dataset noise"))]
-            # The spec's own checks: noise length and both value ranges.
-            data_mod.AffinitySpec(self.domains, affinity, noise)
-            if "feature_noise" in self.dataset:
-                as_float(self.dataset["feature_noise"],
-                         "dataset feature_noise")
-            sizes = _as_list(self.dataset["sizes"], "dataset sizes")
-            if len(sizes) != self.domains:
-                raise ConfigError(f"sizes needs {self.domains} entries")
-            checked = {"sizes": [as_int(n, f"dataset sizes[{d}]", minimum=0)
-                                 for d, n in enumerate(sizes)]}
-            for key in ("fields_per_concept", "vocab_size"):
-                if key in self.dataset:
-                    checked[key] = as_int(self.dataset[key], f"dataset {key}")
-            for key in ("affinity", "noise", "feature_noise"):
-                if key in self.dataset:
-                    checked[key] = _plain(self.dataset[key])
-            data_mod.check_synth_options(**_synth_options(
-                {**self.dataset, **checked}))
+            try:
+                data_mod.AffinitySpec(self.domains, self.dataset["affinity"],
+                                      self.dataset["noise"])
+                checked["sizes"] = data_mod.check_synth_options(
+                    self.domains, self.dataset["sizes"],
+                    **_synth_options(self.dataset))
+            except ConfigError as exc:
+                raise ConfigError(f"dataset {exc}") from exc
         else:
-            checked = {}
             for key in required:
-                value = self.dataset[key]
-                checked[key] = (os.fspath(value)
-                                if isinstance(value, os.PathLike) else value)
                 if not isinstance(checked[key], str):
-                    raise ConfigError(f"dataset {key} must be a str or "
-                                      f"os.PathLike, got {value!r}")
-        self.dataset = {**self.dataset, **checked}
+                    raise ConfigError(
+                        f"dataset {key} must be a str or os.PathLike, "
+                        f"got {self.dataset[key]!r}")
+        self.dataset = checked
 
     # ------------------------------------------------------------ round trip
 

@@ -29,7 +29,7 @@ __all__ = [
     "FeatureField", "Schema", "DomainData", "DomainDataset",
     "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
-    "as_int", "as_float", "read_text", "check_fractions",
+    "as_int", "as_float", "as_list", "read_text", "check_fractions",
     "check_synth_options",
 ]
 
@@ -71,6 +71,16 @@ def as_float(value, name: str) -> float:
         if math.isfinite(number):
             return number
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def as_list(value, name: str) -> list:
+    """``value`` as a list if it is a list, a tuple or a numpy array of at
+    least one dimension; anything else raises ConfigError naming ``name``
+    and the value."""
+    if isinstance(value, (list, tuple)) or (
+            isinstance(value, np.ndarray) and value.ndim >= 1):
+        return list(value)
+    raise ConfigError(f"{name} must be a list, got {value!r}")
 
 
 @contextmanager
@@ -210,6 +220,9 @@ class AffinitySpec:
 
     affinity[d, k] says how much domain d's labels borrow concept k; noise[d]
     is the probability that domain d's label is flipped after thresholding.
+    Each row is read by ``as_list`` and each entry by ``as_float``, naming
+    ``affinity[i][j]`` or ``noise[d]``: the one rule for a synthetic spec,
+    which RunConfig applies by constructing one.
     """
 
     domains: int
@@ -217,19 +230,23 @@ class AffinitySpec:
     noise: np.ndarray
 
     def __post_init__(self):
-        self.affinity = np.asarray(self.affinity, dtype=np.float64)
-        self.noise = np.asarray(self.noise, dtype=np.float64)
         self.domains = d = as_int(self.domains, "domains", minimum=1)
-        if self.affinity.shape != (d, d):
-            raise ConfigError(
-                f"affinity must be {d}x{d}, got {self.affinity.shape}")
-        # Written so that NaN fails too.
+        rows = [as_list(row, f"affinity[{i}]")
+                for i, row in enumerate(as_list(self.affinity, "affinity"))]
+        if len(rows) != d or any(len(row) != d for row in rows):
+            raise ConfigError(f"affinity must be {d}x{d}")
+        self.affinity = np.array(
+            [[as_float(v, f"affinity[{i}][{j}]") for j, v in enumerate(row)]
+             for i, row in enumerate(rows)], dtype=np.float64)
         if not ((self.affinity >= 0.0) & (self.affinity <= 1.0)).all():
             raise ConfigError("affinity entries must lie in [0, 1]")
         if np.any(np.diag(self.affinity) <= 0.0):
             raise ConfigError("affinity diagonal must be positive")
-        if self.noise.shape != (d,):
+        noise = as_list(self.noise, "noise")
+        if len(noise) != d:
             raise ConfigError(f"noise must have shape ({d},)")
+        self.noise = np.array([as_float(v, f"noise[{k}]")
+                               for k, v in enumerate(noise)], dtype=np.float64)
         if not ((self.noise >= 0.0) & (self.noise <= 0.5)).all():
             raise ConfigError("noise probabilities must lie in [0, 0.5]")
 
@@ -458,11 +475,11 @@ def equal_quotas(batch_size: int, domains: int) -> list:
 
 
 def check_fractions(fractions) -> list:
-    """``split``'s rule: the train/val/test fractions as floats, if there
-    are 3 of them, each a finite number by ``as_float``, none negative,
+    """``split``'s rule: the train/val/test fractions as floats, if they
+    are a list of 3, each a finite number by ``as_float``, none negative,
     summing to 1; else ConfigError."""
-    fractions = [as_float(f, f"split_fractions[{i}]")
-                 for i, f in enumerate(fractions)]
+    fractions = [as_float(f, f"split_fractions[{i}]") for i, f in
+                 enumerate(as_list(fractions, "split_fractions"))]
     if len(fractions) != 3:
         raise ConfigError(
             f"split_fractions needs 3 entries, got {len(fractions)}")
@@ -600,16 +617,23 @@ def _move_tail_samples_back(perm: np.ndarray, tail: np.ndarray,
     perm[hop[start]] = bumped
 
 
-def check_synth_options(fields_per_concept: int = 2, vocab_size: int = 16,
-                        feature_noise: float = 0.3) -> None:
-    """``synth_generate``'s rule for its options, which default as there;
-    ConfigError unless fields_per_concept is an integer >= 1, vocab_size
-    an integer >= 2 and feature_noise a finite number >= 0."""
+def check_synth_options(domains: int, sizes, fields_per_concept: int = 2,
+                        vocab_size: int = 16,
+                        feature_noise: float = 0.3) -> list:
+    """``synth_generate``'s rule for its sizes and options, which default as
+    there: ``sizes`` as a list of ints, if it is a list of one integer >= 0
+    per domain, fields_per_concept an integer >= 1, vocab_size an integer
+    >= 2 and feature_noise a finite number >= 0; else ConfigError."""
+    sizes = as_list(sizes, "sizes")
+    if len(sizes) != domains:
+        raise ConfigError(f"sizes needs {domains} entries")
+    sizes = [as_int(n, f"sizes[{d}]", minimum=0) for d, n in enumerate(sizes)]
     as_int(fields_per_concept, "fields_per_concept", minimum=1)
     as_int(vocab_size, "vocab_size", minimum=2)
-    if not 0 <= feature_noise < np.inf:
+    if as_float(feature_noise, "feature_noise") < 0:
         raise ConfigError(
             f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
+    return sizes
 
 
 def synth_generate(spec: AffinitySpec, sizes, seed: int,
@@ -623,9 +647,8 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     feature noise, binned uniformly over [-1.5, 1.5] into the vocabulary.
     The planted spec travels with the dataset for ground-truth checks.
     """
-    if len(sizes) != spec.domains:
-        raise ConfigError(f"{len(sizes)} sizes for {spec.domains} domains")
-    check_synth_options(fields_per_concept, vocab_size, feature_noise)
+    sizes = check_synth_options(spec.domains, sizes, fields_per_concept,
+                                vocab_size, feature_noise)
     seed = as_int(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     d_count = spec.domains
@@ -634,8 +657,7 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     schema = Schema(domains=d_count, fields=fields)
     half_range = 1.5
     datas = []
-    for d in range(d_count):
-        n = as_int(sizes[d], f"sizes[{d}]", minimum=0)
+    for d, n in enumerate(sizes):
         u = rng.uniform(-1.0, 1.0, size=(n, d_count))
         score = u @ spec.affinity[d]
         labels = (score > 0.0).astype(np.float64)

@@ -1,7 +1,7 @@
 """Training orchestration.
 
-One run: split the dataset 8:1:1, build the backbone and per-domain
-prototype coders, then iterate fixed-quota batches minimizing
+One run: split the dataset by split_fractions, build the backbone and
+per-domain prototype coders, then iterate fixed-quota batches minimizing
 
     L_final = L_ctr + gamma * L_rec
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctrlab import data as D
 from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError
 
@@ -19,6 +20,58 @@ def raw_config(**changes) -> dict:
     }
     raw.update(changes)
     return raw
+
+
+UNKNOWN_KEY = ("feature_nosie", 0.1,
+               "synth dataset has unknown key 'feature_nosie'")
+
+# A synthetic spec with one bad entry, and RunConfig's message for it. A
+# message that is one of AffinitySpec's or check_synth_options' range and
+# shape rules behind "dataset " names the rule alone in its case's id.
+MALFORMED_SYNTH = [
+    ("sizes", 50, "dataset sizes must be a list, got 50"),
+    ("noise", 0.1, "dataset noise must be a list, got 0.1"),
+    ("noise", [float("nan"), 0.1],
+     "dataset noise[0] must be a finite number, got nan"),
+    ("noise", [0.1, "0.1"],
+     "dataset noise[1] must be a finite number, got '0.1'"),
+    pytest.param("noise", [0.1, 0.7],
+                 "dataset noise probabilities must lie in [0, 0.5]",
+                 id="noise-value4-noise probabilities must lie in [0, 0.5]"),
+    pytest.param("noise", [0.1], "dataset noise must have shape (2,)",
+                 id="noise-value5-noise must have shape (2,)"),
+    ("feature_noise", float("nan"),
+     "dataset feature_noise must be a finite number, got nan"),
+    ("feature_noise", float("inf"),
+     "dataset feature_noise must be a finite number, got inf"),
+    ("feature_noise", "x",
+     "dataset feature_noise must be a finite number, got 'x'"),
+    ("affinity", [[1.0, float("nan")], [0.5, 1.0]],
+     "dataset affinity[0][1] must be a finite number, got nan"),
+    ("affinity", [[1.0, 0.5], [True, 1.0]],
+     "dataset affinity[1][0] must be a finite number, got True"),
+    pytest.param("affinity", [[1.0, 0.5], [0.5, 2.0]],
+                 "dataset affinity entries must lie in [0, 1]",
+                 id="affinity-value11-affinity entries must lie in [0, 1]"),
+    ("affinity", [[1.0, 0.5], 0.5],
+     "dataset affinity[1] must be a list, got 0.5"),
+    ("affinity", 1.0, "dataset affinity must be a list, got 1.0"),
+    pytest.param("affinity", [[1.0, 0.5]], "dataset affinity must be 2x2",
+                 id="affinity-value14-affinity must be 2x2"),
+    pytest.param("fields_per_concept", 0,
+                 "dataset fields_per_concept must be >= 1, got 0",
+                 id="fields_per_concept-0-fields_per_concept must be >= 1, "
+                    "got 0"),
+    pytest.param("vocab_size", 1, "dataset vocab_size must be >= 2, got 1",
+                 id="vocab_size-1-vocab_size must be >= 2, got 1"),
+    pytest.param("feature_noise", -1.0,
+                 "dataset feature_noise must be a finite number >= 0, "
+                 "got -1.0",
+                 id="feature_noise--1.0-feature_noise must be a finite "
+                    "number >= 0, got -1.0"),
+    UNKNOWN_KEY,
+    ("sizes", [-5, 400], "dataset sizes[0] must be >= 0, got -5"),
+]
 
 
 class TestRunConfig:
@@ -180,44 +233,26 @@ class TestRunConfig:
             RunConfig.from_dict(raw_config(**changes))
         assert str(err.value) == named
 
-    @pytest.mark.parametrize("key, value, named", [
-        ("sizes", 50, "dataset sizes must be a list, got 50"),
-        ("noise", 0.1, "dataset noise must be a list, got 0.1"),
-        ("noise", [float("nan"), 0.1],
-         "dataset noise[0] must be a finite number, got nan"),
-        ("noise", [0.1, "0.1"],
-         "dataset noise[1] must be a finite number, got '0.1'"),
-        ("noise", [0.1, 0.7], "noise probabilities must lie in [0, 0.5]"),
-        ("noise", [0.1], "noise must have shape (2,)"),
-        ("feature_noise", float("nan"),
-         "dataset feature_noise must be a finite number, got nan"),
-        ("feature_noise", float("inf"),
-         "dataset feature_noise must be a finite number, got inf"),
-        ("feature_noise", "x",
-         "dataset feature_noise must be a finite number, got 'x'"),
-        ("affinity", [[1.0, float("nan")], [0.5, 1.0]],
-         "dataset affinity[0][1] must be a finite number, got nan"),
-        ("affinity", [[1.0, 0.5], [True, 1.0]],
-         "dataset affinity[1][0] must be a finite number, got True"),
-        ("affinity", [[1.0, 0.5], [0.5, 2.0]],
-         "affinity entries must lie in [0, 1]"),
-        ("affinity", [[1.0, 0.5], 0.5],
-         "dataset affinity[1] must be a list, got 0.5"),
-        ("affinity", 1.0, "dataset affinity must be a list, got 1.0"),
-        ("affinity", [[1.0, 0.5]], "affinity must be 2x2"),
-        ("fields_per_concept", 0, "fields_per_concept must be >= 1, got 0"),
-        ("vocab_size", 1, "vocab_size must be >= 2, got 1"),
-        ("feature_noise", -1.0,
-         "feature_noise must be a finite number >= 0, got -1.0"),
-        ("feature_nosie", 0.1, "synth dataset has unknown key 'feature_nosie'"),
-        ("sizes", [-5, 400], "dataset sizes[0] must be >= 0, got -5"),
-    ])
+    @pytest.mark.parametrize("key, value, named", MALFORMED_SYNTH)
     def test_malformed_synth_entries_rejected(self, key, value, named):
         raw = raw_config()
         raw["dataset"] = dict(raw["dataset"], **{key: value})
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict(raw)
         assert str(err.value) == named
+
+    @pytest.mark.parametrize("key, value, named", [
+        case for case in MALFORMED_SYNTH if case is not UNKNOWN_KEY])
+    def test_synth_rules_have_one_owner(self, key, value, named):
+        """RunConfig's message for a malformed synthetic spec, as the test
+        above checks it, is the direct AffinitySpec and synth_generate
+        calls' message behind "dataset "."""
+        dataset = dict(SYNTH, **{key: value})
+        with pytest.raises(ConfigError) as direct:
+            spec = D.AffinitySpec(2, dataset["affinity"], dataset["noise"])
+            D.synth_generate(spec, dataset["sizes"], seed=3, **{
+                k: v for k, v in dataset.items() if k not in SYNTH})
+        assert named == f"dataset {direct.value}"
 
     @pytest.mark.parametrize("dataset, named", [
         ({"kind": "csv", "path": 3, "schema": "s.json"},

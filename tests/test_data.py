@@ -582,6 +582,11 @@ class TestSplit:
             D.split(synthetic([10, 10]), fractions, seed=0)
         assert str(err.value) == named
 
+    def test_fractions_that_are_not_a_list_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            D.split(synthetic([10, 10]), 0.5, 0)
+        assert str(err.value) == "split_fractions must be a list, got 0.5"
+
     @pytest.mark.parametrize("seed, named", [
         (-1, "seed must be >= 0, got -1"),
         (1.0, "seed must be an integer, got 1.0")])
@@ -854,15 +859,41 @@ class TestSynthGenerate:
             D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.9]))
 
     @pytest.mark.parametrize("affinity, noise, named", [
-        ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0], "affinity entries"),
-        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0], "affinity entries"),
-        ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0], "affinity entries"),
-        (np.eye(2), [np.nan, 0.1], "noise probabilities"),
-        (np.eye(2), [0.1, -np.inf], "noise probabilities"),
-    ])
+        ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0],
+         "affinity[0][1] must be a finite number, got nan"),
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0],
+         "affinity[0][0] must be a finite number, got nan"),
+        ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0],
+         "affinity[1][0] must be a finite number, got inf"),
+        (np.eye(2), [np.nan, 0.1],
+         "noise[0] must be a finite number, got nan"),
+        (np.eye(2), [0.1, -np.inf],
+         "noise[1] must be a finite number, got -inf"),
+    ], ids=["affinity0-noise0-affinity entries",
+            "affinity1-noise1-affinity entries",
+            "affinity2-noise2-affinity entries",
+            "affinity3-noise3-noise probabilities",
+            "affinity4-noise4-noise probabilities"])
     def test_non_finite_spec_rejected(self, affinity, noise, named):
-        with pytest.raises(ConfigError, match=named):
+        with pytest.raises(ConfigError) as err:
             D.AffinitySpec(2, affinity, noise)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("affinity, noise, named", [
+        ([[1.0, True], [0.0, 1.0]], [0.1, 0.1],
+         "affinity[0][1] must be a finite number, got True"),
+        ([["1.0", "0.5"], [0.5, 1.0]], [0.1, 0.1],
+         "affinity[0][0] must be a finite number, got '1.0'"),
+        ([[1.0, 0.5], 0.5], [0.1, 0.1], "affinity[1] must be a list, got 0.5"),
+        ([[1.0, 0.5], [0.5]], [0.1, 0.1], "affinity must be 2x2"),
+        (np.eye(2), 0.1, "noise must be a list, got 0.1"),
+    ])
+    def test_malformed_entries_rejected(self, affinity, noise, named):
+        """AffinitySpec reads each row and entry as RunConfig does, instead
+        of letting numpy cast a bool or a string to a float."""
+        with pytest.raises(ConfigError) as err:
+            D.AffinitySpec(2, affinity, noise)
+        assert str(err.value) == named
 
     def test_non_integer_domain_count_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -883,11 +914,18 @@ class TestSynthGenerate:
         ({"sizes": [-5, 400]}, "sizes[0] must be >= 0, got -5"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"sizes": 5}, "sizes must be a list, got 5"),
+        ({"sizes": [10]}, "sizes needs 2 entries"),
+        ({"feature_noise": "x"},
+         "feature_noise must be a finite number, got 'x'"),
+        ({"feature_noise": True},
+         "feature_noise must be a finite number, got True"),
     ])
     def test_bad_counts_rejected(self, changes, named):
         """Every count synth_generate takes is an integer of at least its
-        minimum; anything else is a ConfigError naming it, not a bare
-        numpy error."""
+        minimum, in a list where it takes one, and feature_noise a number;
+        anything else is a ConfigError naming it, not a bare numpy or
+        Python error."""
         spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
         kwargs = {"sizes": [10, 10], "seed": 1, **changes}
         with pytest.raises(ConfigError) as err:
