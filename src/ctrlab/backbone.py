@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import as_int, feature_indices
+from .data import VOCAB_LIMIT, as_int, feature_indices
 from .errors import ConfigError, DataError, InvariantError, UsageError
 from .nn import Mlp, Param, masked_softmax, softmax_backward, uniform_init
 
@@ -64,7 +64,8 @@ class Backbone:
     def __init__(self, vocab_sizes, embed_dim: int, expert_counts,
                  expert_hidden: int, repr_dim: int, tower_hidden: int,
                  rng: np.random.Generator):
-        self.vocab_sizes = tuple(as_int(v, f"vocab_sizes[{i}]", minimum=1)
+        self.vocab_sizes = tuple(as_int(v, f"vocab_sizes[{i}]", minimum=1,
+                                        maximum=VOCAB_LIMIT)
                                  for i, v in enumerate(vocab_sizes))
         if not self.vocab_sizes:
             raise ConfigError("vocab_sizes needs at least one field")
@@ -77,9 +78,10 @@ class Backbone:
         self.num_domains = len(self.expert_counts)
         self.num_experts = expert_owners(self.expert_counts).size
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
-        self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint64)
+        self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint32)
         # Row of each field's first entry in the embedding table, which
-        # stacks the field tables in field order.
+        # stacks the field tables in field order. int64, so an int32
+        # index plus its offset is an int64 row number.
         self._field_offsets = np.cumsum((0,) + self.vocab_sizes[:-1],
                                         dtype=np.int64)
         self.embedding = Param("embedding", uniform_init(
@@ -117,9 +119,10 @@ class Backbone:
             raise UsageError(
                 f"features must be (n, {len(self.vocab_sizes)}), "
                 f"got {features.shape}")
-        # Read as unsigned, a negative index is huge, so one comparison
-        # checks both bounds of every field.
-        bad = features.view(np.uint64) >= self._vocab_bounds
+        # Read as uint32, a negative int32 index is at least 2**31, which
+        # no vocabulary size exceeds, so one comparison checks both bounds
+        # of every field.
+        bad = features.view(np.uint32) >= self._vocab_bounds
         if bad.any():
             j = int(bad.any(axis=0).nonzero()[0][0])
             raise DataError(

@@ -1,8 +1,10 @@
 """Dataset model, splitting, fixed-quota batch sampling, and synthesis.
 
-Feature values are categorical vocabulary indices, one per declared field.
-A dataset is grouped by integer domain id; partitions ("all" after loading,
-"train"/"val"/"test" after splitting) hold per-domain arrays.
+Feature values are categorical vocabulary indices, one per declared field,
+stored as int32: every vocabulary holds at most ``VOCAB_LIMIT`` = 2**31
+entries, so every index fits. A dataset is grouped by integer domain id;
+partitions ("all" after loading, "train"/"val"/"test" after splitting) hold
+per-domain int32 feature and float64 label arrays.
 
 The synthetic generator plants a known inter-domain affinity: each sample
 carries latent concept loadings U ~ Uniform(-1,1)^D, domain d's click score
@@ -30,31 +32,41 @@ __all__ = [
     "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
     "as_int", "as_float", "as_list", "read_text", "check_fractions",
-    "check_synth_options",
+    "check_synth_options", "VOCAB_LIMIT",
 ]
 
 log = logging.getLogger(__name__)
 
 PARTITIONS = ("train", "val", "test")
 
+# The most entries a vocabulary may hold: its largest index, 2**31 - 1, is
+# the largest int32.
+VOCAB_LIMIT = 2 ** 31
+
 # Characters of whole lines that load_csv reads and parses at a time.
 _CHUNK_CHARS = 1 << 16
 # The longest cell parsed by digit arithmetic: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
 _POW10 = np.array([10 ** k for k in range(_MAX_DIGITS)], dtype=np.int64)
+# Rows that save_csv formats and writes at a time.
+_WRITE_ROWS = 1 << 12
 
 
-def as_int(value, name: str, error=ConfigError, minimum=None) -> int:
+def as_int(value, name: str, error=ConfigError, minimum=None,
+           maximum=None) -> int:
     """``value`` as an ``int`` if it is an int or a numpy integer, not a
-    bool, and at least ``minimum`` when one is given. Anything else raises
-    ``error("<name> must be an integer, got <value>")`` or
-    ``error("<name> must be >= <minimum>, got <value>")``: the one rule for
+    bool, at least ``minimum`` and at most ``maximum`` when they are given.
+    Anything else raises ``error("<name> must be an integer, got <value>")``,
+    ``error("<name> must be >= <minimum>, got <value>")`` or
+    ``error("<name> must be <= <maximum>, got <value>")``: the one rule for
     every count, size and seed the package takes."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -128,7 +140,8 @@ class Schema:
         object.__setattr__(self, "fields", tuple(
             FeatureField(f.name, as_int(f.vocab_size,
                                         f"field {f.name!r} vocab_size",
-                                        SchemaError, minimum=1))
+                                        SchemaError, minimum=1,
+                                        maximum=VOCAB_LIMIT))
             for f in self.fields))
         for f in self.fields:
             if "," in f.name or "\n" in f.name or not f.name:
@@ -172,21 +185,26 @@ class Schema:
 
 
 def feature_indices(features) -> np.ndarray:
-    """``features`` as an int64 array, refusing values that are not whole.
+    """``features`` as an int32 array, refusing values that are not whole
+    or do not fit.
 
-    An int64 array is returned as it is, after one dtype check. Any other
-    input is cast, and a value the cast would change (1.7, NaN, inf, or
-    one outside the int64 range) raises ``DataError`` instead of silently
-    becoming a different index.
+    An int32 array is returned as it is, after one dtype check. Any other
+    input is cast, and a value the cast would change raises ``DataError``
+    instead of silently becoming a different index: one that is not whole
+    (1.7, NaN, inf, or one outside the int64 range), or a whole one outside
+    the int32 range.
     """
     features = np.asarray(features)
-    if features.dtype == np.int64:
+    if features.dtype == np.int32:
         return features
     with np.errstate(invalid="ignore"):
-        whole = features.astype(np.int64)
+        whole = features.astype(np.int64, copy=False)
     if not np.array_equal(whole, features):
         raise DataError("feature values must be whole numbers")
-    return whole
+    fits = np.iinfo(np.int32)
+    if whole.size and (whole.min() < fits.min or whole.max() > fits.max):
+        raise DataError(f"feature values must lie in [{fits.min}, {fits.max}]")
+    return whole.astype(np.int32)
 
 
 class DomainData:
@@ -206,11 +224,12 @@ class DomainData:
         return self.features.shape[0]
 
     def take(self, idx) -> "DomainData":
-        return DomainData(self.features[idx], self.labels[idx])
+        return DomainData(np.take(self.features, idx, axis=0),
+                          np.take(self.labels, idx))
 
     @classmethod
     def empty(cls, num_fields: int) -> "DomainData":
-        return cls(np.zeros((0, num_fields), dtype=np.int64),
+        return cls(np.zeros((0, num_fields), dtype=np.int32),
                    np.zeros(0, dtype=np.float64))
 
 
@@ -318,13 +337,14 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     * The first invalid line in file order raises, through ``parse_row``,
       so its ``DataError`` is the line-by-line read's.
     * Whole lines are read about ``_CHUNK_CHARS`` characters at a time. A
-      chunk's valid rows are kept as one int64 block per domain, and each
-      domain's blocks are concatenated once at the end, so the peak is
-      about the blocks plus the result plus one chunk's working arrays,
-      never a multiple of the file's text. A chunk is decoded before any
-      of its lines is parsed, so bytes that are not UTF-8 raise before any
-      invalid line of their own chunk; an invalid line of an earlier
-      chunk, or a header that does not match, may raise first.
+      chunk's valid rows are kept per domain as an int32 feature block and
+      a float64 label block, the result's own formats, and each domain's
+      blocks are concatenated once at the end, so the peak is about twice
+      the result plus one chunk's working arrays, never a multiple of the
+      file's text. A chunk is decoded before any of its lines is parsed,
+      so bytes that are not UTF-8 raise before any invalid line of their
+      own chunk; an invalid line of an earlier chunk, or a header that
+      does not match, may raise first.
     """
     with _reading(path, DataError):
         return _load_chunks(path, schema)
@@ -351,19 +371,21 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
             line_no += len(lines)
             counts = np.bincount(rows[:, 0], minlength=schema.domains)
             present = np.flatnonzero(counts)
-            by_domain = rows[np.argsort(rows[:, 0], kind="stable")]
-            for d, block in zip(present.tolist(), np.split(
-                    by_domain, np.cumsum(counts[present])[:-1])):
-                blocks[d].append(block)
+            order = np.argsort(rows[:, 0], kind="stable")
+            # Valid rows lie below ``bound``, so the int32 cast is exact.
+            features = rows[:, 2:].astype(np.int32)[order]
+            labels = rows[order, 1].astype(np.float64)
+            ends = np.cumsum(counts[present])[:-1]
+            for d, f, y in zip(present.tolist(), np.split(features, ends),
+                               np.split(labels, ends)):
+                blocks[d].append((f, y))
     if malformed:
         log.warning("%s: skipped %d malformed row(s)", path, malformed)
     datas = []
     for d_blocks in blocks:
         if d_blocks:
-            datas.append(DomainData(
-                np.concatenate([b[:, 2:] for b in d_blocks]),
-                np.concatenate([b[:, 1] for b in d_blocks],
-                               dtype=np.float64)))
+            datas.append(DomainData(np.concatenate([f for f, _ in d_blocks]),
+                                    np.concatenate([y for _, y in d_blocks])))
         else:
             datas.append(DomainData.empty(schema.num_fields))
     return DomainDataset(schema, {"all": datas}, malformed=malformed)
@@ -438,17 +460,22 @@ def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
     """Write one partition as the CSV ``load_csv`` reads: the schema header,
     then a ``domain,label,features...`` line per sample, domain by domain.
 
-    The lines are formatted from one int64 table of every row; labels are
-    truncated to integers, as ``int`` would.
+    The lines are formatted and written ``_WRITE_ROWS`` rows at a time,
+    each block from an int64 table of its rows, so the memory it takes
+    does not grow with the file; labels are truncated to integers, as
+    ``int`` would.
     """
-    table = np.concatenate([
-        np.column_stack((np.full(len(dd), d), dd.labels.astype(np.int64),
-                         dd.features))
-        for d, dd in enumerate(dataset.partitions[partition])])
-    line = ",".join(["%d"] * table.shape[1]) + "\n"
+    line = ",".join(["%d"] * (2 + dataset.schema.num_fields)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dataset.schema.header() + "\n")
-        fh.write("".join([line % tuple(row) for row in table.tolist()]))
+        for d, dd in enumerate(dataset.partitions[partition]):
+            for start in range(0, len(dd), _WRITE_ROWS):
+                labels = dd.labels[start:start + _WRITE_ROWS]
+                table = np.column_stack((
+                    np.full(len(labels), d), labels.astype(np.int64),
+                    dd.features[start:start + _WRITE_ROWS]))
+                fh.write("".join([line % tuple(row)
+                                  for row in table.tolist()]))
 
 
 def _largest_remainder(total: int, weights) -> list:
@@ -623,13 +650,14 @@ def check_synth_options(domains: int, sizes, fields_per_concept: int = 2,
     """``synth_generate``'s rule for its sizes and options, which default as
     there: ``sizes`` as a list of ints, if it is a list of one integer >= 0
     per domain, fields_per_concept an integer >= 1, vocab_size an integer
-    >= 2 and feature_noise a finite number >= 0; else ConfigError."""
+    >= 2 and at most ``VOCAB_LIMIT``, and feature_noise a finite number
+    >= 0; else ConfigError."""
     sizes = as_list(sizes, "sizes")
     if len(sizes) != domains:
         raise ConfigError(f"sizes needs {domains} entries")
     sizes = [as_int(n, f"sizes[{d}]", minimum=0) for d, n in enumerate(sizes)]
     as_int(fields_per_concept, "fields_per_concept", minimum=1)
-    as_int(vocab_size, "vocab_size", minimum=2)
+    as_int(vocab_size, "vocab_size", minimum=2, maximum=VOCAB_LIMIT)
     if as_float(feature_noise, "feature_noise") < 0:
         raise ConfigError(
             f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
@@ -667,8 +695,13 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
         # mixture term affinity[d,k] * U_k across its fields
         weighted = u * spec.affinity[d]
         readout = np.repeat(weighted, fields_per_concept, axis=1)
-        readout = readout + rng.normal(0.0, feature_noise, size=readout.shape)
-        bins = np.floor((readout + half_range) / (2 * half_range) * vocab_size)
-        bins = np.clip(bins, 0, vocab_size - 1).astype(np.int64)
-        datas.append(DomainData(bins, labels))
+        readout += rng.normal(0.0, feature_noise, size=readout.shape)
+        # Binned in place: floor((readout + half_range) / (2 * half_range)
+        # * vocab_size), clipped to the vocabulary, then cast once.
+        readout += half_range
+        readout /= 2 * half_range
+        readout *= vocab_size
+        np.floor(readout, out=readout)
+        np.clip(readout, 0, vocab_size - 1, out=readout)
+        datas.append(DomainData(readout.astype(np.int32), labels))
     return DomainDataset(schema, {"all": datas}, affinity=spec)

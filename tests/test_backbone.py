@@ -128,10 +128,12 @@ class TestVocabSizes:
         ((4, 0), "vocab_sizes[1] must be >= 1, got 0"),
         ((4, -3), "vocab_sizes[1] must be >= 1, got -3"),
         ((), "vocab_sizes needs at least one field"),
+        ((4, 2 ** 40), f"vocab_sizes[1] must be <= {2 ** 31}, got {2 ** 40}"),
     ])
     def test_bad_vocab_sizes_rejected(self, vocab, named):
-        """A size that is not a positive integer fails with a ConfigError
-        naming its field index, instead of being truncated or cast."""
+        """A size that is not a positive integer, or whose indices do not
+        all fit int32, fails with a ConfigError naming its field index,
+        instead of being truncated or cast, or failing to allocate."""
         with pytest.raises(ConfigError) as err:
             small_net(vocab=vocab)
         assert str(err.value) == named
@@ -193,6 +195,16 @@ class TestEmbed:
     def test_error_names_the_offending_field(self, bad):
         net = small_net(vocab=(5, 7, 4))
         feats = np.array([[0, 0, 0], [4, bad, 3]])
+        with pytest.raises(DataError,
+                           match=r"^field 1 index outside \[0, 7\)$"):
+            net.embed(feats)
+
+    @pytest.mark.parametrize("bad", [-1, 7, -2 ** 31, 2 ** 31 - 1])
+    def test_int32_index_outside_vocab_rejected(self, bad):
+        """Int32 input is read as it is; a negative index or one at or past
+        the vocabulary size still fails on both bounds."""
+        net = small_net(vocab=(5, 7, 4))
+        feats = np.array([[0, 0, 0], [4, bad, 3]], dtype=np.int32)
         with pytest.raises(DataError,
                            match=r"^field 1 index outside \[0, 7\)$"):
             net.embed(feats)

@@ -192,6 +192,16 @@ class TestSchema:
                 "f0", raw["fields"][0]["vocab_size"]),))
         assert str(err.value) == named
 
+    def test_vocab_beyond_int32_indices_rejected(self):
+        """Every index of a vocabulary of at most 2**31 entries fits the
+        int32 feature format; a larger one is refused, naming its field."""
+        with pytest.raises(SchemaError) as err:
+            D.Schema(2, (D.FeatureField("f", 2 ** 40),))
+        assert str(err.value) == (
+            f"field 'f' vocab_size must be <= {2 ** 31}, got {2 ** 40}")
+        assert D.Schema(2, (D.FeatureField("f", 2 ** 31),)).vocab_sizes == (
+            2 ** 31,)
+
     def test_numpy_integer_counts_accepted(self):
         s = D.Schema(np.int64(2), (D.FeatureField("f0", np.int32(8)),))
         assert s.domains == 2 and s.vocab_sizes == (8,)
@@ -213,16 +223,29 @@ class TestDomainData:
         with pytest.raises(DataError, match="whole numbers"):
             D.DomainData(np.array([[0.0, bad]]), np.array([1.0]))
 
-    def test_int64_features_kept_as_given(self):
-        feats = np.array([[0, 1]], dtype=np.int64)
+    def test_int32_features_kept_as_given(self):
+        feats = np.array([[0, 1]], dtype=np.int32)
         assert D.DomainData(feats, np.array([1.0])).features is feats
 
     @pytest.mark.parametrize("feats", [
-        [[0, 1]], np.array([[0.0, 1.0]]), np.array([[0, 1]], dtype=np.int32)])
-    def test_whole_values_become_int64(self, feats):
+        [[0, 1]], np.array([[0.0, 1.0]]), np.array([[0, 1]], dtype=np.int64)])
+    def test_whole_values_become_int32(self, feats):
         out = D.DomainData(feats, np.array([1.0])).features
-        assert out.dtype == np.int64
+        assert out.dtype == np.int32
         assert out.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("bad", [2 ** 31, -2 ** 31 - 1])
+    def test_values_outside_int32_rejected(self, bad):
+        """A whole value that int32 cannot hold is refused, not wrapped
+        into a different index."""
+        feats = np.array([[0, bad]], dtype=np.int64)
+        with pytest.raises(DataError) as err:
+            D.DomainData(feats, np.array([1.0]))
+        assert str(err.value) == (
+            f"feature values must lie in [{-2 ** 31}, {2 ** 31 - 1}]")
+        edges = np.array([[-2 ** 31, 2 ** 31 - 1]], dtype=np.int64)
+        assert D.DomainData(edges, np.array([1.0])).features.tolist() == (
+            edges.tolist())
 
 
 class TestParseRow:
@@ -506,6 +529,32 @@ class TestLoadCsvMemory:
         result = sum(dd.features.nbytes + dd.labels.nbytes
                      for dd in ds.partitions["all"])
         assert peak <= 2.5 * result + 4 * 2 ** 20
+
+
+class TestSaveCsvMemory:
+    def test_peak_does_not_grow_with_the_file(self, tmp_path):
+        # 200,000 rows in the benchmark's blocks8 shape (8 domains, 16
+        # fields): a writer that formats the whole file before writing it
+        # holds several times the dataset; a bounded one holds a few
+        # blocks of lines, whatever the row count.
+        fields = tuple(D.FeatureField(f"c{k}r{r}", 16)
+                       for k in range(8) for r in range(2))
+        schema = D.Schema(domains=8, fields=fields)
+        rng = np.random.default_rng(0)
+        datas = [D.DomainData(rng.integers(0, 16, (25_000, 16)),
+                              rng.integers(0, 2, 25_000))
+                 for _ in range(8)]
+        dataset = D.DomainDataset(schema, {"all": datas})
+        path = tmp_path / "data.csv"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            D.save_csv(dataset, path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == 1 + 200_000
+        assert peak <= 4 * 2 ** 20
 
 
 def synthetic(sizes, seed=0):
@@ -809,6 +858,17 @@ class TestSaveCsvMatchesLoop:
                               tmp_path)
         assert got.count(b"\n") == 1
 
+    def test_several_write_blocks(self, tmp_path):
+        """Domains that span several write blocks, end inside one, and
+        are empty."""
+        block = D._WRITE_ROWS
+        ds = synthetic([2 * block + 5, 1, block - 1], seed=6)
+        parts = list(ds.partitions["all"])
+        parts[1] = D.DomainData.empty(ds.schema.num_fields)
+        got = self.same_bytes(D.DomainDataset(ds.schema, {"all": parts}),
+                              tmp_path)
+        assert got.count(b"\n") == 1 + 3 * block + 4
+
     def test_blocks8_shaped(self, tmp_path):
         """Eight domains of 12,000 down to 600 rows, 16 fields, two-domain
         affinity blocks; the train partition of its split too."""
@@ -920,12 +980,14 @@ class TestSynthGenerate:
          "feature_noise must be a finite number, got 'x'"),
         ({"feature_noise": True},
          "feature_noise must be a finite number, got True"),
+        ({"vocab_size": 2 ** 40},
+         f"vocab_size must be <= {2 ** 31}, got {2 ** 40}"),
     ])
     def test_bad_counts_rejected(self, changes, named):
         """Every count synth_generate takes is an integer of at least its
-        minimum, in a list where it takes one, and feature_noise a number;
-        anything else is a ConfigError naming it, not a bare numpy or
-        Python error."""
+        minimum and at most its maximum, in a list where it takes one, and
+        feature_noise a number; anything else is a ConfigError naming it,
+        not a bare numpy or Python error."""
         spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
         kwargs = {"sizes": [10, 10], "seed": 1, **changes}
         with pytest.raises(ConfigError) as err:
@@ -976,3 +1038,38 @@ class TestSynthGenerate:
 
         assert probe_auc(1) >= 0.70   # similar domain transfers
         assert probe_auc(2) <= 0.55   # disjoint domain does not
+
+
+def synth_features(tmp_path):
+    return [dd.features for dd in synthetic([30, 20, 25]).partitions["all"]]
+
+
+def csv_features(tmp_path):
+    ds = synthetic([30, 20, 25])
+    D.save_csv(ds, tmp_path / "data.csv")
+    loaded = D.load_csv(tmp_path / "data.csv", ds.schema)
+    return [dd.features for dd in loaded.partitions["all"]]
+
+
+def split_features(tmp_path):
+    out = D.split(synthetic([30, 20, 25]), (0.8, 0.1, 0.1), seed=2)
+    return [dd.features for name in D.PARTITIONS
+            for dd in out.partitions[name]]
+
+
+def sampler_features(tmp_path):
+    ds = synthetic([30, 5, 25])
+    sampler = D.QuotaSampler(ds.partitions["all"], [4, 7, 3],
+                             np.random.default_rng(3))
+    return [feats for _ in range(12) for feats, _ in sampler.next_batch()]
+
+
+@pytest.mark.parametrize("produce", [synth_features, csv_features,
+                                     split_features, sampler_features],
+                         ids=["synth", "load_csv", "split", "sampler"])
+def test_every_producer_holds_int32_features(produce, tmp_path):
+    """Synthetic data, ``load_csv`` output, every split partition and
+    every sampler batch hold features in the one index format."""
+    features = produce(tmp_path)
+    assert features
+    assert {f.dtype for f in features} == {np.dtype(np.int32)}
