@@ -13,48 +13,63 @@ reproduces the unmasked network bit for bit.
 
 Masked-out experts are skipped entirely in both directions, which makes the
 zero-weight/zero-gradient guarantees structural rather than numerical.
+
+This module turns subsets into masks, so it owns the subset rule,
+``check_subsets``, which ``config`` and ``train`` import from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import VOCAB_LIMIT, as_int, feature_indices
-from .errors import ConfigError, DataError, InvariantError, UsageError
+from .data import VOCAB_LIMIT, as_int, as_list, feature_indices
+from .errors import ConfigError, DataError, UsageError
 from .nn import Mlp, Param, masked_softmax, softmax_backward, uniform_init
 
-__all__ = ["Backbone", "build_mask", "expert_owners"]
+__all__ = ["Backbone", "build_mask", "check_subsets", "expert_owners"]
 
 
 def expert_owners(expert_counts) -> np.ndarray:
-    """Owning domain id for each expert slot, in concatenation order."""
-    counts = np.asarray(expert_counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1):
-        raise ConfigError(f"expert counts must be positive: {expert_counts}")
-    return np.repeat(np.arange(counts.size), counts)
+    """Owning domain id for each expert slot, in concatenation order; each
+    count must be an integer >= 1 (``as_int``), in a list (``as_list``)."""
+    counts = [as_int(c, f"expert_counts[{i}]", minimum=1) for i, c in
+              enumerate(as_list(expert_counts, "expert_counts"))]
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+def check_subsets(subsets, domains: int, name: str) -> list:
+    """``subsets`` as one sorted list of ints per domain, if it holds one
+    list per domain and each holds its own domain and only known domains,
+    none twice; anything else raises ConfigError naming ``name``. The rule
+    for ``fixed_subsets``, a checkpoint's subsets and ``build_mask``."""
+    subsets = as_list(subsets, name)
+    if len(subsets) != domains:
+        raise ConfigError(f"{name} needs {domains} entries")
+    normalized = []
+    for d, subset in enumerate(subsets):
+        members = sorted(as_int(s, f"{name}[{d}] entry")
+                         for s in as_list(subset, f"{name}[{d}]"))
+        if d not in members:
+            raise ConfigError(f"{name}[{d}] must contain domain {d}")
+        if any(not 0 <= s < domains for s in members):
+            raise ConfigError(f"{name}[{d}] references unknown domains")
+        if len(set(members)) != len(members):
+            raise ConfigError(f"{name}[{d}] names a domain twice: {members}")
+        normalized.append(members)
+    return normalized
 
 
 def build_mask(selected, expert_counts) -> np.ndarray:
     """Additive masks, one row per domain, from the selected-subset map.
 
     Entry (d, i) is 0 when expert i's owner is in selected[d], else -inf.
-    Every domain must select itself.
+    ``selected`` must pass ``check_subsets``, naming "subsets".
     """
     owners = expert_owners(expert_counts)
-    num_domains = len(expert_counts)
-    if len(selected) != num_domains:
-        raise ConfigError(
-            f"{len(selected)} subsets for {num_domains} domains")
-    masks = np.full((num_domains, owners.size), -np.inf)
-    for d, subset in enumerate(selected):
-        subset = set(int(s) for s in subset)
-        if d not in subset:
-            raise InvariantError(
-                f"domain {d} must belong to its own subset, got {sorted(subset)}")
-        bad = [s for s in subset if not 0 <= s < num_domains]
-        if bad:
-            raise ConfigError(f"domain {d} selects unknown domains {bad}")
-        masks[d, np.isin(owners, list(subset))] = 0.0
+    subsets = check_subsets(selected, len(expert_counts), "subsets")
+    masks = np.full((len(subsets), owners.size), -np.inf)
+    for d, subset in enumerate(subsets):
+        masks[d, np.isin(owners, subset)] = 0.0
     return masks
 
 
@@ -64,19 +79,20 @@ class Backbone:
     def __init__(self, vocab_sizes, embed_dim: int, expert_counts,
                  expert_hidden: int, repr_dim: int, tower_hidden: int,
                  rng: np.random.Generator):
-        self.vocab_sizes = tuple(as_int(v, f"vocab_sizes[{i}]", minimum=1,
-                                        maximum=VOCAB_LIMIT)
-                                 for i, v in enumerate(vocab_sizes))
+        self.vocab_sizes = tuple(
+            as_int(v, f"vocab_sizes[{i}]", minimum=1, maximum=VOCAB_LIMIT)
+            for i, v in enumerate(as_list(vocab_sizes, "vocab_sizes")))
         if not self.vocab_sizes:
             raise ConfigError("vocab_sizes needs at least one field")
         self.embed_dim = as_int(embed_dim, "embed_dim", minimum=1)
-        self.expert_counts = [as_int(c, f"expert_counts[{i}]", minimum=1)
-                              for i, c in enumerate(expert_counts)]
+        self.expert_counts = [
+            as_int(c, f"expert_counts[{i}]", minimum=1)
+            for i, c in enumerate(as_list(expert_counts, "expert_counts"))]
         self.repr_dim = as_int(repr_dim, "repr_dim", minimum=1)
         expert_hidden = as_int(expert_hidden, "expert_hidden", minimum=1)
         tower_hidden = as_int(tower_hidden, "tower_hidden", minimum=1)
         self.num_domains = len(self.expert_counts)
-        self.num_experts = expert_owners(self.expert_counts).size
+        self.num_experts = sum(self.expert_counts)
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
         self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint32)
         # Row of each field's first entry in the embedding table, which

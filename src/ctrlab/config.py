@@ -5,6 +5,8 @@ exactly. The dataset source is either a planted synthetic spec or a CSV
 path plus schema file. A short hash of the canonical config JSON travels
 with reports so they can be matched to their run; a checkpoint stores the
 config itself.
+The rules for ``fixed_subsets`` and ``overall_metric`` belong to the
+modules that use them: ``backbone.check_subsets``, ``metrics.OVERALL_MODES``.
 """
 
 from __future__ import annotations
@@ -18,40 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
+from .backbone import check_subsets
 from .data import as_float, as_int, as_list
 from .errors import ConfigError
+from .metrics import OVERALL_MODES
 
-__all__ = ["RunConfig", "MODES", "load_dataset", "check_subsets"]
+__all__ = ["RunConfig", "MODES", "load_dataset"]
 
 MODES = ("sdsp", "full-share", "fixed-subset")
-OVERALL_METRICS = ("pooled", "mean")
 # synth_generate's options, which a synthetic spec may set.
 SYNTH_OPTIONS = ("fields_per_concept", "vocab_size", "feature_noise")
 # The keys beside "kind" that each dataset kind requires, then may set.
 DATASET_KEYS = {"synth": (("affinity", "noise", "sizes"), SYNTH_OPTIONS),
                 "csv": (("path", "schema"), ())}
-
-
-def check_subsets(subsets, domains: int, name: str) -> list:
-    """``subsets`` as one sorted list of ints per domain, if it holds one
-    list per domain and each holds its own domain and only known domains,
-    none twice; anything else raises ConfigError naming ``name``. The rule
-    for ``fixed_subsets`` and for a checkpoint's active subsets."""
-    subsets = as_list(subsets, name)
-    if len(subsets) != domains:
-        raise ConfigError(f"{name} needs {domains} entries")
-    normalized = []
-    for d, subset in enumerate(subsets):
-        members = sorted(as_int(s, f"{name}[{d}] entry")
-                         for s in as_list(subset, f"{name}[{d}]"))
-        if d not in members:
-            raise ConfigError(f"{name}[{d}] must contain domain {d}")
-        if any(not 0 <= s < domains for s in members):
-            raise ConfigError(f"{name}[{d}] references unknown domains")
-        if len(set(members)) != len(members):
-            raise ConfigError(f"{name}[{d}] names a domain twice: {members}")
-        normalized.append(members)
-    return normalized
 
 
 def _synth_options(spec: dict) -> dict:
@@ -149,9 +130,9 @@ class RunConfig:
             raise ConfigError("explore_init must lie in [0, 1]")
         if not 0.0 < self.explore_decay <= 1.0:
             raise ConfigError("explore_decay must lie in (0, 1]")
-        if self.overall_metric not in OVERALL_METRICS:
+        if self.overall_metric not in OVERALL_MODES:
             raise ConfigError(
-                f"overall_metric must be one of {OVERALL_METRICS}")
+                f"overall_metric must be one of {OVERALL_MODES}")
         self.split_fractions = data_mod.check_fractions(self.split_fractions)
         # split gives each positive-fraction partition at least one row per
         # domain; a run evaluates on val and test and trains on train.

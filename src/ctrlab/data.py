@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, InvariantError, SchemaError,
-                     SplitError, UsageError)
+from .errors import (ConfigError, DataError, SchemaError, SplitError,
+                     UsageError)
 
 __all__ = [
     "FeatureField", "Schema", "DomainData", "DomainDataset",
@@ -337,21 +337,23 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     * The first invalid line in file order raises, through ``parse_row``,
       so its ``DataError`` is the line-by-line read's.
     * Whole lines are read about ``_CHUNK_CHARS`` characters at a time. A
-      chunk's valid rows are kept per domain as an int32 feature block and
-      a float64 label block, the result's own formats, and each domain's
-      blocks are concatenated once at the end, so the peak is about twice
-      the result plus one chunk's working arrays, never a multiple of the
-      file's text. A chunk is decoded before any of its lines is parsed,
-      so bytes that are not UTF-8 raise before any invalid line of their
-      own chunk; an invalid line of an earlier chunk, or a header that
-      does not match, may raise first.
+      chunk's valid rows are copied per domain into an int32 feature block
+      and a float64 label block, the result's own formats, and each
+      domain's blocks are concatenated once at the end and dropped as they
+      are, so the peak is the result plus one domain's blocks plus one
+      chunk's working arrays, never a multiple of the file's text. A chunk
+      is decoded before any of its lines is parsed, so bytes that are not
+      UTF-8 raise before any invalid line of their own chunk; an invalid
+      line of an earlier chunk, or a header that does not match, may raise
+      first.
     """
     with _reading(path, DataError):
         return _load_chunks(path, schema)
 
 
 def _load_chunks(path, schema: Schema) -> DomainDataset:
-    """``load_csv``, reading the file a chunk of lines at a time."""
+    """``load_csv``, reading the file a chunk of lines at a time; the peak
+    is the result plus one domain's blocks."""
     bound = np.array((schema.domains, 2) + schema.vocab_sizes, dtype=np.int64)
     blocks = [[] for _ in range(schema.domains)]
     malformed = 0
@@ -369,20 +371,19 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
             rows, skipped = _parse_chunk(lines, schema, line_no, bound)
             malformed += skipped
             line_no += len(lines)
-            counts = np.bincount(rows[:, 0], minlength=schema.domains)
-            present = np.flatnonzero(counts)
-            order = np.argsort(rows[:, 0], kind="stable")
             # Valid rows lie below ``bound``, so the int32 cast is exact.
-            features = rows[:, 2:].astype(np.int32)[order]
-            labels = rows[order, 1].astype(np.float64)
-            ends = np.cumsum(counts[present])[:-1]
-            for d, f, y in zip(present.tolist(), np.split(features, ends),
-                               np.split(labels, ends)):
-                blocks[d].append((f, y))
+            features = rows[:, 2:].astype(np.int32)
+            labels = rows[:, 1].astype(np.float64)
+            domains = rows[:, 0]
+            # A boolean gather copies: no block keeps its chunk alive.
+            for d in np.unique(domains).tolist():
+                mine = domains == d
+                blocks[d].append((features[mine], labels[mine]))
     if malformed:
         log.warning("%s: skipped %d malformed row(s)", path, malformed)
     datas = []
-    for d_blocks in blocks:
+    for d in range(schema.domains):
+        d_blocks, blocks[d] = blocks[d], None  # freed once joined
         if d_blocks:
             datas.append(DomainData(np.concatenate([f for f, _ in d_blocks]),
                                     np.concatenate([y for _, y in d_blocks])))
@@ -404,11 +405,12 @@ def _parse_chunk(lines: list, schema: Schema, first_line_no: int,
     canonical, values = _canonical_rows(text, len(bound))
     rows = np.empty((len(lines), len(bound)), dtype=np.int64)
     rows[canonical] = values
-    invalid = np.flatnonzero(canonical)[(values >= bound).any(axis=1)]
-    stop = int(invalid[0]) if len(invalid) else len(lines)
+    # A canonical line outside the bounds joins the other lines that
+    # parse_row reads, in file order; parse_row raises its DataError.
     valid = canonical.copy()
+    valid[np.flatnonzero(canonical)[(values >= bound).any(axis=1)]] = False
     malformed = 0
-    for i in np.flatnonzero(~canonical[:stop]).tolist():
+    for i in np.flatnonzero(~valid).tolist():
         line = lines[i]
         if not line.strip():
             continue
@@ -418,9 +420,6 @@ def _parse_chunk(lines: list, schema: Schema, first_line_no: int,
             continue
         rows[i] = row
         valid[i] = True
-    if stop < len(lines):
-        parse_row(lines[stop], schema, first_line_no + stop)
-        raise InvariantError(f"parse_row accepted line {first_line_no + stop}")
     return rows[valid], malformed
 
 
@@ -567,6 +566,7 @@ class QuotaSampler:
     """
 
     def __init__(self, datas, quotas, rng: np.random.Generator):
+        quotas = as_list(quotas, "quotas")
         if len(quotas) != len(datas):
             raise ConfigError(
                 f"{len(quotas)} quotas for {len(datas)} domains")

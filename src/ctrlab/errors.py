@@ -41,6 +41,3 @@ class MetricError(LabError):
 class MaskError(LabError):
     category = "mask"
 
-
-class InvariantError(LabError):
-    category = "invariant"

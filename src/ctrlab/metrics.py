@@ -21,7 +21,9 @@ import numpy as np
 from .errors import MetricError, UsageError
 from .nn import bce_terms
 
-__all__ = ["auc", "logloss", "per_domain_report"]
+__all__ = ["auc", "logloss", "per_domain_report", "OVERALL_MODES"]
+
+OVERALL_MODES = ("pooled", "mean")
 
 
 def _check_pair(scores, labels):
@@ -75,7 +77,7 @@ def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,
     averages the per-domain AUCs. The two answer different questions and the
     report records which one was used.
     """
-    if overall not in ("pooled", "mean"):
+    if overall not in OVERALL_MODES:
         raise UsageError(f"unknown overall mode {overall!r}")
     if set(scores_by_domain) != set(labels_by_domain):
         raise UsageError("scores and labels cover different domains")

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics, nn
-from .backbone import Backbone, build_mask
-from .config import RunConfig, check_subsets, load_dataset
+from .backbone import Backbone, build_mask, check_subsets
+from .config import RunConfig, load_dataset
 from .errors import ConfigError, NumericError
 from .prototype import ProtoCoder, distance_round, save_distance_csv
 from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_round
@@ -377,9 +377,6 @@ def _load_checkpoint(path):
     if keys != ["config", "subsets", "vocab_sizes"]:
         raise ConfigError(f"checkpoint meta holds {keys!r}, expected "
                           "['config', 'subsets', 'vocab_sizes']")
-    if not isinstance(meta["vocab_sizes"], list):
-        raise ConfigError(f"checkpoint vocab_sizes must be a list, got "
-                          f"{meta['vocab_sizes']!r}")
     config = RunConfig.from_dict(meta["config"])
     subsets = [canonical(s) for s in
                check_subsets(meta["subsets"], config.domains, "subsets")]

@@ -3,7 +3,7 @@ import pytest
 
 from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
-from ctrlab.errors import ConfigError, DataError, InvariantError, UsageError
+from ctrlab.errors import ConfigError, DataError, UsageError
 from test_nn import (SPECIAL_VALUES, numeric_gradient, same_bits,
                      with_specials, wrapper_mlp_backward,
                      wrapper_softmax_backward)
@@ -95,29 +95,42 @@ class TestExpertOwners:
         with pytest.raises(ConfigError):
             expert_owners([1, 0])
 
+    def test_fractional_count_named(self):
+        """A fractional count is refused, not truncated to an integer."""
+        with pytest.raises(ConfigError,
+                           match=r"^expert_counts\[0\] must be an integer"):
+            expert_owners([1.5, 2])
+
 
 class TestBuildMask:
     def test_self_only(self):
-        masks = build_mask([{0}, {1}, {2}], [1, 1, 1])
+        masks = build_mask([[0], [1], [2]], [1, 1, 1])
         for d in range(3):
             assert (masks[d] == 0.0).sum() == 1
             assert masks[d][d] == 0.0
 
     def test_all_domains_is_zero_mask(self):
-        masks = build_mask([{0, 1, 2}] * 3, [1, 1, 1])
+        masks = build_mask([[0, 1, 2]] * 3, [1, 1, 1])
         np.testing.assert_array_equal(masks, np.zeros((3, 3)))
 
     def test_owner_map_oracle(self):
-        masks = build_mask([{0, 2}, {1}, {2}], [2, 1, 1])
+        masks = build_mask([[0, 2], [1], [2]], [2, 1, 1])
         np.testing.assert_array_equal(masks[0], [0.0, 0.0, -np.inf, 0.0])
 
     def test_missing_self_is_invariant_violation(self):
-        with pytest.raises(InvariantError):
-            build_mask([{1}, {1}], [1, 1])
+        with pytest.raises(ConfigError, match="must contain domain 0"):
+            build_mask([[1], [1]], [1, 1])
 
     def test_unknown_domain(self):
         with pytest.raises(ConfigError):
-            build_mask([{0, 5}, {1}], [1, 1])
+            build_mask([[0, 5], [1]], [1, 1])
+
+    @pytest.mark.parametrize("entry", [1.7, True])
+    def test_entry_that_is_not_an_integer(self, entry):
+        """A float or bool entry is refused, not cast to a domain id."""
+        with pytest.raises(ConfigError,
+                           match=r"^subsets\[0\] entry must be an integer"):
+            build_mask([[0, entry], [1]], [1, 1])
 
 
 class TestVocabSizes:
@@ -160,6 +173,15 @@ class TestLayerSizes:
     def test_bad_sizes_rejected(self, changes, named):
         """A layer size or expert count that is not a positive integer
         fails with a ConfigError naming it, instead of being truncated."""
+        with pytest.raises(ConfigError) as err:
+            small_net(**changes)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"vocab": 5}, "vocab_sizes must be a list, got 5"),
+        ({"expert_counts": 2}, "expert_counts must be a list, got 2"),
+    ])
+    def test_scalar_where_a_list_belongs(self, changes, named):
         with pytest.raises(ConfigError) as err:
             small_net(**changes)
         assert str(err.value) == named
@@ -343,7 +365,7 @@ class TestMaskedForward:
     def test_full_share_bit_identical_to_unmasked(self):
         net = small_net(seed=7)
         feats = rand_features(net, 5)
-        masks = build_mask([{0, 1, 2}] * 3, net.expert_counts)
+        masks = build_mask([[0, 1, 2]] * 3, net.expert_counts)
         for d in range(3):
             a, ha = net.forward_domain(feats, d, masks=unmasked(net),
                                        cache=False)
@@ -354,7 +376,7 @@ class TestMaskedForward:
     def test_self_only_mask_yields_own_expert(self):
         net = small_net(seed=8)
         feats = rand_features(net, 4)
-        masks = build_mask([{0}, {1}, {2}], net.expert_counts)
+        masks = build_mask([[0], [1], [2]], net.expert_counts)
         x = net.embed(feats)
         _, h = net.forward_domain(feats, 1, masks=masks, cache=False)
         own = net.experts[1].forward(x, cache=False)
@@ -364,7 +386,7 @@ class TestMaskedForward:
         net = small_net()
         net.gate_w[0].values[...] = 0.0
         net.gate_b[0].values = np.array([1.0, 1.0, 1.0])
-        masks = build_mask([{0, 2}, {1}, {2}], net.expert_counts)
+        masks = build_mask([[0, 2], [1], [2]], net.expert_counts)
         x = net.embed(rand_features(net, 2))
         g = nn.masked_softmax(net.gate_logits(x, 0), masks[0])
         np.testing.assert_allclose(g, np.tile([0.5, 0.0, 0.5], (2, 1)))
@@ -373,7 +395,7 @@ class TestMaskedForward:
     def test_masked_weights_sum_to_one_with_exact_zeros(self):
         net = small_net(seed=9, expert_counts=(2, 1, 1))
         feats = rand_features(net, 6)
-        masks = build_mask([{0, 1}, {1}, {0, 2}], net.expert_counts)
+        masks = build_mask([[0, 1], [1], [0, 2]], net.expert_counts)
         x = net.embed(feats)
         for d in range(3):
             g = nn.masked_softmax(net.gate_logits(x, d), masks[d])
@@ -384,7 +406,7 @@ class TestMaskedForward:
     def test_output_invariant_to_masked_expert_parameters(self):
         net = small_net(seed=10)
         feats = rand_features(net, 5)
-        masks = build_mask([{0, 1}, {1}, {2}], net.expert_counts)
+        masks = build_mask([[0, 1], [1], [2]], net.expert_counts)
         before, h_before = net.forward_domain(feats, 0, masks=masks, cache=False)
         for p in net.experts[2].params():  # domain 2 is masked out for domain 0
             p.values += 123.456
@@ -396,7 +418,7 @@ class TestMaskedForward:
         net = small_net(seed=11)
         feats = rand_features(net, 8)
         labels = (np.arange(8) % 2).astype(float)
-        masks = build_mask([{0, 1}, {1}, {2}], net.expert_counts)
+        masks = build_mask([[0, 1], [1], [2]], net.expert_counts)
         preds, _ = net.forward_domain(feats, 0, masks=masks)
         _, dpreds = nn.bce_loss(preds, labels)
         net.backward_domain(0, dpreds)
@@ -409,7 +431,7 @@ class TestMaskedForward:
 
 class TestNoCacheForward:
     @pytest.mark.parametrize("subsets", [
-        [{0, 1, 2}] * 3, [{0}, {1}, {2}], [{0, 2}, {0, 1}, {1, 2}]])
+        [[0, 1, 2]] * 3, [[0], [1], [2]], [[0, 2], [0, 1], [1, 2]]])
     def test_same_bits_as_cached_forward(self, subsets):
         net = small_net(seed=15, expert_counts=(2, 1, 3))
         masks = build_mask(subsets, net.expert_counts)
@@ -427,7 +449,7 @@ class TestNoCacheForward:
         cached forward before it still backs the same gradients."""
         def grads(predict_between):
             net = small_net(seed=16, expert_counts=(2, 1, 1))
-            masks = build_mask([{0, 2}, {1}, {2}], net.expert_counts)
+            masks = build_mask([[0, 2], [1], [2]], net.expert_counts)
             feats = rand_features(net, 40)
             before = [p.values.copy() for p in net.params()]
             preds, _ = net.forward_domain(feats, 0, masks=masks)
@@ -463,7 +485,7 @@ class TestPredict:
                         embed_dim=3, expert_hidden=5, repr_dim=4)
         feats = rand_features(net, 6, seed=14)
         labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
-        masks = build_mask([{0, 1}, {1}], net.expert_counts)
+        masks = build_mask([[0, 1], [1]], net.expert_counts)
 
         def loss():
             preds, _ = net.forward_domain(feats, 0, masks=masks, cache=False)
@@ -521,7 +543,7 @@ class TestSameBitsAsWrapperExpressions:
 
     @pytest.mark.parametrize("specials", ["finite", "all"])
     @pytest.mark.parametrize("subsets", [
-        [{0, 1, 2}] * 3, [{0, 2}, {1}, {1, 2}]])
+        [[0, 1, 2]] * 3, [[0, 2], [1], [1, 2]]])
     def test_backward_domain(self, subsets, specials):
         """The gate sums, the zero-filled gradients and the expert and
         tower passes: every parameter's gradient has the reference's bits."""

@@ -504,15 +504,19 @@ class TestLoadCsvMatchesLoop:
 
 
 class TestLoadCsvMemory:
-    def test_peak_within_the_result_plus_one_chunk(self, tmp_path):
+    # Domain 0's share of the rows: even, or skewed to 32%.
+    @pytest.mark.parametrize("domain_p", [None, [0.32] + [0.68 / 7] * 7],
+                             ids=["even", "skewed"])
+    def test_peak_within_the_result_plus_one_chunk(self, tmp_path, domain_p):
         # About 200,000 rows in the benchmark's blocks8 shape (8 domains,
         # 16 fields). A whole-file vectorized parse needs several times
-        # the result; the chunked one stays close to twice it.
+        # the result, and blocks that are views of their chunk twice it;
+        # the chunked one holds the result plus one domain's blocks.
         fields = tuple(D.FeatureField(f"c{k}r{r}", 16)
                        for k in range(8) for r in range(2))
         schema = D.Schema(domains=8, fields=fields)
         rng = np.random.default_rng(0)
-        cells = np.column_stack([rng.integers(0, 8, 2_000),
+        cells = np.column_stack([rng.choice(8, 2_000, p=domain_p),
                                  rng.integers(0, 2, 2_000),
                                  rng.integers(0, 16, (2_000, 16))])
         block = "".join(",".join(map(str, row)) + "\n"
@@ -528,7 +532,7 @@ class TestLoadCsvMemory:
         assert sum(counts(ds, "all")) == 200_000
         result = sum(dd.features.nbytes + dd.labels.nbytes
                      for dd in ds.partitions["all"])
-        assert peak <= 2.5 * result + 4 * 2 ** 20
+        assert peak <= 1.5 * result + 4 * 2 ** 20
 
 
 class TestSaveCsvMemory:
@@ -727,6 +731,12 @@ class TestQuotaSampler:
         with pytest.raises(ConfigError,
                            match=r"^quotas\[1\] must be >= 1, got 0$"):
             self._sampler([10, 10], [2, 0])
+
+    def test_scalar_quotas_rejected(self):
+        ds = synthetic([10, 10])
+        with pytest.raises(ConfigError,
+                           match=r"^quotas must be a list, got 5$"):
+            D.QuotaSampler(ds.partitions["all"], 5, np.random.default_rng(0))
 
     def test_empty_domain_rejected(self):
         ds = synthetic([10, 10])

@@ -294,6 +294,39 @@ def test_csv_dataset_run_equals_synth_run(results, tmp_path):
     assert backbone.vocab_sizes == dataset.schema.vocab_sizes
 
 
+# Two blocks of two domains: each domain borrows from its block partner
+# and from no other domain.
+BLOCKS4 = [[1.0, 0.8, 0.0, 0.0], [0.8, 1.0, 0.0, 0.0],
+           [0.0, 0.0, 1.0, 0.8], [0.0, 0.0, 0.8, 1.0]]
+PARTNERS4 = [1, 0, 3, 2]
+
+
+def partner_recovery(trace) -> float:
+    """The share of (round, domain) pairs in the last quarter of a run's
+    selection rounds whose distance ranking puts the domain's planted
+    block partner right after the domain itself."""
+    last = trace[3 * len(trace) // 4:]
+    return float(np.mean([ranking[1] == PARTNERS4[d] for line in last
+                          for d, ranking in enumerate(line["rankings"])]))
+
+
+def test_distance_ranking_recovers_planted_partners():
+    """With two planted blocks of two domains, the rounds' rankings name
+    each domain's partner right after it far more often than the 1/3 of a
+    ranking that ignores the data."""
+    scores = []
+    for seed in (1, 2, 3, 4):
+        config = RunConfig(
+            domains=4,
+            dataset={"kind": "synth", "affinity": BLOCKS4,
+                     "noise": [0.0] * 4, "sizes": [3000] * 4},
+            seed=seed, mode="sdsp", expert_counts=[1] * 4, batch_size=256,
+            learning_rate=1.0, epochs=10, early_stop_patience=10)
+        scores.append(partner_recovery(train.train(config).trace))
+    assert min(scores) > 1 / 3, scores
+    assert np.mean(scores) >= 0.6, scores
+
+
 class TestCheckpoint:
     """The one checkpoint format: train.save_checkpoint/load_checkpoint."""
 
@@ -390,7 +423,7 @@ class TestCheckpoint:
             vocab_sizes=[-3] + meta["vocab_sizes"][1:])),
          "vocab_sizes[0] must be >= 1, got -3"),
         (json_edit(lambda meta: meta.update(vocab_sizes=8)),
-         "checkpoint vocab_sizes must be a list, got 8"),
+         "vocab_sizes must be a list, got 8"),
         (json_edit(lambda meta: meta.update(config=[])),
          "config must be an object, got list"),
         (lambda raw: b"\xff" + raw, "not a checkpoint file"),
