@@ -14,8 +14,9 @@ reproduces the unmasked network bit for bit.
 Masked-out experts are skipped entirely in both directions, which makes the
 zero-weight/zero-gradient guarantees structural rather than numerical.
 
-This module turns subsets into masks, so it owns the subset rule,
-``check_subsets``, which ``config`` and ``train`` import from here.
+This module turns subsets and expert counts into masks, so it owns their
+rules, ``check_subsets`` and ``check_expert_counts``, which ``config`` and
+``train`` import from here.
 """
 
 from __future__ import annotations
@@ -26,14 +27,22 @@ from .data import VOCAB_LIMIT, as_int, as_list, feature_indices
 from .errors import ConfigError, DataError, UsageError
 from .nn import Mlp, Param, masked_softmax, softmax_backward, uniform_init
 
-__all__ = ["Backbone", "build_mask", "check_subsets", "expert_owners"]
+__all__ = ["Backbone", "build_mask", "check_expert_counts", "check_subsets",
+           "expert_owners"]
+
+
+def check_expert_counts(expert_counts) -> list:
+    """``expert_counts`` as a list of ints, if it is a list (``as_list``)
+    of integers >= 1 (``as_int``); anything else raises ConfigError. The
+    rule for ``RunConfig``, ``expert_owners`` and ``Backbone``."""
+    return [as_int(c, f"expert_counts[{i}]", minimum=1) for i, c in
+            enumerate(as_list(expert_counts, "expert_counts"))]
 
 
 def expert_owners(expert_counts) -> np.ndarray:
-    """Owning domain id for each expert slot, in concatenation order; each
-    count must be an integer >= 1 (``as_int``), in a list (``as_list``)."""
-    counts = [as_int(c, f"expert_counts[{i}]", minimum=1) for i, c in
-              enumerate(as_list(expert_counts, "expert_counts"))]
+    """Owning domain id for each expert slot, in concatenation order; the
+    counts must pass ``check_expert_counts``."""
+    counts = check_expert_counts(expert_counts)
     return np.repeat(np.arange(len(counts)), counts)
 
 
@@ -85,9 +94,7 @@ class Backbone:
         if not self.vocab_sizes:
             raise ConfigError("vocab_sizes needs at least one field")
         self.embed_dim = as_int(embed_dim, "embed_dim", minimum=1)
-        self.expert_counts = [
-            as_int(c, f"expert_counts[{i}]", minimum=1)
-            for i, c in enumerate(as_list(expert_counts, "expert_counts"))]
+        self.expert_counts = check_expert_counts(expert_counts)
         self.repr_dim = as_int(repr_dim, "repr_dim", minimum=1)
         expert_hidden = as_int(expert_hidden, "expert_hidden", minimum=1)
         tower_hidden = as_int(tower_hidden, "tower_hidden", minimum=1)
@@ -109,9 +116,11 @@ class Backbone:
                     f"expert.d{d}e{k}",
                     [self.x_dim, expert_hidden, self.repr_dim],
                     ["relu", "linear"], rng))
+        # Each gate weight is (x_dim, num_experts), input-major like the
+        # Mlp layers: the transpose of a (num_experts, x_dim) draw.
         self.gate_w = [Param(f"gate.d{d}.w",
                              uniform_init(rng, (self.num_experts, self.x_dim),
-                                          self.x_dim))
+                                          self.x_dim).T)
                        for d in range(self.num_domains)]
         self.gate_b = [Param(f"gate.d{d}.b", np.zeros(self.num_experts))
                        for d in range(self.num_domains)]
@@ -164,7 +173,7 @@ class Backbone:
         np.add.at(self.embedding.grad.reshape(-1), flat, dx.reshape(-1))
 
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
-        return x @ self.gate_w[d].values.T + self.gate_b[d].values
+        return x @ self.gate_w[d].values + self.gate_b[d].values
 
     # ------------------------------------------------------------- full pass
 
@@ -230,9 +239,9 @@ class Backbone:
             dgate[:, i] = np.add.reduce(out * dh, axis=1)
             dx += self.experts[i].backward(gate[:, i:i + 1] * dh)
         dlogits = softmax_backward(gate, dgate)
-        self.gate_w[d].grad += dlogits.T @ x
+        self.gate_w[d].grad += x.T @ dlogits
         self.gate_b[d].grad += np.add.reduce(dlogits, axis=0)
-        dx += dlogits @ self.gate_w[d].values
+        dx += dlogits @ self.gate_w[d].values.T
         self._embed_backward(features, dx)
 
     # ------------------------------------------------------------ parameters

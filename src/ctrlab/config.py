@@ -5,8 +5,9 @@ exactly. The dataset source is either a planted synthetic spec or a CSV
 path plus schema file. A short hash of the canonical config JSON travels
 with reports so they can be matched to their run; a checkpoint stores the
 config itself.
-The rules for ``fixed_subsets`` and ``overall_metric`` belong to the
-modules that use them: ``backbone.check_subsets``, ``metrics.OVERALL_MODES``.
+The rules for ``fixed_subsets``, ``expert_counts`` and ``overall_metric``
+belong to the modules that use them: ``backbone.check_subsets``,
+``backbone.check_expert_counts`` and ``metrics.OVERALL_MODES``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
-from .backbone import check_subsets
+from .backbone import check_expert_counts, check_subsets
 from .data import as_float, as_int, as_list
 from .errors import ConfigError
 from .metrics import OVERALL_MODES
@@ -96,9 +97,7 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.expert_counts is None:
             self.expert_counts = [1] * self.domains
-        self.expert_counts = [
-            as_int(c, f"expert_counts[{i}]", minimum=1) for i, c in
-            enumerate(as_list(self.expert_counts, "expert_counts"))]
+        self.expert_counts = check_expert_counts(self.expert_counts)
         if len(self.expert_counts) != self.domains:
             raise ConfigError(f"expert_counts needs {self.domains} entries, "
                               f"got {self.expert_counts}")

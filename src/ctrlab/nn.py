@@ -2,7 +2,9 @@
 
 Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
-state is ever touched. A ``ParamStore`` packs a run's parameters into one
+state is ever touched. A dense layer stores its weight input-major, as a
+C-contiguous (fan_in, fan_out) array, so the forward is ``a @ w`` over
+contiguous weights. A ``ParamStore`` packs a run's parameters into one
 flat values array and one flat gradient array, so the SGD step is one
 array operation over all of them. ``bce_terms`` owns the log-loss: the
 training loss and ``metrics.logloss`` average its clamped per-row terms.
@@ -21,13 +23,17 @@ ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
 class Param:
-    """A named tensor plus an accumulated gradient of identical shape."""
+    """A named tensor plus an accumulated gradient of identical shape.
+
+    ``values`` is a C-ordered copy, also of a transposed view, so a layer
+    weight outside a ``ParamStore`` keeps the contiguous layout as well.
+    """
 
     __slots__ = ("name", "values", "grad")
 
     def __init__(self, name: str, values: np.ndarray):
         self.name = name
-        self.values = np.array(values, dtype=np.float64)
+        self.values = np.array(values, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.values)
 
     def __repr__(self) -> str:
@@ -90,11 +96,12 @@ def _activate_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 class Mlp:
     """A stack of affine layers, each tagged relu / sigmoid / linear.
 
-    Layer i maps ``dims[i]`` to ``dims[i + 1]``; its weights are drawn from
-    ``rng`` in layer order and its bias starts at zero. ``forward`` caches
-    intermediates unless told not to; ``backward`` consumes the cache,
-    accumulates parameter gradients and returns the input gradient. Inputs
-    are row batches of shape (batch, dims[0]).
+    Layer i maps ``dims[i]`` to ``dims[i + 1]``. Its weight is
+    (dims[i], dims[i + 1]), the transpose of a (dims[i + 1], dims[i]) draw
+    from ``rng`` in layer order, and its bias starts at zero. ``forward``
+    caches intermediates unless told not to; ``backward`` consumes the
+    cache, accumulates parameter gradients and returns the input gradient.
+    Inputs are row batches of shape (batch, dims[0]).
     """
 
     def __init__(self, name: str, dims: list[int], activations: list[str],
@@ -105,9 +112,10 @@ class Mlp:
             if act not in ACTIVATIONS:
                 raise ConfigError(f"{name}: unknown activation {act!r}")
         self.name = name
-        self.weights = [Param(f"{name}.l{i}.w",
-                              uniform_init(rng, (dims[i + 1], dims[i]), dims[i]))
-                        for i in range(len(dims) - 1)]
+        self.weights = [
+            Param(f"{name}.l{i}.w",
+                  uniform_init(rng, (dims[i + 1], dims[i]), dims[i]).T)
+            for i in range(len(dims) - 1)]
         self.biases = [Param(f"{name}.l{i}.b", np.zeros(dims[i + 1]))
                        for i in range(len(dims) - 1)]
         self.activations = list(activations)
@@ -123,14 +131,14 @@ class Mlp:
         and the caller's to modify.
         """
         x = np.asarray(x, dtype=np.float64)
-        in_dim = self.weights[0].values.shape[1]
+        in_dim = self.weights[0].values.shape[0]
         if x.ndim != 2 or x.shape[1] != in_dim:
             raise ConfigError(f"{self.name}: expected input of shape (batch, "
                               f"{in_dim}), got {x.shape}")
         steps = []
         a = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ w.values.T
+            z = a @ w.values
             z += b.values
             a_next = _activate(act, z)
             if cache:
@@ -149,9 +157,9 @@ class Mlp:
                                         reversed(self.biases),
                                         reversed(self.activations)):
             dz = da if act == "linear" else da * _activate_grad(act, z, a)
-            w.grad += dz.T @ x
+            w.grad += x.T @ dz
             b.grad += np.add.reduce(dz, axis=0)
-            da = dz @ w.values
+            da = dz @ w.values.T
         self._cache = None
         return da
 

@@ -29,8 +29,11 @@ write_outputs fills a run directory with four files: report.json,
 selection_trace.log (one JSON line per selection round),
 distance_matrix.csv and checkpoint.npz. The checkpoint holds two arrays:
 "values", every parameter in one flat float64 array in the model store's
-order, and "meta", the JSON of the config, the vocabulary sizes and the
-active subsets, from which load_checkpoint rebuilds the model.
+order, and "meta", the JSON of the config, the vocabulary sizes, the
+active subsets and the weight layout, from which load_checkpoint rebuilds
+the model. The layout is "in_out": every dense weight is stored
+(fan_in, fan_out), so a checkpoint from before that layout, whose meta
+lacks the key, is refused rather than loaded with transposed weights.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_rou
 
 __all__ = ["train", "TrainResult", "evaluate_partition", "save_checkpoint",
            "load_checkpoint", "measure_distances", "write_outputs"]
+
+# The checkpoint meta's name for the dense weights' (fan_in, fan_out) layout.
+WEIGHT_LAYOUT = "in_out"
+META_KEYS = ["config", "subsets", "vocab_sizes", "weight_layout"]
 
 
 @dataclass
@@ -332,10 +339,11 @@ def write_outputs(result: TrainResult, out_dir) -> None:
 
 def save_checkpoint(result: TrainResult, path) -> None:
     """The run's store of parameters as "values", and its config,
-    vocabulary sizes and subsets as the JSON "meta"."""
+    vocabulary sizes, subsets and weight layout as the JSON "meta"."""
     meta = {"config": result.config.to_dict(),
             "vocab_sizes": list(result.backbone.vocab_sizes),
-            "subsets": [list(s) for s in result.subsets]}
+            "subsets": [list(s) for s in result.subsets],
+            "weight_layout": WEIGHT_LAYOUT}
     np.savez(path, values=result.store.values,
              meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
@@ -344,8 +352,9 @@ def load_checkpoint(path):
     """Rebuild (config, backbone, coders, masks, subsets) from a checkpoint.
 
     The file must be an npz archive of exactly "values" and "meta"; "meta"
-    must be UTF-8 JSON whose config RunConfig accepts and whose subsets
-    pass the rule for fixed_subsets; and "values" must be float64 of
+    must be UTF-8 JSON of exactly META_KEYS, whose weight layout is
+    WEIGHT_LAYOUT, whose config RunConfig accepts and whose subsets pass
+    the rule for fixed_subsets; and "values" must be float64 of
     exactly the shape the stored config gives the model. Anything else
     raises a ConfigError naming the path rather than being cast or
     broadcast into place.
@@ -374,9 +383,13 @@ def _load_checkpoint(path):
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"not a checkpoint file ({exc})") from exc
     keys = sorted(meta) if isinstance(meta, dict) else meta
-    if keys != ["config", "subsets", "vocab_sizes"]:
+    if keys != META_KEYS:
         raise ConfigError(f"checkpoint meta holds {keys!r}, expected "
-                          "['config', 'subsets', 'vocab_sizes']")
+                          f"{META_KEYS!r}")
+    if meta["weight_layout"] != WEIGHT_LAYOUT:
+        raise ConfigError("checkpoint weight layout is "
+                          f"{meta['weight_layout']!r}, expected "
+                          f"{WEIGHT_LAYOUT!r}")
     config = RunConfig.from_dict(meta["config"])
     subsets = [canonical(s) for s in
                check_subsets(meta["subsets"], config.domains, "subsets")]

@@ -3,6 +3,7 @@ import pytest
 
 from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
+from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError, DataError, UsageError
 from test_nn import (SPECIAL_VALUES, numeric_gradient, same_bits,
                      with_specials, wrapper_mlp_backward,
@@ -72,10 +73,73 @@ def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
         dgate[:, i] = (out * dh).sum(axis=1)
         dx += wrapper_mlp_backward(net.experts[i], gate[:, i:i + 1] * dh)
     dlogits = wrapper_softmax_backward(gate, dgate)
-    net.gate_w[d].grad += dlogits.T @ x
+    net.gate_w[d].grad += x.T @ dlogits
     net.gate_b[d].grad += dlogits.sum(axis=0)
-    dx += dlogits @ net.gate_w[d].values
+    dx += dlogits @ net.gate_w[d].values.T
     broadcast_embed_backward(net, cache["features"], dx)
+
+
+def out_in(p):
+    """A dense weight in the (fan_out, fan_in) layout, C-ordered."""
+    return np.ascontiguousarray(p.values.T)
+
+
+def out_in_mlp_forward(net, x):
+    """(output, per-layer (input, z, a)) of ``net`` by the (out, in)
+    formula ``a @ W.T``."""
+    steps, a = [], x
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = a @ out_in(w).T + b.values
+        a_next = (np.maximum(z, 0.0) if act == "relu"
+                  else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
+        steps.append((a, z, a_next))
+        a = a_next
+    return a, steps
+
+
+def out_in_mlp_backward(net, steps, da, grads):
+    """The input gradient by the (out, in) formulas ``W.grad = dz.T @ x``
+    and ``da = dz @ W``; each param's gradient goes into ``grads`` by name,
+    transposed back to the weight's own layout."""
+    for (x, z, a), w, b, act in zip(reversed(steps), reversed(net.weights),
+                                    reversed(net.biases),
+                                    reversed(net.activations)):
+        dz = (da * (z > 0.0) if act == "relu"
+              else da * (a * (1.0 - a)) if act == "sigmoid" else da)
+        grads[w.name] = (dz.T @ x).T
+        grads[b.name] = dz.sum(axis=0)
+        da = dz @ out_in(w)
+    return da
+
+
+def out_in_domain_pass(net, features, d, masks, dpreds, dh_extra):
+    """(preds, h, gradient by param name) of one ``forward_domain`` and
+    ``backward_domain``, with every dense weight read (out, in)."""
+    grads = {}
+    x = net.embed(features)
+    gate_w = net.gate_w[d]
+    gate = nn.masked_softmax(x @ out_in(gate_w).T + net.gate_b[d].values,
+                             masks[d])
+    passes = {i: out_in_mlp_forward(net.experts[i], x)
+              for i in (masks[d] == 0.0).nonzero()[0]}
+    h = sum(gate[:, i:i + 1] * out for i, (out, _) in passes.items())
+    preds, steps = out_in_mlp_forward(net.towers[d], h)
+    dh = out_in_mlp_backward(net.towers[d], steps, dpreds.reshape(-1, 1),
+                             grads) + dh_extra
+    dgate = np.zeros(gate.shape)
+    dx = np.zeros(x.shape)
+    for i, (out, steps) in passes.items():
+        dgate[:, i] = (out * dh).sum(axis=1)
+        dx += out_in_mlp_backward(net.experts[i], steps,
+                                  gate[:, i:i + 1] * dh, grads)
+    dlogits = nn.softmax_backward(gate, dgate)
+    grads[gate_w.name] = (dlogits.T @ x).T
+    grads[net.gate_b[d].name] = dlogits.sum(axis=0)
+    dx += dlogits @ out_in(gate_w)
+    grads["embedding"] = np.zeros(net.embedding.values.shape)
+    np.add.at(grads["embedding"], features + net._field_offsets,
+              dx.reshape(len(features), -1, net.embed_dim))
+    return preds.ravel(), h, grads
 
 
 def relative_error(a, b, floor=1e-4):
@@ -100,6 +164,27 @@ class TestExpertOwners:
         with pytest.raises(ConfigError,
                            match=r"^expert_counts\[0\] must be an integer"):
             expert_owners([1.5, 2])
+
+
+class TestExpertCountRule:
+    @pytest.mark.parametrize("counts, named", [
+        ([1, 0], "expert_counts[1] must be >= 1, got 0"),
+        ([1, True], "expert_counts[1] must be an integer, got True"),
+        (2, "expert_counts must be a list, got 2")],
+        ids=["zero", "bool", "scalar"])
+    def test_one_message_from_every_entry_point(self, counts, named):
+        """RunConfig, expert_owners and Backbone apply one rule to the
+        counts, so each refuses them with the same message."""
+        dataset = {"kind": "synth", "affinity": [[1.0, 0.0], [0.0, 1.0]],
+                   "noise": [0.0, 0.0], "sizes": [50, 50]}
+        calls = [lambda: RunConfig(domains=2, dataset=dataset,
+                                   expert_counts=counts),
+                 lambda: expert_owners(counts),
+                 lambda: small_net(expert_counts=counts)]
+        for call in calls:
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert str(err.value) == named
 
 
 class TestBuildMask:
@@ -272,7 +357,8 @@ class TestEmbed:
         assert net.embedding.values.shape == (sum(vocab), dim)
         assert net.embedding.values.tobytes() == per_field.tobytes()
         expert_w = nn.uniform_init(rng, (4, 4 * dim), 4 * dim)
-        assert net.experts[0].weights[0].values.tobytes() == expert_w.tobytes()
+        assert (net.experts[0].weights[0].values.tobytes()
+                == expert_w.T.tobytes())
 
     def test_packed_into_a_store(self):
         """A store that repacks every param changes no prediction or
@@ -563,3 +649,40 @@ class TestSameBitsAsWrapperExpressions:
             assert same_bits(p.grad, q.grad), p.name
         if specials == "finite":
             assert all(np.isfinite(p.grad).all() for p in nets[0].params())
+
+
+def assert_close(actual, want, name=""):
+    """Within a relative 1e-12 of ``want``, or, for an entry that cancels to
+    far below its array's scale, within 1e-12 of that scale."""
+    np.testing.assert_allclose(actual, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max(initial=0.0),
+                               err_msg=name)
+
+
+class TestInOutLayout:
+    """Input-major weights change only the summation order of the dense
+    products: outputs and gradients agree with the (out, in) formulas to
+    rounding, at batch sizes on both sides of BLAS's small-matrix kernels."""
+
+    @pytest.mark.parametrize("rows", [13, 128, 256, 2000])
+    def test_domain_pass_matches_the_out_in_formula(self, rows):
+        net = small_net(seed=4, vocab=(11, 13, 7, 5), embed_dim=8,
+                        expert_counts=(2, 1, 2), expert_hidden=8,
+                        repr_dim=8, tower_hidden=8)
+        masks = build_mask([[0, 2], [1], [1, 2]], net.expert_counts)
+        rng = np.random.default_rng(rows)
+        for d in range(net.num_domains):
+            feats = rand_features(net, rows, seed=d)
+            dpreds = rng.normal(size=rows)
+            dh_extra = rng.normal(size=(rows, net.repr_dim))
+            want_preds, want_h, grads = out_in_domain_pass(
+                net, feats, d, masks, dpreds, dh_extra)
+            for p in net.params():
+                p.grad[...] = 0.0
+            preds, h = net.forward_domain(feats, d, masks)
+            net.backward_domain(d, dpreds, dh_extra)
+            assert_close(preds, want_preds)
+            assert_close(h, want_h)
+            for p in net.params():
+                assert_close(p.grad, grads.get(p.name, np.zeros(p.grad.shape)),
+                             p.name)

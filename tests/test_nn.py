@@ -71,9 +71,9 @@ def wrapper_mlp_backward(net, upstream):
             dz = da * (a * (1.0 - a))
         else:
             dz = da * np.ones_like(z)
-        w.grad += dz.T @ x
+        w.grad += x.T @ dz
         b.grad += dz.sum(axis=0)
-        da = dz @ w.values
+        da = dz @ w.values.T
     net._cache = None
     return da
 
@@ -153,13 +153,13 @@ def make_mlp(name, dims, activations, seed=0):
 
 class TestMlpConstruction:
     def test_weights_drawn_in_layer_order_biases_zero(self):
-        """Layer i's weights are the i-th draw from the generator, each of
-        shape (dims[i + 1], dims[i]) and fan-in dims[i]."""
+        """Layer i's weight is the transpose of the i-th draw from the
+        generator, a (dims[i + 1], dims[i]) draw with fan-in dims[i]."""
         net = make_mlp("m", [5, 4, 3, 1], ["relu", "relu", "sigmoid"], seed=9)
         rng = np.random.default_rng(9)
         for i, (fan_in, fan_out) in enumerate([(5, 4), (4, 3), (3, 1)]):
             want = nn.uniform_init(rng, (fan_out, fan_in), fan_in)
-            assert net.weights[i].values.tobytes() == want.tobytes()
+            assert net.weights[i].values.tobytes() == want.T.tobytes()
             assert net.weights[i].name == f"m.l{i}.w"
             assert net.biases[i].values.tobytes() == np.zeros(fan_out).tobytes()
             assert net.biases[i].name == f"m.l{i}.b"
@@ -214,7 +214,7 @@ class TestMlpBackward:
         g = np.array([[0.7, -0.3]])
         net.forward(x)
         net.backward(g)
-        np.testing.assert_allclose(net.weights[0].grad, g.T @ x)
+        np.testing.assert_allclose(net.weights[0].grad, x.T @ g)
         np.testing.assert_allclose(net.biases[0].grad, g.ravel())
 
     def test_zero_upstream_gives_zero_grads(self):
@@ -592,6 +592,17 @@ class TestParamStore:
             assert q.grad.tobytes() == p.grad.tobytes()
         assert store.values.tobytes() == b"".join(p.values.tobytes()
                                                   for p in before)
+
+    def test_transposed_view_copied_in_c_order(self):
+        """A Param made from a transposed view, as a layer weight is, holds
+        a C-ordered copy of it, before and after packing."""
+        view = np.arange(6.0).reshape(2, 3).T
+        p = nn.Param("w", view)
+        assert p.values.flags.c_contiguous and p.grad.flags.c_contiguous
+        assert p.values.tobytes() == view.tobytes()
+        nn.ParamStore([p])
+        assert p.values.flags.c_contiguous and p.grad.flags.c_contiguous
+        assert p.values.tobytes() == view.tobytes()
 
     def test_empty(self):
         store = nn.ParamStore([])

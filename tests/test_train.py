@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -327,6 +328,83 @@ def test_distance_ranking_recovers_planted_partners():
     assert np.mean(scores) >= 0.6, scores
 
 
+def out_in_draws(config: RunConfig, vocab_sizes, rng) -> list:
+    """The (fan_out, fan_in) draws of the backbone's expert, gate and tower
+    weights from ``rng``, in the backbone's draw order: the embedding
+    table, each expert's layers, each gate, each tower's layers."""
+    x_dim = len(vocab_sizes) * config.embedding_dim
+    nn.uniform_init(rng, (sum(vocab_sizes), config.embedding_dim),
+                    config.embedding_dim)
+    experts = sum(config.expert_counts)
+    shapes = ([(config.expert_hidden, x_dim),
+               (config.repr_dim, config.expert_hidden)] * experts
+              + [(experts, x_dim)] * config.domains
+              + [(config.tower_hidden, config.repr_dim),
+                 (1, config.tower_hidden)] * config.domains)
+    return [nn.uniform_init(rng, shape, shape[1]) for shape in shapes]
+
+
+def assert_in_out(params, draws):
+    """The expert, gate and tower weights among ``params`` are C-contiguous
+    (fan_in, fan_out) arrays, with C-contiguous gradients, each holding the
+    transpose of its (fan_out, fan_in) draw."""
+    weights = [p for p in params if p.name.endswith(".w")
+               and p.name.startswith(("expert.", "gate.", "tower."))]
+    assert len(weights) == len(draws)
+    for p, draw in zip(weights, draws):
+        assert p.values.shape == draw.T.shape, p.name
+        assert p.values.flags.c_contiguous, p.name
+        assert p.grad.flags.c_contiguous, p.name
+        assert p.values.tobytes() == draw.T.tobytes(), p.name
+
+
+class TestWeightLayout:
+    """Every dense weight is input-major, before and after the ParamStore
+    packs it, and the initial model is the one the (out, in) layout drew."""
+
+    VOCAB = [5, 7, 3]
+
+    @pytest.fixture
+    def unpacked(self, monkeypatch):
+        """The params handed to each ParamStore, as they were before it
+        rebound them to views of its flat arrays."""
+        stores = []
+        pack = nn.ParamStore
+
+        def packing(params):
+            params = list(params)
+            stores.append([SimpleNamespace(name=p.name, values=p.values,
+                                           grad=p.grad) for p in params])
+            return pack(params)
+
+        monkeypatch.setattr(nn, "ParamStore", packing)
+        return stores
+
+    def test_built_model(self, unpacked):
+        config = tiny_config("sdsp")
+        backbone, _, _ = train._build_model(config, self.VOCAB,
+                                            np.random.default_rng(11))
+        draws = out_in_draws(config, self.VOCAB, np.random.default_rng(11))
+        assert_in_out(unpacked[0], draws)
+        assert_in_out(backbone.params(), draws)
+
+    def test_loaded_checkpoint(self, unpacked, tmp_path):
+        config = tiny_config("sdsp")
+        backbone, _, store = train._build_model(config, self.VOCAB,
+                                                np.random.default_rng(11))
+        path = tmp_path / "checkpoint.npz"
+        train.save_checkpoint(SimpleNamespace(
+            config=config, backbone=backbone, store=store,
+            subsets=[[0, 1, 2]] * 3), path)
+        _, loaded, *_ = train.load_checkpoint(path)
+        # The loader draws its model from generator 0, packs it, then
+        # copies the stored values in.
+        assert_in_out(unpacked[1], out_in_draws(config, self.VOCAB,
+                                                np.random.default_rng(0)))
+        assert_in_out(loaded.params(), out_in_draws(
+            config, self.VOCAB, np.random.default_rng(11)))
+
+
 class TestCheckpoint:
     """The one checkpoint format: train.save_checkpoint/load_checkpoint."""
 
@@ -375,7 +453,8 @@ class TestCheckpoint:
             values = zf["values"]
         assert meta == {"config": result.config.to_dict(),
                         "vocab_sizes": list(result.backbone.vocab_sizes),
-                        "subsets": [list(s) for s in result.subsets]}
+                        "subsets": [list(s) for s in result.subsets],
+                        "weight_layout": "in_out"}
         params = result.backbone.params() + [
             p for c in result.coders for p in c.params()]
         assert values.dtype == np.float64
@@ -413,6 +492,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit, named", [
         (json_edit(lambda meta: meta.pop("config")), "checkpoint meta holds"),
+        (json_edit(lambda meta: meta.pop("weight_layout")),
+         "checkpoint meta holds ['config', 'subsets', 'vocab_sizes'], "
+         "expected ['config', 'subsets', 'vocab_sizes', 'weight_layout']"),
+        (json_edit(lambda meta: meta.update(weight_layout="out_in")),
+         "checkpoint weight layout is 'out_in', expected 'in_out'"),
         (json_edit(lambda meta: meta["config"].update(reward_metric="auc")),
          "unknown config keys"),
         (json_edit(lambda meta: meta.update(subsets=[[1], [0, 1], [1, 2]])),
@@ -430,8 +514,9 @@ class TestCheckpoint:
         (lambda raw: b"[1, 2]", "checkpoint meta holds [1, 2]"),
         (json_edit(lambda meta: meta.update(subsets=[[0], [0, 1, 1], [1, 2]])),
          "subsets[1] names a domain twice: [0, 1, 1]")],
-        ids=["no-config", "unknown-config-key", "subset-without-its-domain",
-             "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
+        ids=["no-config", "written-before-the-in-out-layout",
+             "out-in-layout", "unknown-config-key",
+             "subset-without-its-domain", "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
              "config-not-an-object", "not-utf8", "not-an-object",
              "subset-naming-a-domain-twice"])
     def test_bad_meta_rejected(self, saved, edit, named):
