@@ -4,7 +4,11 @@ Layout: a shared embedding table (one Param stacking the per-field tables
 in field order) feeds a bank of small expert networks, grouped by owning
 domain and concatenated in domain order. Each domain has a gate (affine
 map over the input, softmaxed across all experts), and a tower mapping the
-mixed representation to a click probability. A domain's mask is an
+mixed representation to a click probability. Every dense layer is one
+(fan_in + 1, fan_out) weight whose last row is the bias (see ``nn``):
+``embed`` returns the input with a trailing ones column, built once per
+domain pass and read by the gate and every expert, and the tower reads the
+mixed representation copied beside a ones column. A domain's mask is an
 additive {0, -inf} vector over experts: -inf entries knock the
 corresponding experts out of the gate softmax, so unselected domains'
 experts receive exactly zero mixing weight and exactly zero gradient. The
@@ -25,7 +29,11 @@ import numpy as np
 
 from .data import VOCAB_LIMIT, as_int, as_list, feature_indices
 from .errors import ConfigError, DataError, UsageError
-from .nn import Mlp, Param, masked_softmax, softmax_backward, uniform_init
+from .nn import (Mlp, Param, dense_backward, masked_softmax,
+                 softmax_backward, uniform_init, with_ones)
+
+# Rows per np.take in ``Backbone.embed``: at 64 columns, a 128 KiB gather.
+EMBED_CHUNK = 256
 
 __all__ = ["Backbone", "build_mask", "check_expert_counts", "check_subsets",
            "expert_owners"]
@@ -116,14 +124,15 @@ class Backbone:
                     f"expert.d{d}e{k}",
                     [self.x_dim, expert_hidden, self.repr_dim],
                     ["relu", "linear"], rng))
-        # Each gate weight is (x_dim, num_experts), input-major like the
-        # Mlp layers: the transpose of a (num_experts, x_dim) draw.
-        self.gate_w = [Param(f"gate.d{d}.w",
-                             uniform_init(rng, (self.num_experts, self.x_dim),
-                                          self.x_dim).T)
-                       for d in range(self.num_domains)]
-        self.gate_b = [Param(f"gate.d{d}.b", np.zeros(self.num_experts))
-                       for d in range(self.num_domains)]
+        # Each gate weight is (x_dim + 1, num_experts), laid out like an
+        # Mlp layer: the transpose of a (num_experts, x_dim) draw above a
+        # zero bias row.
+        self.gate_w = []
+        for d in range(self.num_domains):
+            w = np.zeros((self.x_dim + 1, self.num_experts))
+            w[:-1] = uniform_init(rng, (self.num_experts, self.x_dim),
+                                  self.x_dim).T
+            self.gate_w.append(Param(f"gate.d{d}.w", w))
         self.towers = [Mlp(f"tower.d{d}",
                            [self.repr_dim, tower_hidden, 1],
                            ["relu", "sigmoid"], rng)
@@ -133,11 +142,17 @@ class Backbone:
     # ---------------------------------------------------------------- pieces
 
     def embed(self, features: np.ndarray) -> np.ndarray:
-        """Concatenate per-field embedding rows into the input vector.
+        """Concatenate per-field embedding rows into the input vector, and
+        add the dense layers' trailing ones column.
 
-        One ``np.take`` reads row ``features[:, j] + offset of field j`` of
-        the table for every field at once, so the cost grows with the rows
-        read, not with the vocabulary.
+        One ``np.take`` per ``EMBED_CHUNK`` rows reads row
+        ``features[:, j] + offset of field j`` of the table for every field
+        at once, so the cost grows with the rows read, not with the
+        vocabulary, and a copy sets the rows beside the ones column. A
+        ``take`` straight into those strided columns was about twice as
+        slow. A whole-batch gather beside the result made the allocator
+        hand memory back and fault it in again on every call, which cost
+        more than the copy itself from about a thousand rows on.
         """
         features = feature_indices(features)
         if features.ndim != 2 or features.shape[1] != len(self.vocab_sizes):
@@ -152,9 +167,14 @@ class Backbone:
             j = int(bad.any(axis=0).nonzero()[0][0])
             raise DataError(
                 f"field {j} index outside [0, {self.vocab_sizes[j]})")
-        rows = np.take(self.embedding.values, features + self._field_offsets,
-                       axis=0)
-        return rows.reshape(features.shape[0], self.x_dim)
+        x = np.empty((features.shape[0], self.x_dim + 1))
+        x[:, -1] = 1.0
+        rows = features + self._field_offsets
+        for start in range(0, len(x), EMBED_CHUNK):
+            part = slice(start, start + EMBED_CHUNK)
+            x[part, :-1] = np.take(self.embedding.values, rows[part],
+                                   axis=0).reshape(-1, self.x_dim)
+        return x
 
     def _embed_backward(self, features: np.ndarray, dx: np.ndarray) -> None:
         """Add the input gradient ``dx`` to the embedding rows it came from,
@@ -173,7 +193,8 @@ class Backbone:
         np.add.at(self.embedding.grad.reshape(-1), flat, dx.reshape(-1))
 
     def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
-        return x @ self.gate_w[d].values + self.gate_b[d].values
+        """Domain d's gate logits for an ``embed`` output ``x``."""
+        return x @ self.gate_w[d].values
 
     # ------------------------------------------------------------- full pass
 
@@ -203,7 +224,9 @@ class Backbone:
             # An uncached output is new, so the product may overwrite it.
             h += np.multiply(gate[:, i:i + 1], out,
                              out=None if cache else out)
-        preds = self.towers[d].forward(h, cache=cache).ravel()
+        # h is returned as it is, contiguous, for the prototype coders; the
+        # tower reads a copy beside its ones column.
+        preds = self.towers[d].forward(with_ones(h), cache=cache).ravel()
         if cache:
             self._cache = {"d": d, "x": x, "features": features,
                            "gate": gate, "outs": outs}
@@ -234,14 +257,12 @@ class Backbone:
             # The tower's input gradient is new, so it takes the sum.
             dh += dh_extra
         dgate = np.zeros(gate.shape)
-        dx = np.zeros(x.shape)
+        dx = np.zeros((x.shape[0], self.x_dim))
         for i, out in outs.items():
             dgate[:, i] = np.add.reduce(out * dh, axis=1)
             dx += self.experts[i].backward(gate[:, i:i + 1] * dh)
         dlogits = softmax_backward(gate, dgate)
-        self.gate_w[d].grad += x.T @ dlogits
-        self.gate_b[d].grad += np.add.reduce(dlogits, axis=0)
-        dx += dlogits @ self.gate_w[d].values.T
+        dx += dense_backward(self.gate_w[d], x, dlogits)
         self._embed_backward(features, dx)
 
     # ------------------------------------------------------------ parameters
@@ -250,9 +271,7 @@ class Backbone:
         out = [self.embedding]
         for e in self.experts:
             out += e.params()
-        for d in range(self.num_domains):
-            out.append(self.gate_w[d])
-            out.append(self.gate_b[d])
+        out += self.gate_w
         for t in self.towers:
             out += t.params()
         return out

@@ -2,14 +2,30 @@
 
 Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
-state is ever touched. A dense layer stores its weight input-major, as a
-C-contiguous (fan_in, fan_out) array, so the forward is ``a @ w`` over
-contiguous weights. A ``ParamStore`` packs a run's parameters into one
-flat values array and one flat gradient array, so the SGD step is one
-array operation over all of them. ``bce_terms`` owns the log-loss: the
-training loss and ``metrics.logloss`` average its clamped per-row terms.
-There is no autograd here on purpose; the tests check the manual
-gradients against central finite differences.
+state is ever touched. A dense layer is one C-contiguous weight of shape
+(fan_in + 1, fan_out): input-major, with the bias as its last row. Its
+input carries a trailing column of ones (``with_ones``), so the forward
+is the single product ``a @ w``, bias included, and the backward one
+``x.T @ dz`` for the weight and bias rows together (``dense_backward``).
+A ``ParamStore`` packs a run's parameters into one flat values array and
+one flat gradient array, so the SGD step is one array operation over all
+of them. ``bce_terms`` owns the log-loss: the training loss and
+``metrics.logloss`` average its clamped per-row terms. There is no
+autograd here on purpose; the tests check the manual gradients against
+central finite differences.
+
+Folding the bias in keeps the bits of a separate bias add and reduction
+wherever OpenBLAS sums each output along the inner dimension in order with
+fused multiply-adds: the last term ``1 * b`` then rounds as ``(x @ w) + b``
+does, and a row of ones adds ``dz``'s rows top to bottom, as numpy's
+axis-0 reduction does for rows of two or more entries. numpy sums a
+one-wide column pairwise, so ``dense_backward`` takes a one-output layer's
+bias gradient from ``np.add.reduce``. Which kernel OpenBLAS runs depends on
+the shapes. With OpenBLAS 0.3.31 (Haswell kernels) the benchmark's layers
+keep every bit up to 2,000 rows (256 for the 64-input ones, whose
+gradient a second block sums at 2,000), while, for example, 2 to 4 or 9
+outputs over 16 or more inputs, or one output over an odd number of
+inputs, round some sums differently in the last bit.
 """
 
 import numpy as np
@@ -93,15 +109,51 @@ def _activate_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return a * (1.0 - a)
 
 
-class Mlp:
-    """A stack of affine layers, each tagged relu / sigmoid / linear.
+def with_ones(a: np.ndarray) -> np.ndarray:
+    """A new C-ordered copy of the row batch ``a`` with a trailing column of
+    ones: the input of a dense layer whose last weight row is its bias."""
+    out = np.empty((a.shape[0], a.shape[1] + 1))
+    out[:, :-1] = a
+    out[:, -1] = 1.0
+    return out
 
-    Layer i maps ``dims[i]`` to ``dims[i + 1]``. Its weight is
-    (dims[i], dims[i + 1]), the transpose of a (dims[i + 1], dims[i]) draw
-    from ``rng`` in layer order, and its bias starts at zero. ``forward``
-    caches intermediates unless told not to; ``backward`` consumes the
-    cache, accumulates parameter gradients and returns the input gradient.
-    Inputs are row batches of shape (batch, dims[0]).
+
+def dense_backward(w: Param, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Add ``x.T @ dz`` to the gradient of ``w``'s first ``dz.shape[1]``
+    columns, bias row included, and return the input gradient against the
+    weight rows alone, ``x``'s ones column left out.
+
+    The input gradient multiplies by a C-contiguous copy of the transposed
+    weight rows: the bits of the product by the transposed view, which
+    OpenBLAS runs several times slower. A single row is the exception:
+    numpy then runs a matrix-vector product, whose two layouts sum in
+    different orders, so it keeps the view. A one-wide ``dz``'s bias
+    gradient is ``np.add.reduce``'s pairwise sum, the separate reduction's
+    bits.
+    """
+    out = dz.shape[1]
+    grad = x.T @ dz
+    if out == 1:
+        grad[-1] = np.add.reduce(dz, axis=0)
+    w.grad[:, :out] += grad
+    rows = w.values[:-1, :out].T
+    return dz @ (rows if len(dz) == 1 else np.ascontiguousarray(rows))
+
+
+class Mlp:
+    """A stack of dense layers, each tagged relu / sigmoid / linear.
+
+    Layer i maps ``dims[i]`` inputs plus a ones column to ``dims[i + 1]``
+    outputs. Its weight rows are the transpose of a (dims[i + 1], dims[i])
+    draw from ``rng`` in layer order, and its last row, the bias, starts
+    at zero. A hidden layer has one more column, the carry column
+    [0, ..., 0, 1], which copies the ones column to the next layer's input;
+    its gradient is never written, so it stays exact. ReLU and linear keep
+    that 1, so only the last layer may be sigmoid. Inputs are row batches
+    of shape (batch, dims[0] + 1) whose last column is ones (``with_ones``).
+    ``forward`` caches intermediates unless told not to; ``backward``
+    consumes the cache, accumulates the weights' gradients and returns the
+    gradient of the input's first dims[0] columns.
     """
 
     def __init__(self, name: str, dims: list[int], activations: list[str],
@@ -111,35 +163,41 @@ class Mlp:
         for act in activations:
             if act not in ACTIVATIONS:
                 raise ConfigError(f"{name}: unknown activation {act!r}")
+        if "sigmoid" in activations[:-1]:
+            raise ConfigError(f"{name}: a hidden layer cannot be sigmoid; "
+                              "it would not keep the ones column")
         self.name = name
-        self.weights = [
-            Param(f"{name}.l{i}.w",
-                  uniform_init(rng, (dims[i + 1], dims[i]), dims[i]).T)
-            for i in range(len(dims) - 1)]
-        self.biases = [Param(f"{name}.l{i}.b", np.zeros(dims[i + 1]))
-                       for i in range(len(dims) - 1)]
+        self.dims = list(dims)
+        self.weights = []
+        for i in range(len(dims) - 1):
+            carry = i < len(dims) - 2
+            w = np.zeros((dims[i] + 1, dims[i + 1] + carry))
+            w[:-1, :dims[i + 1]] = uniform_init(
+                rng, (dims[i + 1], dims[i]), dims[i]).T
+            if carry:
+                w[-1, -1] = 1.0
+            self.weights.append(Param(f"{name}.l{i}.w", w))
         self.activations = list(activations)
         self._cache = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        """The net's output for a row batch ``x``.
+        """The net's output for a row batch ``x`` with its ones column.
 
-        Each layer adds its bias and applies ReLU in place on the fresh
-        product. With ``cache`` the layers' inputs and pre-activations are
-        kept for ``backward``. Without it nothing is kept, a cache left by
-        an earlier forward stays as it is, and the returned array is new
+        Each layer is one product, bias included, with ReLU applied in
+        place on it. With ``cache`` the layers' inputs and pre-activations
+        are kept for ``backward``. Without it nothing is kept, a cache left
+        by an earlier forward stays as it is, and the returned array is new
         and the caller's to modify.
         """
         x = np.asarray(x, dtype=np.float64)
-        in_dim = self.weights[0].values.shape[0]
+        in_dim = self.dims[0] + 1
         if x.ndim != 2 or x.shape[1] != in_dim:
             raise ConfigError(f"{self.name}: expected input of shape (batch, "
-                              f"{in_dim}), got {x.shape}")
+                              f"{in_dim}) with a ones column, got {x.shape}")
         steps = []
         a = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
+        for w, act in zip(self.weights, self.activations):
             z = a @ w.values
-            z += b.values
             a_next = _activate(act, z)
             if cache:
                 steps.append((a, z, a_next))
@@ -152,23 +210,29 @@ class Mlp:
         if self._cache is None:
             raise UsageError(f"{self.name}: backward called without a cached forward")
         da = np.asarray(upstream, dtype=np.float64)
-        for (x, z, a), w, b, act in zip(reversed(self._cache),
-                                        reversed(self.weights),
-                                        reversed(self.biases),
-                                        reversed(self.activations)):
-            dz = da if act == "linear" else da * _activate_grad(act, z, a)
-            w.grad += x.T @ dz
-            b.grad += np.add.reduce(dz, axis=0)
-            da = dz @ w.values.T
+        for (x, z, a), w, act, out in zip(reversed(self._cache),
+                                          reversed(self.weights),
+                                          reversed(self.activations),
+                                          reversed(self.dims[1:])):
+            # A hidden layer's carry column gets no gradient: dz leaves it out.
+            dz = (da if act == "linear"
+                  else da * _activate_grad(act, z[:, :out], a[:, :out]))
+            da = dense_backward(w, x, dz)
         self._cache = None
         return da
 
+    def check_carry(self) -> None:
+        """Raise ConfigError unless every hidden layer's carry column is
+        exactly [0, ..., 0, 1]."""
+        for w in self.weights[:-1]:
+            want = np.zeros(w.values.shape[0])
+            want[-1] = 1.0
+            if not np.array_equal(w.values[:, -1], want):
+                raise ConfigError(f"{w.name}: carry column is not "
+                                  "[0, ..., 0, 1]")
+
     def params(self) -> list[Param]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return list(self.weights)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:

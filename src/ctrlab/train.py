@@ -31,9 +31,12 @@ distance_matrix.csv and checkpoint.npz. The checkpoint holds two arrays:
 "values", every parameter in one flat float64 array in the model store's
 order, and "meta", the JSON of the config, the vocabulary sizes, the
 active subsets and the weight layout, from which load_checkpoint rebuilds
-the model. The layout is "in_out": every dense weight is stored
-(fan_in, fan_out), so a checkpoint from before that layout, whose meta
-lacks the key, is refused rather than loaded with transposed weights.
+the model. The layout is "in_out_bias_row": every dense weight is stored
+(fan_in + 1, fan_out) with its bias as the last row, and a hidden layer's
+weight ends in its carry column [0, ..., 0, 1]. A checkpoint of another
+layout (the earlier "in_out", with separate biases) or without the key is
+refused by name rather than loaded into the wrong places, and so is one
+whose carry columns are not exactly [0, ..., 0, 1].
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_rou
 __all__ = ["train", "TrainResult", "evaluate_partition", "save_checkpoint",
            "load_checkpoint", "measure_distances", "write_outputs"]
 
-# The checkpoint meta's name for the dense weights' (fan_in, fan_out) layout.
-WEIGHT_LAYOUT = "in_out"
+# The checkpoint meta's name for the dense weights' layout: (fan_in + 1,
+# fan_out), the bias as the last row.
+WEIGHT_LAYOUT = "in_out_bias_row"
 META_KEYS = ["config", "subsets", "vocab_sizes", "weight_layout"]
 
 
@@ -355,9 +359,10 @@ def load_checkpoint(path):
     must be UTF-8 JSON of exactly META_KEYS, whose weight layout is
     WEIGHT_LAYOUT, whose config RunConfig accepts and whose subsets pass
     the rule for fixed_subsets; and "values" must be float64 of
-    exactly the shape the stored config gives the model. Anything else
-    raises a ConfigError naming the path rather than being cast or
-    broadcast into place.
+    exactly the shape the stored config gives the model, with every
+    carry column exactly [0, ..., 0, 1]. Anything else raises a
+    ConfigError naming the path rather than being cast or broadcast into
+    place.
     """
     try:
         return _load_checkpoint(path)
@@ -400,5 +405,7 @@ def _load_checkpoint(path):
             f"checkpoint values are {values.dtype} of shape {values.shape}, "
             f"expected float64 of shape {store.values.shape}")
     store.values[...] = values
+    for net in backbone.experts + backbone.towers:
+        net.check_carry()
     masks = build_mask(subsets, config.expert_counts)
     return config, backbone, coders, masks, subsets

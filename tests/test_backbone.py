@@ -5,7 +5,9 @@ from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
 from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError, DataError, UsageError
-from test_nn import (SPECIAL_VALUES, numeric_gradient, same_bits,
+from test_nn import (FINITE_SPECIALS, FOLD_ROWS, SPECIAL_VALUES,
+                     numeric_gradient, same_bits, same_bits_apart_from_nan,
+                     split_bias, split_dense_backward, with_random_biases,
                      with_specials, wrapper_mlp_backward,
                      wrapper_softmax_backward)
 
@@ -34,11 +36,12 @@ def field_tables(net, table):
 
 
 def loop_embed(net, features):
-    """Reference ``Backbone.embed``: one gather per field, concatenated."""
+    """Reference ``Backbone.embed``: one gather per field, concatenated
+    with a column of ones."""
     features = np.asarray(features, dtype=np.int64)
     tables = field_tables(net, net.embedding.values)
     pieces = [table[features[:, j]] for j, table in enumerate(tables)]
-    return np.concatenate(pieces, axis=1)
+    return np.concatenate(pieces + [np.ones((len(features), 1))], axis=1)
 
 
 def loop_embed_backward(net, features, dx):
@@ -60,7 +63,8 @@ def broadcast_embed_backward(net, features, dx):
 
 def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
     """Reference ``Backbone.backward_domain``: zeros_like, ndarray.sum for
-    the gate sums and the reference Mlp and embedding backward passes."""
+    the gate sums, the reference Mlp and embedding backward passes, and the
+    gate's bias gradient apart from its weight rows'."""
     cache, net._cache = net._cache, None
     x, gate, outs = cache["x"], cache["gate"], cache["outs"]
     dh = wrapper_mlp_backward(net.towers[d],
@@ -68,28 +72,45 @@ def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
     if dh_extra is not None:
         dh = dh + dh_extra
     dgate = np.zeros_like(gate)
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x[:, :-1])
     for i, out in outs.items():
         dgate[:, i] = (out * dh).sum(axis=1)
         dx += wrapper_mlp_backward(net.experts[i], gate[:, i:i + 1] * dh)
     dlogits = wrapper_softmax_backward(gate, dgate)
-    net.gate_w[d].grad += x.T @ dlogits
-    net.gate_b[d].grad += dlogits.sum(axis=0)
-    dx += dlogits @ net.gate_w[d].values.T
+    dx += split_dense_backward(net.gate_w[d], x, dlogits)
     broadcast_embed_backward(net, cache["features"], dx)
 
 
-def out_in(p):
-    """A dense weight in the (fan_out, fan_in) layout, C-ordered."""
-    return np.ascontiguousarray(p.values.T)
+def split_gate_logits(net, x, d):
+    """Reference ``Backbone.gate_logits``: ``x``'s ones column left out, the
+    bias added after the product of the weight rows."""
+    rows, bias = split_bias(net.gate_w[d], net.num_experts)
+    return np.ascontiguousarray(x[:, :-1]) @ rows + bias
+
+
+def out_in(w, out):
+    """A folded weight's rows in the (fan_out, fan_in) layout, C-ordered,
+    and its bias."""
+    rows, bias = split_bias(w, out)
+    return np.ascontiguousarray(rows.T), bias
+
+
+def out_in_grad(w, out, dz, x):
+    """The (out, in) formula's gradient ``dz.T @ x`` and bias gradient,
+    placed in a folded weight's layout; a carry column's stays zero."""
+    grad = np.zeros(w.values.shape)
+    grad[:-1, :out] = (dz.T @ x).T
+    grad[-1, :out] = dz.sum(axis=0)
+    return grad
 
 
 def out_in_mlp_forward(net, x):
     """(output, per-layer (input, z, a)) of ``net`` by the (out, in)
-    formula ``a @ W.T``."""
+    formula ``a @ W.T + b``, for ``x`` without its ones column."""
     steps, a = [], x
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ out_in(w).T + b.values
+    for w, act, out in zip(net.weights, net.activations, net.dims[1:]):
+        rows, bias = out_in(w, out)
+        z = a @ rows.T + bias
         a_next = (np.maximum(z, 0.0) if act == "relu"
                   else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
         steps.append((a, z, a_next))
@@ -99,27 +120,27 @@ def out_in_mlp_forward(net, x):
 
 def out_in_mlp_backward(net, steps, da, grads):
     """The input gradient by the (out, in) formulas ``W.grad = dz.T @ x``
-    and ``da = dz @ W``; each param's gradient goes into ``grads`` by name,
-    transposed back to the weight's own layout."""
-    for (x, z, a), w, b, act in zip(reversed(steps), reversed(net.weights),
-                                    reversed(net.biases),
-                                    reversed(net.activations)):
+    and ``da = dz @ W``; each weight's gradient goes into ``grads`` by
+    name, in the folded layout."""
+    for (x, z, a), w, act, out in zip(reversed(steps), reversed(net.weights),
+                                      reversed(net.activations),
+                                      reversed(net.dims[1:])):
         dz = (da * (z > 0.0) if act == "relu"
               else da * (a * (1.0 - a)) if act == "sigmoid" else da)
-        grads[w.name] = (dz.T @ x).T
-        grads[b.name] = dz.sum(axis=0)
-        da = dz @ out_in(w)
+        grads[w.name] = out_in_grad(w, out, dz, x)
+        da = dz @ out_in(w, out)[0]
     return da
 
 
 def out_in_domain_pass(net, features, d, masks, dpreds, dh_extra):
     """(preds, h, gradient by param name) of one ``forward_domain`` and
-    ``backward_domain``, with every dense weight read (out, in)."""
+    ``backward_domain``, with every dense weight read (out, in) and every
+    bias added apart."""
     grads = {}
-    x = net.embed(features)
+    x = net.embed(features)[:, :-1]
     gate_w = net.gate_w[d]
-    gate = nn.masked_softmax(x @ out_in(gate_w).T + net.gate_b[d].values,
-                             masks[d])
+    rows, bias = out_in(gate_w, net.num_experts)
+    gate = nn.masked_softmax(x @ rows.T + bias, masks[d])
     passes = {i: out_in_mlp_forward(net.experts[i], x)
               for i in (masks[d] == 0.0).nonzero()[0]}
     h = sum(gate[:, i:i + 1] * out for i, (out, _) in passes.items())
@@ -133,13 +154,19 @@ def out_in_domain_pass(net, features, d, masks, dpreds, dh_extra):
         dx += out_in_mlp_backward(net.experts[i], steps,
                                   gate[:, i:i + 1] * dh, grads)
     dlogits = nn.softmax_backward(gate, dgate)
-    grads[gate_w.name] = (dlogits.T @ x).T
-    grads[net.gate_b[d].name] = dlogits.sum(axis=0)
-    dx += dlogits @ out_in(gate_w)
+    grads[gate_w.name] = out_in_grad(gate_w, net.num_experts, dlogits, x)
+    dx += dlogits @ rows
     grads["embedding"] = np.zeros(net.embedding.values.shape)
     np.add.at(grads["embedding"], features + net._field_offsets,
               dx.reshape(len(features), -1, net.embed_dim))
     return preds.ravel(), h, grads
+
+
+def carried(net):
+    """Each hidden-layer weight's name and its output count, the columns
+    before its carry column."""
+    return {w.name: out for m in net.experts + net.towers
+            for w, out in zip(m.weights[:-1], m.dims[1:])}
 
 
 def relative_error(a, b, floor=1e-4):
@@ -285,13 +312,14 @@ class TestEmbed:
         net.embedding.values[...] = [[9.0, 9.0], [1.0, 2.0],
                                      [3.0, 4.0], [8.0, 8.0]]
         x = net.embed(np.array([[1, 0]]))
-        np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(x, [[1.0, 2.0, 3.0, 4.0, 1.0]])
 
     def test_zero_table(self):
         net = small_net()
         net.embedding.values[...] = 0.0
         x = net.embed(rand_features(net, 4))
-        np.testing.assert_array_equal(x, np.zeros((4, net.x_dim)))
+        np.testing.assert_array_equal(x[:, :-1], np.zeros((4, net.x_dim)))
+        np.testing.assert_array_equal(x[:, -1], np.ones(4))
 
     def test_out_of_vocab(self):
         net = small_net(vocab=(3, 3))
@@ -344,7 +372,7 @@ class TestEmbed:
         net = small_net(vocab=(3, 4))
         net.embedding.values[3 + 2] = [7.0, -7.0]
         x = net.embed(np.array([[0, 2]]))
-        np.testing.assert_array_equal(x[0, 2:], [7.0, -7.0])
+        np.testing.assert_array_equal(x[0, 2:], [7.0, -7.0, 1.0])
 
     def test_table_is_one_draw_of_every_field(self):
         """One (sum of vocab, embed_dim) draw: the bits the per-field draws
@@ -357,8 +385,8 @@ class TestEmbed:
         assert net.embedding.values.shape == (sum(vocab), dim)
         assert net.embedding.values.tobytes() == per_field.tobytes()
         expert_w = nn.uniform_init(rng, (4, 4 * dim), 4 * dim)
-        assert (net.experts[0].weights[0].values.tobytes()
-                == expert_w.T.tobytes())
+        assert same_bits(net.experts[0].weights[0].values[:-1, :4],
+                         expert_w.T)
 
     def test_packed_into_a_store(self):
         """A store that repacks every param changes no prediction or
@@ -433,7 +461,7 @@ class TestGateWeights:
     def test_dominant_logit_saturates(self):
         net = small_net()
         net.gate_w[1].values[...] = 0.0
-        net.gate_b[1].values = np.array([50.0, 0.0, 0.0])
+        net.gate_w[1].values[-1] = [50.0, 0.0, 0.0]
         x = net.embed(rand_features(net, 1))
         g = nn.masked_softmax(net.gate_logits(x, 1), np.zeros(3))
         assert g[0, 0] > 0.999999
@@ -441,7 +469,7 @@ class TestGateWeights:
     def test_exp_normalize_oracle(self):
         net = small_net()
         net.gate_w[2].values[...] = 0.0
-        net.gate_b[2].values = np.array([1.0, 2.0, 3.0])
+        net.gate_w[2].values[-1] = [1.0, 2.0, 3.0]
         x = net.embed(rand_features(net, 1))
         g = nn.masked_softmax(net.gate_logits(x, 2), np.zeros(3))
         np.testing.assert_allclose(g[0], [0.09003, 0.24473, 0.66524], atol=5e-6)
@@ -471,7 +499,7 @@ class TestMaskedForward:
     def test_symmetric_mask_weights(self):
         net = small_net()
         net.gate_w[0].values[...] = 0.0
-        net.gate_b[0].values = np.array([1.0, 1.0, 1.0])
+        net.gate_w[0].values[-1] = [1.0, 1.0, 1.0]
         masks = build_mask([[0, 2], [1], [2]], net.expert_counts)
         x = net.embed(rand_features(net, 2))
         g = nn.masked_softmax(net.gate_logits(x, 0), masks[0])
@@ -584,8 +612,12 @@ class TestPredict:
         for p in net.params():
             if np.all(p.grad == 0.0):
                 continue  # masked or unused parameters carry no gradient
-            fd = numeric_gradient(loss, p.values)
-            assert relative_error(p.grad, fd) < 1e-4, p.name
+            # A hidden layer's carry column is structure: its gradient is
+            # exactly zero, not the finite difference.
+            out = carried(net).get(p.name, p.values.shape[-1])
+            fd = numeric_gradient(loss, p.values[..., :out])
+            assert relative_error(p.grad[..., :out], fd) < 1e-4, p.name
+            assert not p.grad[..., out:].any(), p.name
             checked += 1
         assert checked >= 8
 
@@ -632,7 +664,8 @@ class TestSameBitsAsWrapperExpressions:
         [[0, 1, 2]] * 3, [[0, 2], [1], [1, 2]]])
     def test_backward_domain(self, subsets, specials):
         """The gate sums, the zero-filled gradients and the expert and
-        tower passes: every parameter's gradient has the reference's bits."""
+        tower passes: every parameter's gradient has the reference's bits,
+        but for the payload of a NaN summed inside a layer's product."""
         values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
         nets = [small_net(seed=9, expert_counts=(2, 1, 2)) for _ in range(2)]
         masks = build_mask(subsets, nets[0].expert_counts)
@@ -646,7 +679,9 @@ class TestSameBitsAsWrapperExpressions:
                     net.forward_domain(feats, d, masks)
                     back(net, d, dpreds, dh_extra)
         for p, q in zip(nets[0].params(), nets[1].params()):
-            assert same_bits(p.grad, q.grad), p.name
+            assert same_bits_apart_from_nan(p.grad, q.grad), p.name
+            if specials == "finite":
+                assert same_bits(p.grad, q.grad), p.name
         if specials == "finite":
             assert all(np.isfinite(p.grad).all() for p in nets[0].params())
 
@@ -686,3 +721,49 @@ class TestInOutLayout:
             for p in net.params():
                 assert_close(p.grad, grads.get(p.name, np.zeros(p.grad.shape)),
                              p.name)
+
+
+# The benchmark's backbones, vocabulary 16 and the default layer sizes:
+# chain4 has 8 fields and 2 experts per domain, blocks8 16 fields and 1.
+BENCH_NETS = {"chain4": ([16] * 8, [2] * 4), "blocks8": ([16] * 16, [1] * 8)}
+
+
+class TestFoldedBias:
+    """The gate's one product and every layer's in a domain pass give the
+    bits of a separate bias add and reduction (``split_gate_logits``,
+    ``wrapper_backward_domain``) at the benchmark's shapes, on finite
+    embeddings and gradients with signed zeros and subnormals. blocks8's
+    64-input layers sum a 2,000-row gradient in another order (a second
+    OpenBLAS block), so it stops at 256 rows, past its 128-row batches."""
+
+    @pytest.mark.parametrize("name, rows", [
+        (name, rows) for name in BENCH_NETS for rows in FOLD_ROWS
+        if not (name == "blocks8" and rows > 256)])
+    def test_gate_logits_and_backward_domain(self, name, rows):
+        vocab, counts = BENCH_NETS[name]
+        nets = [Backbone(vocab, 4, counts, 8, 8, 8, np.random.default_rng(3))
+                for _ in range(2)]
+        for net in nets:
+            net.embedding.values[...] = with_specials(
+                net.embedding.values.shape, 1, FINITE_SPECIALS, scale=0.5)
+            for m in net.experts + net.towers:
+                with_random_biases(m, 2)
+            for w in net.gate_w:
+                w.values[-1] = with_specials(net.num_experts, 4,
+                                             FINITE_SPECIALS, scale=0.3)
+        shipped, reference = nets
+        masks = unmasked(shipped)
+        feats = rand_features(shipped, rows, seed=rows)
+        x = shipped.embed(feats)
+        for d in range(shipped.num_domains):
+            assert same_bits(shipped.gate_logits(x, d),
+                             split_gate_logits(reference, x, d))
+        dpreds = with_specials(rows, 5, FINITE_SPECIALS, scale=0.1)
+        dh_extra = with_specials((rows, 8), 6, FINITE_SPECIALS, scale=0.1)
+        for net, backward in zip(nets, (Backbone.backward_domain,
+                                        wrapper_backward_domain)):
+            net.forward_domain(feats, 1, masks)
+            backward(net, 1, dpreds, dh_extra)
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same_bits(p.grad, q.grad), p.name
+            assert np.isfinite(p.grad).all(), p.name

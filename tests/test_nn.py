@@ -47,6 +47,16 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def same_bits_apart_from_nan(a, b) -> bool:
+    """NaN at the same entries, and every other entry's bits equal: only a
+    NaN's payload or sign may differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
 def wrapper_bce_loss(preds, labels):
     """Reference ``bce_loss`` arithmetic through np.clip and np.mean."""
     preds = np.asarray(preds, dtype=np.float64)
@@ -57,23 +67,59 @@ def wrapper_bce_loss(preds, labels):
     return loss, grad
 
 
+def split_bias(w, out):
+    """A folded (fan_in + 1, fan_out [+ carry]) weight as the separate
+    layer it replaces: a C-ordered copy of its (fan_in, out) weight rows,
+    and its bias row's first ``out`` entries."""
+    return np.ascontiguousarray(w.values[:-1, :out]), w.values[-1, :out].copy()
+
+
+def split_mlp_forward(net, x, cache=True):
+    """Reference ``Mlp.forward`` with a separate bias: ``x``'s ones column
+    left out, each layer's bias added after the product of its weight rows.
+    With ``cache`` it keeps, as ``Mlp.forward`` does, each layer's input
+    beside a ones column, z and output."""
+    steps, a = [], np.ascontiguousarray(x[:, :-1])
+    for w, act, out in zip(net.weights, net.activations, net.dims[1:]):
+        rows, bias = split_bias(w, out)
+        z = a @ rows
+        z += bias
+        a_next = (np.maximum(z, 0.0) if act == "relu"
+                  else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
+        steps.append((nn.with_ones(a), z, a_next))
+        a = a_next
+    if cache:
+        net._cache = steps
+    return a
+
+
+def split_dense_backward(w, x, dz):
+    """Reference ``nn.dense_backward`` with a separate bias: the weight
+    rows' gradient from ``x`` without its ones column, the bias gradient by
+    ndarray.sum and the input gradient by the transposed weight rows."""
+    out = dz.shape[1]
+    rows, _ = split_bias(w, out)
+    w.grad[:-1, :out] += np.ascontiguousarray(x[:, :-1]).T @ dz
+    w.grad[-1, :out] += dz.sum(axis=0)
+    return dz @ rows.T
+
+
 def wrapper_mlp_backward(net, upstream):
     """Reference ``Mlp.backward``: a linear layer's gradient multiplied by
-    np.ones_like(z), the bias gradient by ndarray.sum."""
+    np.ones_like(z), each layer's gradients by ``split_dense_backward``."""
     da = np.asarray(upstream, dtype=np.float64)
-    for (x, z, a), w, b, act in zip(reversed(net._cache),
-                                    reversed(net.weights),
-                                    reversed(net.biases),
-                                    reversed(net.activations)):
+    for (x, z, a), w, act, out in zip(reversed(net._cache),
+                                      reversed(net.weights),
+                                      reversed(net.activations),
+                                      reversed(net.dims[1:])):
+        z, a = z[:, :out], a[:, :out]
         if act == "relu":
             dz = da * (z > 0.0)
         elif act == "sigmoid":
             dz = da * (a * (1.0 - a))
         else:
             dz = da * np.ones_like(z)
-        w.grad += x.T @ dz
-        b.grad += dz.sum(axis=0)
-        da = dz @ w.values.T
+        da = split_dense_backward(w, x, dz)
     net._cache = None
     return da
 
@@ -151,25 +197,40 @@ def make_mlp(name, dims, activations, seed=0):
     return nn.Mlp(name, dims, activations, np.random.default_rng(seed))
 
 
+def carry_column(w):
+    """The carry column a hidden layer's weight ``w`` must hold."""
+    want = np.zeros(w.values.shape[0])
+    want[-1] = 1.0
+    return want
+
+
 class TestMlpConstruction:
     def test_weights_drawn_in_layer_order_biases_zero(self):
-        """Layer i's weight is the transpose of the i-th draw from the
-        generator, a (dims[i + 1], dims[i]) draw with fan-in dims[i]."""
+        """Layer i's weight rows are the transpose of the i-th draw from the
+        generator, a (dims[i + 1], dims[i]) draw with fan-in dims[i]; its
+        bias row is zero, and a hidden layer's carry column [0, ..., 0, 1]."""
         net = make_mlp("m", [5, 4, 3, 1], ["relu", "relu", "sigmoid"], seed=9)
         rng = np.random.default_rng(9)
         for i, (fan_in, fan_out) in enumerate([(5, 4), (4, 3), (3, 1)]):
             want = nn.uniform_init(rng, (fan_out, fan_in), fan_in)
-            assert net.weights[i].values.tobytes() == want.T.tobytes()
-            assert net.weights[i].name == f"m.l{i}.w"
-            assert net.biases[i].values.tobytes() == np.zeros(fan_out).tobytes()
-            assert net.biases[i].name == f"m.l{i}.b"
-        assert net.params() == [net.weights[0], net.biases[0], net.weights[1],
-                                net.biases[1], net.weights[2], net.biases[2]]
+            w = net.weights[i]
+            carry = i < 2
+            assert w.values.shape == (fan_in + 1, fan_out + carry)
+            assert w.values.flags.c_contiguous
+            assert same_bits(w.values[:-1, :fan_out], want.T)
+            assert same_bits(w.values[-1, :fan_out], np.zeros(fan_out))
+            if carry:
+                assert same_bits(w.values[:, -1], carry_column(w))
+            assert w.name == f"m.l{i}.w"
+        assert net.params() == net.weights
 
     @pytest.mark.parametrize("dims, acts, named", [
         ([3, 2], ["relu", "linear"], "need 1 activation tags"),
         ([3, 2, 1], ["relu"], "need 2 activation tags"),
-        ([3, 2], ["tanh"], "unknown activation 'tanh'")])
+        ([3, 2], ["tanh"], "unknown activation 'tanh'"),
+        ([3, 2, 1], ["sigmoid", "linear"],
+         "a hidden layer cannot be sigmoid; it would not keep the ones "
+         "column")])
     def test_bad_activations_rejected(self, dims, acts, named):
         with pytest.raises(ConfigError) as err:
             make_mlp("bad", dims, acts)
@@ -179,26 +240,24 @@ class TestMlpConstruction:
 class TestMlpForward:
     def test_identity_weights(self):
         net = make_mlp("id", [2, 2], ["linear"])
-        net.weights[0].values = np.eye(2)
-        net.biases[0].values = np.zeros(2)
-        out = net.forward(np.array([[3.0, -1.0]]))
+        net.weights[0].values = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        out = net.forward(np.array([[3.0, -1.0, 1.0]]))
         np.testing.assert_array_equal(out, [[3.0, -1.0]])
 
     def test_constant_map(self):
         net = make_mlp("const", [3, 1], ["linear"])
         net.weights[0].values[...] = 0.0
-        net.biases[0].values = np.array([0.5])
+        net.weights[0].values[-1] = 0.5
         for x in ([[1.0, 2.0, 3.0]], [[-4.0, 0.0, 9.0]]):
-            np.testing.assert_array_equal(net.forward(np.array(x)), [[0.5]])
+            np.testing.assert_array_equal(
+                net.forward(nn.with_ones(np.array(x))), [[0.5]])
 
     def test_hand_evaluated_relu_chain(self):
-        # relu(1*3 - 1) * 2 = 4
+        # relu(1*3 - 1) * 2 = 4; the carry column passes the 1 on.
         net = make_mlp("hand", [1, 1, 1], ["relu", "linear"])
-        net.weights[0].values = np.array([[1.0]])
-        net.biases[0].values = np.array([-1.0])
-        net.weights[1].values = np.array([[2.0]])
-        net.biases[1].values = np.array([0.0])
-        out = net.forward(np.array([[3.0]]))
+        net.weights[0].values = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        net.weights[1].values = np.array([[2.0], [0.0]])
+        out = net.forward(np.array([[3.0, 1.0]]))
         np.testing.assert_allclose(out, [[4.0]])
 
     def test_dimension_mismatch_is_config_error(self):
@@ -206,20 +265,34 @@ class TestMlpForward:
         with pytest.raises(ConfigError):
             net.forward(np.zeros((4, 5)))
 
+    def test_input_without_its_ones_column_is_config_error(self):
+        net = make_mlp("bad", [3, 2], ["linear"])
+        with pytest.raises(ConfigError, match=r"^bad: expected input of "
+                           r"shape \(batch, 4\) with a ones column, got "
+                           r"\(4, 3\)$"):
+            net.forward(np.zeros((4, 3)))
+
+    def test_with_ones(self):
+        a = np.arange(6.0).reshape(2, 3)[:, ::-1]
+        out = nn.with_ones(a)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, [[2.0, 1.0, 0.0, 1.0],
+                                            [5.0, 4.0, 3.0, 1.0]])
+
 
 class TestMlpBackward:
     def test_linear_param_grad_is_outer_product(self):
         net = make_mlp("lin", [3, 2], ["linear"], seed=3)
         x = np.array([[1.0, -2.0, 0.5]])
         g = np.array([[0.7, -0.3]])
-        net.forward(x)
+        net.forward(nn.with_ones(x))
         net.backward(g)
-        np.testing.assert_allclose(net.weights[0].grad, x.T @ g)
-        np.testing.assert_allclose(net.biases[0].grad, g.ravel())
+        np.testing.assert_allclose(net.weights[0].grad[:-1], x.T @ g)
+        np.testing.assert_allclose(net.weights[0].grad[-1], g.ravel())
 
     def test_zero_upstream_gives_zero_grads(self):
         net = make_mlp("z", [4, 5, 2], ["relu", "sigmoid"], seed=5)
-        net.forward(np.random.default_rng(1).normal(size=(6, 4)))
+        net.forward(nn.with_ones(np.random.default_rng(1).normal(size=(6, 4))))
         net.backward(np.zeros((6, 2)))
         for p in net.params():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
@@ -232,12 +305,14 @@ class TestMlpBackward:
     @pytest.mark.parametrize("dims,acts,seed", [
         ([3, 8, 1], ["relu", "sigmoid"], 11),
         ([5, 16, 16, 2], ["relu", "relu", "linear"], 12),
-        ([4, 64, 3], ["sigmoid", "linear"], 13),
+        ([4, 64, 3], ["linear", "sigmoid"], 13),
     ])
     def test_grads_match_finite_differences(self, dims, acts, seed):
+        """Every weight and bias entry; a carry column is structure, not a
+        parameter, and its gradient stays exactly zero."""
         rng = np.random.default_rng(seed)
         net = make_mlp("fd", dims, acts, seed=seed)
-        x = rng.normal(size=(7, dims[0]))
+        x = nn.with_ones(rng.normal(size=(7, dims[0])))
         # scalar objective: weighted sum of outputs
         w_out = rng.normal(size=(7, dims[-1]))
 
@@ -246,9 +321,10 @@ class TestMlpBackward:
 
         net.forward(x)
         net.backward(w_out)
-        for p in net.params():
-            fd = numeric_gradient(objective, p.values, eps=1e-5)
-            assert relative_error(p.grad, fd) < 1e-4, p.name
+        for p, out in zip(net.params(), dims[1:]):
+            fd = numeric_gradient(objective, p.values[:, :out], eps=1e-5)
+            assert relative_error(p.grad[:, :out], fd) < 1e-4, p.name
+            assert not p.grad[:, out:].any(), p.name
             p.grad[...] = 0.0
 
 
@@ -349,7 +425,7 @@ class TestSameBitsAsReferences:
     @pytest.mark.parametrize("dims,acts", [
         ([5, 16, 3], ["relu", "linear"]),
         ([3, 8, 1], ["relu", "sigmoid"]),
-        ([4, 6, 6, 2], ["sigmoid", "relu", "relu"]),
+        ([4, 6, 6, 2], ["linear", "relu", "relu"]),
     ])
     def test_no_cache_forward(self, dims, acts):
         """The no-cache forward has the cached forward's bits, and
@@ -357,9 +433,9 @@ class TestSameBitsAsReferences:
         input, no pending cache and no later forward."""
         rng = np.random.default_rng(8)
         net = make_mlp("nc", dims, acts, seed=4)
-        for p in net.params():
-            p.values = p.values + 0.1  # nonzero biases
-        x = rng.normal(size=(130, dims[0]))
+        for p, out in zip(net.params(), dims[1:]):
+            p.values[-1, :out] += 0.1  # nonzero biases
+        x = nn.with_ones(rng.normal(size=(130, dims[0])))
         upstream = rng.normal(size=(130, dims[-1]))
         x_before = x.copy()
         params_before = [p.values.copy() for p in net.params()]
@@ -436,13 +512,14 @@ class TestSameBitsAsWrapperExpressions:
     @pytest.mark.parametrize("dims,acts", [
         ([6, 5, 4], ["relu", "linear"]),
         ([4, 3, 1], ["relu", "sigmoid"]),
-        ([3, 4, 4, 2], ["sigmoid", "linear", "relu"]),
+        ([3, 4, 4, 2], ["linear", "relu", "relu"]),
     ])
     @pytest.mark.parametrize("rows", [1, 2, 64])
     def test_mlp_backward(self, dims, acts, rows):
         """The linear layer's gradient passes through without ones_like,
-        and the bias gradient is np.add.reduce."""
-        x = with_specials((rows, dims[0]), 3)
+        and the bias gradient is the product's row of ones. Summed inside
+        the product, NaNs may come out with another payload."""
+        x = nn.with_ones(with_specials((rows, dims[0]), 3))
         upstream = with_specials((rows, dims[-1]), 4, scale=2.0)
         shipped = make_mlp("m", dims, acts, seed=5)
         reference = make_mlp("m", dims, acts, seed=5)
@@ -451,9 +528,9 @@ class TestSameBitsAsWrapperExpressions:
             reference.forward(x)
             dx = shipped.backward(upstream)
             want_dx = wrapper_mlp_backward(reference, upstream)
-        assert same_bits(dx, want_dx)
+        assert same_bits_apart_from_nan(dx, want_dx)
         for p, q in zip(shipped.params(), reference.params()):
-            assert same_bits(p.grad, q.grad), p.name
+            assert same_bits_apart_from_nan(p.grad, q.grad), p.name
 
     MASKS = {
         "all active": np.zeros(8),
@@ -498,6 +575,73 @@ class TestSameBitsAsWrapperExpressions:
             wrapper_masked_softmax(logits, np.array(mask))
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+# Finite special values: signed zeros and subnormals.
+FINITE_SPECIALS = SPECIAL_VALUES[:5]
+# The benchmark's dense stacks: an expert over 8 or 16 fields of 4
+# embedding columns, and a tower.
+BENCH_STACKS = {"expert32": ([32, 8, 8], ["relu", "linear"]),
+                "expert64": ([64, 8, 8], ["relu", "linear"]),
+                "tower": ([8, 8, 1], ["relu", "sigmoid"])}
+FOLD_ROWS = [1, 13, 26, 51, 128, 148, 256, 2_000]
+
+
+def bench_stack_cases():
+    """(stack, rows) pairs; the 64-input expert's weight gradient sums its
+    rows in another order at 2,000 rows (a second OpenBLAS block), so it
+    stops at 256, past the 128-row batches that width runs at."""
+    return [(stack, rows) for stack in BENCH_STACKS for rows in FOLD_ROWS
+            if not (stack == "expert64" and rows > 256)]
+
+
+def with_random_biases(net, seed):
+    """``net`` with finite, nonzero bias rows, specials among them."""
+    for i, (w, out) in enumerate(zip(net.weights, net.dims[1:])):
+        w.values[-1, :out] = with_specials(out, seed + i, FINITE_SPECIALS,
+                                           scale=0.3)
+    return net
+
+
+class TestFoldedBias:
+    """Each layer's one product, its bias read through the input's ones
+    column, gives the bits of the product plus a separate bias add and
+    reduction (``split_mlp_forward``, ``wrapper_mlp_backward``) at the
+    benchmark's layer shapes, on finite inputs and gradients with signed
+    zeros and subnormals, at row counts on both sides of OpenBLAS's
+    small-matrix kernels. Gradients start nonzero, so the sums are
+    accumulated."""
+
+    @pytest.mark.parametrize("stack, rows", bench_stack_cases())
+    def test_mlp_forward_and_backward(self, stack, rows):
+        dims, acts = BENCH_STACKS[stack]
+        nets = [with_random_biases(make_mlp("m", dims, acts, seed=rows), 1)
+                for _ in range(2)]
+        start = np.random.default_rng(rows)
+        for p, q in zip(*(net.params() for net in nets)):
+            p.grad[...] = start.normal(size=p.grad.shape)
+            q.grad[...] = p.grad
+        x = nn.with_ones(with_specials((rows, dims[0]), 2, FINITE_SPECIALS))
+        upstream = with_specials((rows, dims[-1]), 3, FINITE_SPECIALS)
+        shipped, reference = nets
+        out = shipped.forward(x)
+        assert same_bits(out, split_mlp_forward(reference, x))
+        assert same_bits(shipped.backward(upstream),
+                         wrapper_mlp_backward(reference, upstream))
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same_bits(p.grad, q.grad), p.name
+            assert np.isfinite(p.grad).all(), p.name
+
+    def test_one_output_bias_gradient_is_the_pairwise_sum(self):
+        """A one-wide column's bias gradient is np.add.reduce's pairwise
+        sum; a row of ones in the product would sum it in order, which
+        rounds these 2,000 values differently."""
+        net = make_mlp("head", [8, 1], ["linear"], seed=1)
+        dz = np.random.default_rng(2).normal(size=(2_000, 1))
+        x = nn.with_ones(np.zeros((2_000, 8)))
+        nn.dense_backward(net.weights[0], x, dz)
+        assert same_bits(net.weights[0].grad[-1], np.add.reduce(dz, axis=0))
+        assert not same_bits(net.weights[0].grad[-1], x.T[-1] @ dz)
 
 
 class TestSoftmaxBackward:

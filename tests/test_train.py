@@ -9,10 +9,12 @@ import pytest
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
 from ctrlab.errors import ConfigError, LabError
-from test_backbone import loop_embed, loop_embed_backward
+from test_backbone import loop_embed, loop_embed_backward, split_gate_logits
 from test_data import LoopSampler
 from test_metrics import loop_auc
-from test_nn import loop_activate_grad, loop_masked_softmax, loop_sgd_step
+from test_nn import (loop_activate_grad, loop_masked_softmax, loop_sgd_step,
+                     split_dense_backward, split_mlp_forward,
+                     wrapper_mlp_backward)
 from test_prototype import lexsort_order, loop_distance_matrix
 
 CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
@@ -248,6 +250,55 @@ def test_same_decisions_as_per_call_references(results, monkeypatch):
             == json.dumps(reference.trace, sort_keys=True))
 
 
+def test_same_decisions_as_separate_bias_reference(monkeypatch):
+    """Every dense layer's bias folded into its weight's last row and read
+    through the input's ones column changes no report or trace byte: the
+    reference adds each bias after the product of the weight rows and
+    reduces its gradient by ndarray.sum.
+
+    The gate has 8 experts, as the benchmark's do. Which kernel OpenBLAS
+    runs depends on the shapes, and for some (tiny_config's 4-expert gate
+    over 24 inputs among them) the folded product rounds some sums
+    differently in the last bit."""
+    config = tiny_config("sdsp").replace(expert_counts=[3, 3, 2])
+    shipped = train.train(config)
+    monkeypatch.setattr(nn.Mlp, "forward", split_mlp_forward)
+    monkeypatch.setattr(nn.Mlp, "backward", wrapper_mlp_backward)
+    monkeypatch.setattr(backbone.Backbone, "gate_logits", split_gate_logits)
+    monkeypatch.setattr(backbone, "dense_backward", split_dense_backward)
+    reference = train.train(config)
+
+    assert without_timing(shipped.report) == without_timing(reference.report)
+    assert (json.dumps(shipped.trace, sort_keys=True)
+            == json.dumps(reference.trace, sort_keys=True))
+
+
+@pytest.mark.parametrize("mode", ["sdsp", "full-share", "fixed-subset"])
+def test_carry_columns_stay_exact(mode, monkeypatch):
+    """At every SGD step each carry column's gradient is exactly zero, so
+    after training it is still exactly [0, ..., 0, 1]."""
+    steps = []
+    sgd_step = nn.sgd_step
+
+    def checking(store, lr):
+        steps.append(store)
+        for p in store.params:
+            if p.name.startswith(("expert.", "tower.")) and ".l0." in p.name:
+                assert not p.grad[:, -1].any(), p.name
+        sgd_step(store, lr)
+
+    monkeypatch.setattr(nn, "sgd_step", checking)
+    result = train.train(tiny_config(mode))
+    assert len(steps) == result.report["epochs_run"] * result.report[
+        "steps_per_epoch"]
+    nets = result.backbone.experts + result.backbone.towers
+    assert len(nets) == 4 + 3
+    for w in (m.weights[0] for m in nets):
+        want = np.zeros(w.values.shape[0])
+        want[-1] = 1.0
+        assert w.values[:, -1].tobytes() == want.tobytes(), w.name
+
+
 @pytest.mark.parametrize("mode,part,label", [
     ("sdsp", "val", 0.0), ("full-share", "val", 0.0),
     ("fixed-subset", "test", 1.0)])
@@ -346,16 +397,23 @@ def out_in_draws(config: RunConfig, vocab_sizes, rng) -> list:
 
 def assert_in_out(params, draws):
     """The expert, gate and tower weights among ``params`` are C-contiguous
-    (fan_in, fan_out) arrays, with C-contiguous gradients, each holding the
-    transpose of its (fan_out, fan_in) draw."""
+    (fan_in + 1, fan_out) arrays, with C-contiguous gradients: the
+    transpose of their (fan_out, fan_in) draw above a zero bias row, and,
+    for an expert's or tower's hidden layer, a carry column [0, ..., 0, 1]
+    after them."""
     weights = [p for p in params if p.name.endswith(".w")
                and p.name.startswith(("expert.", "gate.", "tower."))]
     assert len(weights) == len(draws)
     for p, draw in zip(weights, draws):
-        assert p.values.shape == draw.T.shape, p.name
+        out, fan_in = draw.shape
+        carry = p.name.endswith(".l0.w") and not p.name.startswith("gate.")
+        assert p.values.shape == (fan_in + 1, out + carry), p.name
         assert p.values.flags.c_contiguous, p.name
         assert p.grad.flags.c_contiguous, p.name
-        assert p.values.tobytes() == draw.T.tobytes(), p.name
+        assert p.values[:-1, :out].tobytes() == draw.T.tobytes(), p.name
+        assert not p.values[-1, :out].any(), p.name
+        if carry:
+            assert p.values[:, -1].tolist() == [0.0] * fan_in + [1.0], p.name
 
 
 class TestWeightLayout:
@@ -439,6 +497,44 @@ class TestCheckpoint:
         assert np.array_equal(masks, result.masks)
         assert subsets == result.subsets
 
+    def test_round_trip_predicts_the_same_bits(self, saved):
+        result, path = saved
+        _, backbone, _, masks, _ = train.load_checkpoint(path)
+        for d in range(result.config.domains):
+            features = result.dataset.domain("test", d).features
+            assert (backbone.predict(features, d, masks).tobytes()
+                    == result.backbone.predict(features, d,
+                                               result.masks).tobytes())
+
+    @pytest.mark.parametrize("name, entry, value", [
+        ("expert.d0e0.l0.w", (0, -1), 1e-300),
+        ("expert.d1e1.l0.w", (-1, -1), 0.0),
+        ("tower.d2.l0.w", (-1, -1), np.nextafter(1.0, 2.0))])
+    def test_changed_carry_entry_rejected(self, saved, name, entry, value):
+        """A carry column that would not pass the ones column on exactly
+        is refused, naming the file and the weight."""
+        result, path = saved
+        start = 0
+        for p in result.store.params:
+            if p.name == name:
+                break
+            start += p.values.size
+        flat = start + np.ravel_multi_index(
+            tuple(i % n for i, n in zip(entry, p.values.shape)),
+            p.values.shape)
+
+        def change(arrays):
+            values = arrays["values"].copy()
+            assert values[flat] != value
+            values[flat] = value
+            arrays["values"] = values
+
+        self.rewrite(path, change)
+        with pytest.raises(ConfigError) as err:
+            train.load_checkpoint(path)
+        assert str(err.value) == (f"{path}: {name}: carry column is not "
+                                  "[0, ..., 0, 1]")
+
     def test_config_travels_with_the_file(self, saved):
         result, path = saved
         config, *_ = train.load_checkpoint(path)
@@ -454,7 +550,7 @@ class TestCheckpoint:
         assert meta == {"config": result.config.to_dict(),
                         "vocab_sizes": list(result.backbone.vocab_sizes),
                         "subsets": [list(s) for s in result.subsets],
-                        "weight_layout": "in_out"}
+                        "weight_layout": "in_out_bias_row"}
         params = result.backbone.params() + [
             p for c in result.coders for p in c.params()]
         assert values.dtype == np.float64
@@ -496,7 +592,9 @@ class TestCheckpoint:
          "checkpoint meta holds ['config', 'subsets', 'vocab_sizes'], "
          "expected ['config', 'subsets', 'vocab_sizes', 'weight_layout']"),
         (json_edit(lambda meta: meta.update(weight_layout="out_in")),
-         "checkpoint weight layout is 'out_in', expected 'in_out'"),
+         "checkpoint weight layout is 'out_in', expected 'in_out_bias_row'"),
+        (json_edit(lambda meta: meta.update(weight_layout="in_out")),
+         "checkpoint weight layout is 'in_out', expected 'in_out_bias_row'"),
         (json_edit(lambda meta: meta["config"].update(reward_metric="auc")),
          "unknown config keys"),
         (json_edit(lambda meta: meta.update(subsets=[[1], [0, 1], [1, 2]])),
@@ -515,7 +613,8 @@ class TestCheckpoint:
         (json_edit(lambda meta: meta.update(subsets=[[0], [0, 1, 1], [1, 2]])),
          "subsets[1] names a domain twice: [0, 1, 1]")],
         ids=["no-config", "written-before-the-in-out-layout",
-             "out-in-layout", "unknown-config-key",
+             "out-in-layout", "in-out-layout-with-separate-biases",
+             "unknown-config-key",
              "subset-without-its-domain", "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
              "config-not-an-object", "not-utf8", "not-an-object",
              "subset-naming-a-domain-twice"])
