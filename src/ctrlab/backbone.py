@@ -2,14 +2,15 @@
 
 Layout: a shared embedding table (one Param stacking the per-field tables
 in field order) feeds a bank of small expert networks, grouped by owning
-domain and concatenated in domain order. Each domain has a gate (affine
-map over the input, softmaxed across all experts), and a tower mapping the
-mixed representation to a click probability. Every dense layer is one
-(fan_in + 1, fan_out) weight whose last row is the bias (see ``nn``):
-``embed`` returns the input with a trailing ones column, built once per
-domain pass and read by the gate and every expert, and the tower reads the
-mixed representation copied beside a ones column. A domain's mask is an
-additive {0, -inf} vector over experts: -inf entries knock the
+domain and concatenated in domain order. Each domain has a gate, a
+one-layer linear ``Mlp`` named ``gate.d{d}`` whose logits over the input
+are softmaxed across all experts, and a tower mapping the mixed
+representation to a click probability. Every dense layer is an ``Mlp``
+layer, one (fan_in + 1, fan_out) weight whose last row is the bias (see
+``nn``): ``embed`` returns the input with a trailing ones column, built
+once per domain pass and read by the gate and every expert, and the tower
+reads the mixed representation copied beside a ones column. A domain's
+mask is an additive {0, -inf} vector over experts: -inf entries knock the
 corresponding experts out of the gate softmax, so unselected domains'
 experts receive exactly zero mixing weight and exactly zero gradient. The
 mask is added to the raw gate logits before the softmax; an all-zero mask
@@ -29,8 +30,8 @@ import numpy as np
 
 from .data import VOCAB_LIMIT, as_int, as_list, feature_indices
 from .errors import ConfigError, DataError, UsageError
-from .nn import (Mlp, Param, dense_backward, masked_softmax,
-                 softmax_backward, uniform_init, with_ones)
+from .nn import (Mlp, Param, masked_softmax, softmax_backward, uniform_init,
+                 with_ones)
 
 # Rows per np.take in ``Backbone.embed``: at 64 columns, a 128 KiB gather.
 EMBED_CHUNK = 256
@@ -124,15 +125,9 @@ class Backbone:
                     f"expert.d{d}e{k}",
                     [self.x_dim, expert_hidden, self.repr_dim],
                     ["relu", "linear"], rng))
-        # Each gate weight is (x_dim + 1, num_experts), laid out like an
-        # Mlp layer: the transpose of a (num_experts, x_dim) draw above a
-        # zero bias row.
-        self.gate_w = []
-        for d in range(self.num_domains):
-            w = np.zeros((self.x_dim + 1, self.num_experts))
-            w[:-1] = uniform_init(rng, (self.num_experts, self.x_dim),
-                                  self.x_dim).T
-            self.gate_w.append(Param(f"gate.d{d}.w", w))
+        self.gates = [Mlp(f"gate.d{d}", [self.x_dim, self.num_experts],
+                          ["linear"], rng)
+                      for d in range(self.num_domains)]
         self.towers = [Mlp(f"tower.d{d}",
                            [self.repr_dim, tower_hidden, 1],
                            ["relu", "sigmoid"], rng)
@@ -192,10 +187,6 @@ class Backbone:
         flat += np.tile(np.arange(e), starts.size)
         np.add.at(self.embedding.grad.reshape(-1), flat, dx.reshape(-1))
 
-    def gate_logits(self, x: np.ndarray, d: int) -> np.ndarray:
-        """Domain d's gate logits for an ``embed`` output ``x``."""
-        return x @ self.gate_w[d].values
-
     # ------------------------------------------------------------- full pass
 
     def forward_domain(self, features: np.ndarray, d: int, masks: np.ndarray,
@@ -214,7 +205,7 @@ class Backbone:
         features = feature_indices(features)
         x = self.embed(features)
         active = (mask == 0.0).nonzero()[0].tolist()
-        gate = masked_softmax(self.gate_logits(x, d), mask)
+        gate = masked_softmax(self.gates[d].forward(x, cache=cache), mask)
         h = np.zeros((x.shape[0], self.repr_dim))
         outs = {}
         for i in active:
@@ -262,16 +253,12 @@ class Backbone:
             dgate[:, i] = np.add.reduce(out * dh, axis=1)
             dx += self.experts[i].backward(gate[:, i:i + 1] * dh)
         dlogits = softmax_backward(gate, dgate)
-        dx += dense_backward(self.gate_w[d], x, dlogits)
+        dx += self.gates[d].backward(dlogits)
         self._embed_backward(features, dx)
 
     # ------------------------------------------------------------ parameters
 
     def params(self) -> list:
-        out = [self.embedding]
-        for e in self.experts:
-            out += e.params()
-        out += self.gate_w
-        for t in self.towers:
-            out += t.params()
-        return out
+        return [self.embedding] + [
+            p for net in self.experts + self.gates + self.towers
+            for p in net.params()]

@@ -2,11 +2,12 @@
 
 Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
-state is ever touched. A dense layer is one C-contiguous weight of shape
-(fan_in + 1, fan_out): input-major, with the bias as its last row. Its
-input carries a trailing column of ones (``with_ones``), so the forward
-is the single product ``a @ w``, bias included, and the backward one
-``x.T @ dz`` for the weight and bias rows together (``dense_backward``).
+state is ever touched. Every dense layer is an ``Mlp`` layer: one
+C-contiguous weight of shape (fan_in + 1, fan_out), input-major, with the
+bias as its last row. Its input carries a trailing column of ones
+(``with_ones``), so the forward is the single product ``a @ w``, bias
+included, and the backward one ``x.T @ dz`` for the weight and bias rows
+together (``dense_backward``).
 A ``ParamStore`` packs a run's parameters into one flat values array and
 one flat gradient array, so the SGD step is one array operation over all
 of them. ``bce_terms`` owns the log-loss: the training loss and
@@ -80,6 +81,14 @@ class ParamStore:
             p.values = self.values[flat].reshape(p.values.shape)
             p.grad = self.grad[flat].reshape(p.grad.shape)
 
+    def first_non_finite(self, flat: np.ndarray):
+        """The param holding the first non-finite entry of ``flat``, an
+        array laid out as ``values`` is, or None if every entry is finite."""
+        if np.isfinite(flat).all():
+            return None
+        first = np.flatnonzero(~np.isfinite(flat))[0]
+        return self.params[np.searchsorted(self._ends, first, side="right")]
+
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Uniform weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
@@ -119,9 +128,10 @@ def with_ones(a: np.ndarray) -> np.ndarray:
 
 
 def dense_backward(w: Param, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Add ``x.T @ dz`` to the gradient of ``w``'s first ``dz.shape[1]``
-    columns, bias row included, and return the input gradient against the
-    weight rows alone, ``x``'s ones column left out.
+    """The backward of one ``Mlp`` layer, the only kind of dense layer: add
+    ``x.T @ dz`` to the gradient of ``w``'s first ``dz.shape[1]`` columns,
+    bias row included, and return the input gradient against the weight
+    rows alone, ``x``'s ones column left out.
 
     The input gradient multiplies by a C-contiguous copy of the transposed
     weight rows: the bits of the product by the transposed view, which
@@ -328,9 +338,8 @@ def sgd_step(store: ParamStore, lr: float) -> None:
     """
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    if not np.isfinite(store.grad).all():
-        first = np.flatnonzero(~np.isfinite(store.grad))[0]
-        bad = store.params[np.searchsorted(store._ends, first, side="right")]
+    bad = store.first_non_finite(store.grad)
+    if bad is not None:
         raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
     store.values -= lr * store.grad
     store.grad[...] = 0.0

@@ -36,7 +36,8 @@ the model. The layout is "in_out_bias_row": every dense weight is stored
 weight ends in its carry column [0, ..., 0, 1]. A checkpoint of another
 layout (the earlier "in_out", with separate biases) or without the key is
 refused by name rather than loaded into the wrong places, and so is one
-whose carry columns are not exactly [0, ..., 0, 1].
+that holds a non-finite value or whose carry columns are not exactly
+[0, ..., 0, 1].
 """
 
 from __future__ import annotations
@@ -348,8 +349,11 @@ def save_checkpoint(result: TrainResult, path) -> None:
             "vocab_sizes": list(result.backbone.vocab_sizes),
             "subsets": [list(s) for s in result.subsets],
             "weight_layout": WEIGHT_LAYOUT}
-    np.savez(path, values=result.store.values,
-             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    # np.savez writes to the file opened here, so a path without the .npz
+    # suffix is written as it is, not with the suffix appended.
+    with open(path, "wb") as fh:
+        np.savez(fh, values=result.store.values,
+                 meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
 
 def load_checkpoint(path):
@@ -359,10 +363,10 @@ def load_checkpoint(path):
     must be UTF-8 JSON of exactly META_KEYS, whose weight layout is
     WEIGHT_LAYOUT, whose config RunConfig accepts and whose subsets pass
     the rule for fixed_subsets; and "values" must be float64 of
-    exactly the shape the stored config gives the model, with every
-    carry column exactly [0, ..., 0, 1]. Anything else raises a
-    ConfigError naming the path rather than being cast or broadcast into
-    place.
+    exactly the shape the stored config gives the model, every entry
+    finite and every carry column exactly [0, ..., 0, 1]. Anything else
+    raises a ConfigError naming the path (and, for a value, the param
+    holding it) rather than being cast or broadcast into place.
     """
     try:
         return _load_checkpoint(path)
@@ -405,7 +409,10 @@ def _load_checkpoint(path):
             f"checkpoint values are {values.dtype} of shape {values.shape}, "
             f"expected float64 of shape {store.values.shape}")
     store.values[...] = values
-    for net in backbone.experts + backbone.towers:
+    bad = store.first_non_finite(store.values)
+    if bad is not None:
+        raise ConfigError(f"non-finite value in parameter {bad.name!r}")
+    for net in backbone.experts + backbone.gates + backbone.towers:
         net.check_carry()
     masks = build_mask(subsets, config.expert_counts)
     return config, backbone, coders, masks, subsets

@@ -7,7 +7,7 @@ from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError, DataError, UsageError
 from test_nn import (FINITE_SPECIALS, FOLD_ROWS, SPECIAL_VALUES,
                      numeric_gradient, same_bits, same_bits_apart_from_nan,
-                     split_bias, split_dense_backward, with_random_biases,
+                     split_bias, split_mlp_forward, with_random_biases,
                      with_specials, wrapper_mlp_backward,
                      wrapper_softmax_backward)
 
@@ -63,8 +63,8 @@ def broadcast_embed_backward(net, features, dx):
 
 def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
     """Reference ``Backbone.backward_domain``: zeros_like, ndarray.sum for
-    the gate sums, the reference Mlp and embedding backward passes, and the
-    gate's bias gradient apart from its weight rows'."""
+    the gate sums, and the reference Mlp and embedding backward passes, the
+    gate's included."""
     cache, net._cache = net._cache, None
     x, gate, outs = cache["x"], cache["gate"], cache["outs"]
     dh = wrapper_mlp_backward(net.towers[d],
@@ -77,15 +77,8 @@ def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
         dgate[:, i] = (out * dh).sum(axis=1)
         dx += wrapper_mlp_backward(net.experts[i], gate[:, i:i + 1] * dh)
     dlogits = wrapper_softmax_backward(gate, dgate)
-    dx += split_dense_backward(net.gate_w[d], x, dlogits)
+    dx += wrapper_mlp_backward(net.gates[d], dlogits)
     broadcast_embed_backward(net, cache["features"], dx)
-
-
-def split_gate_logits(net, x, d):
-    """Reference ``Backbone.gate_logits``: ``x``'s ones column left out, the
-    bias added after the product of the weight rows."""
-    rows, bias = split_bias(net.gate_w[d], net.num_experts)
-    return np.ascontiguousarray(x[:, :-1]) @ rows + bias
 
 
 def out_in(w, out):
@@ -138,9 +131,8 @@ def out_in_domain_pass(net, features, d, masks, dpreds, dh_extra):
     bias added apart."""
     grads = {}
     x = net.embed(features)[:, :-1]
-    gate_w = net.gate_w[d]
-    rows, bias = out_in(gate_w, net.num_experts)
-    gate = nn.masked_softmax(x @ rows.T + bias, masks[d])
+    logits, gate_steps = out_in_mlp_forward(net.gates[d], x)
+    gate = nn.masked_softmax(logits, masks[d])
     passes = {i: out_in_mlp_forward(net.experts[i], x)
               for i in (masks[d] == 0.0).nonzero()[0]}
     h = sum(gate[:, i:i + 1] * out for i, (out, _) in passes.items())
@@ -154,8 +146,7 @@ def out_in_domain_pass(net, features, d, masks, dpreds, dh_extra):
         dx += out_in_mlp_backward(net.experts[i], steps,
                                   gate[:, i:i + 1] * dh, grads)
     dlogits = nn.softmax_backward(gate, dgate)
-    grads[gate_w.name] = out_in_grad(gate_w, net.num_experts, dlogits, x)
-    dx += dlogits @ rows
+    dx += out_in_mlp_backward(net.gates[d], gate_steps, dlogits, grads)
     grads["embedding"] = np.zeros(net.embedding.values.shape)
     np.add.at(grads["embedding"], features + net._field_offsets,
               dx.reshape(len(features), -1, net.embed_dim))
@@ -453,25 +444,28 @@ class TestGateWeights:
 
     def test_zero_gate_is_uniform(self):
         net = small_net()
-        net.gate_w[0].values[...] = 0.0
+        net.gates[0].weights[0].values[...] = 0.0
         x = net.embed(rand_features(net, 2))
-        g = nn.masked_softmax(net.gate_logits(x, 0), np.zeros(3))
+        g = nn.masked_softmax(net.gates[0].forward(x, cache=False),
+                              np.zeros(3))
         np.testing.assert_allclose(g, np.full((2, 3), 1 / 3))
 
     def test_dominant_logit_saturates(self):
         net = small_net()
-        net.gate_w[1].values[...] = 0.0
-        net.gate_w[1].values[-1] = [50.0, 0.0, 0.0]
+        net.gates[1].weights[0].values[...] = 0.0
+        net.gates[1].weights[0].values[-1] = [50.0, 0.0, 0.0]
         x = net.embed(rand_features(net, 1))
-        g = nn.masked_softmax(net.gate_logits(x, 1), np.zeros(3))
+        g = nn.masked_softmax(net.gates[1].forward(x, cache=False),
+                              np.zeros(3))
         assert g[0, 0] > 0.999999
 
     def test_exp_normalize_oracle(self):
         net = small_net()
-        net.gate_w[2].values[...] = 0.0
-        net.gate_w[2].values[-1] = [1.0, 2.0, 3.0]
+        net.gates[2].weights[0].values[...] = 0.0
+        net.gates[2].weights[0].values[-1] = [1.0, 2.0, 3.0]
         x = net.embed(rand_features(net, 1))
-        g = nn.masked_softmax(net.gate_logits(x, 2), np.zeros(3))
+        g = nn.masked_softmax(net.gates[2].forward(x, cache=False),
+                              np.zeros(3))
         np.testing.assert_allclose(g[0], [0.09003, 0.24473, 0.66524], atol=5e-6)
 
 
@@ -498,11 +492,11 @@ class TestMaskedForward:
 
     def test_symmetric_mask_weights(self):
         net = small_net()
-        net.gate_w[0].values[...] = 0.0
-        net.gate_w[0].values[-1] = [1.0, 1.0, 1.0]
+        net.gates[0].weights[0].values[...] = 0.0
+        net.gates[0].weights[0].values[-1] = [1.0, 1.0, 1.0]
         masks = build_mask([[0, 2], [1], [2]], net.expert_counts)
         x = net.embed(rand_features(net, 2))
-        g = nn.masked_softmax(net.gate_logits(x, 0), masks[0])
+        g = nn.masked_softmax(net.gates[0].forward(x, cache=False), masks[0])
         np.testing.assert_allclose(g, np.tile([0.5, 0.0, 0.5], (2, 1)))
         assert np.all(g[:, 1] == 0.0)
 
@@ -512,7 +506,8 @@ class TestMaskedForward:
         masks = build_mask([[0, 1], [1], [0, 2]], net.expert_counts)
         x = net.embed(feats)
         for d in range(3):
-            g = nn.masked_softmax(net.gate_logits(x, d), masks[d])
+            g = nn.masked_softmax(net.gates[d].forward(x, cache=False),
+                                  masks[d])
             np.testing.assert_allclose(g.sum(axis=1), np.ones(6), atol=1e-12)
             banned = np.isneginf(masks[d])
             assert np.all(g[:, banned] == 0.0)
@@ -730,7 +725,7 @@ BENCH_NETS = {"chain4": ([16] * 8, [2] * 4), "blocks8": ([16] * 16, [1] * 8)}
 
 class TestFoldedBias:
     """The gate's one product and every layer's in a domain pass give the
-    bits of a separate bias add and reduction (``split_gate_logits``,
+    bits of a separate bias add and reduction (``split_mlp_forward``,
     ``wrapper_backward_domain``) at the benchmark's shapes, on finite
     embeddings and gradients with signed zeros and subnormals. blocks8's
     64-input layers sum a 2,000-row gradient in another order (a second
@@ -746,18 +741,16 @@ class TestFoldedBias:
         for net in nets:
             net.embedding.values[...] = with_specials(
                 net.embedding.values.shape, 1, FINITE_SPECIALS, scale=0.5)
-            for m in net.experts + net.towers:
+            for m in net.experts + net.gates + net.towers:
                 with_random_biases(m, 2)
-            for w in net.gate_w:
-                w.values[-1] = with_specials(net.num_experts, 4,
-                                             FINITE_SPECIALS, scale=0.3)
         shipped, reference = nets
         masks = unmasked(shipped)
         feats = rand_features(shipped, rows, seed=rows)
         x = shipped.embed(feats)
         for d in range(shipped.num_domains):
-            assert same_bits(shipped.gate_logits(x, d),
-                             split_gate_logits(reference, x, d))
+            assert same_bits(shipped.gates[d].forward(x, cache=False),
+                             split_mlp_forward(reference.gates[d], x,
+                                               cache=False))
         dpreds = with_specials(rows, 5, FINITE_SPECIALS, scale=0.1)
         dh_extra = with_specials((rows, 8), 6, FINITE_SPECIALS, scale=0.1)
         for net, backward in zip(nets, (Backbone.backward_domain,

@@ -753,6 +753,19 @@ class TestParamStore:
         assert store.values.shape == store.grad.shape == (0,)
         nn.sgd_step(store, lr=0.1)
 
+    @pytest.mark.parametrize("entries, named", [
+        ([], None), ([11], 0), ([12, 0], 0), ([17], 2), ([18], 4)])
+    def test_first_non_finite(self, entries, named):
+        """The param holding the lowest non-finite flat entry, past the
+        empty p3, or None."""
+        params = ragged_params()
+        store = nn.ParamStore(params)
+        flat = np.zeros_like(store.values)
+        flat[entries] = [np.nan, np.inf][:len(entries)]
+        assert store.first_non_finite(store.values) is None
+        bad = store.first_non_finite(flat)
+        assert bad is (None if named is None else params[named])
+
 
 class TestSgdStep:
     def test_single_step(self):

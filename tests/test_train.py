@@ -9,12 +9,11 @@ import pytest
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
 from ctrlab.errors import ConfigError, LabError
-from test_backbone import loop_embed, loop_embed_backward, split_gate_logits
+from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
 from test_metrics import loop_auc
 from test_nn import (loop_activate_grad, loop_masked_softmax, loop_sgd_step,
-                     split_dense_backward, split_mlp_forward,
-                     wrapper_mlp_backward)
+                     split_mlp_forward, wrapper_mlp_backward)
 from test_prototype import lexsort_order, loop_distance_matrix
 
 CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
@@ -264,8 +263,6 @@ def test_same_decisions_as_separate_bias_reference(monkeypatch):
     shipped = train.train(config)
     monkeypatch.setattr(nn.Mlp, "forward", split_mlp_forward)
     monkeypatch.setattr(nn.Mlp, "backward", wrapper_mlp_backward)
-    monkeypatch.setattr(backbone.Backbone, "gate_logits", split_gate_logits)
-    monkeypatch.setattr(backbone, "dense_backward", split_dense_backward)
     reference = train.train(config)
 
     assert without_timing(shipped.report) == without_timing(reference.report)
@@ -399,14 +396,16 @@ def assert_in_out(params, draws):
     """The expert, gate and tower weights among ``params`` are C-contiguous
     (fan_in + 1, fan_out) arrays, with C-contiguous gradients: the
     transpose of their (fan_out, fan_in) draw above a zero bias row, and,
-    for an expert's or tower's hidden layer, a carry column [0, ..., 0, 1]
-    after them."""
+    for a hidden layer (one its net's next layer follows), a carry column
+    [0, ..., 0, 1] after them."""
     weights = [p for p in params if p.name.endswith(".w")
                and p.name.startswith(("expert.", "gate.", "tower."))]
+    names = {p.name for p in weights}
     assert len(weights) == len(draws)
     for p, draw in zip(weights, draws):
         out, fan_in = draw.shape
-        carry = p.name.endswith(".l0.w") and not p.name.startswith("gate.")
+        net, layer = p.name[:-len(".w")].rsplit(".l", 1)
+        carry = f"{net}.l{int(layer) + 1}.w" in names
         assert p.values.shape == (fan_in + 1, out + carry), p.name
         assert p.values.flags.c_contiguous, p.name
         assert p.grad.flags.c_contiguous, p.name
@@ -481,6 +480,39 @@ class TestCheckpoint:
         change(arrays)
         np.savez(path, **arrays)
 
+    @classmethod
+    def rewrite_entry(cls, path, result, name, entry, value):
+        """Re-save the checkpoint with ``value`` at ``entry`` (an index of
+        the param's shape, negative entries allowed) of param ``name``."""
+        start = 0
+        for p in result.store.params:
+            if p.name == name:
+                break
+            start += p.values.size
+        flat = start + np.ravel_multi_index(
+            tuple(i % n for i, n in zip(entry, p.values.shape)),
+            p.values.shape)
+
+        def change(arrays):
+            values = arrays["values"].copy()
+            assert not values[flat] == value
+            values[flat] = value
+            arrays["values"] = values
+
+        cls.rewrite(path, change)
+
+    def test_path_is_written_as_given(self, results, tmp_path):
+        """A path without the .npz suffix gets none appended: the file is
+        written at that path, and nowhere else, and loads from it."""
+        result, _ = results["fixed-subset"]
+        path = tmp_path / "checkpoint"
+        train.save_checkpoint(result, path)
+        assert list(tmp_path.iterdir()) == [path]
+        _, backbone, coders, _, _ = train.load_checkpoint(path)
+        loaded = backbone.params() + [p for c in coders for p in c.params()]
+        assert (b"".join(p.values.tobytes() for p in loaded)
+                == result.store.values.tobytes())
+
     def test_round_trip_bit_exact(self, saved):
         result, path = saved
         config, backbone, coders, masks, subsets = train.load_checkpoint(path)
@@ -514,26 +546,34 @@ class TestCheckpoint:
         """A carry column that would not pass the ones column on exactly
         is refused, naming the file and the weight."""
         result, path = saved
-        start = 0
-        for p in result.store.params:
-            if p.name == name:
-                break
-            start += p.values.size
-        flat = start + np.ravel_multi_index(
-            tuple(i % n for i, n in zip(entry, p.values.shape)),
-            p.values.shape)
-
-        def change(arrays):
-            values = arrays["values"].copy()
-            assert values[flat] != value
-            values[flat] = value
-            arrays["values"] = values
-
-        self.rewrite(path, change)
+        self.rewrite_entry(path, result, name, entry, value)
         with pytest.raises(ConfigError) as err:
             train.load_checkpoint(path)
         assert str(err.value) == (f"{path}: {name}: carry column is not "
                                   "[0, ..., 0, 1]")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, entry", [
+        ("gate.d1.l0.w", (2, 1)), ("gate.d2.l0.w", (-1, -1)),
+        ("proto.d0.enc_w", (0, 0)), ("proto.d2.dec_b", (-1,))])
+    def test_non_finite_value_rejected(self, saved, name, entry, value):
+        """A NaN or infinite parameter entry is refused, naming the file
+        and the param that holds it."""
+        result, path = saved
+        self.rewrite_entry(path, result, name, entry, value)
+        with pytest.raises(ConfigError) as err:
+            train.load_checkpoint(path)
+        assert str(err.value) == (f"{path}: non-finite value in parameter "
+                                  f"{name!r}")
+
+    def test_first_non_finite_param_named(self, saved):
+        """Of two params holding a non-finite entry, the first in the
+        store's order is named, also when its entry is a carry column's."""
+        result, path = saved
+        self.rewrite_entry(path, result, "proto.d0.enc_w", (0, 0), np.nan)
+        self.rewrite_entry(path, result, "tower.d1.l0.w", (0, -1), -np.inf)
+        with pytest.raises(ConfigError, match="'tower.d1.l0.w'"):
+            train.load_checkpoint(path)
 
     def test_config_travels_with_the_file(self, saved):
         result, path = saved
