@@ -85,10 +85,12 @@ def build_mask(selected, expert_counts) -> np.ndarray:
     """
     owners = expert_owners(expert_counts)
     subsets = check_subsets(selected, len(expert_counts), "subsets")
-    masks = np.full((len(subsets), owners.size), -np.inf)
+    # member[d, j]: domain j is in selected[d]. Indexed by each expert's
+    # owner, its columns give the experts that domain d's gate may use.
+    member = np.zeros((len(subsets), len(subsets)), dtype=bool)
     for d, subset in enumerate(subsets):
-        masks[d, np.isin(owners, subset)] = 0.0
-    return masks
+        member[d, subset] = True
+    return np.where(member[:, owners], 0.0, -np.inf)
 
 
 class Backbone:

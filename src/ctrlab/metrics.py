@@ -43,7 +43,11 @@ def _check_pair(scores, labels):
 
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
-    scores, labels = _check_pair(scores, labels)
+    return _auc(*_check_pair(scores, labels))
+
+
+def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """auc of a pair that passed _check_pair."""
     n_pos = int(np.add.reduce(labels))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -64,7 +68,11 @@ def auc(scores, labels) -> float:
 
 def logloss(scores, labels) -> float:
     """Mean binary cross-entropy, over the clamped terms of nn.bce_terms."""
-    scores, labels = _check_pair(scores, labels)
+    return _logloss(*_check_pair(scores, labels))
+
+
+def _logloss(scores: np.ndarray, labels: np.ndarray) -> float:
+    """logloss of a pair that passed _check_pair."""
     _, terms = bce_terms(scores, labels)
     return float(np.add.reduce(terms) / terms.size)
 
@@ -75,7 +83,8 @@ def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,
 
     overall="pooled" ranks all domains' scores together; overall="mean"
     averages the per-domain AUCs. The two answer different questions and the
-    report records which one was used.
+    report records which one was used. Each domain's pair is checked once;
+    the pooled pair goes through the public auc and logloss.
     """
     if overall not in OVERALL_MODES:
         raise UsageError(f"unknown overall mode {overall!r}")
@@ -85,12 +94,12 @@ def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,
         raise UsageError("no domains to report on")
     report = {"domains": {}, "overall_mode": overall}
     for name in sorted(scores_by_domain):
-        s, y = scores_by_domain[name], labels_by_domain[name]
         try:
+            s, y = _check_pair(scores_by_domain[name], labels_by_domain[name])
             report["domains"][name] = {
-                "auc": auc(s, y),
-                "logloss": logloss(s, y),
-                "count": int(np.asarray(s).size),
+                "auc": _auc(s, y),
+                "logloss": _logloss(s, y),
+                "count": int(s.size),
             }
         except MetricError as exc:
             raise MetricError(f"domain {name}: {exc}") from exc

@@ -177,8 +177,8 @@ def rank_domains(matrix: np.ndarray, d: int) -> list:
 def distance_round(h_by_domain: list, coders: list) -> np.ndarray:
     """Encode one fresh batch per domain, then fill the distance matrix.
 
-    This is the per-selection-round measurement pipeline: cost is one
-    batch-axis affine map per domain plus pairwise prototype distances.
+    Cost is one batch-axis affine map per domain plus pairwise prototype
+    distances.
     """
     if len(h_by_domain) != len(coders):
         raise UsageError(

@@ -104,10 +104,10 @@ def sdsp_round(iteration: int, distance_fn, reward_fn, active_subsets: list,
                table: ValueTable, p: float, rng: np.random.Generator) -> dict:
     """One selection round, in measurement order; returns its trace line.
 
-    distance_fn() -> fresh domain-distance matrix; reward_fn(d) -> the
-    domain's current validation metric. Credits each reward to the subset
-    active until now, then picks each domain's next subset with
-    exploration probability p.
+    distance_fn() -> the domain-distance matrix of the latest prototypes;
+    reward_fn(d) -> the domain's current validation metric. Credits each
+    reward to the subset active until now, then picks each domain's next
+    subset with exploration probability p.
     """
     matrix = distance_fn()
     num_domains = len(matrix)

@@ -9,17 +9,17 @@ where L_ctr sums each domain's mean binary cross-entropy and L_rec sums the
 per-domain prototype reconstruction errors. In sdsp mode, every
 selection_interval-th iteration (starting at iteration 0, after that
 iteration's train step) runs a selection round: measure domain distances
-from a fresh quota batch, credit each domain's validation metric to its
-active subset, epsilon-greedily pick new subsets, rebuild gate masks, and
-multiply the exploration probability by explore_decay. full-share keeps
-all-zero masks and never selects; fixed-subset pins the masks from the
-config. The rounds' distance pass and the report's final distance matrix
-share one path: a quota batch, a no-cache forward per domain, then
+from the prototypes that train step learned, credit each domain's
+validation metric to its active subset, epsilon-greedily pick new subsets,
+rebuild gate masks, and multiply the exploration probability by
+explore_decay. full-share keeps all-zero masks and never selects;
+fixed-subset pins the masks from the config. The report's final distance
+matrix comes from a fresh quota batch: a no-cache forward per domain, then
 prototype.distance_round.
 
-Randomness is split into named streams (init, batches, distance batches,
-policy) derived from the run seed, so, for example, selection rounds never
-perturb the training batch sequence. Reports are byte-identical across
+Randomness is split into named streams (init, batches, policy, report)
+derived from the run seed, so, for example, selection rounds never perturb
+the training batch sequence. Reports are byte-identical across
 runs of the same config and seed, except for the wall-clock "timing"
 section: the whole run's seconds plus the seconds spent in train steps,
 in the selection rounds' distance and reward passes, and in the per-epoch
@@ -54,8 +54,9 @@ from . import data as data_mod
 from . import metrics, nn
 from .backbone import Backbone, build_mask, check_subsets
 from .config import RunConfig, load_dataset
-from .errors import ConfigError, NumericError
-from .prototype import ProtoCoder, distance_round, save_distance_csv
+from .errors import ConfigError, NumericError, UsageError
+from .prototype import (ProtoCoder, distance_matrix, distance_round,
+                        save_distance_csv)
 from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_round
 
 __all__ = ["train", "TrainResult", "evaluate_partition", "save_checkpoint",
@@ -106,21 +107,15 @@ def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
     return metrics.per_domain_report(scores, labels, overall=overall)
 
 
-def _distances(backbone: Backbone, coders: list, masks: np.ndarray,
-               sampler: data_mod.QuotaSampler) -> np.ndarray:
-    """The sampler's next batch -> representations -> distance matrix."""
-    hs = [backbone.forward_domain(feats, d, masks, cache=False)[1]
-          for d, (feats, _) in enumerate(sampler.next_batch())]
-    return distance_round(hs, coders)
-
-
 def measure_distances(backbone: Backbone, coders: list,
                       dataset: data_mod.DomainDataset, masks: np.ndarray,
                       quotas: list, rng: np.random.Generator) -> np.ndarray:
     """Distance matrix from a fresh quota batch of train rows per domain."""
     datas = [dataset.domain("train", d) for d in range(backbone.num_domains)]
-    sampler = data_mod.QuotaSampler(datas, quotas, rng)
-    return _distances(backbone, coders, masks, sampler)
+    batch = data_mod.QuotaSampler(datas, quotas, rng).next_batch()
+    hs = [backbone.forward_domain(feats, d, masks, cache=False)[1]
+          for d, (feats, _) in enumerate(batch)]
+    return distance_round(hs, coders)
 
 
 class _Run:
@@ -140,11 +135,10 @@ class _Run:
                     raise ConfigError(
                         f"{part} partition of domain {d} holds only label "
                         f"{labels[0]:g}; its AUC is undefined")
-        ss = np.random.SeedSequence(config.seed)
-        streams = ss.spawn(5)
+        # Stream 2 is unused; the other streams keep their indices.
+        streams = np.random.SeedSequence(config.seed).spawn(5)
         self.init_rng = np.random.default_rng(streams[0])
         self.sampler_rng = np.random.default_rng(streams[1])
-        self.proto_rng = np.random.default_rng(streams[2])
         self.policy_rng = np.random.default_rng(streams[3])
         self.report_rng = np.random.default_rng(streams[4])
 
@@ -154,8 +148,7 @@ class _Run:
                        for d in range(config.domains)]
         self.sampler = data_mod.QuotaSampler(train_datas, config.quotas,
                                              self.sampler_rng)
-        self.proto_sampler = data_mod.QuotaSampler(train_datas, config.quotas,
-                                                   self.proto_rng)
+        self.protos = None  # per domain, from the last train step
         self.table = ValueTable(config.domains)
         # Exploration probability of the next selection round.
         self.p = config.explore_init
@@ -184,16 +177,19 @@ class _Run:
     # ------------------------------------------------------------- one step
 
     def train_step(self) -> tuple:
-        """One quota batch through all domains; returns (ctr, rec, final)."""
+        """One quota batch through all domains; returns (ctr, rec, final).
+        Keeps each domain's prototypes, from the pre-update parameters."""
         cfg = self.config
         batch = self.sampler.next_batch()
         gamma = cfg.proto_loss_weight
         total_ctr = 0.0
         total_rec = 0.0
+        self.protos = []
         for d, (feats, labels) in enumerate(batch):
             preds, h = self.backbone.forward_domain(feats, d, self.masks)
             l_ctr, dpreds = nn.bce_loss(preds, labels)
-            l_rec, _ = self.coders[d].reconstruction(h)
+            l_rec, protos = self.coders[d].reconstruction(h)
+            self.protos.append(protos)
             # With gamma 0 the coder's cache stays until the next
             # reconstruction replaces it.
             dh = self.coders[d].backward(scale=gamma) if gamma > 0.0 else None
@@ -211,9 +207,10 @@ class _Run:
     # ------------------------------------------------------ selection pieces
 
     def distance_fn(self) -> np.ndarray:
+        if self.protos is None:
+            raise UsageError("a selection round needs a train step before it")
         with self.timed("selection_distance_s"):
-            return _distances(self.backbone, self.coders, self.masks,
-                              self.proto_sampler)
+            return distance_matrix(self.protos)
 
     def reward_fn(self, d: int) -> float:
         with self.timed("selection_reward_s"):

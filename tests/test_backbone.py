@@ -220,6 +220,24 @@ class TestBuildMask:
         masks = build_mask([[0, 2], [1], [2]], [2, 1, 1])
         np.testing.assert_array_equal(masks[0], [0.0, 0.0, -np.inf, 0.0])
 
+    def test_same_masks_as_isin_reference(self):
+        """The membership row indexed by each expert's owner gives, bit for
+        bit, the masks of an np.isin over the owners per domain."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            domains = int(rng.integers(1, 9))
+            counts = rng.integers(1, 4, size=domains).tolist()
+            subsets = [rng.permutation([d] + [j for j in range(domains)
+                                              if j != d and rng.random() < 0.5])
+                       .tolist() for d in range(domains)]
+            owners = np.repeat(np.arange(domains), counts)
+            want = np.full((domains, owners.size), -np.inf)
+            for d, subset in enumerate(subsets):
+                want[d, np.isin(owners, subset)] = 0.0
+            got = build_mask(subsets, counts)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (subsets, counts)
+
     def test_missing_self_is_invariant_violation(self):
         with pytest.raises(ConfigError, match="must contain domain 0"):
             build_mask([[1], [1]], [1, 1])

@@ -210,6 +210,24 @@ class TestPerDomainReport:
         all_y = np.concatenate([labels["A"], labels["B"]])
         assert rep["overall_auc"] == pytest.approx(pairwise_auc(all_s, all_y))
 
+    @pytest.mark.parametrize("overall, pooled_checks", [("pooled", 2),
+                                                        ("mean", 0)])
+    def test_each_domain_pair_checked_once(self, overall, pooled_checks,
+                                           monkeypatch):
+        """Each domain's pair passes _check_pair once; the pooled pair goes
+        through the public auc and logloss, which check it once each."""
+        sizes = []
+        check_pair = metrics._check_pair
+
+        def counting(scores, labels):
+            sizes.append(len(scores))
+            return check_pair(scores, labels)
+
+        monkeypatch.setattr(metrics, "_check_pair", counting)
+        scores, labels = self._toy()
+        metrics.per_domain_report(scores, labels, overall=overall)
+        assert sizes == [4, 2] + [6] * pooled_checks
+
     def test_domain_key_mismatch(self):
         scores, labels = self._toy()
         del labels["B"]

@@ -89,7 +89,8 @@ class TestValueTable:
 
 class TestPolicyState:
     """The exploration policy's state as the training run keeps it: the
-    probability p of the next round and the iterations a round follows."""
+    probability p of the next round and the iterations a round follows.
+    A round measures the prototypes of the train step before it."""
 
     @staticmethod
     def _run(**changes):
@@ -99,6 +100,7 @@ class TestPolicyState:
 
     def test_single_decay(self):
         run = self._run()
+        run.train_step()
         run.selection_round(0)
         assert run.trace[0]["p"] == 1.0
         assert run.p == pytest.approx(0.9)
@@ -106,6 +108,7 @@ class TestPolicyState:
 
     def test_geometric_decay(self):
         run = self._run()
+        run.train_step()
         for i in range(7):
             run.selection_round(2 * i)
         assert run.p == pytest.approx(0.9 ** 7, rel=1e-12)

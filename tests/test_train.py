@@ -8,7 +8,7 @@ import pytest
 
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
-from ctrlab.errors import ConfigError, LabError
+from ctrlab.errors import ConfigError, LabError, UsageError
 from test_backbone import loop_embed, loop_embed_backward
 from test_data import LoopSampler
 from test_metrics import loop_auc
@@ -186,6 +186,62 @@ def test_round_masks_follow_chosen_subsets(monkeypatch):
     assert any(np.isneginf(masks).any() for _, masks in seen)
 
 
+def test_round_distances_are_the_step_prototypes(monkeypatch):
+    """Each round's distance matrix is, bit for bit, distance_matrix of
+    the prototypes that its iteration's train step got back from each
+    domain's reconstruction; those arrays still hold their values after
+    the run's later SGD updates."""
+    returned = []
+    reconstruction = prototype.ProtoCoder.reconstruction
+
+    def recording(coder, h):
+        loss, protos = reconstruction(coder, h)
+        returned.append((protos, protos.copy()))
+        return loss, protos
+
+    monkeypatch.setattr(prototype.ProtoCoder, "reconstruction", recording)
+    result = train.train(tiny_config("sdsp"))
+    domains = result.config.domains
+    report = result.report
+    assert len(returned) == (report["epochs_run"] * report["steps_per_epoch"]
+                             * domains)
+    for kept, copied in returned:
+        assert kept.tobytes() == copied.tobytes()
+    assert len(result.trace) > 1
+    for line in result.trace:
+        i = line["iteration"]
+        step = [kept for kept, _ in returned[i * domains:(i + 1) * domains]]
+        want = prototype.distance_matrix(step)
+        assert np.array(line["distance_matrix"]).tobytes() == want.tobytes()
+
+
+def test_one_sampler_draw_per_step_plus_the_report(monkeypatch):
+    """A run draws one quota batch per train step and one for the report's
+    final distance matrix; selection rounds draw none."""
+    draws = []
+    next_batch = data.QuotaSampler.next_batch
+
+    def counting(sampler):
+        draws.append(sampler)
+        return next_batch(sampler)
+
+    monkeypatch.setattr(data.QuotaSampler, "next_batch", counting)
+    result = train.train(tiny_config("sdsp"))
+    report = result.report
+    assert report["selection"]["rounds"] > 1
+    assert len(draws) == report["epochs_run"] * report["steps_per_epoch"] + 1
+
+
+def test_selection_round_before_any_train_step_is_usage_error():
+    """Without a train step there are no prototypes to measure: the round
+    raises and leaves the subsets, trace and p as they were."""
+    run = train._Run(tiny_config("sdsp"))
+    subsets, p = list(run.subsets), run.p
+    with pytest.raises(UsageError, match="needs a train step before it"):
+        run.selection_round(0)
+    assert run.trace == [] and run.subsets == subsets and run.p == p
+
+
 def test_timing_has_every_stage(results):
     stages = {"train_seconds", "train_step_s", "selection_distance_s",
               "selection_reward_s", "epoch_eval_s"}
@@ -242,6 +298,7 @@ def test_same_decisions_as_per_call_references(results, monkeypatch):
     monkeypatch.setattr(prototype, "_sort_order", lexsort_order)
     monkeypatch.setattr(nn, "sgd_step", loop_sgd_step)
     monkeypatch.setattr(prototype, "distance_matrix", loop_distance_matrix)
+    monkeypatch.setattr(train, "distance_matrix", loop_distance_matrix)
     reference = train.train(tiny_config("sdsp"))
 
     assert without_timing(shipped.report) == without_timing(reference.report)
