@@ -135,7 +135,7 @@ def distance_matrix(protosets: list) -> np.ndarray:
     nearest target prototype is a minimum over that target's block of
     columns, and the mean runs over a contiguous row, so every entry has
     the bits of the per-pair expression kept as ``domain_distance`` in
-    ``tests/test_prototype.py``.
+    ``tests/reference.py``.
     """
     d = len(protosets)
     if d < 2:

@@ -5,11 +5,11 @@ from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
 from ctrlab.config import RunConfig
 from ctrlab.errors import ConfigError, DataError, UsageError
-from test_nn import (FINITE_SPECIALS, FOLD_ROWS, SPECIAL_VALUES,
-                     numeric_gradient, same_bits, same_bits_apart_from_nan,
-                     split_bias, split_mlp_forward, with_random_biases,
-                     with_specials, wrapper_mlp_backward,
-                     wrapper_softmax_backward)
+from helpers import (FINITE_SPECIALS, FOLD_ROWS, SPECIAL_VALUES,
+                     assert_close, numeric_gradient, relative_error,
+                     same_bits, same_bits_apart_from_nan, with_random_biases,
+                     with_specials)
+import reference as ref
 
 
 def small_net(seed=0, vocab=(5, 7), embed_dim=2, expert_counts=(1, 1, 1),
@@ -29,28 +29,6 @@ def rand_features(net, n, seed=1):
     return np.stack(cols, axis=1)
 
 
-def field_tables(net, table):
-    """``table`` split at the field offsets: one (vocab, embed_dim) view per
-    field."""
-    return np.split(table, np.cumsum(net.vocab_sizes)[:-1])
-
-
-def loop_embed(net, features):
-    """Reference ``Backbone.embed``: one gather per field, concatenated
-    with a column of ones."""
-    features = np.asarray(features, dtype=np.int64)
-    tables = field_tables(net, net.embedding.values)
-    pieces = [table[features[:, j]] for j, table in enumerate(tables)]
-    return np.concatenate(pieces + [np.ones((len(features), 1))], axis=1)
-
-
-def loop_embed_backward(net, features, dx):
-    """Reference ``Backbone._embed_backward``: one 2-D np.add.at per field."""
-    for j, grad in enumerate(field_tables(net, net.embedding.grad)):
-        sl = dx[:, j * net.embed_dim:(j + 1) * net.embed_dim]
-        np.add.at(grad, features[:, j], sl)
-
-
 def broadcast_embed_backward(net, features, dx):
     """Reference ``Backbone._embed_backward``: the flat index broadcast
     through an (n, fields, embed_dim) array."""
@@ -61,109 +39,11 @@ def broadcast_embed_backward(net, features, dx):
               dx.reshape(-1))
 
 
-def wrapper_backward_domain(net, d, dpreds, dh_extra=None):
-    """Reference ``Backbone.backward_domain``: zeros_like, ndarray.sum for
-    the gate sums, and the reference Mlp and embedding backward passes, the
-    gate's included."""
-    cache, net._cache = net._cache, None
-    x, gate, outs = cache["x"], cache["gate"], cache["outs"]
-    dh = wrapper_mlp_backward(net.towers[d],
-                              np.asarray(dpreds).reshape(-1, 1))
-    if dh_extra is not None:
-        dh = dh + dh_extra
-    dgate = np.zeros_like(gate)
-    dx = np.zeros_like(x[:, :-1])
-    for i, out in outs.items():
-        dgate[:, i] = (out * dh).sum(axis=1)
-        dx += wrapper_mlp_backward(net.experts[i], gate[:, i:i + 1] * dh)
-    dlogits = wrapper_softmax_backward(gate, dgate)
-    dx += wrapper_mlp_backward(net.gates[d], dlogits)
-    broadcast_embed_backward(net, cache["features"], dx)
-
-
-def out_in(w, out):
-    """A folded weight's rows in the (fan_out, fan_in) layout, C-ordered,
-    and its bias."""
-    rows, bias = split_bias(w, out)
-    return np.ascontiguousarray(rows.T), bias
-
-
-def out_in_grad(w, out, dz, x):
-    """The (out, in) formula's gradient ``dz.T @ x`` and bias gradient,
-    placed in a folded weight's layout; a carry column's stays zero."""
-    grad = np.zeros(w.values.shape)
-    grad[:-1, :out] = (dz.T @ x).T
-    grad[-1, :out] = dz.sum(axis=0)
-    return grad
-
-
-def out_in_mlp_forward(net, x):
-    """(output, per-layer (input, z, a)) of ``net`` by the (out, in)
-    formula ``a @ W.T + b``, for ``x`` without its ones column."""
-    steps, a = [], x
-    for w, act, out in zip(net.weights, net.activations, net.dims[1:]):
-        rows, bias = out_in(w, out)
-        z = a @ rows.T + bias
-        a_next = (np.maximum(z, 0.0) if act == "relu"
-                  else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
-        steps.append((a, z, a_next))
-        a = a_next
-    return a, steps
-
-
-def out_in_mlp_backward(net, steps, da, grads):
-    """The input gradient by the (out, in) formulas ``W.grad = dz.T @ x``
-    and ``da = dz @ W``; each weight's gradient goes into ``grads`` by
-    name, in the folded layout."""
-    for (x, z, a), w, act, out in zip(reversed(steps), reversed(net.weights),
-                                      reversed(net.activations),
-                                      reversed(net.dims[1:])):
-        dz = (da * (z > 0.0) if act == "relu"
-              else da * (a * (1.0 - a)) if act == "sigmoid" else da)
-        grads[w.name] = out_in_grad(w, out, dz, x)
-        da = dz @ out_in(w, out)[0]
-    return da
-
-
-def out_in_domain_pass(net, features, d, masks, dpreds, dh_extra):
-    """(preds, h, gradient by param name) of one ``forward_domain`` and
-    ``backward_domain``, with every dense weight read (out, in) and every
-    bias added apart."""
-    grads = {}
-    x = net.embed(features)[:, :-1]
-    logits, gate_steps = out_in_mlp_forward(net.gates[d], x)
-    gate = nn.masked_softmax(logits, masks[d])
-    passes = {i: out_in_mlp_forward(net.experts[i], x)
-              for i in (masks[d] == 0.0).nonzero()[0]}
-    h = sum(gate[:, i:i + 1] * out for i, (out, _) in passes.items())
-    preds, steps = out_in_mlp_forward(net.towers[d], h)
-    dh = out_in_mlp_backward(net.towers[d], steps, dpreds.reshape(-1, 1),
-                             grads) + dh_extra
-    dgate = np.zeros(gate.shape)
-    dx = np.zeros(x.shape)
-    for i, (out, steps) in passes.items():
-        dgate[:, i] = (out * dh).sum(axis=1)
-        dx += out_in_mlp_backward(net.experts[i], steps,
-                                  gate[:, i:i + 1] * dh, grads)
-    dlogits = nn.softmax_backward(gate, dgate)
-    dx += out_in_mlp_backward(net.gates[d], gate_steps, dlogits, grads)
-    grads["embedding"] = np.zeros(net.embedding.values.shape)
-    np.add.at(grads["embedding"], features + net._field_offsets,
-              dx.reshape(len(features), -1, net.embed_dim))
-    return preds.ravel(), h, grads
-
-
 def carried(net):
     """Each hidden-layer weight's name and its output count, the columns
     before its carry column."""
     return {w.name: out for m in net.experts + net.towers
             for w, out in zip(m.weights[:-1], m.dims[1:])}
-
-
-def relative_error(a, b, floor=1e-4):
-    a, b = np.asarray(a), np.asarray(b)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.max(np.abs(a - b) / denom)
 
 
 class TestExpertOwners:
@@ -375,7 +255,7 @@ class TestEmbed:
         feats = rand_features(net, 300, seed=7)
         x = net.embed(feats)
         assert x.flags.c_contiguous
-        assert x.tobytes() == loop_embed(net, feats).tobytes()
+        assert x.tobytes() == ref.loop_embed(net, feats).tobytes()
 
     def test_in_place_table_edit_is_read(self):
         net = small_net(vocab=(3, 4))
@@ -434,7 +314,8 @@ class TestEmbed:
             return net.embedding.grad.tobytes()
 
         shipped = grads()
-        monkeypatch.setattr(Backbone, "_embed_backward", loop_embed_backward)
+        monkeypatch.setattr(Backbone, "_embed_backward",
+                            ref.loop_embed_backward)
         assert grads() == shipped
 
     def test_embedding_gradient_matches_finite_differences(self):
@@ -680,60 +561,52 @@ class TestSameBitsAsWrapperExpressions:
         tower passes: every parameter's gradient has the reference's bits,
         but for the payload of a NaN summed inside a layer's product."""
         values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
-        nets = [small_net(seed=9, expert_counts=(2, 1, 2)) for _ in range(2)]
-        masks = build_mask(subsets, nets[0].expert_counts)
-        backward = [Backbone.backward_domain, wrapper_backward_domain]
+        shipped, reference = [small_net(seed=9, expert_counts=(2, 1, 2))
+                              for _ in range(2)]
+        masks = build_mask(subsets, shipped.expert_counts)
         for d in range(3):
-            feats = rand_features(nets[0], 33, seed=d)
+            feats = rand_features(shipped, 33, seed=d)
             dpreds = with_specials(33, 10 + d, values)
-            dh_extra = with_specials((33, nets[0].repr_dim), 20 + d, values)
+            dh_extra = with_specials((33, shipped.repr_dim), 20 + d, values)
             with np.errstate(all="ignore"):
-                for net, back in zip(nets, backward):
-                    net.forward_domain(feats, d, masks)
-                    back(net, d, dpreds, dh_extra)
-        for p, q in zip(nets[0].params(), nets[1].params()):
-            assert same_bits_apart_from_nan(p.grad, q.grad), p.name
-            if specials == "finite":
-                assert same_bits(p.grad, q.grad), p.name
+                shipped.forward_domain(feats, d, masks)
+                shipped.backward_domain(d, dpreds, dh_extra)
+                ref.domain_pass(reference, feats, d, masks, dpreds, dh_extra)
+        same = same_bits if specials == "finite" else same_bits_apart_from_nan
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same(p.grad, q.grad), p.name
         if specials == "finite":
-            assert all(np.isfinite(p.grad).all() for p in nets[0].params())
-
-
-def assert_close(actual, want, name=""):
-    """Within a relative 1e-12 of ``want``, or, for an entry that cancels to
-    far below its array's scale, within 1e-12 of that scale."""
-    np.testing.assert_allclose(actual, want, rtol=1e-12,
-                               atol=1e-12 * np.abs(want).max(initial=0.0),
-                               err_msg=name)
+            assert all(np.isfinite(p.grad).all() for p in shipped.params())
 
 
 class TestInOutLayout:
     """Input-major weights change only the summation order of the dense
-    products: outputs and gradients agree with the (out, in) formulas to
-    rounding, at batch sizes on both sides of BLAS's small-matrix kernels."""
+    products: outputs and gradients agree to rounding with the reference
+    pass that reads every weight (out, in), at batch sizes on both sides of
+    BLAS's small-matrix kernels."""
 
     @pytest.mark.parametrize("rows", [13, 128, 256, 2000])
     def test_domain_pass_matches_the_out_in_formula(self, rows):
-        net = small_net(seed=4, vocab=(11, 13, 7, 5), embed_dim=8,
-                        expert_counts=(2, 1, 2), expert_hidden=8,
-                        repr_dim=8, tower_hidden=8)
-        masks = build_mask([[0, 2], [1], [1, 2]], net.expert_counts)
+        shipped, reference = [
+            small_net(seed=4, vocab=(11, 13, 7, 5), embed_dim=8,
+                      expert_counts=(2, 1, 2), expert_hidden=8, repr_dim=8,
+                      tower_hidden=8) for _ in range(2)]
+        masks = build_mask([[0, 2], [1], [1, 2]], shipped.expert_counts)
         rng = np.random.default_rng(rows)
-        for d in range(net.num_domains):
-            feats = rand_features(net, rows, seed=d)
+        for d in range(shipped.num_domains):
+            feats = rand_features(shipped, rows, seed=d)
             dpreds = rng.normal(size=rows)
-            dh_extra = rng.normal(size=(rows, net.repr_dim))
-            want_preds, want_h, grads = out_in_domain_pass(
-                net, feats, d, masks, dpreds, dh_extra)
-            for p in net.params():
+            dh_extra = rng.normal(size=(rows, shipped.repr_dim))
+            for p in shipped.params() + reference.params():
                 p.grad[...] = 0.0
-            preds, h = net.forward_domain(feats, d, masks)
-            net.backward_domain(d, dpreds, dh_extra)
+            want_preds, want_h = ref.domain_pass(reference, feats, d, masks,
+                                                 dpreds, dh_extra, "out_in")
+            preds, h = shipped.forward_domain(feats, d, masks)
+            shipped.backward_domain(d, dpreds, dh_extra)
             assert_close(preds, want_preds)
             assert_close(h, want_h)
-            for p in net.params():
-                assert_close(p.grad, grads.get(p.name, np.zeros(p.grad.shape)),
-                             p.name)
+            for p, q in zip(shipped.params(), reference.params()):
+                assert_close(p.grad, q.grad, p.name)
 
 
 # The benchmark's backbones, vocabulary 16 and the default layer sizes:
@@ -743,8 +616,8 @@ BENCH_NETS = {"chain4": ([16] * 8, [2] * 4), "blocks8": ([16] * 16, [1] * 8)}
 
 class TestFoldedBias:
     """The gate's one product and every layer's in a domain pass give the
-    bits of a separate bias add and reduction (``split_mlp_forward``,
-    ``wrapper_backward_domain``) at the benchmark's shapes, on finite
+    bits of a separate bias add and reduction (``reference.mlp_forward``
+    and ``domain_pass``) at the benchmark's shapes, on finite
     embeddings and gradients with signed zeros and subnormals. blocks8's
     64-input layers sum a 2,000-row gradient in another order (a second
     OpenBLAS block), so it stops at 256 rows, past its 128-row batches."""
@@ -767,14 +640,13 @@ class TestFoldedBias:
         x = shipped.embed(feats)
         for d in range(shipped.num_domains):
             assert same_bits(shipped.gates[d].forward(x, cache=False),
-                             split_mlp_forward(reference.gates[d], x,
-                                               cache=False))
+                             ref.mlp_forward(reference.gates[d], x,
+                                             cache=False))
         dpreds = with_specials(rows, 5, FINITE_SPECIALS, scale=0.1)
         dh_extra = with_specials((rows, 8), 6, FINITE_SPECIALS, scale=0.1)
-        for net, backward in zip(nets, (Backbone.backward_domain,
-                                        wrapper_backward_domain)):
-            net.forward_domain(feats, 1, masks)
-            backward(net, 1, dpreds, dh_extra)
+        shipped.forward_domain(feats, 1, masks)
+        shipped.backward_domain(1, dpreds, dh_extra)
+        ref.domain_pass(reference, feats, 1, masks, dpreds, dh_extra)
         for p, q in zip(shipped.params(), reference.params()):
             assert same_bits(p.grad, q.grad), p.name
             assert np.isfinite(p.grad).all(), p.name

@@ -8,6 +8,7 @@ import pytest
 from ctrlab import data as D
 from ctrlab.errors import ConfigError, DataError, SchemaError, SplitError
 from ctrlab.metrics import auc
+import reference as ref
 
 
 def two_field_schema(domains=2):
@@ -38,52 +39,6 @@ def train_logreg(X, y, steps=300, lr=0.5):
 
 def logreg_scores(X, w, b):
     return 1.0 / (1.0 + np.exp(-(X @ w + b)))
-
-
-def loop_draw_domain(sampler, d):
-    """Reference ``QuotaSampler._draw_domain``: one sample per loop pass,
-    drawing a fresh permutation when the cursor reaches its end and, when
-    the domain holds at least its quota, swapping a sample the batch
-    already took with the next one it did not. Returns the indices and the
-    number of swaps."""
-    n, quota = len(sampler.datas[d]), sampler.quotas[d]
-    taken = []
-    taken_set = set()
-    swaps = 0
-    dedup = n >= quota
-    for _ in range(quota):
-        if sampler._cursors[d] == n:
-            sampler._perms[d] = sampler.rng.permutation(n)
-            sampler._cursors[d] = 0
-        perm, cur = sampler._perms[d], sampler._cursors[d]
-        if dedup and perm[cur] in taken_set:
-            j = cur + 1
-            while j < n and perm[j] in taken_set:
-                j += 1
-            if j < n:
-                perm[cur], perm[j] = perm[j], perm[cur]
-                swaps += 1
-        taken.append(perm[cur])
-        taken_set.add(int(perm[cur]))
-        sampler._cursors[d] += 1
-    return np.array(taken, dtype=np.int64), swaps
-
-
-class LoopSampler(D.QuotaSampler):
-    """Reference sampler: draws each sample in ``loop_draw_domain``.
-
-    Counts the de-duplication swaps it makes, so a test can show that its
-    case really exercises them.
-    """
-
-    def __init__(self, datas, quotas, rng):
-        super().__init__(datas, quotas, rng)
-        self.swaps = 0
-
-    def _draw_domain(self, d: int) -> np.ndarray:
-        taken, swaps = loop_draw_domain(self, d)
-        self.swaps += swaps
-        return taken
 
 
 def loop_save_csv(dataset, path, partition="all"):
@@ -766,7 +721,7 @@ class TestSamplerMatchesLoop:
     def run_both(self, sizes, quotas, epochs=3, seed=9):
         datas = self.index_domains(sizes)
         shipped = D.QuotaSampler(datas, quotas, np.random.default_rng(seed))
-        loop = LoopSampler(datas, quotas, np.random.default_rng(seed))
+        loop = ref.LoopSampler(datas, quotas, np.random.default_rng(seed))
         # An epoch is one pass over the largest domain, in batches.
         batches = epochs * max(-(-n // q) for n, q in zip(sizes, quotas))
         for _ in range(batches):
@@ -811,7 +766,7 @@ class TestDrawDomainMatchesLoop:
             shipped._cursors[0] = loop._cursors[0] = cursor
             for _ in range(8):
                 got = shipped._draw_domain(0)
-                want, _ = loop_draw_domain(loop, 0)
+                want, _ = ref.loop_draw_domain(loop, 0)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
                 assert shipped._perms[0].dtype == loop._perms[0].dtype
@@ -837,7 +792,7 @@ class TestDrawDomainMatchesLoop:
             sampler._perms[0] = old.copy()
             sampler._cursors[0] = n - 1
         got = samplers[0]._draw_domain(0)
-        want, swaps = loop_draw_domain(samplers[1], 0)
+        want, swaps = ref.loop_draw_domain(samplers[1], 0)
         assert swaps == quota - 1
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(samplers[0]._perms[0],

@@ -3,7 +3,8 @@ import pytest
 
 from ctrlab import metrics, nn
 from ctrlab.errors import MetricError, UsageError
-from test_nn import MAX_SUBNORMAL
+from helpers import MAX_SUBNORMAL
+import reference as ref
 
 
 def pairwise_auc(scores, labels):
@@ -21,32 +22,6 @@ def pairwise_auc(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
-
-
-def loop_average_ranks(scores: np.ndarray) -> np.ndarray:
-    """Reference tie-averaged ranks: one Python pass over the sorted rows."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=float)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def loop_auc(scores, labels) -> float:
-    """Reference ``auc``: the loop's tie-averaged ranks, summed over the
-    positives as floats."""
-    scores = np.asarray(scores, dtype=float).ravel()
-    labels = np.asarray(labels, dtype=float).ravel()
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    rank_sum = loop_average_ranks(scores)[labels == 1.0].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def wrapper_logloss(scores, labels) -> float:
@@ -286,7 +261,7 @@ class TestAverageRanks:
         # "single" is the one pair a two-class AUC needs.
         for seed in range(3):
             labels = two_class_labels(scores.size, seed)
-            expected = loop_auc(scores, labels)
+            expected = ref.loop_auc(scores, labels)
             got = metrics.auc(scores, labels)
             assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 

@@ -4,57 +4,11 @@ import pytest
 from ctrlab import nn
 from ctrlab.errors import (ConfigError, LabError, MaskError, NumericError,
                            UsageError)
-
-
-def loop_masked_softmax(logits, mask):
-    """Reference ``masked_softmax`` arithmetic, row maximum by max(axis=-1)."""
-    shifted = np.asarray(logits, dtype=np.float64) + mask
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def loop_activate_grad(tag, z, a):
-    """Reference activation gradients, ReLU's as a float np.where."""
-    if tag == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
-    if tag == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
-
-
-# The largest subnormal float64.
-MAX_SUBNORMAL = np.nextafter(np.finfo(np.float64).tiny, 0.0)
-# Signed zeros, the smallest and largest subnormals, infinities and NaN.
-SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, MAX_SUBNORMAL,
-                           np.inf, -np.inf, np.nan])
-
-
-def with_specials(shape, seed, values=SPECIAL_VALUES, scale=1.0, loc=0.0):
-    """Normal draws of ``shape`` with ``values`` written over a third of the
-    entries, each value at least once when the array is large enough."""
-    rng = np.random.default_rng(seed)
-    out = rng.normal(loc=loc, scale=scale, size=shape)
-    flat = out.reshape(-1)
-    spots = rng.permutation(flat.size)[:max(1, flat.size // 3)]
-    flat[spots] = np.resize(values, spots.size)
-    return out
-
-
-def same_bits(a, b) -> bool:
-    """Equal shapes, dtypes and bytes: NaN payloads and zero signs count."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def same_bits_apart_from_nan(a, b) -> bool:
-    """NaN at the same entries, and every other entry's bits equal: only a
-    NaN's payload or sign may differ."""
-    a, b = np.asarray(a), np.asarray(b)
-    nan = np.isnan(a)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(nan, np.isnan(b))
-            and a[~nan].tobytes() == b[~nan].tobytes())
+from helpers import (FINITE_SPECIALS, FOLD_ROWS, SPECIAL_VALUES,
+                     numeric_gradient, relative_error, same_bits,
+                     same_bits_apart_from_nan, with_random_biases,
+                     with_specials)
+import reference as ref
 
 
 def wrapper_bce_loss(preds, labels):
@@ -65,63 +19,6 @@ def wrapper_bce_loss(preds, labels):
     loss = float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
     grad = (p - labels) / (p * (1.0 - p)) / preds.size
     return loss, grad
-
-
-def split_bias(w, out):
-    """A folded (fan_in + 1, fan_out [+ carry]) weight as the separate
-    layer it replaces: a C-ordered copy of its (fan_in, out) weight rows,
-    and its bias row's first ``out`` entries."""
-    return np.ascontiguousarray(w.values[:-1, :out]), w.values[-1, :out].copy()
-
-
-def split_mlp_forward(net, x, cache=True):
-    """Reference ``Mlp.forward`` with a separate bias: ``x``'s ones column
-    left out, each layer's bias added after the product of its weight rows.
-    With ``cache`` it keeps, as ``Mlp.forward`` does, each layer's input
-    beside a ones column, z and output."""
-    steps, a = [], np.ascontiguousarray(x[:, :-1])
-    for w, act, out in zip(net.weights, net.activations, net.dims[1:]):
-        rows, bias = split_bias(w, out)
-        z = a @ rows
-        z += bias
-        a_next = (np.maximum(z, 0.0) if act == "relu"
-                  else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
-        steps.append((nn.with_ones(a), z, a_next))
-        a = a_next
-    if cache:
-        net._cache = steps
-    return a
-
-
-def split_dense_backward(w, x, dz):
-    """Reference ``nn.dense_backward`` with a separate bias: the weight
-    rows' gradient from ``x`` without its ones column, the bias gradient by
-    ndarray.sum and the input gradient by the transposed weight rows."""
-    out = dz.shape[1]
-    rows, _ = split_bias(w, out)
-    w.grad[:-1, :out] += np.ascontiguousarray(x[:, :-1]).T @ dz
-    w.grad[-1, :out] += dz.sum(axis=0)
-    return dz @ rows.T
-
-
-def wrapper_mlp_backward(net, upstream):
-    """Reference ``Mlp.backward``: a linear layer's gradient multiplied by
-    np.ones_like(z), each layer's gradients by ``split_dense_backward``."""
-    da = np.asarray(upstream, dtype=np.float64)
-    for (x, z, a), w, act, out in zip(reversed(net._cache),
-                                      reversed(net.weights),
-                                      reversed(net.activations),
-                                      reversed(net.dims[1:])):
-        z, a = z[:, :out], a[:, :out]
-        if act == "relu":
-            dz = da * (z > 0.0)
-        elif act == "sigmoid":
-            dz = da * (a * (1.0 - a))
-        else:
-            dz = da * np.ones_like(z)
-        da = split_dense_backward(w, x, dz)
-    net._cache = None
-    return da
 
 
 def wrapper_masked_softmax(logits, mask):
@@ -148,60 +45,8 @@ def wrapper_masked_softmax(logits, mask):
     return probs
 
 
-def wrapper_softmax_backward(probs, dprobs):
-    """Reference ``softmax_backward`` with the row sums by ndarray.sum."""
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    return probs * (dprobs - inner)
-
-
-def loop_sgd_step(store, lr):
-    """Reference ``sgd_step``: one finiteness check and update per Param."""
-    if lr <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    for p in store.params:
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in parameter {p.name!r}")
-        p.values -= lr * p.grad
-        p.grad[...] = 0.0
-
-
-def relative_error(a, b, floor=1e-4):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.max(np.abs(a - b) / denom)
-
-
-def numeric_gradient(f, values: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar f w.r.t. every entry of ``values``.
-
-    Mutates ``values`` in place during probing and restores it; used as the
-    independent oracle against the hand-written backward passes.
-    """
-    grad = np.zeros_like(values)
-    it = np.nditer(values, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = values[idx]
-        values[idx] = orig + eps
-        up = f()
-        values[idx] = orig - eps
-        down = f()
-        values[idx] = orig
-        grad[idx] = (up - down) / (2.0 * eps)
-        it.iternext()
-    return grad
-
-
 def make_mlp(name, dims, activations, seed=0):
     return nn.Mlp(name, dims, activations, np.random.default_rng(seed))
-
-
-def carry_column(w):
-    """The carry column a hidden layer's weight ``w`` must hold."""
-    want = np.zeros(w.values.shape[0])
-    want[-1] = 1.0
-    return want
 
 
 class TestMlpConstruction:
@@ -220,7 +65,7 @@ class TestMlpConstruction:
             assert same_bits(w.values[:-1, :fan_out], want.T)
             assert same_bits(w.values[-1, :fan_out], np.zeros(fan_out))
             if carry:
-                assert same_bits(w.values[:, -1], carry_column(w))
+                assert same_bits(w.values[:, -1], np.eye(fan_in + 1)[-1])
             assert w.name == f"m.l{i}.w"
         assert net.params() == net.weights
 
@@ -397,7 +242,7 @@ class TestSameBitsAsReferences:
     def test_masked_softmax(self, case):
         logits, mask = self.CASES[case]
         out = nn.masked_softmax(logits, mask)
-        assert out.tobytes() == loop_masked_softmax(logits, mask).tobytes()
+        assert out.tobytes() == ref.loop_masked_softmax(logits, mask).tobytes()
 
     MASKS = {
         "one active column": np.array([-np.inf, -np.inf, 0.0, -np.inf,
@@ -419,7 +264,7 @@ class TestSameBitsAsReferences:
         mask = self.MASKS[mask]
         out = nn.masked_softmax(logits, mask)
         assert out.shape == logits.shape
-        assert out.tobytes() == loop_masked_softmax(logits, mask).tobytes()
+        assert out.tobytes() == ref.loop_masked_softmax(logits, mask).tobytes()
         assert np.signbit(out[..., np.isneginf(mask)]).sum() == 0
 
     @pytest.mark.parametrize("dims,acts", [
@@ -463,7 +308,7 @@ class TestSameBitsAsReferences:
         a = np.maximum(z, 0.0)
         with np.errstate(invalid="ignore"):  # inf * 0
             shipped = da * nn._activate_grad("relu", z, a)
-            reference = da * loop_activate_grad("relu", z, a)
+            reference = da * ref.loop_activate_grad("relu", z, a)
         assert shipped.dtype == np.float64
         assert shipped.tobytes() == reference.tobytes()
 
@@ -476,7 +321,8 @@ class TestSameBitsAsReferences:
         a = nn._activate("relu", z.copy())
         with np.errstate(invalid="ignore"):  # inf * 0
             shipped = da * nn._activate_grad("relu", a, a)
-            reference = da * loop_activate_grad("relu", z, np.maximum(z, 0.0))
+            reference = da * ref.loop_activate_grad("relu", z,
+                                                    np.maximum(z, 0.0))
         assert shipped.tobytes() == reference.tobytes()
 
 
@@ -521,13 +367,13 @@ class TestSameBitsAsWrapperExpressions:
         the product, NaNs may come out with another payload."""
         x = nn.with_ones(with_specials((rows, dims[0]), 3))
         upstream = with_specials((rows, dims[-1]), 4, scale=2.0)
-        shipped = make_mlp("m", dims, acts, seed=5)
-        reference = make_mlp("m", dims, acts, seed=5)
+        shipped, reference = [make_mlp("m", dims, acts, seed=5)
+                              for _ in range(2)]
         with np.errstate(all="ignore"):
             shipped.forward(x)
             reference.forward(x)
             dx = shipped.backward(upstream)
-            want_dx = wrapper_mlp_backward(reference, upstream)
+            want_dx = ref.mlp_backward(reference, upstream)
         assert same_bits_apart_from_nan(dx, want_dx)
         for p, q in zip(shipped.params(), reference.params()):
             assert same_bits_apart_from_nan(p.grad, q.grad), p.name
@@ -549,7 +395,7 @@ class TestSameBitsAsWrapperExpressions:
             probs = nn.masked_softmax(logits, mask)
             want = wrapper_masked_softmax(logits, mask)
             dlogits = nn.softmax_backward(probs, dprobs)
-            want_dlogits = wrapper_softmax_backward(want, dprobs)
+            want_dlogits = ref.wrapper_softmax_backward(want, dprobs)
         assert same_bits(probs, want)
         assert same_bits(dlogits, want_dlogits)
 
@@ -562,7 +408,7 @@ class TestSameBitsAsWrapperExpressions:
         assert np.isfinite(probs).all()
         assert same_bits(probs, wrapper_masked_softmax(logits, mask))
         assert same_bits(nn.softmax_backward(probs, dprobs),
-                         wrapper_softmax_backward(probs, dprobs))
+                         ref.wrapper_softmax_backward(probs, dprobs))
 
     @pytest.mark.parametrize("mask", [
         [0.0, np.nan], [0.0, np.inf], [-np.inf, -np.inf], [0.0, -1.0],
@@ -577,14 +423,11 @@ class TestSameBitsAsWrapperExpressions:
         assert str(got.value) == str(want.value)
 
 
-# Finite special values: signed zeros and subnormals.
-FINITE_SPECIALS = SPECIAL_VALUES[:5]
 # The benchmark's dense stacks: an expert over 8 or 16 fields of 4
 # embedding columns, and a tower.
 BENCH_STACKS = {"expert32": ([32, 8, 8], ["relu", "linear"]),
                 "expert64": ([64, 8, 8], ["relu", "linear"]),
                 "tower": ([8, 8, 1], ["relu", "sigmoid"])}
-FOLD_ROWS = [1, 13, 26, 51, 128, 148, 256, 2_000]
 
 
 def bench_stack_cases():
@@ -595,18 +438,10 @@ def bench_stack_cases():
             if not (stack == "expert64" and rows > 256)]
 
 
-def with_random_biases(net, seed):
-    """``net`` with finite, nonzero bias rows, specials among them."""
-    for i, (w, out) in enumerate(zip(net.weights, net.dims[1:])):
-        w.values[-1, :out] = with_specials(out, seed + i, FINITE_SPECIALS,
-                                           scale=0.3)
-    return net
-
-
 class TestFoldedBias:
     """Each layer's one product, its bias read through the input's ones
     column, gives the bits of the product plus a separate bias add and
-    reduction (``split_mlp_forward``, ``wrapper_mlp_backward``) at the
+    reduction (``reference.mlp_forward`` and ``mlp_backward``) at the
     benchmark's layer shapes, on finite inputs and gradients with signed
     zeros and subnormals, at row counts on both sides of OpenBLAS's
     small-matrix kernels. Gradients start nonzero, so the sums are
@@ -625,9 +460,9 @@ class TestFoldedBias:
         upstream = with_specials((rows, dims[-1]), 3, FINITE_SPECIALS)
         shipped, reference = nets
         out = shipped.forward(x)
-        assert same_bits(out, split_mlp_forward(reference, x))
+        assert same_bits(out, ref.mlp_forward(reference, x))
         assert same_bits(shipped.backward(upstream),
-                         wrapper_mlp_backward(reference, upstream))
+                         ref.mlp_backward(reference, upstream))
         for p, q in zip(shipped.params(), reference.params()):
             assert same_bits(p.grad, q.grad), p.name
             assert np.isfinite(p.grad).all(), p.name
@@ -845,7 +680,7 @@ class TestSgdStep:
                 assert not store.grad.any()
             return store.values.tobytes()
 
-        assert steps(nn.sgd_step) == steps(loop_sgd_step)
+        assert steps(nn.sgd_step) == steps(ref.loop_sgd_step)
 
     def test_bad_lr(self):
         with pytest.raises(ConfigError):

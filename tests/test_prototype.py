@@ -6,8 +6,9 @@ import pytest
 from ctrlab import nn
 from ctrlab import prototype as proto
 from ctrlab.errors import ConfigError, UsageError
-from test_nn import (SPECIAL_VALUES, numeric_gradient, same_bits,
-                     with_specials)
+from helpers import (SPECIAL_VALUES, numeric_gradient, relative_error,
+                     same_bits, with_specials)
+import reference as ref
 
 
 def oracle_domain_distance(a, b):
@@ -18,42 +19,9 @@ def oracle_domain_distance(a, b):
     return sum(vals) / len(vals)
 
 
-def domain_distance(protos_a, protos_b):
-    """Reference distance of one ordered pair: the mean over source
-    prototypes of the nearest-target-prototype distance."""
-    protos_a, protos_b = proto._protoset(protos_a), proto._protoset(protos_b)
-    proto._check_dims(protos_a, protos_b)
-    diff = protos_a[:, None, :] - protos_b[None, :, :]
-    sq = np.add.reduce(diff * diff, axis=2)
-    nearest = np.sqrt(sq.min(axis=1))
-    return float(np.add.reduce(nearest) / nearest.size)
-
-
 def pair_distance(a, b):
     """``distance_matrix``'s entry for the ordered pair (a, b)."""
     return proto.distance_matrix([a, b])[0, 1]
-
-
-def loop_distance_matrix(protosets):
-    """Reference ``distance_matrix``: one ``domain_distance`` per ordered
-    pair."""
-    d = len(protosets)
-    if d < 2:
-        raise UsageError(f"need at least 2 domains, got {d}")
-    out = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = domain_distance(protosets[i], protosets[j])
-    return out
-
-
-def wrapper_domain_distance(a, b):
-    """Reference ``domain_distance`` through ndarray.sum and np.mean."""
-    a, b = proto._protoset(a), proto._protoset(b)
-    proto._check_dims(a, b)
-    diff = a[:, None, :] - b[None, :, :]
-    sq = (diff * diff).sum(axis=2)
-    return float(np.mean(np.sqrt(sq.min(axis=1))))
 
 
 def wrapper_reconstruction(coder, h):
@@ -89,17 +57,6 @@ def wrapper_proto_backward(coder, scale=1.0):
 
 def make_coder(batch=6, protos=2, domain=0, seed=0):
     return proto.ProtoCoder(domain, batch, protos, np.random.default_rng(seed))
-
-
-def lexsort_order(h):
-    """Reference ``_sort_order``: np.lexsort over every column."""
-    return np.lexsort(h.T[::-1])
-
-
-def relative_error(a, b, floor=1e-4):
-    a, b = np.asarray(a), np.asarray(b)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.max(np.abs(a - b) / denom)
 
 
 class TestSizes:
@@ -182,7 +139,7 @@ class TestSortOrder:
     @pytest.mark.parametrize("case", CASES)
     def test_same_order_as_lexsort(self, case):
         h = self.CASES[case]
-        assert proto._sort_order(h).tobytes() == lexsort_order(h).tobytes()
+        assert proto._sort_order(h).tobytes() == ref.lexsort_order(h).tobytes()
 
 
 class TestDecodeAndReconstruction:
@@ -353,7 +310,8 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize("ragged", [False, True])
     def test_same_bits_as_per_pair_loop(self, ragged):
         """Ten or more prototypes per set, so a mean or squared-distance sum
-        grouped differently from ``domain_distance``'s would show."""
+        grouped differently from ``reference.domain_distance``'s would
+        show."""
         rng = np.random.default_rng(15)
         for _ in range(30):
             d = int(rng.integers(2, 9))
@@ -362,7 +320,7 @@ class TestDistanceMatrix:
             sets = [rng.normal(scale=rng.uniform(0.1, 100.0), size=(m, dim))
                     for m in sizes]
             got = proto.distance_matrix(sets)
-            assert got.tobytes() == loop_distance_matrix(sets).tobytes()
+            assert got.tobytes() == ref.loop_distance_matrix(sets).tobytes()
 
     @pytest.mark.parametrize("sets", [
         [np.zeros((2, 3))],
@@ -377,7 +335,7 @@ class TestDistanceMatrix:
             "empty set before dim mismatch"])
     def test_same_errors_as_per_pair_loop(self, sets):
         with pytest.raises(UsageError) as expected:
-            loop_distance_matrix(sets)
+            ref.loop_distance_matrix(sets)
         message = re.escape(str(expected.value))
         with pytest.raises(UsageError, match=f"^{message}$"):
             proto.distance_matrix(sets)
@@ -478,10 +436,5 @@ class TestSameBitsAsWrapperExpressions:
         sets = [with_specials((int(m), 6), i, values, scale=10.0)
                 for i, m in enumerate(rng.integers(1, 14, size=5))]
         with np.errstate(all="ignore"):
-            want = np.array([[wrapper_domain_distance(a, b) for b in sets]
-                             for a in sets])
-            got = proto.distance_matrix(sets)
-            pairs = np.array([[domain_distance(a, b) for b in sets]
-                              for a in sets])
-        assert same_bits(got, want)
-        assert same_bits(pairs, want)
+            assert same_bits(proto.distance_matrix(sets),
+                             ref.loop_distance_matrix(sets))

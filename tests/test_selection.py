@@ -7,7 +7,7 @@ import pytest
 from ctrlab import selection as sel
 from ctrlab import train
 from ctrlab.errors import MetricError, UsageError
-from test_train import tiny_config
+from helpers import tiny_config
 
 
 class TestCandidateStates:

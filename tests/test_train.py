@@ -9,28 +9,8 @@ import pytest
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
 from ctrlab.errors import ConfigError, LabError, UsageError
-from test_backbone import loop_embed, loop_embed_backward
-from test_data import LoopSampler
-from test_metrics import loop_auc
-from test_nn import (loop_activate_grad, loop_masked_softmax, loop_sgd_step,
-                     split_mlp_forward, wrapper_mlp_backward)
-from test_prototype import lexsort_order, loop_distance_matrix
-
-CHAIN3 = [[1.0, 0.8, 0.0], [0.8, 1.0, 0.8], [0.0, 0.8, 1.0]]
-FIXED = [[0], [0, 1], [1, 2]]
-
-
-def tiny_config(mode: str, seed: int = 5) -> RunConfig:
-    """Three chained domains, small enough to train in a fraction of a
-    second; patience covers every epoch, so every run trains all of them."""
-    return RunConfig(
-        domains=3,
-        dataset={"kind": "synth", "affinity": CHAIN3, "noise": [0.0] * 3,
-                 "sizes": [240, 200, 160]},
-        seed=seed, mode=mode, expert_counts=[1, 2, 1], batch_size=24,
-        learning_rate=0.5, num_prototypes=4, selection_interval=3, epochs=3,
-        early_stop_patience=3,
-        fixed_subsets=FIXED if mode == "fixed-subset" else None)
+from helpers import CHAIN3, FIXED, tiny_config
+import reference as ref
 
 
 def json_edit(change):
@@ -56,17 +36,19 @@ def results():
             for mode in ("sdsp", "full-share", "fixed-subset")}
 
 
-def without_timing(report: dict) -> str:
-    return json.dumps({k: v for k, v in report.items() if k != "timing"},
-                      sort_keys=True)
+def decisions(result, skip=("timing",)) -> tuple:
+    """A run's report apart from the ``skip`` keys, and its selection
+    trace, as JSON."""
+    report = {k: v for k, v in result.report.items() if k not in skip}
+    return (json.dumps(report, sort_keys=True),
+            json.dumps(result.trace, sort_keys=True))
 
 
 @pytest.mark.parametrize("mode", ["sdsp", "full-share", "fixed-subset"])
 class TestTrain:
     def test_report_deterministic_apart_from_timing(self, results, mode):
         first, second = results[mode]
-        assert without_timing(first.report) == without_timing(second.report)
-        assert first.trace == second.trace
+        assert decisions(first) == decisions(second)
 
     def test_selection_round_count(self, results, mode):
         result, _ = results[mode]
@@ -105,7 +87,7 @@ def test_zero_proto_loss_weight_leaves_the_coders_untrained():
         for p, q in zip(before.params(), after.params()):
             assert p.values.tobytes() == q.values.tobytes(), p.name
     assert all(np.isfinite(h["l_rec"]) for h in first.report["history"])
-    assert without_timing(first.report) == without_timing(second.report)
+    assert decisions(first) == decisions(second)
 
 
 def test_fixed_subset_keeps_configured_subsets(results):
@@ -269,19 +251,17 @@ def test_same_decisions_as_loop_references(monkeypatch):
 
     samplers = []
 
-    class RecordingLoopSampler(LoopSampler):
+    class RecordingLoopSampler(ref.LoopSampler):
         def __init__(self, *args):
             super().__init__(*args)
             samplers.append(self)
 
-    monkeypatch.setattr(metrics, "auc", loop_auc)
+    monkeypatch.setattr(metrics, "auc", ref.loop_auc)
     monkeypatch.setattr(data, "QuotaSampler", RecordingLoopSampler)
     reference = train.train(config)
 
     assert sum(s.swaps for s in samplers) > 0
-    assert without_timing(shipped.report) == without_timing(reference.report)
-    assert (json.dumps(shipped.trace, sort_keys=True)
-            == json.dumps(reference.trace, sort_keys=True))
+    assert decisions(shipped) == decisions(reference)
 
 
 def test_same_decisions_as_per_call_references(results, monkeypatch):
@@ -290,20 +270,18 @@ def test_same_decisions_as_per_call_references(results, monkeypatch):
     one-array SGD step and the one-pass-per-source distance matrix change
     no report or trace byte."""
     shipped, _ = results["sdsp"]
-    monkeypatch.setattr(backbone.Backbone, "embed", loop_embed)
+    monkeypatch.setattr(backbone.Backbone, "embed", ref.loop_embed)
     monkeypatch.setattr(backbone.Backbone, "_embed_backward",
-                        loop_embed_backward)
-    monkeypatch.setattr(backbone, "masked_softmax", loop_masked_softmax)
-    monkeypatch.setattr(nn, "_activate_grad", loop_activate_grad)
-    monkeypatch.setattr(prototype, "_sort_order", lexsort_order)
-    monkeypatch.setattr(nn, "sgd_step", loop_sgd_step)
-    monkeypatch.setattr(prototype, "distance_matrix", loop_distance_matrix)
-    monkeypatch.setattr(train, "distance_matrix", loop_distance_matrix)
+                        ref.loop_embed_backward)
+    monkeypatch.setattr(backbone, "masked_softmax", ref.loop_masked_softmax)
+    monkeypatch.setattr(nn, "_activate_grad", ref.loop_activate_grad)
+    monkeypatch.setattr(prototype, "_sort_order", ref.lexsort_order)
+    monkeypatch.setattr(nn, "sgd_step", ref.loop_sgd_step)
+    monkeypatch.setattr(prototype, "distance_matrix", ref.loop_distance_matrix)
+    monkeypatch.setattr(train, "distance_matrix", ref.loop_distance_matrix)
     reference = train.train(tiny_config("sdsp"))
 
-    assert without_timing(shipped.report) == without_timing(reference.report)
-    assert (json.dumps(shipped.trace, sort_keys=True)
-            == json.dumps(reference.trace, sort_keys=True))
+    assert decisions(shipped) == decisions(reference)
 
 
 def test_same_decisions_as_separate_bias_reference(monkeypatch):
@@ -318,13 +296,11 @@ def test_same_decisions_as_separate_bias_reference(monkeypatch):
     differently in the last bit."""
     config = tiny_config("sdsp").replace(expert_counts=[3, 3, 2])
     shipped = train.train(config)
-    monkeypatch.setattr(nn.Mlp, "forward", split_mlp_forward)
-    monkeypatch.setattr(nn.Mlp, "backward", wrapper_mlp_backward)
+    monkeypatch.setattr(nn.Mlp, "forward", ref.mlp_forward)
+    monkeypatch.setattr(nn.Mlp, "backward", ref.mlp_backward)
     reference = train.train(config)
 
-    assert without_timing(shipped.report) == without_timing(reference.report)
-    assert (json.dumps(shipped.trace, sort_keys=True)
-            == json.dumps(reference.trace, sort_keys=True))
+    assert decisions(shipped) == decisions(reference)
 
 
 @pytest.mark.parametrize("mode", ["sdsp", "full-share", "fixed-subset"])
@@ -348,8 +324,7 @@ def test_carry_columns_stay_exact(mode, monkeypatch):
     nets = result.backbone.experts + result.backbone.towers
     assert len(nets) == 4 + 3
     for w in (m.weights[0] for m in nets):
-        want = np.zeros(w.values.shape[0])
-        want[-1] = 1.0
+        want = np.eye(len(w.values))[-1]
         assert w.values[:, -1].tobytes() == want.tobytes(), w.name
 
 
@@ -386,14 +361,8 @@ def test_csv_dataset_run_equals_synth_run(results, tmp_path):
         "kind": "csv", "path": str(tmp_path / "data.csv"),
         "schema": str(tmp_path / "schema.json")})
     csv = train.train(config, out_dir=tmp_path / "run")
-
-    def decisions(report):
-        return json.dumps({k: v for k, v in report.items()
-                           if k not in ("timing", "config", "config_hash")},
-                          sort_keys=True)
-
-    assert decisions(csv.report) == decisions(synth.report)
-    assert csv.trace == synth.trace
+    skip = ("timing", "config", "config_hash")
+    assert decisions(csv, skip) == decisions(synth, skip)
     loaded, backbone, *_ = train.load_checkpoint(
         tmp_path / "run" / "checkpoint.npz")
     assert loaded == config
