@@ -221,8 +221,8 @@ class Backbone:
         # tower reads a copy beside its ones column.
         preds = self.towers[d].forward(with_ones(h), cache=cache).ravel()
         if cache:
-            self._cache = {"d": d, "x": x, "features": features,
-                           "gate": gate, "outs": outs}
+            self._cache = {"d": d, "features": features, "gate": gate,
+                           "outs": outs}
         return preds, h
 
     def predict(self, features: np.ndarray, d: int,
@@ -243,14 +243,13 @@ class Backbone:
             raise UsageError(
                 f"backward_domain({d}) without a matching cached forward")
         cache, self._cache = self._cache, None
-        x, gate, outs = cache["x"], cache["gate"], cache["outs"]
-        features = cache["features"]
+        features, gate, outs = cache["features"], cache["gate"], cache["outs"]
         dh = self.towers[d].backward(np.asarray(dpreds).reshape(-1, 1))
         if dh_extra is not None:
             # The tower's input gradient is new, so it takes the sum.
             dh += dh_extra
         dgate = np.zeros(gate.shape)
-        dx = np.zeros((x.shape[0], self.x_dim))
+        dx = np.zeros((len(gate), self.x_dim))
         for i, out in outs.items():
             dgate[:, i] = np.add.reduce(out * dh, axis=1)
             dx += self.experts[i].backward(gate[:, i:i + 1] * dh)

@@ -17,6 +17,12 @@ fixed-subset pins the masks from the config. The report's final distance
 matrix comes from a fresh quota batch: a no-cache forward per domain, then
 prototype.distance_round.
 
+train() returns the Run it trained, with its report set: the config, the
+split dataset, backbone, coders and parameter store, the active subsets
+and their masks, and the selection trace. Run.choose is the one place
+where subsets become gate masks: at the start, after each selection
+round, and when the best epoch's subsets are restored.
+
 Randomness is split into named streams (init, batches, policy, report)
 derived from the run seed, so, for example, selection rounds never perturb
 the training batch sequence. Reports are byte-identical across
@@ -46,7 +52,6 @@ import json
 import time
 import zipfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,26 +64,13 @@ from .prototype import (ProtoCoder, distance_matrix, distance_round,
                         save_distance_csv)
 from .selection import ValueTable, canonical, candidate_states, greedy, sdsp_round
 
-__all__ = ["train", "TrainResult", "evaluate_partition", "save_checkpoint",
+__all__ = ["train", "Run", "evaluate_partition", "save_checkpoint",
            "load_checkpoint", "measure_distances", "write_outputs"]
 
 # The checkpoint meta's name for the dense weights' layout: (fan_in + 1,
 # fan_out), the bias as the last row.
 WEIGHT_LAYOUT = "in_out_bias_row"
 META_KEYS = ["config", "subsets", "vocab_sizes", "weight_layout"]
-
-
-@dataclass
-class TrainResult:
-    config: RunConfig
-    report: dict
-    backbone: Backbone
-    coders: list
-    dataset: data_mod.DomainDataset
-    masks: np.ndarray
-    subsets: list
-    trace: list
-    store: nn.ParamStore
 
 
 def _build_model(config: RunConfig, vocab_sizes, rng: np.random.Generator):
@@ -118,8 +110,9 @@ def measure_distances(backbone: Backbone, coders: list,
     return distance_round(hs, coders)
 
 
-class _Run:
-    """Mutable state for one training run."""
+class Run:
+    """Mutable state for one training run; train() returns it trained, with
+    its report set."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -137,33 +130,36 @@ class _Run:
                         f"{labels[0]:g}; its AUC is undefined")
         # Stream 2 is unused; the other streams keep their indices.
         streams = np.random.SeedSequence(config.seed).spawn(5)
-        self.init_rng = np.random.default_rng(streams[0])
-        self.sampler_rng = np.random.default_rng(streams[1])
         self.policy_rng = np.random.default_rng(streams[3])
         self.report_rng = np.random.default_rng(streams[4])
 
         self.backbone, self.coders, self.store = _build_model(
-            config, self.dataset.schema.vocab_sizes, self.init_rng)
+            config, self.dataset.schema.vocab_sizes,
+            np.random.default_rng(streams[0]))
         train_datas = [self.dataset.domain("train", d)
                        for d in range(config.domains)]
-        self.sampler = data_mod.QuotaSampler(train_datas, config.quotas,
-                                             self.sampler_rng)
+        self.sampler = data_mod.QuotaSampler(
+            train_datas, config.quotas, np.random.default_rng(streams[1]))
         self.protos = None  # per domain, from the last train step
         self.table = ValueTable(config.domains)
         # Exploration probability of the next selection round.
         self.p = config.explore_init
-        if config.mode == "fixed-subset":
-            self.subsets = [canonical(s) for s in config.fixed_subsets]
-        else:
-            self.subsets = [canonical(range(config.domains))] * config.domains
-        self.masks = build_mask(self.subsets, config.expert_counts)
+        self.choose(config.fixed_subsets if config.mode == "fixed-subset"
+                    else [range(config.domains)] * config.domains)
         self.trace = []
+        self.report = None  # set by train()
         # Seconds per stage, reported beside the whole run's seconds.
         self.timing = dict.fromkeys(
             ("train_step_s", "selection_distance_s", "selection_reward_s",
              "epoch_eval_s"), 0.0)
         self.steps_per_epoch = max(
             -(-len(dd) // q) for dd, q in zip(train_datas, config.quotas))
+
+    def choose(self, subsets) -> None:
+        """Make ``subsets`` the active subsets, as canonical tuples, and
+        their build_mask rows the gate masks."""
+        self.subsets = [canonical(s) for s in subsets]
+        self.masks = build_mask(self.subsets, self.config.expert_counts)
 
     @contextmanager
     def timed(self, stage: str):
@@ -221,8 +217,7 @@ class _Run:
     def selection_round(self, iteration: int) -> None:
         line = sdsp_round(iteration, self.distance_fn, self.reward_fn,
                           self.subsets, self.table, self.p, self.policy_rng)
-        self.subsets = [canonical(s) for s in line["chosen_subsets"]]
-        self.masks = build_mask(self.subsets, self.config.expert_counts)
+        self.choose(line["chosen_subsets"])
         self.p *= self.config.explore_decay
         self.trace.append(line)
 
@@ -234,31 +229,30 @@ class _Run:
                 for d, ranking in enumerate(self.trace[-1]["rankings"])]
 
 
-def train(config: RunConfig, out_dir=None) -> TrainResult:
-    """Run one full training job; optionally write the output files."""
+def train(config: RunConfig, out_dir=None) -> Run:
+    """Run one full training job and return its Run, with the report set;
+    optionally write the output files."""
     started = time.perf_counter()
-    run = _Run(config)
-    cfg = config
-    selecting = cfg.mode == "sdsp"
+    run = Run(config)
+    selecting = config.mode == "sdsp"
     history = []
     best = {"auc": -np.inf, "epoch": -1, "val": None, "params": None,
-            "masks": None, "subsets": None}
-    patience_left = cfg.early_stop_patience
+            "subsets": None}
+    patience_left = config.early_stop_patience
     iteration = 0
-    epochs_run = 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(config.epochs):
         sums = np.zeros(3)
         for _ in range(run.steps_per_epoch):
             with run.timed("train_step_s"):
                 losses = run.train_step()
             sums += losses
-            if selecting and iteration % cfg.selection_interval == 0:
+            if selecting and iteration % config.selection_interval == 0:
                 run.selection_round(iteration)
             iteration += 1
         means = sums / run.steps_per_epoch
         with run.timed("epoch_eval_s"):
             val = evaluate_partition(run.backbone, run.dataset, "val",
-                                     run.masks, cfg.overall_metric)
+                                     run.masks, config.overall_metric)
         history.append({
             "epoch": epoch,
             "l_ctr": float(means[0]),
@@ -268,34 +262,31 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
             "val_overall_logloss": val["overall_logloss"],
             "val_domains": val["domains"],
         })
-        epochs_run = epoch + 1
         if val["overall_auc"] > best["auc"]:
+            # choose() rebinds the subsets list and never mutates it.
             best.update(auc=val["overall_auc"], epoch=epoch, val=val,
-                        params=run.store.values.copy(),
-                        masks=run.masks.copy(),
-                        subsets=[tuple(s) for s in run.subsets])
-            patience_left = cfg.early_stop_patience
+                        params=run.store.values.copy(), subsets=run.subsets)
+            patience_left = config.early_stop_patience
         else:
             patience_left -= 1
             if patience_left < 0:
                 break
     run.store.values[...] = best["params"]
-    run.masks = best["masks"]
-    run.subsets = list(best["subsets"])
+    run.choose(best["subsets"])
 
     # The restored params and masks are the best epoch's, so its val
     # report is what evaluating them again would give.
     test_report = evaluate_partition(run.backbone, run.dataset, "test",
-                                     run.masks, cfg.overall_metric)
+                                     run.masks, config.overall_metric)
     final_matrix = measure_distances(run.backbone, run.coders, run.dataset,
-                                     run.masks, cfg.quotas, run.report_rng)
-    report = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+                                     run.masks, config.quotas, run.report_rng)
+    run.report = {
+        "config": config.to_dict(),
+        "config_hash": config.config_hash(),
+        "mode": config.mode,
+        "seed": config.seed,
         "steps_per_epoch": run.steps_per_epoch,
-        "epochs_run": epochs_run,
+        "epochs_run": len(history),
         "best_epoch": best["epoch"],
         "history": history,
         "val": best["val"],
@@ -312,44 +303,40 @@ def train(config: RunConfig, out_dir=None) -> TrainResult:
         "timing": {"train_seconds": time.perf_counter() - started,
                    **run.timing},
     }
-    result = TrainResult(config=cfg, report=report, backbone=run.backbone,
-                         coders=run.coders, dataset=run.dataset,
-                         masks=run.masks, subsets=list(run.subsets),
-                         trace=run.trace, store=run.store)
     if out_dir is not None:
-        write_outputs(result, out_dir)
-    return result
+        write_outputs(run, out_dir)
+    return run
 
 
 # ------------------------------------------------------------------ outputs
 
-def write_outputs(result: TrainResult, out_dir) -> None:
+def write_outputs(run: Run, out_dir) -> None:
     import os
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(result.report, fh, indent=2, sort_keys=True)
+        json.dump(run.report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "selection_trace.log"), "w",
               encoding="utf-8") as fh:
-        for line in result.trace:
+        for line in run.trace:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
-    save_distance_csv(np.asarray(result.report["final_distance_matrix"]),
+    save_distance_csv(np.asarray(run.report["final_distance_matrix"]),
                       os.path.join(out_dir, "distance_matrix.csv"))
-    save_checkpoint(result, os.path.join(out_dir, "checkpoint.npz"))
+    save_checkpoint(run, os.path.join(out_dir, "checkpoint.npz"))
 
 
-def save_checkpoint(result: TrainResult, path) -> None:
+def save_checkpoint(run: Run, path) -> None:
     """The run's store of parameters as "values", and its config,
     vocabulary sizes, subsets and weight layout as the JSON "meta"."""
-    meta = {"config": result.config.to_dict(),
-            "vocab_sizes": list(result.backbone.vocab_sizes),
-            "subsets": [list(s) for s in result.subsets],
+    meta = {"config": run.config.to_dict(),
+            "vocab_sizes": list(run.backbone.vocab_sizes),
+            "subsets": [list(s) for s in run.subsets],
             "weight_layout": WEIGHT_LAYOUT}
     # np.savez writes to the file opened here, so a path without the .npz
     # suffix is written as it is, not with the suffix appended.
     with open(path, "wb") as fh:
-        np.savez(fh, values=result.store.values,
+        np.savez(fh, values=run.store.values,
                  meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
 
@@ -388,9 +375,11 @@ def _load_checkpoint(path):
             values = zf["values"]
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"not a checkpoint file ({exc})") from exc
-    keys = sorted(meta) if isinstance(meta, dict) else meta
-    if keys != META_KEYS:
-        raise ConfigError(f"checkpoint meta holds {keys!r}, expected "
+    if not isinstance(meta, dict):
+        raise ConfigError(f"checkpoint meta holds {meta!r}, expected a JSON "
+                          f"object of the keys {META_KEYS!r}")
+    if sorted(meta) != META_KEYS:
+        raise ConfigError(f"checkpoint meta holds {sorted(meta)!r}, expected "
                           f"{META_KEYS!r}")
     if meta["weight_layout"] != WEIGHT_LAYOUT:
         raise ConfigError("checkpoint weight layout is "

@@ -94,7 +94,7 @@ class TestPolicyState:
 
     @staticmethod
     def _run(**changes):
-        return train._Run(tiny_config("sdsp").replace(
+        return train.Run(tiny_config("sdsp").replace(
             explore_init=1.0, explore_decay=0.9, selection_interval=2,
             **changes))
 
@@ -115,13 +115,13 @@ class TestPolicyState:
 
     def test_due_every_period(self, monkeypatch):
         fired = []
-        selection_round = train._Run.selection_round
+        selection_round = train.Run.selection_round
 
         def recording(run, iteration):
             fired.append(iteration)
             selection_round(run, iteration)
 
-        monkeypatch.setattr(train._Run, "selection_round", recording)
+        monkeypatch.setattr(train.Run, "selection_round", recording)
         config = tiny_config("sdsp").replace(selection_interval=2)
         report = train.train(config).report
         iterations = report["epochs_run"] * report["steps_per_epoch"]

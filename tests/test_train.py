@@ -81,7 +81,7 @@ def test_zero_proto_loss_weight_leaves_the_coders_untrained():
     """With proto_loss_weight 0 the reconstruction loss is still measured,
     but no gradient reaches a prototype coder."""
     config = tiny_config("sdsp").replace(proto_loss_weight=0.0)
-    initial = train._Run(config).coders
+    initial = train.Run(config).coders
     first, second = train.train(config), train.train(config)
     for before, after in zip(initial, first.coders):
         for p, q in zip(before.params(), after.params()):
@@ -112,6 +112,29 @@ def test_best_epoch_params_are_restored(results):
         assert report["val"]["domains"] == best["val_domains"], mode
         assert report["val"]["overall_auc"] == best["val_overall_auc"], mode
     assert results["full-share"][0].report["best_epoch"] == 0
+
+
+def test_best_epoch_masks_are_restored(monkeypatch):
+    """The returned Run's masks are the ones the best epoch's val pass
+    read, rebuilt from its subsets, although a later epoch's differ."""
+    val_masks = []
+    evaluate = train.evaluate_partition
+
+    def recording(backbone, dataset, partition, masks, *args):
+        if partition == "val":
+            val_masks.append(masks.copy())
+        return evaluate(backbone, dataset, partition, masks, *args)
+
+    monkeypatch.setattr(train, "evaluate_partition", recording)
+    run = train.train(tiny_config("sdsp"))
+    assert isinstance(run, train.Run)
+    best = run.report["best_epoch"]
+    assert len(val_masks) == run.report["epochs_run"]
+    assert best < len(val_masks) - 1
+    assert not np.array_equal(val_masks[-1], val_masks[best])
+    assert run.masks.tobytes() == val_masks[best].tobytes()
+    assert np.array_equal(run.masks, backbone.build_mask(
+        run.subsets, run.config.expert_counts))
 
 
 @pytest.mark.parametrize("mode", ["sdsp", "full-share"])
@@ -152,13 +175,13 @@ def test_p_decays_once_per_earlier_round(results, decay):
 def test_round_masks_follow_chosen_subsets(monkeypatch):
     """After every round the gate masks are the chosen subsets' masks."""
     seen = []
-    selection_round = train._Run.selection_round
+    selection_round = train.Run.selection_round
 
     def recording(run, iteration):
         selection_round(run, iteration)
         seen.append((run.trace[-1]["chosen_subsets"], run.masks.copy()))
 
-    monkeypatch.setattr(train._Run, "selection_round", recording)
+    monkeypatch.setattr(train.Run, "selection_round", recording)
     result = train.train(tiny_config("sdsp"))
     assert len(seen) == result.report["selection"]["rounds"]
     for chosen, masks in seen:
@@ -217,7 +240,7 @@ def test_one_sampler_draw_per_step_plus_the_report(monkeypatch):
 def test_selection_round_before_any_train_step_is_usage_error():
     """Without a train step there are no prototypes to measure: the round
     raises and leaves the subsets, trace and p as they were."""
-    run = train._Run(tiny_config("sdsp"))
+    run = train.Run(tiny_config("sdsp"))
     subsets, p = list(run.subsets), run.p
     with pytest.raises(UsageError, match="needs a train step before it"):
         run.selection_round(0)
@@ -676,6 +699,8 @@ class TestCheckpoint:
          "config must be an object, got list"),
         (lambda raw: b"\xff" + raw, "not a checkpoint file"),
         (lambda raw: b"[1, 2]", "checkpoint meta holds [1, 2]"),
+        (lambda raw: json.dumps(train.META_KEYS).encode(),
+         "expected a JSON object of the keys"),
         (json_edit(lambda meta: meta.update(subsets=[[0], [0, 1, 1], [1, 2]])),
          "subsets[1] names a domain twice: [0, 1, 1]")],
         ids=["no-config", "written-before-the-in-out-layout",
@@ -683,7 +708,7 @@ class TestCheckpoint:
              "unknown-config-key",
              "subset-without-its-domain", "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
              "config-not-an-object", "not-utf8", "not-an-object",
-             "subset-naming-a-domain-twice"])
+             "a-list-of-the-keys", "subset-naming-a-domain-twice"])
     def test_bad_meta_rejected(self, saved, edit, named):
         """Malformed meta fails with a ConfigError that names the file."""
         _, path = saved
