@@ -7,14 +7,16 @@ one-layer linear ``Mlp`` named ``gate.d{d}`` whose logits over the input
 are softmaxed across all experts, and a tower mapping the mixed
 representation to a click probability. Every dense layer is an ``Mlp``
 layer, one (fan_in + 1, fan_out) weight whose last row is the bias (see
-``nn``): ``embed`` returns the input with a trailing ones column, built
-once per domain pass and read by the gate and every expert, and the tower
-reads the mixed representation copied beside a ones column. A domain's
-mask is an additive {0, -inf} vector over experts: -inf entries knock the
-corresponding experts out of the gate softmax, so unselected domains'
-experts receive exactly zero mixing weight and exactly zero gradient. The
-mask is added to the raw gate logits before the softmax; an all-zero mask
-reproduces the unmasked network bit for bit.
+``nn``), so every layer's input ends in a ones column: ``embed`` returns
+the input with one, built once per domain pass and read by the gate and
+every expert; each expert's and tower's hidden layer writes its output
+beside one; and the tower reads the mixed representation copied beside
+one. A domain's mask is an additive {0, -inf} vector over experts: -inf
+entries knock the corresponding experts out of the gate softmax, so
+unselected domains' experts receive exactly zero mixing weight and
+exactly zero gradient. The mask is added to the raw gate logits before
+the softmax; an all-zero mask reproduces the unmasked network bit for
+bit.
 
 Masked-out experts are skipped entirely in both directions, which makes the
 zero-weight/zero-gradient guarantees structural rather than numerical.

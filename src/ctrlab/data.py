@@ -273,11 +273,9 @@ class AffinitySpec:
 class DomainDataset:
     """Schema plus per-domain sample arrays grouped into named partitions."""
 
-    def __init__(self, schema: Schema, partitions: dict,
-                 affinity: AffinitySpec | None = None, malformed: int = 0):
+    def __init__(self, schema: Schema, partitions: dict, malformed: int = 0):
         self.schema = schema
         self.partitions = partitions
-        self.affinity = affinity
         self.malformed = malformed
         for name, datas in partitions.items():
             if len(datas) != schema.domains:
@@ -543,8 +541,7 @@ def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
         for name, size in zip(PARTITIONS, sizes):
             out[name].append(dd.take(perm[start:start + size]))
             start += size
-    return DomainDataset(dataset.schema, out, affinity=dataset.affinity,
-                         malformed=dataset.malformed)
+    return DomainDataset(dataset.schema, out, malformed=dataset.malformed)
 
 
 class QuotaSampler:
@@ -673,7 +670,6 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     s = affinity[d] . U; label = [s > 0] flipped with probability noise[d].
     Field j in concept group k reads affinity[d, k] * U_k plus Gaussian
     feature noise, binned uniformly over [-1.5, 1.5] into the vocabulary.
-    The planted spec travels with the dataset for ground-truth checks.
     """
     sizes = check_synth_options(spec.domains, sizes, fields_per_concept,
                                 vocab_size, feature_noise)
@@ -704,4 +700,4 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
         np.floor(readout, out=readout)
         np.clip(readout, 0, vocab_size - 1, out=readout)
         datas.append(DomainData(readout.astype(np.int32), labels))
-    return DomainDataset(schema, {"all": datas}, affinity=spec)
+    return DomainDataset(schema, {"all": datas})

@@ -5,9 +5,10 @@ numpy ``Generator``, gradients accumulate in place, and no global random
 state is ever touched. Every dense layer is an ``Mlp`` layer: one
 C-contiguous weight of shape (fan_in + 1, fan_out), input-major, with the
 bias as its last row. Its input carries a trailing column of ones
-(``with_ones``), so the forward is the single product ``a @ w``, bias
-included, and the backward one ``x.T @ dz`` for the weight and bias rows
-together (``dense_backward``).
+(``with_ones``; a hidden layer writes its output beside one), so the
+forward is the single product ``a @ w``, bias included, and the backward
+one ``x.T @ dz`` for the weight and bias rows together
+(``dense_backward``).
 A ``ParamStore`` packs a run's parameters into one flat values array and
 one flat gradient array, so the SGD step is one array operation over all
 of them. ``bce_terms`` owns the log-loss: the training loss and
@@ -26,7 +27,13 @@ the shapes. With OpenBLAS 0.3.31 (Haswell kernels) the benchmark's layers
 keep every bit up to 2,000 rows (256 for the 64-input ones, whose
 gradient a second block sums at 2,000), while, for example, 2 to 4 or 9
 outputs over 16 or more inputs, or one output over an odd number of
-inputs, round some sums differently in the last bit.
+inputs, round some sums differently in the last bit. A hidden layer's
+product covers only its live columns, where an earlier layout added a
+stored column [0, ..., 0, 1] that copied the ones on. At 8 or 16 live
+columns the two agree bit for bit (3 to 129 inputs, 1 to 2,000 rows), but
+not at every width: of the unit tests' small runs, those with hidden
+widths (4, 4), (12, 7) or (1, 1) change, and (3, 5), (2, 9) or (16, 16)
+do not.
 """
 
 import numpy as np
@@ -129,9 +136,9 @@ def with_ones(a: np.ndarray) -> np.ndarray:
 
 def dense_backward(w: Param, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """The backward of one ``Mlp`` layer, the only kind of dense layer: add
-    ``x.T @ dz`` to the gradient of ``w``'s first ``dz.shape[1]`` columns,
-    bias row included, and return the input gradient against the weight
-    rows alone, ``x``'s ones column left out.
+    ``x.T @ dz`` to ``w``'s gradient, bias row included, and return the
+    input gradient against the weight rows alone, ``x``'s ones column left
+    out.
 
     The input gradient multiplies by a C-contiguous copy of the transposed
     weight rows: the bits of the product by the transposed view, which
@@ -141,12 +148,11 @@ def dense_backward(w: Param, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
     gradient is ``np.add.reduce``'s pairwise sum, the separate reduction's
     bits.
     """
-    out = dz.shape[1]
     grad = x.T @ dz
-    if out == 1:
+    if dz.shape[1] == 1:
         grad[-1] = np.add.reduce(dz, axis=0)
-    w.grad[:, :out] += grad
-    rows = w.values[:-1, :out].T
+    w.grad += grad
+    rows = w.values[:-1].T
     return dz @ (rows if len(dz) == 1 else np.ascontiguousarray(rows))
 
 
@@ -154,16 +160,16 @@ class Mlp:
     """A stack of dense layers, each tagged relu / sigmoid / linear.
 
     Layer i maps ``dims[i]`` inputs plus a ones column to ``dims[i + 1]``
-    outputs. Its weight rows are the transpose of a (dims[i + 1], dims[i])
-    draw from ``rng`` in layer order, and its last row, the bias, starts
-    at zero. A hidden layer has one more column, the carry column
-    [0, ..., 0, 1], which copies the ones column to the next layer's input;
-    its gradient is never written, so it stays exact. ReLU and linear keep
-    that 1, so only the last layer may be sigmoid. Inputs are row batches
-    of shape (batch, dims[0] + 1) whose last column is ones (``with_ones``).
-    ``forward`` caches intermediates unless told not to; ``backward``
-    consumes the cache, accumulates the weights' gradients and returns the
-    gradient of the input's first dims[0] columns.
+    outputs through one (dims[i] + 1, dims[i + 1]) weight. Its weight rows
+    are the transpose of a (dims[i + 1], dims[i]) draw from ``rng`` in
+    layer order, and its last row, the bias, starts at zero. A hidden
+    layer writes its product beside a ones column, the next layer's input;
+    ReLU and linear keep that 1, so only the last layer may be sigmoid.
+    Inputs are row batches of shape (batch, dims[0] + 1) whose last column
+    is ones (``with_ones``). ``forward`` caches intermediates unless told
+    not to; ``backward`` consumes the cache, accumulates the weights'
+    gradients and returns the gradient of the input's first dims[0]
+    columns.
     """
 
     def __init__(self, name: str, dims: list[int], activations: list[str],
@@ -180,12 +186,8 @@ class Mlp:
         self.dims = list(dims)
         self.weights = []
         for i in range(len(dims) - 1):
-            carry = i < len(dims) - 2
-            w = np.zeros((dims[i] + 1, dims[i + 1] + carry))
-            w[:-1, :dims[i + 1]] = uniform_init(
-                rng, (dims[i + 1], dims[i]), dims[i]).T
-            if carry:
-                w[-1, -1] = 1.0
+            w = np.zeros((dims[i] + 1, dims[i + 1]))
+            w[:-1] = uniform_init(rng, (dims[i + 1], dims[i]), dims[i]).T
             self.weights.append(Param(f"{name}.l{i}.w", w))
         self.activations = list(activations)
         self._cache = None
@@ -194,10 +196,12 @@ class Mlp:
         """The net's output for a row batch ``x`` with its ones column.
 
         Each layer is one product, bias included, with ReLU applied in
-        place on it. With ``cache`` the layers' inputs and pre-activations
-        are kept for ``backward``. Without it nothing is kept, a cache left
-        by an earlier forward stays as it is, and the returned array is new
-        and the caller's to modify.
+        place on it; a hidden layer's product goes into the first columns
+        of a new array whose last column is ones. With ``cache`` the
+        layers' inputs and pre-activations are kept for ``backward``.
+        Without it nothing is kept, a cache left by an earlier forward
+        stays as it is, and the returned array is new and the caller's to
+        modify.
         """
         x = np.asarray(x, dtype=np.float64)
         in_dim = self.dims[0] + 1
@@ -206,8 +210,13 @@ class Mlp:
                               f"{in_dim}) with a ones column, got {x.shape}")
         steps = []
         a = x
-        for w, act in zip(self.weights, self.activations):
-            z = a @ w.values
+        for i, (w, act) in enumerate(zip(self.weights, self.activations)):
+            if i == len(self.weights) - 1:
+                z = a @ w.values
+            else:
+                z = np.empty((len(a), w.values.shape[1] + 1))
+                z[:, -1] = 1.0
+                np.matmul(a, w.values, out=z[:, :-1])
             a_next = _activate(act, z)
             if cache:
                 steps.append((a, z, a_next))
@@ -224,22 +233,12 @@ class Mlp:
                                           reversed(self.weights),
                                           reversed(self.activations),
                                           reversed(self.dims[1:])):
-            # A hidden layer's carry column gets no gradient: dz leaves it out.
+            # A hidden layer's ones column gets no gradient: dz leaves it out.
             dz = (da if act == "linear"
                   else da * _activate_grad(act, z[:, :out], a[:, :out]))
             da = dense_backward(w, x, dz)
         self._cache = None
         return da
-
-    def check_carry(self) -> None:
-        """Raise ConfigError unless every hidden layer's carry column is
-        exactly [0, ..., 0, 1]."""
-        for w in self.weights[:-1]:
-            want = np.zeros(w.values.shape[0])
-            want[-1] = 1.0
-            if not np.array_equal(w.values[:, -1], want):
-                raise ConfigError(f"{w.name}: carry column is not "
-                                  "[0, ..., 0, 1]")
 
     def params(self) -> list[Param]:
         return list(self.weights)

@@ -37,13 +37,13 @@ distance_matrix.csv and checkpoint.npz. The checkpoint holds two arrays:
 "values", every parameter in one flat float64 array in the model store's
 order, and "meta", the JSON of the config, the vocabulary sizes, the
 active subsets and the weight layout, from which load_checkpoint rebuilds
-the model. The layout is "in_out_bias_row": every dense weight is stored
-(fan_in + 1, fan_out) with its bias as the last row, and a hidden layer's
-weight ends in its carry column [0, ..., 0, 1]. A checkpoint of another
-layout (the earlier "in_out", with separate biases) or without the key is
-refused by name rather than loaded into the wrong places, and so is one
-that holds a non-finite value or whose carry columns are not exactly
-[0, ..., 0, 1].
+the model. The layout is "in_bias_out": every dense weight is stored
+(fan_in + 1, fan_out) with its bias as the last row. A checkpoint of
+another layout or without the key is refused by name rather than loaded
+into the wrong places: the earlier "in_out" kept separate biases, and
+"in_out_bias_row" gave each hidden layer's weight one more column, a
+constant [0, ..., 0, 1]. A checkpoint holding a non-finite value is
+refused too.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = ["train", "Run", "evaluate_partition", "save_checkpoint",
 
 # The checkpoint meta's name for the dense weights' layout: (fan_in + 1,
 # fan_out), the bias as the last row.
-WEIGHT_LAYOUT = "in_out_bias_row"
+WEIGHT_LAYOUT = "in_bias_out"
 META_KEYS = ["config", "subsets", "vocab_sizes", "weight_layout"]
 
 
@@ -346,11 +346,10 @@ def load_checkpoint(path):
     The file must be an npz archive of exactly "values" and "meta"; "meta"
     must be UTF-8 JSON of exactly META_KEYS, whose weight layout is
     WEIGHT_LAYOUT, whose config RunConfig accepts and whose subsets pass
-    the rule for fixed_subsets; and "values" must be float64 of
-    exactly the shape the stored config gives the model, every entry
-    finite and every carry column exactly [0, ..., 0, 1]. Anything else
-    raises a ConfigError naming the path (and, for a value, the param
-    holding it) rather than being cast or broadcast into place.
+    the rule for fixed_subsets; and "values" must be float64 of exactly
+    the shape the stored config gives the model, every entry finite.
+    Anything else raises a ConfigError naming the path (and, for a value,
+    the param holding it) rather than being cast or broadcast into place.
     """
     try:
         return _load_checkpoint(path)
@@ -398,7 +397,5 @@ def _load_checkpoint(path):
     bad = store.first_non_finite(store.values)
     if bad is not None:
         raise ConfigError(f"non-finite value in parameter {bad.name!r}")
-    for net in backbone.experts + backbone.gates + backbone.towers:
-        net.check_carry()
     masks = build_mask(subsets, config.expert_counts)
     return config, backbone, coders, masks, subsets

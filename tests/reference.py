@@ -9,14 +9,38 @@ from ctrlab import prototype as proto
 from ctrlab.errors import ConfigError, NumericError, UsageError
 
 
-def dense_weight(w, out, layout="in_out"):
-    """A folded (fan_in + 1, fan_out [+ carry]) weight's (fan_in, out)
-    rows, C-ordered, or with ``layout="out_in"`` the transpose of a
-    C-ordered (out, fan_in) copy: the products then read it as the (out, in)
+def dense_weight(w, layout="in_out"):
+    """A folded (fan_in + 1, fan_out) weight's (fan_in, fan_out) rows,
+    C-ordered, or with ``layout="out_in"`` the transpose of a C-ordered
+    (fan_out, fan_in) copy: the products then read it as the (out, in)
     formulas ``a @ W.T`` and ``dz @ W`` do."""
-    rows = w.values[:-1, :out]
+    rows = w.values[:-1]
     return (np.ascontiguousarray(rows.T).T if layout == "out_in"
             else np.ascontiguousarray(rows))
+
+
+def with_carry(w):
+    """A hidden layer's weight as an earlier layout stored it: ``w``'s
+    (fan_in + 1, fan_out) values and one more column, [0, ..., 0, 1],
+    which copies the input's ones column into the product's last column."""
+    carry = np.zeros((len(w.values), w.values.shape[1] + 1))
+    carry[:, :-1] = w.values
+    carry[-1, -1] = 1.0
+    return carry
+
+
+def carry_mlp_forward(net, x):
+    """Reference ``Mlp.forward`` of the carry layout: each hidden layer's
+    one product by its weight ``with_carry``, the last layer's by its
+    weight, and ReLU in place. Returns the output and the list of each
+    layer's (input, z, output), as ``Mlp.forward`` caches them."""
+    steps, a = [], x
+    for i, (w, act) in enumerate(zip(net.weights, net.activations)):
+        z = a @ (w.values if i == len(net.weights) - 1 else with_carry(w))
+        a_next = nn._activate(act, z)
+        steps.append((a, z, a_next))
+        a = a_next
+    return a, steps
 
 
 def mlp_forward(net, x, cache=True, layout="in_out"):
@@ -25,9 +49,9 @@ def mlp_forward(net, x, cache=True, layout="in_out"):
     (``dense_weight``). With ``cache`` it keeps, as ``Mlp.forward`` does,
     each layer's input beside a ones column, z and output."""
     steps, a = [], np.ascontiguousarray(x[:, :-1])
-    for w, act, out in zip(net.weights, net.activations, net.dims[1:]):
-        z = a @ dense_weight(w, out, layout)
-        z += w.values[-1, :out]
+    for w, act in zip(net.weights, net.activations):
+        z = a @ dense_weight(w, layout)
+        z += w.values[-1]
         a_next = (np.maximum(z, 0.0) if act == "relu"
                   else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
         steps.append((nn.with_ones(a), z, a_next))
@@ -41,7 +65,8 @@ def mlp_backward(net, upstream, layout="in_out"):
     """Reference ``Mlp.backward`` after either forward: a linear layer's
     gradient multiplied by np.ones_like(z), each layer's weight gradient
     from its input without the ones column, its bias gradient by
-    ndarray.sum and its input gradient by the transposed weight."""
+    ndarray.sum and its input gradient by the transposed weight. A hidden
+    layer's z and output are read without ``Mlp.forward``'s ones column."""
     da = np.asarray(upstream, dtype=np.float64)
     for (x, z, a), w, act, out in zip(reversed(net._cache),
                                       reversed(net.weights),
@@ -50,9 +75,9 @@ def mlp_backward(net, upstream, layout="in_out"):
         z, a = z[:, :out], a[:, :out]
         dz = da * ((z > 0.0) if act == "relu" else a * (1.0 - a)
                    if act == "sigmoid" else np.ones_like(z))
-        w.grad[:-1, :out] += np.ascontiguousarray(x[:, :-1]).T @ dz
-        w.grad[-1, :out] += dz.sum(axis=0)
-        da = dz @ dense_weight(w, out, layout).T
+        w.grad[:-1] += np.ascontiguousarray(x[:, :-1]).T @ dz
+        w.grad[-1] += dz.sum(axis=0)
+        da = dz @ dense_weight(w, layout).T
     net._cache = None
     return da
 

@@ -39,13 +39,6 @@ def broadcast_embed_backward(net, features, dx):
               dx.reshape(-1))
 
 
-def carried(net):
-    """Each hidden-layer weight's name and its output count, the columns
-    before its carry column."""
-    return {w.name: out for m in net.experts + net.towers
-            for w, out in zip(m.weights[:-1], m.dims[1:])}
-
-
 class TestExpertOwners:
     def test_one_each(self):
         np.testing.assert_array_equal(expert_owners([1, 1, 1]), [0, 1, 2])
@@ -505,13 +498,9 @@ class TestPredict:
         checked = 0
         for p in net.params():
             if np.all(p.grad == 0.0):
-                continue  # masked or unused parameters carry no gradient
-            # A hidden layer's carry column is structure: its gradient is
-            # exactly zero, not the finite difference.
-            out = carried(net).get(p.name, p.values.shape[-1])
-            fd = numeric_gradient(loss, p.values[..., :out])
-            assert relative_error(p.grad[..., :out], fd) < 1e-4, p.name
-            assert not p.grad[..., out:].any(), p.name
+                continue  # masked or unused parameters get no gradient
+            fd = numeric_gradient(loss, p.values)
+            assert relative_error(p.grad, fd) < 1e-4, p.name
             checked += 1
         assert checked >= 8
 
@@ -530,9 +519,9 @@ class TestBackwardDiscipline:
 
 
 class TestSameBitsAsWrapperExpressions:
-    """The backward pass's direct ufunc calls and the repeat-and-tile
-    embedding index give the bits of the expressions they replace, on
-    gradients holding signed zeros, subnormals, infinities and NaN."""
+    """The repeat-and-tile embedding index gives the bits of the broadcast
+    index it replaces, on gradients holding signed zeros, subnormals,
+    infinities and NaN."""
 
     @pytest.mark.parametrize("embed_dim", [1, 3, 4])
     @pytest.mark.parametrize("rows", [1, 2, 256])
@@ -553,61 +542,6 @@ class TestSameBitsAsWrapperExpressions:
         shipped = grad(Backbone._embed_backward)
         assert same_bits(shipped, grad(broadcast_embed_backward))
 
-    @pytest.mark.parametrize("specials", ["finite", "all"])
-    @pytest.mark.parametrize("subsets", [
-        [[0, 1, 2]] * 3, [[0, 2], [1], [1, 2]]])
-    def test_backward_domain(self, subsets, specials):
-        """The gate sums, the zero-filled gradients and the expert and
-        tower passes: every parameter's gradient has the reference's bits,
-        but for the payload of a NaN summed inside a layer's product."""
-        values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
-        shipped, reference = [small_net(seed=9, expert_counts=(2, 1, 2))
-                              for _ in range(2)]
-        masks = build_mask(subsets, shipped.expert_counts)
-        for d in range(3):
-            feats = rand_features(shipped, 33, seed=d)
-            dpreds = with_specials(33, 10 + d, values)
-            dh_extra = with_specials((33, shipped.repr_dim), 20 + d, values)
-            with np.errstate(all="ignore"):
-                shipped.forward_domain(feats, d, masks)
-                shipped.backward_domain(d, dpreds, dh_extra)
-                ref.domain_pass(reference, feats, d, masks, dpreds, dh_extra)
-        same = same_bits if specials == "finite" else same_bits_apart_from_nan
-        for p, q in zip(shipped.params(), reference.params()):
-            assert same(p.grad, q.grad), p.name
-        if specials == "finite":
-            assert all(np.isfinite(p.grad).all() for p in shipped.params())
-
-
-class TestInOutLayout:
-    """Input-major weights change only the summation order of the dense
-    products: outputs and gradients agree to rounding with the reference
-    pass that reads every weight (out, in), at batch sizes on both sides of
-    BLAS's small-matrix kernels."""
-
-    @pytest.mark.parametrize("rows", [13, 128, 256, 2000])
-    def test_domain_pass_matches_the_out_in_formula(self, rows):
-        shipped, reference = [
-            small_net(seed=4, vocab=(11, 13, 7, 5), embed_dim=8,
-                      expert_counts=(2, 1, 2), expert_hidden=8, repr_dim=8,
-                      tower_hidden=8) for _ in range(2)]
-        masks = build_mask([[0, 2], [1], [1, 2]], shipped.expert_counts)
-        rng = np.random.default_rng(rows)
-        for d in range(shipped.num_domains):
-            feats = rand_features(shipped, rows, seed=d)
-            dpreds = rng.normal(size=rows)
-            dh_extra = rng.normal(size=(rows, shipped.repr_dim))
-            for p in shipped.params() + reference.params():
-                p.grad[...] = 0.0
-            want_preds, want_h = ref.domain_pass(reference, feats, d, masks,
-                                                 dpreds, dh_extra, "out_in")
-            preds, h = shipped.forward_domain(feats, d, masks)
-            shipped.backward_domain(d, dpreds, dh_extra)
-            assert_close(preds, want_preds)
-            assert_close(h, want_h)
-            for p, q in zip(shipped.params(), reference.params()):
-                assert_close(p.grad, q.grad, p.name)
-
 
 # The benchmark's backbones, vocabulary 16 and the default layer sizes:
 # chain4 has 8 fields and 2 experts per domain, blocks8 16 fields and 1.
@@ -617,10 +551,12 @@ BENCH_NETS = {"chain4": ([16] * 8, [2] * 4), "blocks8": ([16] * 16, [1] * 8)}
 class TestFoldedBias:
     """The gate's one product and every layer's in a domain pass give the
     bits of a separate bias add and reduction (``reference.mlp_forward``
-    and ``domain_pass``) at the benchmark's shapes, on finite
-    embeddings and gradients with signed zeros and subnormals. blocks8's
-    64-input layers sum a 2,000-row gradient in another order (a second
-    OpenBLAS block), so it stops at 256 rows, past its 128-row batches."""
+    and ``domain_pass``): at the benchmark's shapes on finite embeddings
+    and gradients with signed zeros and subnormals, and on a small net
+    with every special value, apart from the payload of a NaN summed
+    inside a layer's product. blocks8's 64-input layers sum a 2,000-row
+    gradient in another order (a second OpenBLAS block), so it stops at
+    256 rows, past its 128-row batches."""
 
     @pytest.mark.parametrize("name, rows", [
         (name, rows) for name in BENCH_NETS for rows in FOLD_ROWS
@@ -650,3 +586,55 @@ class TestFoldedBias:
         for p, q in zip(shipped.params(), reference.params()):
             assert same_bits(p.grad, q.grad), p.name
             assert np.isfinite(p.grad).all(), p.name
+
+    @pytest.mark.parametrize("specials", ["finite", "all"])
+    @pytest.mark.parametrize("subsets", [
+        [[0, 1, 2]] * 3, [[0, 2], [1], [1, 2]]])
+    def test_backward_domain(self, subsets, specials):
+        """The gate sums, the zero-filled gradients and the expert and
+        tower passes: every parameter's gradient has the reference's bits,
+        but for the payload of a NaN summed inside a layer's product."""
+        values = SPECIAL_VALUES[:5] if specials == "finite" else SPECIAL_VALUES
+        shipped, reference = [small_net(seed=9, expert_counts=(2, 1, 2))
+                              for _ in range(2)]
+        masks = build_mask(subsets, shipped.expert_counts)
+        for d in range(3):
+            feats = rand_features(shipped, 33, seed=d)
+            dpreds = with_specials(33, 10 + d, values)
+            dh_extra = with_specials((33, shipped.repr_dim), 20 + d, values)
+            with np.errstate(all="ignore"):
+                shipped.forward_domain(feats, d, masks)
+                shipped.backward_domain(d, dpreds, dh_extra)
+                ref.domain_pass(reference, feats, d, masks, dpreds, dh_extra)
+        same = same_bits if specials == "finite" else same_bits_apart_from_nan
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same(p.grad, q.grad), p.name
+        if specials == "finite":
+            assert all(np.isfinite(p.grad).all() for p in shipped.params())
+
+    @pytest.mark.parametrize("rows", [13, 128, 256, 2000])
+    def test_domain_pass_matches_the_out_in_formula(self, rows):
+        """Input-major weights change only the summation order: outputs and
+        gradients agree to rounding with the reference pass that reads
+        every weight (out, in), at batch sizes on both sides of BLAS's
+        small-matrix kernels."""
+        shipped, reference = [
+            small_net(seed=4, vocab=(11, 13, 7, 5), embed_dim=8,
+                      expert_counts=(2, 1, 2), expert_hidden=8, repr_dim=8,
+                      tower_hidden=8) for _ in range(2)]
+        masks = build_mask([[0, 2], [1], [1, 2]], shipped.expert_counts)
+        rng = np.random.default_rng(rows)
+        for d in range(shipped.num_domains):
+            feats = rand_features(shipped, rows, seed=d)
+            dpreds = rng.normal(size=rows)
+            dh_extra = rng.normal(size=(rows, shipped.repr_dim))
+            for p in shipped.params() + reference.params():
+                p.grad[...] = 0.0
+            want_preds, want_h = ref.domain_pass(reference, feats, d, masks,
+                                                 dpreds, dh_extra, "out_in")
+            preds, h = shipped.forward_domain(feats, d, masks)
+            shipped.backward_domain(d, dpreds, dh_extra)
+            assert_close(preds, want_preds)
+            assert_close(h, want_h)
+            for p, q in zip(shipped.params(), reference.params()):
+                assert_close(p.grad, q.grad, p.name)

@@ -51,21 +51,19 @@ def make_mlp(name, dims, activations, seed=0):
 
 class TestMlpConstruction:
     def test_weights_drawn_in_layer_order_biases_zero(self):
-        """Layer i's weight rows are the transpose of the i-th draw from the
-        generator, a (dims[i + 1], dims[i]) draw with fan-in dims[i]; its
-        bias row is zero, and a hidden layer's carry column [0, ..., 0, 1]."""
+        """Layer i's weight is (dims[i] + 1, dims[i + 1]), hidden or not:
+        its rows are the transpose of the i-th draw from the generator, a
+        (dims[i + 1], dims[i]) draw with fan-in dims[i], above a zero bias
+        row."""
         net = make_mlp("m", [5, 4, 3, 1], ["relu", "relu", "sigmoid"], seed=9)
         rng = np.random.default_rng(9)
         for i, (fan_in, fan_out) in enumerate([(5, 4), (4, 3), (3, 1)]):
             want = nn.uniform_init(rng, (fan_out, fan_in), fan_in)
             w = net.weights[i]
-            carry = i < 2
-            assert w.values.shape == (fan_in + 1, fan_out + carry)
+            assert w.values.shape == (fan_in + 1, fan_out)
             assert w.values.flags.c_contiguous
-            assert same_bits(w.values[:-1, :fan_out], want.T)
-            assert same_bits(w.values[-1, :fan_out], np.zeros(fan_out))
-            if carry:
-                assert same_bits(w.values[:, -1], np.eye(fan_in + 1)[-1])
+            assert same_bits(w.values[:-1], want.T)
+            assert same_bits(w.values[-1], np.zeros(fan_out))
             assert w.name == f"m.l{i}.w"
         assert net.params() == net.weights
 
@@ -84,8 +82,10 @@ class TestMlpConstruction:
 
 class TestMlpForward:
     def test_identity_weights(self):
-        net = make_mlp("id", [2, 2], ["linear"])
-        net.weights[0].values = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        """Two identity layers with zero biases, the first one hidden."""
+        net = make_mlp("id", [2, 2, 2], ["linear", "linear"])
+        for w in net.weights:
+            w.values = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         out = net.forward(np.array([[3.0, -1.0, 1.0]]))
         np.testing.assert_array_equal(out, [[3.0, -1.0]])
 
@@ -98,12 +98,28 @@ class TestMlpForward:
                 net.forward(nn.with_ones(np.array(x))), [[0.5]])
 
     def test_hand_evaluated_relu_chain(self):
-        # relu(1*3 - 1) * 2 = 4; the carry column passes the 1 on.
+        # relu(1*3 - 1) * 2 + 0.5 = 4.5: the hidden output's ones column
+        # reads the second bias.
         net = make_mlp("hand", [1, 1, 1], ["relu", "linear"])
-        net.weights[0].values = np.array([[1.0, 0.0], [-1.0, 1.0]])
-        net.weights[1].values = np.array([[2.0], [0.0]])
+        net.weights[0].values = np.array([[1.0], [-1.0]])
+        net.weights[1].values = np.array([[2.0], [0.5]])
         out = net.forward(np.array([[3.0, 1.0]]))
-        np.testing.assert_allclose(out, [[4.0]])
+        np.testing.assert_allclose(out, [[4.5]])
+
+    def test_hidden_output_ends_in_a_ones_column(self):
+        """Each hidden layer's cached output is its activation beside an
+        exact ones column, and is the next layer's cached input; the last
+        layer's output has no such column."""
+        net = make_mlp("h", [3, 5, 4, 2], ["relu", "linear", "sigmoid"],
+                       seed=2)
+        x = nn.with_ones(np.random.default_rng(3).normal(size=(6, 3)))
+        out = net.forward(x)
+        (x0, _, a0), (x1, _, a1), (x2, _, a2) = net._cache
+        assert x0 is x and x1 is a0 and x2 is a1 and a2 is out
+        assert [a.shape for a in (a0, a1, a2)] == [(6, 6), (6, 5), (6, 2)]
+        assert (a0[:, :-1] == 0.0).any()  # ReLU zeroed some outputs
+        for a in (a0, a1):
+            assert same_bits(a[:, -1], np.ones(6))
 
     def test_dimension_mismatch_is_config_error(self):
         net = make_mlp("bad", [3, 2], ["linear"])
@@ -153,8 +169,7 @@ class TestMlpBackward:
         ([4, 64, 3], ["linear", "sigmoid"], 13),
     ])
     def test_grads_match_finite_differences(self, dims, acts, seed):
-        """Every weight and bias entry; a carry column is structure, not a
-        parameter, and its gradient stays exactly zero."""
+        """Every weight and bias entry."""
         rng = np.random.default_rng(seed)
         net = make_mlp("fd", dims, acts, seed=seed)
         x = nn.with_ones(rng.normal(size=(7, dims[0])))
@@ -166,10 +181,9 @@ class TestMlpBackward:
 
         net.forward(x)
         net.backward(w_out)
-        for p, out in zip(net.params(), dims[1:]):
-            fd = numeric_gradient(objective, p.values[:, :out], eps=1e-5)
-            assert relative_error(p.grad[:, :out], fd) < 1e-4, p.name
-            assert not p.grad[:, out:].any(), p.name
+        for p in net.params():
+            fd = numeric_gradient(objective, p.values, eps=1e-5)
+            assert relative_error(p.grad, fd) < 1e-4, p.name
             p.grad[...] = 0.0
 
 
@@ -278,8 +292,8 @@ class TestSameBitsAsReferences:
         input, no pending cache and no later forward."""
         rng = np.random.default_rng(8)
         net = make_mlp("nc", dims, acts, seed=4)
-        for p, out in zip(net.params(), dims[1:]):
-            p.values[-1, :out] += 0.1  # nonzero biases
+        for p in net.params():
+            p.values[-1] += 0.1  # nonzero biases
         x = nn.with_ones(rng.normal(size=(130, dims[0])))
         upstream = rng.normal(size=(130, dims[-1]))
         x_before = x.copy()
@@ -327,9 +341,9 @@ class TestSameBitsAsReferences:
 
 
 class TestSameBitsAsWrapperExpressions:
-    """Direct ufunc calls, the identity gradient left out and in-place
-    steps give the bits of the numpy-wrapper expressions they replace, on
-    inputs holding signed zeros, subnormals, infinities and NaN."""
+    """Direct ufunc calls and in-place steps give the bits of the
+    numpy-wrapper expressions they replace, on inputs holding signed
+    zeros, subnormals, infinities and NaN."""
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (128,), (1_000,), (7, 9)])
     def test_bce_loss(self, shape):
@@ -354,29 +368,6 @@ class TestSameBitsAsWrapperExpressions:
         assert np.isfinite(loss)
         assert same_bits(np.float64(loss), np.float64(want_loss))
         assert same_bits(grad, want_grad)
-
-    @pytest.mark.parametrize("dims,acts", [
-        ([6, 5, 4], ["relu", "linear"]),
-        ([4, 3, 1], ["relu", "sigmoid"]),
-        ([3, 4, 4, 2], ["linear", "relu", "relu"]),
-    ])
-    @pytest.mark.parametrize("rows", [1, 2, 64])
-    def test_mlp_backward(self, dims, acts, rows):
-        """The linear layer's gradient passes through without ones_like,
-        and the bias gradient is the product's row of ones. Summed inside
-        the product, NaNs may come out with another payload."""
-        x = nn.with_ones(with_specials((rows, dims[0]), 3))
-        upstream = with_specials((rows, dims[-1]), 4, scale=2.0)
-        shipped, reference = [make_mlp("m", dims, acts, seed=5)
-                              for _ in range(2)]
-        with np.errstate(all="ignore"):
-            shipped.forward(x)
-            reference.forward(x)
-            dx = shipped.backward(upstream)
-            want_dx = ref.mlp_backward(reference, upstream)
-        assert same_bits_apart_from_nan(dx, want_dx)
-        for p, q in zip(shipped.params(), reference.params()):
-            assert same_bits_apart_from_nan(p.grad, q.grad), p.name
 
     MASKS = {
         "all active": np.zeros(8),
@@ -441,11 +432,15 @@ def bench_stack_cases():
 class TestFoldedBias:
     """Each layer's one product, its bias read through the input's ones
     column, gives the bits of the product plus a separate bias add and
-    reduction (``reference.mlp_forward`` and ``mlp_backward``) at the
-    benchmark's layer shapes, on finite inputs and gradients with signed
-    zeros and subnormals, at row counts on both sides of OpenBLAS's
-    small-matrix kernels. Gradients start nonzero, so the sums are
-    accumulated."""
+    reduction (``reference.mlp_forward`` and ``mlp_backward``). At the
+    benchmark's layer shapes that holds on finite inputs and gradients
+    with signed zeros and subnormals, at row counts on both sides of
+    OpenBLAS's small-matrix kernels, and with nonzero starting gradients,
+    so the sums are accumulated; on three small stacks it holds with
+    infinities and NaN too. At the benchmark's shapes, a hidden layer's
+    product over its live columns also has the bits of the product by its
+    weight with the carry column [0, ..., 0, 1]
+    (``reference.carry_mlp_forward``)."""
 
     @pytest.mark.parametrize("stack, rows", bench_stack_cases())
     def test_mlp_forward_and_backward(self, stack, rows):
@@ -466,6 +461,45 @@ class TestFoldedBias:
         for p, q in zip(shipped.params(), reference.params()):
             assert same_bits(p.grad, q.grad), p.name
             assert np.isfinite(p.grad).all(), p.name
+
+    @pytest.mark.parametrize("dims,acts", [
+        ([6, 5, 4], ["relu", "linear"]),
+        ([4, 3, 1], ["relu", "sigmoid"]),
+        ([3, 4, 4, 2], ["linear", "relu", "relu"]),
+    ])
+    @pytest.mark.parametrize("rows", [1, 2, 64])
+    def test_mlp_backward(self, dims, acts, rows):
+        """With every special value: the linear layer's gradient passes
+        through without ones_like, and the bias gradient is the product's
+        row of ones. Summed inside the product, NaNs may come out with
+        another payload."""
+        x = nn.with_ones(with_specials((rows, dims[0]), 3))
+        upstream = with_specials((rows, dims[-1]), 4, scale=2.0)
+        shipped, reference = [make_mlp("m", dims, acts, seed=5)
+                              for _ in range(2)]
+        with np.errstate(all="ignore"):
+            shipped.forward(x)
+            reference.forward(x)
+            dx = shipped.backward(upstream)
+            want_dx = ref.mlp_backward(reference, upstream)
+        assert same_bits_apart_from_nan(dx, want_dx)
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same_bits_apart_from_nan(p.grad, q.grad), p.name
+
+    @pytest.mark.parametrize("stack, rows", [
+        (stack, rows) for stack in BENCH_STACKS for rows in FOLD_ROWS])
+    def test_live_columns_same_bits_as_carry_product(self, stack, rows):
+        """The output, and every layer's cached input, z and output, ones
+        columns included."""
+        dims, acts = BENCH_STACKS[stack]
+        net = with_random_biases(make_mlp("m", dims, acts, seed=rows), 1)
+        x = nn.with_ones(with_specials((rows, dims[0]), 2, FINITE_SPECIALS))
+        out = net.forward(x)
+        want, steps = ref.carry_mlp_forward(net, x)
+        assert same_bits(out, want)
+        for got, wanted in zip(net._cache, steps):
+            for a, b in zip(got, wanted):
+                assert same_bits(a, b)
 
     def test_one_output_bias_gradient_is_the_pairwise_sum(self):
         """A one-wide column's bias gradient is np.add.reduce's pairwise

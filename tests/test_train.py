@@ -326,31 +326,6 @@ def test_same_decisions_as_separate_bias_reference(monkeypatch):
     assert decisions(shipped) == decisions(reference)
 
 
-@pytest.mark.parametrize("mode", ["sdsp", "full-share", "fixed-subset"])
-def test_carry_columns_stay_exact(mode, monkeypatch):
-    """At every SGD step each carry column's gradient is exactly zero, so
-    after training it is still exactly [0, ..., 0, 1]."""
-    steps = []
-    sgd_step = nn.sgd_step
-
-    def checking(store, lr):
-        steps.append(store)
-        for p in store.params:
-            if p.name.startswith(("expert.", "tower.")) and ".l0." in p.name:
-                assert not p.grad[:, -1].any(), p.name
-        sgd_step(store, lr)
-
-    monkeypatch.setattr(nn, "sgd_step", checking)
-    result = train.train(tiny_config(mode))
-    assert len(steps) == result.report["epochs_run"] * result.report[
-        "steps_per_epoch"]
-    nets = result.backbone.experts + result.backbone.towers
-    assert len(nets) == 4 + 3
-    for w in (m.weights[0] for m in nets):
-        want = np.eye(len(w.values))[-1]
-        assert w.values[:, -1].tobytes() == want.tobytes(), w.name
-
-
 @pytest.mark.parametrize("mode,part,label", [
     ("sdsp", "val", 0.0), ("full-share", "val", 0.0),
     ("fixed-subset", "test", 1.0)])
@@ -442,26 +417,20 @@ def out_in_draws(config: RunConfig, vocab_sizes, rng) -> list:
 
 
 def assert_in_out(params, draws):
-    """The expert, gate and tower weights among ``params`` are C-contiguous
-    (fan_in + 1, fan_out) arrays, with C-contiguous gradients: the
-    transpose of their (fan_out, fan_in) draw above a zero bias row, and,
-    for a hidden layer (one its net's next layer follows), a carry column
-    [0, ..., 0, 1] after them."""
+    """The expert, gate and tower weights among ``params``, hidden or not,
+    are C-contiguous (fan_in + 1, fan_out) arrays, with C-contiguous
+    gradients: the transpose of their (fan_out, fan_in) draw above a zero
+    bias row."""
     weights = [p for p in params if p.name.endswith(".w")
                and p.name.startswith(("expert.", "gate.", "tower."))]
-    names = {p.name for p in weights}
     assert len(weights) == len(draws)
     for p, draw in zip(weights, draws):
         out, fan_in = draw.shape
-        net, layer = p.name[:-len(".w")].rsplit(".l", 1)
-        carry = f"{net}.l{int(layer) + 1}.w" in names
-        assert p.values.shape == (fan_in + 1, out + carry), p.name
+        assert p.values.shape == (fan_in + 1, out), p.name
         assert p.values.flags.c_contiguous, p.name
         assert p.grad.flags.c_contiguous, p.name
-        assert p.values[:-1, :out].tobytes() == draw.T.tobytes(), p.name
-        assert not p.values[-1, :out].any(), p.name
-        if carry:
-            assert p.values[:, -1].tolist() == [0.0] * fan_in + [1.0], p.name
+        assert p.values[:-1].tobytes() == draw.T.tobytes(), p.name
+        assert not p.values[-1].any(), p.name
 
 
 class TestWeightLayout:
@@ -587,20 +556,6 @@ class TestCheckpoint:
                     == result.backbone.predict(features, d,
                                                result.masks).tobytes())
 
-    @pytest.mark.parametrize("name, entry, value", [
-        ("expert.d0e0.l0.w", (0, -1), 1e-300),
-        ("expert.d1e1.l0.w", (-1, -1), 0.0),
-        ("tower.d2.l0.w", (-1, -1), np.nextafter(1.0, 2.0))])
-    def test_changed_carry_entry_rejected(self, saved, name, entry, value):
-        """A carry column that would not pass the ones column on exactly
-        is refused, naming the file and the weight."""
-        result, path = saved
-        self.rewrite_entry(path, result, name, entry, value)
-        with pytest.raises(ConfigError) as err:
-            train.load_checkpoint(path)
-        assert str(err.value) == (f"{path}: {name}: carry column is not "
-                                  "[0, ..., 0, 1]")
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name, entry", [
         ("gate.d1.l0.w", (2, 1)), ("gate.d2.l0.w", (-1, -1)),
@@ -617,7 +572,8 @@ class TestCheckpoint:
 
     def test_first_non_finite_param_named(self, saved):
         """Of two params holding a non-finite entry, the first in the
-        store's order is named, also when its entry is a carry column's."""
+        store's order is named, also when its entry is a hidden layer's
+        last column."""
         result, path = saved
         self.rewrite_entry(path, result, "proto.d0.enc_w", (0, 0), np.nan)
         self.rewrite_entry(path, result, "tower.d1.l0.w", (0, -1), -np.inf)
@@ -639,7 +595,7 @@ class TestCheckpoint:
         assert meta == {"config": result.config.to_dict(),
                         "vocab_sizes": list(result.backbone.vocab_sizes),
                         "subsets": [list(s) for s in result.subsets],
-                        "weight_layout": "in_out_bias_row"}
+                        "weight_layout": "in_bias_out"}
         params = result.backbone.params() + [
             p for c in result.coders for p in c.params()]
         assert values.dtype == np.float64
@@ -681,9 +637,12 @@ class TestCheckpoint:
          "checkpoint meta holds ['config', 'subsets', 'vocab_sizes'], "
          "expected ['config', 'subsets', 'vocab_sizes', 'weight_layout']"),
         (json_edit(lambda meta: meta.update(weight_layout="out_in")),
-         "checkpoint weight layout is 'out_in', expected 'in_out_bias_row'"),
+         "checkpoint weight layout is 'out_in', expected 'in_bias_out'"),
         (json_edit(lambda meta: meta.update(weight_layout="in_out")),
-         "checkpoint weight layout is 'in_out', expected 'in_out_bias_row'"),
+         "checkpoint weight layout is 'in_out', expected 'in_bias_out'"),
+        (json_edit(lambda meta: meta.update(weight_layout="in_out_bias_row")),
+         "checkpoint weight layout is 'in_out_bias_row', expected "
+         "'in_bias_out'"),
         (json_edit(lambda meta: meta["config"].update(reward_metric="auc")),
          "unknown config keys"),
         (json_edit(lambda meta: meta.update(subsets=[[1], [0, 1], [1, 2]])),
@@ -705,6 +664,7 @@ class TestCheckpoint:
          "subsets[1] names a domain twice: [0, 1, 1]")],
         ids=["no-config", "written-before-the-in-out-layout",
              "out-in-layout", "in-out-layout-with-separate-biases",
+             "in-out-bias-row-layout-with-carry-columns",
              "unknown-config-key",
              "subset-without-its-domain", "subset-not-a-list", "negative-vocab-size", "vocab-not-a-list",
              "config-not-an-object", "not-utf8", "not-an-object",
