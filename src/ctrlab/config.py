@@ -173,6 +173,10 @@ class RunConfig:
                 checked["sizes"] = data_mod.check_synth_options(
                     self.domains, self.dataset["sizes"],
                     **_synth_options(self.dataset))
+                # A run splits every domain.
+                for d, n in enumerate(checked["sizes"]):
+                    as_int(n, f"sizes[{d}]",
+                           minimum=data_mod.SPLIT_MIN_SAMPLES)
             except ConfigError as exc:
                 raise ConfigError(f"dataset {exc}") from exc
         else:

@@ -29,10 +29,10 @@ from .errors import (ConfigError, DataError, SchemaError, SplitError,
 
 __all__ = [
     "FeatureField", "Schema", "DomainData", "DomainDataset",
-    "AffinitySpec", "parse_row", "load_csv", "save_csv", "split",
+    "AffinitySpec", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
     "as_int", "as_float", "as_list", "read_text", "check_fractions",
-    "check_synth_options", "VOCAB_LIMIT",
+    "check_synth_options", "VOCAB_LIMIT", "SPLIT_MIN_SAMPLES",
 ]
 
 log = logging.getLogger(__name__)
@@ -42,6 +42,8 @@ PARTITIONS = ("train", "val", "test")
 # The most entries a vocabulary may hold: its largest index, 2**31 - 1, is
 # the largest int32.
 VOCAB_LIMIT = 2 ** 31
+# The fewest samples of a domain that split takes: one per partition.
+SPLIT_MIN_SAMPLES = len(PARTITIONS)
 
 # Characters of whole lines that load_csv reads and parses at a time.
 _CHUNK_CHARS = 1 << 16
@@ -143,8 +145,9 @@ class Schema:
                                         SchemaError, minimum=1,
                                         maximum=VOCAB_LIMIT))
             for f in self.fields))
+        # A "\r" would end the header line when load_csv reads it back.
         for f in self.fields:
-            if "," in f.name or "\n" in f.name or not f.name:
+            if not f.name or any(c in f.name for c in ",\n\r"):
                 raise SchemaError(f"field name {f.name!r} is not CSV-safe")
 
     @property
@@ -287,63 +290,30 @@ class DomainDataset:
         return self.partitions[partition][d]
 
 
-def parse_row(line: str, schema: Schema, line_no: int) -> tuple | None:
-    """One CSV data row's ints as the tuple (domain, label, *features);
-    None if structurally malformed."""
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != 2 + schema.num_fields:
-        return None
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        return None
-    domain, label, feats = values[0], values[1], values[2:]
-    if not 0 <= domain < schema.domains:
-        raise DataError(
-            f"line {line_no}: domain {domain} outside [0, {schema.domains})")
-    if label not in (0, 1):
-        raise DataError(f"line {line_no}: label {label} is not 0/1")
-    for f, v in zip(schema.fields, feats):
-        if not 0 <= v < f.vocab_size:
-            raise DataError(
-                f"line {line_no}: field {f.name!r} index {v} outside "
-                f"[0, {f.vocab_size})")
-    return tuple(values)
-
-
 def load_csv(path, schema: Schema) -> DomainDataset:
     """Read a dataset CSV into the single partition "all".
 
-    Structurally malformed rows (wrong column count, non-integer cells) are
-    skipped, counted, and reported; semantically invalid rows (out-of-range
-    domain, label, or vocabulary index) abort with a data error naming the
-    line. Blank and whitespace-only lines are skipped. Lines end at "\\n"
-    after the text-mode newline translation, as file iteration splits them.
-    A file that cannot be opened or read, or that is not UTF-8 text, raises
-    a DataError naming it, as ``read_text`` does.
+    After the header, each data line is a row: 2 + F comma-separated
+    cells, ``domain,label,features...``, each cell an optional "-"
+    followed by 1 to 18 ASCII digits, as ``save_csv`` writes them. Lines
+    end at "\\n" after the text-mode newline translation, as file iteration
+    splits them. Blank and whitespace-only lines are skipped; every other
+    line that is not a row is malformed: counted, reported and skipped. A
+    row with a value out of range (domain, label, or vocabulary index)
+    aborts with a DataError naming the first such line and its first such
+    cell. A file that cannot be opened or read, or that is not UTF-8 text,
+    raises a DataError naming it, as ``read_text`` does.
 
-    For a UTF-8 file, the result, the malformed count and every error are
-    those of reading the file line by line through ``parse_row``:
-
-    * A canonical line holds only ASCII digits and commas, with one cell
-      per column, none of them empty or longer than 18 digits. Canonical
-      lines are parsed by digit arithmetic and range-checked against one
-      bound row, a chunk at a time.
-    * Every other non-blank line (whitespace, signs, underscores, non-ASCII
-      digits, a wrong column count) goes to ``parse_row``, so ``int()``
-      still decides which cells are integers.
-    * The first invalid line in file order raises, through ``parse_row``,
-      so its ``DataError`` is the line-by-line read's.
-    * Whole lines are read about ``_CHUNK_CHARS`` characters at a time. A
-      chunk's valid rows are copied per domain into an int32 feature block
-      and a float64 label block, the result's own formats, and each
-      domain's blocks are concatenated once at the end and dropped as they
-      are, so the peak is the result plus one domain's blocks plus one
-      chunk's working arrays, never a multiple of the file's text. A chunk
-      is decoded before any of its lines is parsed, so bytes that are not
-      UTF-8 raise before any invalid line of their own chunk; an invalid
-      line of an earlier chunk, or a header that does not match, may raise
-      first.
+    Whole lines are read about ``_CHUNK_CHARS`` characters at a time and
+    parsed by digit arithmetic. A chunk's rows are copied per domain into
+    an int32 feature block and a float64 label block, the result's own
+    formats, and each domain's blocks are concatenated once at the end and
+    dropped as they are, so the peak is the result plus one domain's
+    blocks plus one chunk's working arrays, never a multiple of the file's
+    text. A chunk is decoded before any of its lines is parsed, so bytes
+    that are not UTF-8 raise before any out-of-range row of their own
+    chunk; an out-of-range row of an earlier chunk, or a header that does
+    not match, may raise first.
     """
     with _reading(path, DataError):
         return _load_chunks(path, schema)
@@ -352,7 +322,9 @@ def load_csv(path, schema: Schema) -> DomainDataset:
 def _load_chunks(path, schema: Schema) -> DomainDataset:
     """``load_csv``, reading the file a chunk of lines at a time; the peak
     is the result plus one domain's blocks."""
-    bound = np.array((schema.domains, 2) + schema.vocab_sizes, dtype=np.int64)
+    # A negative value reads as a huge unsigned one, so one comparison
+    # with the bounds checks both ends of each range.
+    bound = np.array((schema.domains, 2) + schema.vocab_sizes, dtype=np.uint64)
     blocks = [[] for _ in range(schema.domains)]
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -366,10 +338,17 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
                 f"expected {expected!r}, got {header!r}")
         line_no = 2
         while lines := fh.readlines(_CHUNK_CHARS):
-            rows, skipped = _parse_chunk(lines, schema, line_no, bound)
-            malformed += skipped
+            is_row, rows = _parse_chunk("".join(lines), len(bound))
+            out = (rows.view(np.uint64) >= bound).any(axis=1)
+            if out.any():
+                i = int(out.argmax())
+                raise _range_error(
+                    schema, line_no + int(np.flatnonzero(is_row)[i]),
+                    rows[i].tolist())
+            malformed += sum(1 for i in np.flatnonzero(~is_row).tolist()
+                             if lines[i].strip())
             line_no += len(lines)
-            # Valid rows lie below ``bound``, so the int32 cast is exact.
+            # Rows lie below ``bound``, so the int32 cast is exact.
             features = rows[:, 2:].astype(np.int32)
             labels = rows[:, 1].astype(np.float64)
             domains = rows[:, 0]
@@ -390,67 +369,64 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
     return DomainDataset(schema, {"all": datas}, malformed=malformed)
 
 
-def _parse_chunk(lines: list, schema: Schema, first_line_no: int,
-                 bound: np.ndarray):
-    """The valid rows of consecutive lines, in line order, as an int64
-    (rows, 2 + F) matrix, and the count of malformed lines among them.
+def _range_error(schema: Schema, line_no: int, row: list) -> DataError:
+    """The DataError for the first cell of ``row``, a row of line
+    ``line_no``, that lies outside its range."""
+    domain, label, *feats = row
+    if not 0 <= domain < schema.domains:
+        what = f"domain {domain} outside [0, {schema.domains})"
+    elif label not in (0, 1):
+        what = f"label {label} is not 0/1"
+    else:
+        f, v = next((f, v) for f, v in zip(schema.fields, feats)
+                    if not 0 <= v < f.vocab_size)
+        what = f"field {f.name!r} index {v} outside [0, {f.vocab_size})"
+    return DataError(f"line {line_no}: {what}")
 
-    Raises the first invalid line's ``DataError``.
+
+def _parse_chunk(text: str, num_cols: int):
+    """Which lines of ``text`` are rows of ``num_cols`` cells, and those
+    rows' values as an int64 (rows, num_cols) matrix, in line order.
+
+    ``text`` is whole lines, each ending in "\\n" but perhaps the last.
     """
-    text = "".join(lines)
     if not text.endswith("\n"):  # the file's last line
         text += "\n"
-    canonical, values = _canonical_rows(text, len(bound))
-    rows = np.empty((len(lines), len(bound)), dtype=np.int64)
-    rows[canonical] = values
-    # A canonical line outside the bounds joins the other lines that
-    # parse_row reads, in file order; parse_row raises its DataError.
-    valid = canonical.copy()
-    valid[np.flatnonzero(canonical)[(values >= bound).any(axis=1)]] = False
-    malformed = 0
-    for i in np.flatnonzero(~valid).tolist():
-        line = lines[i]
-        if not line.strip():
-            continue
-        row = parse_row(line, schema, first_line_no + i)
-        if row is None:
-            malformed += 1
-            continue
-        rows[i] = row
-        valid[i] = True
-    return rows[valid], malformed
-
-
-def _canonical_rows(text: str, num_cols: int):
-    """Which lines of ``text`` are canonical, and their values.
-
-    ``text`` is whole lines, each ending in "\\n". Returns a bool per line
-    and the canonical lines' cells as an int64 (lines, num_cols) matrix.
-    """
     buf = np.frombuffer(text.encode(), dtype=np.uint8)
     newline = buf == ord("\n")
     sep = newline | (buf == ord(","))
     sep_at = np.flatnonzero(sep)
     ends = np.flatnonzero(newline[sep_at])  # each line's last separator
     seps = np.diff(ends, prepend=-1)
-    canonical = seps == num_cols
-    cell_len = np.diff(sep_at, prepend=-1) - 1
-    bad_cells = np.flatnonzero((cell_len == 0) | (cell_len > _MAX_DIGITS))
-    canonical[np.searchsorted(ends, bad_cells)] = False
+    is_row = seps == num_cols
+    # Each cell's digit count: its length, less one for a leading "-".
+    digits = np.diff(sep_at, prepend=-1) - 1
     # Bytes that are neither a separator nor an ASCII digit (uint8 wraps
-    # below "0").
+    # below "0"); of these, a "-" that begins its cell is a sign.
     odd = np.flatnonzero(~sep & (buf - ord("0") > 9))
-    canonical[np.searchsorted(sep_at[ends], odd)] = False
-    kept = np.repeat(canonical, seps)
-    cell_end, cell_len = sep_at[kept], cell_len[kept]
+    minus = buf[odd] == ord("-")
+    cell = np.searchsorted(sep_at, odd[minus])
+    signed = odd[minus] == sep_at[cell] - digits[cell]
+    minus[minus] = signed
+    negative = cell[signed]
+    digits[negative] -= 1
+    bad_cells = np.flatnonzero((digits == 0) | (digits > _MAX_DIGITS))
+    is_row[np.searchsorted(ends, bad_cells)] = False
+    is_row[np.searchsorted(sep_at[ends], odd[~minus])] = False
+    kept = np.repeat(is_row, seps)
+    cell_end, digits = sep_at[kept], digits[kept]
     values = np.zeros(len(cell_end), dtype=np.int64)
-    for k in range(int(cell_len.max(initial=0))):  # k-th digit from the right
-        # A cell of k digits or fewer reads a byte before it, which
+    for k in range(int(digits.max(initial=0))):  # k-th digit from the right
+        # A cell of k digits or fewer reads a byte before them, which
         # np.where drops. The index is valid: at worst -(k + 1), and buf
         # holds the longest cell and its separator.
         digit = buf[cell_end - 1 - k] - ord("0")
-        values += np.where(cell_len > k, digit, 0) * _POW10[k]
-    return canonical, values.reshape(-1, num_cols)
+        values += np.where(digits > k, digit, 0) * _POW10[k]
+    if negative.size:  # sign work only for chunks that hold a sign
+        sign = np.zeros(len(kept), dtype=bool)
+        sign[negative] = True
+        values[sign[kept]] *= -1
+    return is_row, values.reshape(-1, num_cols)
 
 
 def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
@@ -517,8 +493,8 @@ def check_fractions(fractions) -> list:
 def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
     """Per-domain random split of partition "all" into train/val/test.
 
-    Every domain needs at least 3 samples, and each positive-fraction
-    partition receives at least one sample per domain.
+    Every domain needs at least ``SPLIT_MIN_SAMPLES`` samples, and each
+    positive-fraction partition receives at least one sample per domain.
     """
     fractions = check_fractions(fractions)
     seed = as_int(seed, "seed", minimum=0)
@@ -526,9 +502,9 @@ def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
     out = {name: [] for name in PARTITIONS}
     for d, dd in enumerate(dataset.partitions["all"]):
         n = len(dd)
-        if n < 3:
-            raise SplitError(
-                f"domain {d} has {n} sample(s); need >= 3 to split")
+        if n < SPLIT_MIN_SAMPLES:
+            raise SplitError(f"domain {d} has {n} sample(s); need >= "
+                             f"{SPLIT_MIN_SAMPLES} to split")
         sizes = _largest_remainder(n, fractions)
         # guarantee one sample per requested partition
         for i, f in enumerate(fractions):
@@ -553,13 +529,13 @@ class QuotaSampler:
     wraps, lazily: the fresh permutation is drawn only when another sample
     is needed. A wrapping batch is the rest of the old permutation followed
     by the head of the fresh one. Whenever the domain holds at least quota
-    samples, a batch never repeats a sample: the head samples that the rest
-    already holds are moved back, in their order, to the places of the
-    first samples after the head that it does not hold, and those fill the
-    head in theirs. That is the permutation a per-sample loop leaves when
-    it swaps each collision with the next sample not yet taken, and it
-    preserves full-pass coverage. A domain smaller than its quota repeats
-    samples and swaps nothing.
+    samples, a batch never repeats a sample: a per-sample loop walks the
+    head and swaps each sample that the rest already holds with the next
+    sample it does not. The head becomes the first samples of the fresh
+    permutation that the rest does not hold, in their order; the samples
+    it bumps end past the head, not always in their order
+    (``_move_tail_samples_back``). This preserves full-pass coverage. A
+    domain smaller than its quota repeats samples and swaps nothing.
     """
 
     def __init__(self, datas, quotas, rng: np.random.Generator):

@@ -2,9 +2,9 @@
 
 Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
-state is ever touched. Every dense layer is an ``Mlp`` layer: one
-C-contiguous weight of shape (fan_in + 1, fan_out), input-major, with the
-bias as its last row. Its input carries a trailing column of ones
+state is ever touched. Every ``Mlp`` layer has one C-contiguous weight
+of shape (fan_in + 1, fan_out), input-major, with the bias as its last
+row. Its input carries a trailing column of ones
 (``with_ones``; a hidden layer writes its output beside one), so the
 forward is the single product ``a @ w``, bias included, and the backward
 one ``x.T @ dz`` for the weight and bias rows together

@@ -37,8 +37,10 @@ distance_matrix.csv and checkpoint.npz. The checkpoint holds two arrays:
 "values", every parameter in one flat float64 array in the model store's
 order, and "meta", the JSON of the config, the vocabulary sizes, the
 active subsets and the weight layout, from which load_checkpoint rebuilds
-the model. The layout is "in_bias_out": every dense weight is stored
-(fan_in + 1, fan_out) with its bias as the last row. A checkpoint of
+the model. The layout is "in_bias_out": every ``Mlp`` weight is stored
+(fan_in + 1, fan_out) with its bias as the last row; the prototype
+coders' enc_w (M, B), enc_b, dec_w (B, M) and dec_b keep their own
+shapes. A checkpoint of
 another layout or without the key is refused by name rather than loaded
 into the wrong places: the earlier "in_out" kept separate biases, and
 "in_out_bias_row" gave each hidden layer's weight one more column, a

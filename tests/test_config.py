@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctrlab import data as D
-from ctrlab.config import RunConfig
+from ctrlab.config import RunConfig, load_dataset
 from ctrlab.errors import ConfigError
 
 
@@ -192,6 +192,24 @@ class TestRunConfig:
         raw["dataset"] = dict(raw["dataset"], **{key: value})
         with pytest.raises(ConfigError, match=f"dataset {key}"):
             RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("sizes, named", [
+        ([2, 100], "dataset sizes[0] must be >= 3, got 2"),
+        ([100, 0], "dataset sizes[1] must be >= 3, got 0")])
+    def test_synth_sizes_that_split_refuses_rejected(self, sizes, named):
+        """A run splits every domain, so a synthetic size that split
+        refuses fails at config time, not in the middle of train()."""
+        raw = raw_config()
+        raw["dataset"] = dict(raw["dataset"], sizes=sizes)
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw)
+        assert str(err.value) == named
+        assert D.SPLIT_MIN_SAMPLES == 3
+        raw["dataset"]["sizes"] = [3, 100]
+        parts = D.split(load_dataset(RunConfig.from_dict(raw)),
+                        [0.8, 0.1, 0.1], seed=0).partitions
+        assert [[len(dd) for dd in parts[name]] for name in D.PARTITIONS] == [
+            [1, 80], [1, 10], [1, 10]]
 
     @pytest.mark.parametrize("subsets, named", [
         ([[0, 0, 1], [1, 1]], "fixed_subsets[0] names a domain twice: "

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -57,9 +58,16 @@ def counts(ds, partition):
     return [len(dd) for dd in ds.partitions[partition]]
 
 
+# load_csv's row grammar: 2 + F cells, each an optional "-" and 1 to 18
+# ASCII digits.
+CELL = "-?[0-9]{1,18}"
+
+
 def loop_load_csv(path, schema):
-    """Reference loader: parses the CSV line by line through ``parse_row``
-    and builds each domain's arrays from per-row tuples."""
+    """Reference loader: reads the CSV line by line, takes a line that the
+    row grammar matches as a row, range-checks it cell by cell, and builds
+    each domain's arrays from per-row lists."""
+    row = re.compile(",".join([CELL] * (2 + schema.num_fields)))
     feats_by_domain = [[] for _ in range(schema.domains)]
     labels_by_domain = [[] for _ in range(schema.domains)]
     malformed = 0
@@ -76,11 +84,21 @@ def loop_load_csv(path, schema):
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                row = D.parse_row(line, schema, line_no)
-                if row is None:
+                if not row.fullmatch(line.removesuffix("\n")):
                     malformed += 1
                     continue
-                domain, label, *features = row
+                domain, label, *features = map(int, line.split(","))
+                if not 0 <= domain < schema.domains:
+                    raise DataError(f"line {line_no}: domain {domain} "
+                                    f"outside [0, {schema.domains})")
+                if label not in (0, 1):
+                    raise DataError(
+                        f"line {line_no}: label {label} is not 0/1")
+                for f, v in zip(schema.fields, features):
+                    if not 0 <= v < f.vocab_size:
+                        raise DataError(
+                            f"line {line_no}: field {f.name!r} index {v} "
+                            f"outside [0, {f.vocab_size})")
                 feats_by_domain[domain].append(features)
                 labels_by_domain[domain].append(label)
     except UnicodeDecodeError as exc:
@@ -157,6 +175,24 @@ class TestSchema:
         assert D.Schema(2, (D.FeatureField("f", 2 ** 31),)).vocab_sizes == (
             2 ** 31,)
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", "a\r\nb", ""])
+    def test_names_that_break_the_csv_rejected(self, name):
+        with pytest.raises(SchemaError) as err:
+            D.Schema(2, (D.FeatureField(name, 4),))
+        assert str(err.value) == f"field name {name!r} is not CSV-safe"
+
+    @pytest.mark.parametrize("name", [" a\tb ", "\x85", "x\u2028y", "é"])
+    def test_csv_safe_names_round_trip(self, tmp_path, name):
+        """A field name that Schema accepts heads a CSV that load_csv reads
+        back from save_csv."""
+        schema = D.Schema(2, (D.FeatureField(name, 4),))
+        ds = D.DomainDataset(schema, {"all": [
+            D.DomainData([[3]], [1.0]), D.DomainData([[0], [2]], [0.0, 1.0])]})
+        D.save_csv(ds, tmp_path / "ds.csv")
+        again = D.load_csv(tmp_path / "ds.csv", schema)
+        assert counts(again, "all") == [1, 2]
+        assert again.domain("all", 1).features.tolist() == [[0], [2]]
+
     def test_numpy_integer_counts_accepted(self):
         s = D.Schema(np.int64(2), (D.FeatureField("f0", np.int32(8)),))
         assert s.domains == 2 and s.vocab_sizes == (8,)
@@ -204,31 +240,56 @@ class TestDomainData:
 
 
 class TestParseRow:
-    def test_direct_parse(self):
-        s = two_field_schema()
-        assert D.parse_row("1,1,4,17", s, line_no=2) == (1, 1, 4, 17)
+    """How ``load_csv`` reads one data line of ``two_field_schema()``."""
 
-    def test_wrong_column_count_is_malformed(self):
-        assert D.parse_row("1,1,4", two_field_schema(), 2) is None
+    @staticmethod
+    def load(tmp_path, body):
+        return D.load_csv(write_csv(tmp_path, two_field_schema(), body),
+                          two_field_schema())
 
-    def test_non_integer_is_malformed(self):
-        assert D.parse_row("1,1,4,spam", two_field_schema(), 2) is None
+    def load_error(self, tmp_path, body):
+        with pytest.raises(DataError) as err:
+            self.load(tmp_path, body)
+        return str(err.value)
 
-    def test_feature_at_vocab_size_names_field(self):
-        with pytest.raises(DataError, match="f0"):
-            D.parse_row("0,1,8,0", two_field_schema(), 5)
+    def test_direct_parse(self, tmp_path):
+        ds = self.load(tmp_path, "1,1,4,17\n")
+        assert ds.malformed == 0 and counts(ds, "all") == [0, 1]
+        assert ds.domain("all", 1).features.tolist() == [[4, 17]]
+        assert ds.domain("all", 1).labels.tolist() == [1.0]
 
-    def test_error_carries_line_number(self):
-        with pytest.raises(DataError, match="line 5"):
-            D.parse_row("0,1,8,0", two_field_schema(), 5)
+    def test_wrong_column_count_is_malformed(self, tmp_path):
+        ds = self.load(tmp_path, "1,1,4\n1,1,4,17,0\n0,1,2,3\n")
+        assert ds.malformed == 2 and counts(ds, "all") == [1, 0]
 
-    def test_domain_out_of_range(self):
-        with pytest.raises(DataError):
-            D.parse_row("2,1,0,0", two_field_schema(domains=2), 3)
+    def test_non_integer_is_malformed(self, tmp_path):
+        cells = ["spam", "4.0", "+4", " 4", "4-", "-", "--4", "4 ", ""]
+        ds = self.load(tmp_path, "".join(f"1,1,{c},17\n" for c in cells)
+                       + "0,1,2,3\n")
+        assert ds.malformed == len(cells) and counts(ds, "all") == [1, 0]
 
-    def test_bad_label(self):
-        with pytest.raises(DataError):
-            D.parse_row("0,3,0,0", two_field_schema(), 3)
+    def test_feature_at_vocab_size_names_field(self, tmp_path):
+        assert self.load_error(tmp_path, GOOD + "0,1,2,32\n") == (
+            "line 4: field 'f1' index 32 outside [0, 32)")
+
+    def test_error_carries_line_number(self, tmp_path):
+        """Blank and malformed lines count toward the line number."""
+        assert self.load_error(tmp_path, "\nspam\n0,1,2,3\n0,1,8,0\n") == (
+            "line 5: field 'f0' index 8 outside [0, 8)")
+
+    def test_domain_out_of_range(self, tmp_path):
+        assert self.load_error(tmp_path, "0,1,2,3\n2,1,0,0\n") == (
+            "line 3: domain 2 outside [0, 2)")
+
+    def test_bad_label(self, tmp_path):
+        assert self.load_error(tmp_path, "0,3,0,0\n") == (
+            "line 2: label 3 is not 0/1")
+
+    def test_missing_value_sentinel_is_fatal(self, tmp_path):
+        """A "-1" standing for a missing feature names its line and field
+        instead of being skipped as a malformed line."""
+        assert self.load_error(tmp_path, GOOD + "1,0,-1,5\n") == (
+            "line 4: field 'f0' index -1 outside [0, 8)")
 
 
 class TestCsvIO:
@@ -366,10 +427,12 @@ LOOP_CASES = {
     "mixed-endings-no-final-newline": "0,1,2,3\r\n1,0,4,5\r0,0,7,31\n1,1,0,0",
     "blank-and-whitespace-lines":
         "\n0,1,2,3\n   \n\t\n\x0c\n\x0b\n\x85\n \n \r\n1,0,4,5\n\n",
-    # str.splitlines breaks on these; file iteration and int() do not.
+    # str.splitlines breaks on these; file iteration does not, and no
+    # such byte belongs to a cell.
     "line-breaks-inside-cells":
         "0,1\x0b,2,3\n1,0,4\x1c,5\n0,1,\x1d2,3\n1,1,5,6\x1e\n0,0,1\x85,2\n"
         "1,0,3,4 \n0,0, 1,2\n0,1,\x0c3,3\n",
+    # int() reads every cell here; the row grammar reads "-0" and "007".
     "cells-int-accepts":
         "0,1, 3,4\n1,0,+3,4\n-0,1,3,4\n1,0,007,4\n0,1,3,1_0\n1,1,３,4\n"
         "0,0,\x0c3,4\n0,1,3 ,4\n١,0,3,4\n",
@@ -389,6 +452,9 @@ LOOP_CASES = {
     "negative-feature": GOOD + "0,1,2,-3\n",
     "18-digit-value": GOOD + "0,1,2,999999999999999999\n",
     "25-digit-value": GOOD + "0,1,2," + "1" * 25 + "\n",
+    "signs-that-are-not-leading": GOOD + "0,1,-,3\n0,1,2-,3\n-,1,2,3\n"
+        "0,1,2,3-\n0,1,-+2,3\n0,1,2,-" + "0" * 19 + "\n0,-0,-00,0031\n",
+    "18-digit-negative-value": GOOD + "0,1,2,-" + "9" * 18 + "\n",
     "malformed-before-first-bad-line": "0,1,spam,3\n" + GOOD + "1,5,2,3\n",
     "non-canonical-bad-line-first": GOOD + " 1,3,2,3\n1,2,2,3\n",
     "canonical-bad-line-first": GOOD + "1,3,2,3\n 1,2,2,3\n",
@@ -415,6 +481,42 @@ class TestLoadCsvMatchesLoop:
         want = assert_same_as_loop(path, ds.schema, caplog)
         assert counts(want, "all") == [20, 0, 25]
 
+    @pytest.mark.parametrize("case, malformed", [
+        ("cells-int-accepts", 7), ("line-breaks-inside-cells", 8),
+        ("long-cells-that-are-in-range", 2), ("25-digit-value", 1)])
+    def test_cells_outside_the_grammar_are_malformed(self, tmp_path, case,
+                                                     malformed):
+        """Signs other than a leading "-", whitespace, underscores,
+        non-ASCII digits and cells over 18 digits are not cells."""
+        ds = D.load_csv(write_csv(tmp_path, two_field_schema(),
+                                  LOOP_CASES[case]), two_field_schema())
+        assert ds.malformed == malformed
+
+    def test_every_line_save_csv_writes_is_a_row(self, tmp_path, caplog):
+        """save_csv writes only lines of the row grammar, with an empty
+        domain and 10-digit indices near ``VOCAB_LIMIT``, and load_csv
+        reads them back as they were."""
+        schema = D.Schema(3, (D.FeatureField("small", 3),
+                              D.FeatureField("big", D.VOCAB_LIMIT)))
+        big = [0, 9, 10, 999_999_999, 1_000_000_000, D.VOCAB_LIMIT - 2,
+               D.VOCAB_LIMIT - 1]
+        parts = [D.DomainData(np.column_stack([np.arange(7) % 3, big]),
+                              np.arange(7) % 2),
+                 D.DomainData.empty(2),
+                 D.DomainData([[2, D.VOCAB_LIMIT - 1]], [1.0])]
+        dataset = D.DomainDataset(schema, {"all": parts})
+        path = tmp_path / "ds.csv"
+        D.save_csv(dataset, path)
+        row = re.compile(",".join([CELL] * 4))
+        header, *lines = path.read_text().split("\n")[:-1]
+        assert header == schema.header() and len(lines) == 8
+        assert all(row.fullmatch(line) for line in lines)
+        got = assert_same_as_loop(path, schema, caplog)
+        assert got.malformed == 0
+        for g, w in zip(got.partitions["all"], parts):
+            np.testing.assert_array_equal(g.features, w.features)
+            np.testing.assert_array_equal(g.labels, w.labels)
+
     @staticmethod
     def many_chunks(bad_at=None):
         """Canonical rows over more than three chunks, with odd lines in
@@ -426,7 +528,8 @@ class TestLoadCsvMatchesLoop:
                                  rng.integers(0, 8, n), rng.integers(0, 32, n)])
         lines = [",".join(map(str, row)) + "\n" for row in cells.tolist()]
         odd = {100: " 1,0,3,4\n", 9_000: "0,1,spam,3\n", 9_001: "\n",
-               17_500: "1,1,+7,1_0\n", 26_000: "0,1,2\n",
+               17_500: "1,1,+7,1_0\n", 20_000: "-0,1,-0,-00\n",
+               26_000: "0,1,2\n",
                33_000: "1,0,３,4\n", 39_999: "0,1,2,3,4\n"}
         for i, line in odd.items():
             lines[i] = line
@@ -441,7 +544,7 @@ class TestLoadCsvMatchesLoop:
         assert path.stat().st_size > 3 * D._CHUNK_CHARS
         want = assert_same_as_loop(path, schema, caplog)
         if bad_at is None:
-            assert want.malformed == 3
+            assert want.malformed == 6
         else:
             assert str(want).startswith(f"line {bad_at}:")
 
@@ -775,6 +878,31 @@ class TestDrawDomainMatchesLoop:
                 assert shipped._cursors == loop._cursors
                 assert (shipped.rng.bit_generator.state
                         == loop.rng.bit_generator.state)
+
+    def test_bumped_samples_can_swap_order(self):
+        """Fresh permutation [10, 11, 0, 1, 2, ...] after the rest
+        [10, 11], taking 3: the loop swaps 10 to position 2, then 11 to 3
+        and 10 on to 4, so the bumped samples end as 11, 10."""
+        n, fresh = 12, np.array([10, 11] + list(range(10)))
+
+        class FixedPermutation:
+            def permutation(self, size):
+                return fresh.copy()
+
+        data = D.DomainData(np.arange(n).reshape(-1, 1), np.zeros(n))
+        samplers = [D.QuotaSampler([data], [5], FixedPermutation())
+                    for _ in range(2)]
+        for sampler in samplers:
+            sampler._perms[0] = np.arange(n)
+            sampler._cursors[0] = n - 2
+        got = samplers[0]._draw_domain(0)
+        want, swaps = ref.loop_draw_domain(samplers[1], 0)
+        assert got.tolist() == want.tolist() == [10, 11, 0, 1, 2]
+        assert swaps == 3
+        for sampler in samplers:
+            assert sampler._perms[0].tolist() == [0, 1, 2, 11, 10] + list(
+                range(3, 10))
+            assert sampler._cursors == [3]
 
     def test_long_run_of_bumped_samples(self):
         """The one sample left in the old permutation comes first in the
