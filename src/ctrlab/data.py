@@ -136,6 +136,13 @@ class Schema:
             self.domains, "domains", SchemaError, minimum=1))
         if not self.fields:
             raise SchemaError("schema needs at least one feature field")
+        for i, f in enumerate(self.fields):
+            if not isinstance(f.name, str):
+                raise SchemaError(
+                    f"fields[{i}] name must be a string, got {f.name!r}")
+            # A "\r" would end the header line when load_csv reads it back.
+            if not f.name or any(c in f.name for c in ",\n\r"):
+                raise SchemaError(f"field name {f.name!r} is not CSV-safe")
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in {names}")
@@ -145,10 +152,6 @@ class Schema:
                                         SchemaError, minimum=1,
                                         maximum=VOCAB_LIMIT))
             for f in self.fields))
-        # A "\r" would end the header line when load_csv reads it back.
-        for f in self.fields:
-            if not f.name or any(c in f.name for c in ",\n\r"):
-                raise SchemaError(f"field name {f.name!r} is not CSV-safe")
 
     @property
     def num_fields(self) -> int:
@@ -170,13 +173,22 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
+        """The schema ``to_json`` writes: an object of exactly "domains"
+        and "fields", each field an object of exactly "name" and
+        "vocab_size"; an unknown or missing key is refused by name."""
         try:
             raw = json.loads(text)
-            fields = tuple(FeatureField(f["name"], f["vocab_size"])
-                           for f in raw["fields"])
-            return cls(domains=raw["domains"], fields=fields)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"cannot parse schema: {exc}") from exc
+        _exact_keys(raw, ("domains", "fields"), "schema")
+        if not isinstance(raw["fields"], list):
+            raise SchemaError(
+                f"schema fields must be a list, got {raw['fields']!r}")
+        fields = tuple(
+            FeatureField(**_exact_keys(f, ("name", "vocab_size"),
+                                       f"schema fields[{i}]"))
+            for i, f in enumerate(raw["fields"]))
+        return cls(domains=raw["domains"], fields=fields)
 
     @classmethod
     def load(cls, path) -> "Schema":
@@ -185,6 +197,21 @@ class Schema:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
+
+
+def _exact_keys(raw, keys: tuple, what: str) -> dict:
+    """``raw`` if it is a JSON object holding exactly ``keys``; else a
+    SchemaError naming ``what`` and the unknown or missing keys."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{what} must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise SchemaError(
+            f"{what} has unknown keys {unknown}; it takes {list(keys)}")
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise SchemaError(f"{what} is missing keys {missing}")
+    return raw
 
 
 def feature_indices(features) -> np.ndarray:
@@ -529,13 +556,13 @@ class QuotaSampler:
     wraps, lazily: the fresh permutation is drawn only when another sample
     is needed. A wrapping batch is the rest of the old permutation followed
     by the head of the fresh one. Whenever the domain holds at least quota
-    samples, a batch never repeats a sample: a per-sample loop walks the
-    head and swaps each sample that the rest already holds with the next
+    samples, a batch never repeats a sample: a loop walks the head and
+    swaps each sample that the rest already holds with the next later
     sample it does not. The head becomes the first samples of the fresh
     permutation that the rest does not hold, in their order; the samples
-    it bumps end past the head, not always in their order
-    (``_move_tail_samples_back``). This preserves full-pass coverage. A
-    domain smaller than its quota repeats samples and swaps nothing.
+    it bumps end past the head, not always in their order. This preserves
+    full-pass coverage. A domain smaller than its quota repeats samples
+    and swaps nothing.
     """
 
     def __init__(self, datas, quotas, rng: np.random.Generator):
@@ -568,7 +595,18 @@ class QuotaSampler:
             perm = self.rng.permutation(n)
             take = min(n, rest)
             if n >= quota and tail.size:
-                _move_tail_samples_back(perm, tail, take)
+                in_tail = np.zeros(n, dtype=bool)
+                in_tail[tail] = True
+                # After a swap at c, positions c + 1 to j hold tail
+                # samples, so the next free one lies past j: j only moves
+                # forward.
+                j = 0
+                for c in range(take):
+                    if in_tail[perm[c]]:
+                        j = max(j, c) + 1
+                        while in_tail[perm[j]]:
+                            j += 1
+                        perm[c], perm[j] = perm[j], perm[c]
             parts.append(perm[:take])
             rest -= take
         self._perms[d], self._cursors[d] = perm, take
@@ -582,39 +620,6 @@ class QuotaSampler:
             dd = self.datas[d]
             batch.append((dd.features[idx], dd.labels[idx]))
         return batch
-
-
-def _move_tail_samples_back(perm: np.ndarray, tail: np.ndarray,
-                            take: int) -> None:
-    """Rearrange ``perm`` in place so its first ``take`` entries avoid
-    ``tail``, exactly as this loop would: for each head position c in
-    turn, if the sample there is in ``tail``, swap it with the sample at
-    the next position that holds one not in ``tail``.
-
-    The loop fills head position c from the c-th position holding a sample
-    not in ``tail``, so the head becomes those samples in order. A tail
-    sample it bumps from position c lands on that c-th position, and is
-    bumped on from there while that is inside the head; every bumped
-    sample ends past the head. The hops are followed by repeated squaring
-    of the hop map, a few array operations for any head length.
-    ``take + len(tail)`` entries always hold ``take`` samples not in
-    ``tail``, so only that many are read.
-    """
-    window = perm[:take + tail.size]
-    in_tail = np.zeros(perm.size, dtype=bool)
-    in_tail[tail] = True
-    hit = in_tail[window]
-    free = (~hit).nonzero()[0][:take]
-    start = hit[:take].nonzero()[0]
-    bumped = window[start]
-    # Where the sample at each position goes when its turn comes; past the
-    # head, it stays.
-    hop = np.arange(window.size)
-    hop[:take] = free
-    while (hop[start] < take).any():
-        hop = hop[hop]
-    perm[:take] = window[free]
-    perm[hop[start]] = bumped
 
 
 def check_synth_options(domains: int, sizes, fields_per_concept: int = 2,

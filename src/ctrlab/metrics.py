@@ -43,11 +43,7 @@ def _check_pair(scores, labels):
 
 def auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
-    return _auc(*_check_pair(scores, labels))
-
-
-def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """auc of a pair that passed _check_pair."""
+    scores, labels = _check_pair(scores, labels)
     n_pos = int(np.add.reduce(labels))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -68,12 +64,7 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def logloss(scores, labels) -> float:
     """Mean binary cross-entropy, over the clamped terms of nn.bce_terms."""
-    return _logloss(*_check_pair(scores, labels))
-
-
-def _logloss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """logloss of a pair that passed _check_pair."""
-    _, terms = bce_terms(scores, labels)
+    _, terms = bce_terms(*_check_pair(scores, labels))
     return float(np.add.reduce(terms) / terms.size)
 
 
@@ -83,8 +74,7 @@ def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,
 
     overall="pooled" ranks all domains' scores together; overall="mean"
     averages the per-domain AUCs. The two answer different questions and the
-    report records which one was used. Each domain's pair is checked once;
-    the pooled pair goes through the public auc and logloss.
+    report records which one was used.
     """
     if overall not in OVERALL_MODES:
         raise UsageError(f"unknown overall mode {overall!r}")
@@ -94,12 +84,12 @@ def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,
         raise UsageError("no domains to report on")
     report = {"domains": {}, "overall_mode": overall}
     for name in sorted(scores_by_domain):
+        s, y = scores_by_domain[name], labels_by_domain[name]
         try:
-            s, y = _check_pair(scores_by_domain[name], labels_by_domain[name])
             report["domains"][name] = {
-                "auc": _auc(s, y),
-                "logloss": _logloss(s, y),
-                "count": int(s.size),
+                "auc": auc(s, y),
+                "logloss": logloss(s, y),
+                "count": int(np.size(s)),
             }
         except MetricError as exc:
             raise MetricError(f"domain {name}: {exc}") from exc

@@ -267,17 +267,6 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if not valid.any():
         raise MaskError("degenerate mask: every position is masked")
     active = valid.nonzero()[0]
-    # The row maximum, one active column at a time: over a gate's few
-    # experts and a batch of rows, np.maximum per column is several times
-    # faster than max(axis=-1). Measured with numpy 2.4 on a 2-vCPU x86_64
-    # host, it is slower below about 16 rows per column and gains little
-    # or loses above 16 columns; the benchmark's gates have 8 columns and
-    # 128 or more rows, so it checks only that side. Only the sign of a
-    # zero maximum can differ, and subtracting either zero gives values
-    # that exp maps to the same bits.
-    top = logits[..., active[0]].copy()
-    for k in active[1:]:
-        np.maximum(top, logits[..., k], out=top)
     # Indexing the last axis with an array gives a column-major copy, whose
     # row sums numpy would add in another order. The copy is shifted and
     # exponentiated in place and written into the C-ordered full-width
@@ -285,7 +274,7 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # keep the order of a plain softmax.
     probs = np.zeros(logits.shape)
     shifted = logits[..., active]
-    shifted -= top[..., None]
+    shifted -= shifted.max(axis=-1, keepdims=True)
     probs[..., active] = np.exp(shifted, out=shifted)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs

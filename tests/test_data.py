@@ -165,6 +165,55 @@ class TestSchema:
                 "f0", raw["fields"][0]["vocab_size"]),))
         assert str(err.value) == named
 
+    @pytest.mark.parametrize("name", [3, None, ["f"], b"f"],
+                             ids=["int", "none", "list", "bytes"])
+    def test_name_that_is_not_a_string_rejected(self, name):
+        """Refused by position and rule, from the constructor and from a
+        schema file alike."""
+        named = f"fields[1] name must be a string, got {name!r}"
+        fields = (D.FeatureField("f0", 4), D.FeatureField(name, 4))
+        with pytest.raises(SchemaError) as err:
+            D.Schema(2, fields)
+        assert str(err.value) == named
+        assert err.value.category == "schema"
+        if isinstance(name, bytes):
+            return  # JSON has no bytes
+        text = json.dumps({"domains": 2, "fields": [
+            {"name": f.name, "vocab_size": f.vocab_size} for f in fields]})
+        with pytest.raises(SchemaError) as err:
+            D.Schema.from_json(text)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"domains": 2, "zz": 1, "fields": [{"name": "a", "vocab_size": 4}]},
+         "schema has unknown keys ['zz']; it takes ['domains', 'fields']"),
+        ({"domains": 2, "fields": [{"name": "a", "vocab_size": 4, "x": 1}]},
+         "schema fields[0] has unknown keys ['x']; it takes "
+         "['name', 'vocab_size']"),
+        ({"domains": 2, "fields": [{"name": "a", "vocab_size": 4},
+                                   {"name": "b", "vocab_sise": 4}]},
+         "schema fields[1] has unknown keys ['vocab_sise']; it takes "
+         "['name', 'vocab_size']"),
+        ({"domains": 2}, "schema is missing keys ['fields']"),
+        ({"fields": [{"name": "a", "vocab_size": 4}]},
+         "schema is missing keys ['domains']"),
+        ({"domains": 2, "fields": [{"vocab_size": 4}]},
+         "schema fields[0] is missing keys ['name']"),
+        ([2], "schema must be an object, got [2]"),
+        ({"domains": 2, "fields": {"name": "a"}},
+         "schema fields must be a list, got {'name': 'a'}"),
+        ({"domains": 2, "fields": ["a"]},
+         "schema fields[0] must be an object, got 'a'"),
+    ], ids=["top-level-unknown", "field-unknown", "misspelt", "no-fields",
+            "no-domains", "field-missing", "not-an-object",
+            "fields-not-a-list", "field-not-an-object"])
+    def test_unknown_and_missing_keys_rejected(self, tmp_path, raw, named):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            D.Schema.load(path)
+        assert str(err.value) == named
+
     def test_vocab_beyond_int32_indices_rejected(self):
         """Every index of a vocabulary of at most 2**31 entries fits the
         int32 feature format; a larger one is refused, naming its field."""

@@ -185,23 +185,37 @@ class TestPerDomainReport:
         all_y = np.concatenate([labels["A"], labels["B"]])
         assert rep["overall_auc"] == pytest.approx(pairwise_auc(all_s, all_y))
 
-    @pytest.mark.parametrize("overall, pooled_checks", [("pooled", 2),
-                                                        ("mean", 0)])
-    def test_each_domain_pair_checked_once(self, overall, pooled_checks,
-                                           monkeypatch):
-        """Each domain's pair passes _check_pair once; the pooled pair goes
-        through the public auc and logloss, which check it once each."""
-        sizes = []
-        check_pair = metrics._check_pair
+    @pytest.mark.parametrize("overall", metrics.OVERALL_MODES)
+    def test_every_figure_from_the_public_calls(self, overall, monkeypatch):
+        """Each domain's AUC and log-loss, and the pooled pair's, come from
+        one call each of the public auc and logloss, in domain order."""
+        calls = []
 
-        def counting(scores, labels):
-            sizes.append(len(scores))
-            return check_pair(scores, labels)
+        def recording(name):
+            real = getattr(metrics, name)
 
-        monkeypatch.setattr(metrics, "_check_pair", counting)
+            def call(scores, labels):
+                real(scores, labels)
+                calls.append((name, len(scores)))
+                return float(len(calls))  # which call gave a figure
+            monkeypatch.setattr(metrics, name, call)
+
+        recording("auc")
+        recording("logloss")
         scores, labels = self._toy()
-        metrics.per_domain_report(scores, labels, overall=overall)
-        assert sizes == [4, 2] + [6] * pooled_checks
+        report = metrics.per_domain_report(scores, labels, overall=overall)
+        per_domain = [("auc", 4), ("logloss", 4), ("auc", 2), ("logloss", 2)]
+        assert report["domains"] == {
+            "A": {"auc": 1.0, "logloss": 2.0, "count": 4},
+            "B": {"auc": 3.0, "logloss": 4.0, "count": 2}}
+        if overall == "pooled":
+            assert calls == per_domain + [("auc", 6), ("logloss", 6)]
+            assert (report["overall_auc"], report["overall_logloss"]) == (
+                5.0, 6.0)
+        else:
+            assert calls == per_domain
+            assert (report["overall_auc"], report["overall_logloss"]) == (
+                2.0, 3.0)
 
     def test_domain_key_mismatch(self):
         scores, labels = self._toy()

@@ -237,6 +237,25 @@ def test_one_sampler_draw_per_step_plus_the_report(monkeypatch):
     assert len(draws) == report["epochs_run"] * report["steps_per_epoch"] + 1
 
 
+def test_every_auc_goes_through_metrics_auc(monkeypatch):
+    """A selection round scores each domain once, and an evaluation (one
+    per epoch, then the test partition's) scores each domain and the
+    pooled rows, all through metrics.auc."""
+    calls = []
+    auc = metrics.auc
+
+    def counting(scores, labels):
+        calls.append(len(scores))
+        return auc(scores, labels)
+
+    monkeypatch.setattr(metrics, "auc", counting)
+    config = tiny_config("sdsp")
+    report = train.train(config).report
+    rounds, d = report["selection"]["rounds"], config.domains
+    assert rounds > 1
+    assert len(calls) == rounds * d + (report["epochs_run"] + 1) * (d + 1)
+
+
 def test_selection_round_before_any_train_step_is_usage_error():
     """Without a train step there are no prototypes to measure: the round
     raises and leaves the subsets, trace and p as they were."""
