@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import VOCAB_LIMIT, as_int, as_list, feature_indices
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, NumericError, UsageError
 from .nn import (Mlp, Param, masked_softmax, softmax_backward, uniform_init,
                  with_ones)
 
@@ -229,8 +229,14 @@ class Backbone:
 
     def predict(self, features: np.ndarray, d: int,
                 masks: np.ndarray) -> np.ndarray:
-        """Forward only; no caches touched."""
+        """Forward only; no caches touched. A non-finite prediction, which
+        diverged parameters give, raises a NumericError naming the
+        domain."""
         preds, _ = self.forward_domain(features, d, masks, cache=False)
+        if not np.isfinite(preds).all():
+            raise NumericError(
+                f"domain {d}: non-finite predictions; reduce the learning "
+                "rate or the prototype loss weight")
         return preds
 
     def backward_domain(self, d: int, dpreds: np.ndarray,

@@ -487,7 +487,7 @@ def _largest_remainder(total: int, weights) -> list:
     remainder = exact - base
     short = total - int(base.sum())
     if short:
-        order = np.lexsort((np.arange(len(weights)), -remainder))
+        order = np.argsort(-remainder, kind="stable")
         for i in order[:short]:
             base[i] += 1
     return base.tolist()

@@ -4,9 +4,10 @@ Each domain owns an encoder/decoder pair acting along the batch axis: a
 fixed-size batch of representations h (B x H) is compressed to M prototypes
 p (M x H) by an affine map with an M x B weight, and decoded back with a
 B x M map. The fixed-quota sampler guarantees the batch-axis size; batch
-rows are pre-sorted by a stable lexicographic key so the maps cannot
-memorize sampler order. Training signal is the squared-L2 reconstruction
-error, which also back-propagates into the representations themselves.
+rows are pre-sorted by a stable sort of their first column so the maps
+cannot memorize sampler order. Training signal is the squared-L2
+reconstruction error, which also back-propagates into the representations
+themselves.
 
 Distances: a prototype's distance to a domain is the L2 distance to that
 domain's nearest prototype; domain-to-domain distance averages this over
@@ -24,22 +25,6 @@ from .nn import Param, uniform_init
 
 __all__ = ["ProtoCoder", "distance_matrix", "rank_domains",
            "distance_round", "save_distance_csv"]
-
-
-def _sort_order(h: np.ndarray) -> np.ndarray:
-    """Stable lexicographic row order: first column is the primary key.
-
-    A stable argsort of column 0 alone gives that order when column 0
-    holds no tie (``-0.0`` ties ``0.0``) and no NaN, which is the usual
-    case for real-valued representations. Otherwise ``np.lexsort`` over
-    every column decides.
-    """
-    first = h[:, 0]
-    order = np.argsort(first, kind="stable")
-    ranked = first[order]
-    if (ranked[1:] == ranked[:-1]).any() or np.isnan(ranked[-1]):
-        return np.lexsort(h.T[::-1])
-    return order
 
 
 class ProtoCoder:
@@ -73,7 +58,7 @@ class ProtoCoder:
     def _encode(self, h: np.ndarray) -> tuple:
         """(row order, sorted batch, prototypes) for one batch."""
         h = self._check_batch(h)
-        order = _sort_order(h)
+        order = np.argsort(h[:, 0], kind="stable")
         hs = h[order]
         return order, hs, self.enc_w.values @ hs + self.enc_b.values[:, None]
 

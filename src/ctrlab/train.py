@@ -188,10 +188,8 @@ class Run:
             l_ctr, dpreds = nn.bce_loss(preds, labels)
             l_rec, protos = self.coders[d].reconstruction(h)
             self.protos.append(protos)
-            # With gamma 0 the coder's cache stays until the next
-            # reconstruction replaces it.
-            dh = self.coders[d].backward(scale=gamma) if gamma > 0.0 else None
-            self.backbone.backward_domain(d, dpreds, dh_extra=dh)
+            self.backbone.backward_domain(
+                d, dpreds, dh_extra=self.coders[d].backward(scale=gamma))
             total_ctr += l_ctr
             total_rec += l_rec
         total_final = total_ctr + gamma * total_rec

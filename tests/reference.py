@@ -234,7 +234,8 @@ def loop_auc(scores, labels) -> float:
 
 
 def lexsort_order(h):
-    """Reference ``_sort_order``: np.lexsort over every column."""
+    """Stable lexicographic row order: np.lexsort over every column, the
+    first column the primary key."""
     return np.lexsort(h.T[::-1])
 
 

@@ -4,7 +4,7 @@ import pytest
 from ctrlab import nn
 from ctrlab.backbone import Backbone, build_mask, expert_owners
 from ctrlab.config import RunConfig
-from ctrlab.errors import ConfigError, DataError, UsageError
+from ctrlab.errors import ConfigError, DataError, NumericError, UsageError
 from helpers import (FINITE_SPECIALS, FOLD_ROWS, SPECIAL_VALUES,
                      assert_close, numeric_gradient, relative_error,
                      same_bits, same_bits_apart_from_nan, with_random_biases,
@@ -480,6 +480,17 @@ class TestPredict:
         net = small_net(seed=12)
         preds = net.predict(rand_features(net, 20), 2, unmasked(net))
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
+
+    def test_non_finite_prediction_is_numeric_error(self):
+        """A NaN parameter, as a diverged run leaves, stops the domain's
+        predictions with an error that names the domain."""
+        net = small_net(seed=12)
+        net.towers[1].params()[0].values[0, 0] = np.nan
+        feats = rand_features(net, 5)
+        assert np.isfinite(net.predict(feats, 0, unmasked(net))).all()
+        with pytest.raises(NumericError, match=r"^domain 1: non-finite "
+                           "predictions; reduce the learning rate"):
+            net.predict(feats, 1, unmasked(net))
 
     def test_end_to_end_gradients_match_finite_differences(self):
         net = small_net(seed=13, expert_counts=(2, 1), vocab=(4, 6),

@@ -783,6 +783,31 @@ class TestEqualQuotas:
             D.equal_quotas(2, 3)
 
 
+def lexsort_largest_remainder(total, weights):
+    """Reference ``_largest_remainder``: the leftover units go by
+    np.lexsort of the remainders, descending, then of the positions."""
+    weights = np.asarray(weights, dtype=np.float64)
+    exact = total * weights / weights.sum()
+    base = np.floor(exact).astype(int)
+    remainder = exact - base
+    order = np.lexsort((np.arange(len(weights)), -remainder))
+    base[order[:total - int(base.sum())]] += 1
+    return base.tolist()
+
+
+def test_largest_remainder_same_as_lexsort_reference():
+    """Equal remainders, which equal weights and the split fractions
+    give, go to earlier positions first."""
+    rng = np.random.default_rng(4)
+    cases = [(n, (0.8, 0.1, 0.1)) for n in range(5, 40)]
+    cases += [(b, np.ones(d)) for b in range(3, 30) for d in (2, 3, 5, 8)]
+    cases += [(int(rng.integers(1, 500)), rng.integers(1, 5, size=6) / 4)
+              for _ in range(200)]
+    for total, weights in cases:
+        assert (D._largest_remainder(total, weights)
+                == lexsort_largest_remainder(total, weights)), (total, weights)
+
+
 class TestQuotaSampler:
     def _sampler(self, sizes, quotas, seed=0):
         ds = synthetic(sizes, seed=1)

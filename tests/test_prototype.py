@@ -28,7 +28,7 @@ def wrapper_reconstruction(coder, h):
     """Reference ``ProtoCoder.reconstruction``: a new array per step and
     the loss by ndarray.sum."""
     h = coder._check_batch(h)
-    order = proto._sort_order(h)
+    order = np.argsort(h[:, 0], kind="stable")
     hs = h[order]
     p = coder.enc_w.values @ hs + coder.enc_b.values[:, None]
     h_hat = coder.dec_w.values @ p + coder.dec_b.values[:, None]
@@ -109,16 +109,32 @@ class TestEncode:
         perm = rng.permutation(8)
         np.testing.assert_array_equal(coder.encode(h), coder.encode(h[perm]))
 
+    def test_order_insensitive_with_duplicated_rows(self):
+        """Rows that tie in column 0 because they are copies of each other
+        give the same sorted batch in whichever order they come."""
+        coder = make_coder(batch=9, protos=3, seed=6)
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(4, 5))[[0, 1, 1, 2, 0, 3, 1, 2, 0]]
+        for _ in range(5):
+            perm = rng.permutation(9)
+            assert same_bits(coder.encode(h), coder.encode(h[perm]))
+
     def test_wrong_batch_count(self):
         coder = make_coder(batch=6)
         with pytest.raises(ConfigError):
             coder.encode(np.zeros((5, 3)))
 
 
+def first_column_order(h):
+    """Reference ``ProtoCoder`` row order: np.lexsort by column 0, then by
+    row index."""
+    return np.lexsort((np.arange(len(h)), h[:, 0]))
+
+
 def sort_cases():
-    """Row sets for ``_sort_order``. Where column 0 ties, the later
-    columns order the tied rows against their index order, so a missed
-    fallback to the full lexsort shows."""
+    """Row sets for the coder's row order. Where column 0 ties, the later
+    columns order the tied rows against their index order, so an order
+    that let a later column decide would show."""
     base = np.random.default_rng(12).normal(size=(12, 3))
     cases = {name: base.copy() for name in (
         "tie", "signed zero", "two nan", "one nan", "constant", "distinct")}
@@ -138,8 +154,11 @@ class TestSortOrder:
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_order_as_lexsort(self, case):
+        """The coder sorts its batch by column 0 alone, NaN last, and keeps
+        the rows that tie there (``-0.0`` ties ``0.0``) in index order."""
         h = self.CASES[case]
-        assert proto._sort_order(h).tobytes() == ref.lexsort_order(h).tobytes()
+        order = make_coder(batch=len(h))._encode(h)[0]
+        assert order.tobytes() == first_column_order(h).tobytes()
 
 
 class TestDecodeAndReconstruction:

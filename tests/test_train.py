@@ -8,7 +8,7 @@ import pytest
 
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
-from ctrlab.errors import ConfigError, LabError, UsageError
+from ctrlab.errors import ConfigError, LabError, NumericError, UsageError
 from helpers import CHAIN3, FIXED, tiny_config
 import reference as ref
 
@@ -88,6 +88,27 @@ def test_zero_proto_loss_weight_leaves_the_coders_untrained():
             assert p.values.tobytes() == q.values.tobytes(), p.name
     assert all(np.isfinite(h["l_rec"]) for h in first.report["history"])
     assert decisions(first) == decisions(second)
+
+
+def test_zero_proto_loss_weight_step_leaves_no_coder_cache():
+    """The coders' backward runs on every train step, at proto_loss_weight
+    0 too, so no coder keeps its forward's cache past the step."""
+    run = train.Run(tiny_config("sdsp").replace(proto_loss_weight=0.0))
+    run.train_step()
+    assert [coder._cache for coder in run.coders] == [None] * 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed, domain", [(5, 0), (6, 1)])
+def test_diverged_run_is_numeric_error(seed, domain):
+    """At learning rate 500 the parameters blow up in a step whose loss is
+    still finite; the next selection round's reward pass meets them and
+    the run stops with a NumericError naming the domain, not with the AUC's
+    MetricError."""
+    config = tiny_config("sdsp", seed).replace(learning_rate=500.0)
+    with pytest.raises(NumericError, match=rf"^domain {domain}: non-finite "
+                       "predictions; reduce the learning rate"):
+        train.train(config)
 
 
 def test_fixed_subset_keeps_configured_subsets(results):
@@ -308,22 +329,33 @@ def test_same_decisions_as_loop_references(monkeypatch):
 
 def test_same_decisions_as_per_call_references(results, monkeypatch):
     """The single-gather embed, the flat embedding gradient, the softmax
-    over active columns, the bool ReLU gradient, the argsort row order, the
-    one-array SGD step and the one-pass-per-source distance matrix change
-    no report or trace byte."""
-    shipped, _ = results["sdsp"]
+    over active columns, the bool ReLU gradient, the one-array SGD step and
+    the one-pass-per-source distance matrix change no report or trace
+    byte. Every batch the coders encode, in every mode, gets the same row
+    order from its first column as from a lexicographic sort of all its
+    columns."""
     monkeypatch.setattr(backbone.Backbone, "embed", ref.loop_embed)
     monkeypatch.setattr(backbone.Backbone, "_embed_backward",
                         ref.loop_embed_backward)
     monkeypatch.setattr(backbone, "masked_softmax", ref.loop_masked_softmax)
     monkeypatch.setattr(nn, "_activate_grad", ref.loop_activate_grad)
-    monkeypatch.setattr(prototype, "_sort_order", ref.lexsort_order)
     monkeypatch.setattr(nn, "sgd_step", ref.loop_sgd_step)
     monkeypatch.setattr(prototype, "distance_matrix", ref.loop_distance_matrix)
     monkeypatch.setattr(train, "distance_matrix", ref.loop_distance_matrix)
-    reference = train.train(tiny_config("sdsp"))
+    encode = prototype.ProtoCoder._encode
+    encoded = []
 
-    assert decisions(shipped) == decisions(reference)
+    def spy(coder, h):
+        out = encode(coder, h)
+        encoded.append(out[0].tobytes() == ref.lexsort_order(h).tobytes())
+        return out
+
+    monkeypatch.setattr(prototype.ProtoCoder, "_encode", spy)
+    for mode, (shipped, _) in results.items():
+        encoded.clear()
+        reference = train.train(tiny_config(mode))
+        assert decisions(shipped) == decisions(reference), mode
+        assert encoded and all(encoded), mode
 
 
 def test_same_decisions_as_separate_bias_reference(monkeypatch):
