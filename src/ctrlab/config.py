@@ -4,10 +4,12 @@ The config file is a JSON object whose keys mirror RunConfig field names
 exactly. The dataset source is either a planted synthetic spec or a CSV
 path plus schema file. A short hash of the canonical config JSON travels
 with reports so they can be matched to their run; a checkpoint stores the
-config itself.
-The rules for ``fixed_subsets``, ``expert_counts`` and ``overall_metric``
-belong to the modules that use them: ``backbone.check_subsets``,
-``backbone.check_expert_counts`` and ``metrics.OVERALL_MODES``.
+config itself. ``config_hash`` and the report hash the dataset spec as
+given, so a CSV ``path`` named from another directory hashes differently.
+The rules for ``fixed_subsets``, ``expert_counts``, ``overall_metric`` and
+a synthetic spec belong to the modules that use them:
+``backbone.check_subsets``, ``backbone.check_expert_counts``,
+``metrics.OVERALL_MODES`` and ``data.SynthSpec``.
 """
 
 from __future__ import annotations
@@ -29,16 +31,20 @@ from .metrics import OVERALL_MODES
 __all__ = ["RunConfig", "MODES", "load_dataset"]
 
 MODES = ("sdsp", "full-share", "fixed-subset")
-# synth_generate's options, which a synthetic spec may set.
-SYNTH_OPTIONS = ("fields_per_concept", "vocab_size", "feature_noise")
-# The keys beside "kind" that each dataset kind requires, then may set.
-DATASET_KEYS = {"synth": (("affinity", "noise", "sizes"), SYNTH_OPTIONS),
-                "csv": (("path", "schema"), ())}
+# The keys beside "kind" that each dataset kind requires, then may set: a
+# synthetic spec's are SynthSpec's fields after domains, split by default.
+_SYNTH_FIELDS = dataclasses.fields(data_mod.SynthSpec)[1:]
+DATASET_KEYS = {
+    "synth": tuple(tuple(f.name for f in _SYNTH_FIELDS
+                         if (f.default is dataclasses.MISSING) == required)
+                   for required in (True, False)),
+    "csv": (("path", "schema"), ())}
 
 
-def _synth_options(spec: dict) -> dict:
-    """The synthetic spec's options, as ``synth_generate`` keywords."""
-    return {key: spec[key] for key in SYNTH_OPTIONS if key in spec}
+def _synth_spec(domains, dataset: dict) -> data_mod.SynthSpec:
+    """The synthetic dataset spec ``dataset`` as a SynthSpec."""
+    return data_mod.SynthSpec(
+        domains, **{k: v for k, v in dataset.items() if k != "kind"})
 
 
 def _plain(value):
@@ -93,8 +99,14 @@ class RunConfig:
         # A distance matrix, and so a run, needs two domains.
         self.domains = as_int(self.domains, "domains", minimum=2)
         self.seed = as_int(self.seed, "seed", minimum=0)
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, choices in (("mode", MODES),
+                              ("overall_metric", OVERALL_MODES)):
+            # A non-str is refused: ``in`` would compare an array elementwise.
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in choices:
+                raise ConfigError(
+                    f"{name} must be one of {choices}, got {value!r}")
+            setattr(self, name, str(value))
         if self.expert_counts is None:
             self.expert_counts = [1] * self.domains
         self.expert_counts = check_expert_counts(self.expert_counts)
@@ -129,9 +141,6 @@ class RunConfig:
             raise ConfigError("explore_init must lie in [0, 1]")
         if not 0.0 < self.explore_decay <= 1.0:
             raise ConfigError("explore_decay must lie in (0, 1]")
-        if self.overall_metric not in OVERALL_MODES:
-            raise ConfigError(
-                f"overall_metric must be one of {OVERALL_MODES}")
         self.split_fractions = data_mod.check_fractions(self.split_fractions)
         # split gives each positive-fraction partition at least one row per
         # domain; a run evaluates on val and test and trains on train.
@@ -168,15 +177,11 @@ class RunConfig:
         checked = {key: _plain(value) for key, value in self.dataset.items()}
         if kind == "synth":
             try:
-                data_mod.AffinitySpec(self.domains, self.dataset["affinity"],
-                                      self.dataset["noise"])
-                checked["sizes"] = data_mod.check_synth_options(
-                    self.domains, self.dataset["sizes"],
-                    **_synth_options(self.dataset))
+                checked["sizes"] = _synth_spec(self.domains,
+                                               self.dataset).sizes
                 # A run splits every domain.
                 for d, n in enumerate(checked["sizes"]):
-                    as_int(n, f"sizes[{d}]",
-                           minimum=data_mod.SPLIT_MIN_SAMPLES)
+                    as_int(n, f"sizes[{d}]", minimum=data_mod.SPLIT_MIN_SAMPLES)
             except ConfigError as exc:
                 raise ConfigError(f"dataset {exc}") from exc
         else:
@@ -240,10 +245,8 @@ def load_dataset(config: RunConfig) -> data_mod.DomainDataset:
     """Materialize the unsplit dataset named by the config."""
     ds_cfg = config.dataset
     if ds_cfg["kind"] == "synth":
-        spec = data_mod.AffinitySpec(config.domains, ds_cfg["affinity"],
-                                     ds_cfg["noise"])
-        return data_mod.synth_generate(spec, ds_cfg["sizes"], seed=config.seed,
-                                       **_synth_options(ds_cfg))
+        return data_mod.synth_generate(_synth_spec(config.domains, ds_cfg),
+                                       seed=config.seed)
     schema = data_mod.Schema.load(ds_cfg["schema"])
     if schema.domains != config.domains:
         raise ConfigError(

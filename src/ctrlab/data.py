@@ -29,10 +29,10 @@ from .errors import (ConfigError, DataError, SchemaError, SplitError,
 
 __all__ = [
     "FeatureField", "Schema", "DomainData", "DomainDataset",
-    "AffinitySpec", "load_csv", "save_csv", "split",
+    "SynthSpec", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
     "as_int", "as_float", "as_list", "read_text", "check_fractions",
-    "check_synth_options", "VOCAB_LIMIT", "SPLIT_MIN_SAMPLES",
+    "VOCAB_LIMIT", "SPLIT_MIN_SAMPLES",
 ]
 
 log = logging.getLogger(__name__)
@@ -264,19 +264,25 @@ class DomainData:
 
 
 @dataclass
-class AffinitySpec:
-    """Planted ground truth for the synthetic generator.
+class SynthSpec:
+    """Planted ground truth and readout options for ``synth_generate``.
 
     affinity[d, k] says how much domain d's labels borrow concept k; noise[d]
-    is the probability that domain d's label is flipped after thresholding.
-    Each row is read by ``as_list`` and each entry by ``as_float``, naming
-    ``affinity[i][j]`` or ``noise[d]``: the one rule for a synthetic spec,
-    which RunConfig applies by constructing one.
+    is the probability that domain d's label is flipped after thresholding;
+    domain d has sizes[d] samples. fields_per_concept fields of vocab_size
+    values read each concept, with Gaussian noise of sd feature_noise. The
+    one rule for a synthetic spec, which RunConfig applies by constructing
+    one: the fields are checked in order, by ``as_list``, ``as_float`` and
+    ``as_int``, naming an entry as ``affinity[i][j]``; else ConfigError.
     """
 
     domains: int
     affinity: np.ndarray
     noise: np.ndarray
+    sizes: list
+    fields_per_concept: int = 2
+    vocab_size: int = 16
+    feature_noise: float = 0.3
 
     def __post_init__(self):
         self.domains = d = as_int(self.domains, "domains", minimum=1)
@@ -298,6 +304,20 @@ class AffinitySpec:
                                for k, v in enumerate(noise)], dtype=np.float64)
         if not ((self.noise >= 0.0) & (self.noise <= 0.5)).all():
             raise ConfigError("noise probabilities must lie in [0, 0.5]")
+        sizes = as_list(self.sizes, "sizes")
+        if len(sizes) != d:
+            raise ConfigError(f"sizes needs {d} entries")
+        self.sizes = [as_int(n, f"sizes[{k}]", minimum=0)
+                      for k, n in enumerate(sizes)]
+        self.fields_per_concept = as_int(self.fields_per_concept,
+                                         "fields_per_concept", minimum=1)
+        self.vocab_size = as_int(self.vocab_size, "vocab_size", minimum=2,
+                                 maximum=VOCAB_LIMIT)
+        feature_noise = as_float(self.feature_noise, "feature_noise")
+        if feature_noise < 0:
+            raise ConfigError(f"feature_noise must be a finite number >= 0, "
+                              f"got {self.feature_noise!r}")
+        self.feature_noise = feature_noise
 
 
 class DomainDataset:
@@ -622,29 +642,7 @@ class QuotaSampler:
         return batch
 
 
-def check_synth_options(domains: int, sizes, fields_per_concept: int = 2,
-                        vocab_size: int = 16,
-                        feature_noise: float = 0.3) -> list:
-    """``synth_generate``'s rule for its sizes and options, which default as
-    there: ``sizes`` as a list of ints, if it is a list of one integer >= 0
-    per domain, fields_per_concept an integer >= 1, vocab_size an integer
-    >= 2 and at most ``VOCAB_LIMIT``, and feature_noise a finite number
-    >= 0; else ConfigError."""
-    sizes = as_list(sizes, "sizes")
-    if len(sizes) != domains:
-        raise ConfigError(f"sizes needs {domains} entries")
-    sizes = [as_int(n, f"sizes[{d}]", minimum=0) for d, n in enumerate(sizes)]
-    as_int(fields_per_concept, "fields_per_concept", minimum=1)
-    as_int(vocab_size, "vocab_size", minimum=2, maximum=VOCAB_LIMIT)
-    if as_float(feature_noise, "feature_noise") < 0:
-        raise ConfigError(
-            f"feature_noise must be a finite number >= 0, got {feature_noise!r}")
-    return sizes
-
-
-def synth_generate(spec: AffinitySpec, sizes, seed: int,
-                   fields_per_concept: int = 2, vocab_size: int = 16,
-                   feature_noise: float = 0.3) -> DomainDataset:
+def synth_generate(spec: SynthSpec, seed: int) -> DomainDataset:
     """Generate a planted-affinity dataset under partition "all".
 
     Domain d, sample i: loadings U ~ Uniform(-1,1)^D; click score
@@ -652,17 +650,15 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
     Field j in concept group k reads affinity[d, k] * U_k plus Gaussian
     feature noise, binned uniformly over [-1.5, 1.5] into the vocabulary.
     """
-    sizes = check_synth_options(spec.domains, sizes, fields_per_concept,
-                                vocab_size, feature_noise)
     seed = as_int(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d_count = spec.domains
-    fields = tuple(FeatureField(f"c{k}r{r}", vocab_size)
-                   for k in range(d_count) for r in range(fields_per_concept))
+    d_count, per_concept = spec.domains, spec.fields_per_concept
+    fields = tuple(FeatureField(f"c{k}r{r}", spec.vocab_size)
+                   for k in range(d_count) for r in range(per_concept))
     schema = Schema(domains=d_count, fields=fields)
     half_range = 1.5
     datas = []
-    for d, n in enumerate(sizes):
+    for d, n in enumerate(spec.sizes):
         u = rng.uniform(-1.0, 1.0, size=(n, d_count))
         score = u @ spec.affinity[d]
         labels = (score > 0.0).astype(np.float64)
@@ -671,14 +667,14 @@ def synth_generate(spec: AffinitySpec, sizes, seed: int,
         # readout matrix (n, D*fields_per_concept): group k repeats its
         # mixture term affinity[d,k] * U_k across its fields
         weighted = u * spec.affinity[d]
-        readout = np.repeat(weighted, fields_per_concept, axis=1)
-        readout += rng.normal(0.0, feature_noise, size=readout.shape)
+        readout = np.repeat(weighted, per_concept, axis=1)
+        readout += rng.normal(0.0, spec.feature_noise, size=readout.shape)
         # Binned in place: floor((readout + half_range) / (2 * half_range)
         # * vocab_size), clipped to the vocabulary, then cast once.
         readout += half_range
         readout /= 2 * half_range
-        readout *= vocab_size
+        readout *= spec.vocab_size
         np.floor(readout, out=readout)
-        np.clip(readout, 0, vocab_size - 1, out=readout)
+        np.clip(readout, 0, spec.vocab_size - 1, out=readout)
         datas.append(DomainData(readout.astype(np.int32), labels))
     return DomainDataset(schema, {"all": datas})

@@ -1,10 +1,11 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctrlab import data as D
-from ctrlab.config import RunConfig, load_dataset
+from ctrlab.config import DATASET_KEYS, RunConfig, load_dataset
 from ctrlab.errors import ConfigError
 
 
@@ -26,8 +27,8 @@ UNKNOWN_KEY = ("feature_nosie", 0.1,
                "synth dataset has unknown key 'feature_nosie'")
 
 # A synthetic spec with one bad entry, and RunConfig's message for it. A
-# message that is one of AffinitySpec's or check_synth_options' range and
-# shape rules behind "dataset " names the rule alone in its case's id.
+# message that is one of SynthSpec's range and shape rules behind
+# "dataset " names the rule alone in its case's id.
 MALFORMED_SYNTH = [
     ("sizes", 50, "dataset sizes must be a list, got 50"),
     ("noise", 0.1, "dataset noise must be a list, got 0.1"),
@@ -263,14 +264,51 @@ class TestRunConfig:
         case for case in MALFORMED_SYNTH if case is not UNKNOWN_KEY])
     def test_synth_rules_have_one_owner(self, key, value, named):
         """RunConfig's message for a malformed synthetic spec, as the test
-        above checks it, is the direct AffinitySpec and synth_generate
-        calls' message behind "dataset "."""
+        above checks it, is the direct SynthSpec's message behind
+        "dataset "."""
         dataset = dict(SYNTH, **{key: value})
+        del dataset["kind"]
         with pytest.raises(ConfigError) as direct:
-            spec = D.AffinitySpec(2, dataset["affinity"], dataset["noise"])
-            D.synth_generate(spec, dataset["sizes"], seed=3, **{
-                k: v for k, v in dataset.items() if k not in SYNTH})
+            D.SynthSpec(2, **dataset)
         assert named == f"dataset {direct.value}"
+
+    def test_synth_keys_are_synth_spec_fields(self):
+        """A synthetic spec's keys are SynthSpec's fields after domains:
+        those without a default are required, the others optional."""
+        fields = dataclasses.fields(D.SynthSpec)
+        assert fields[0].name == "domains"
+        assert DATASET_KEYS["synth"] == (
+            tuple(f.name for f in fields[1:]
+                  if f.default is dataclasses.MISSING),
+            tuple(f.name for f in fields[1:]
+                  if f.default is not dataclasses.MISSING))
+        assert DATASET_KEYS["synth"] == (
+            ("affinity", "noise", "sizes"),
+            ("fields_per_concept", "vocab_size", "feature_noise"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("mode", np.array("sdsp")), ("mode", np.array(["sdsp", "sdsp"])),
+        ("mode", 1), ("overall_metric", np.array(["mean"])),
+        ("overall_metric", np.array(["mean", "pooled"])),
+        ("overall_metric", None)],
+        ids=["0-d array mode", "2-element array mode", "int mode",
+             "1-element array overall_metric",
+             "2-element array overall_metric", "None overall_metric"])
+    def test_non_str_choice_rejected(self, key, value):
+        """mode and overall_metric are strs: an array that holds a valid
+        name is refused by name, not stored to crash the run's report or
+        compared elementwise."""
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw_config(**{key: value}))
+        assert str(err.value).startswith(f"{key} must be one of ")
+        assert str(err.value).endswith(f", got {value!r}")
+
+    def test_str_subclass_choice_stored_as_str(self):
+        cfg = RunConfig.from_dict(raw_config(mode=np.str_("full-share"),
+                                             overall_metric=np.str_("mean")))
+        assert (type(cfg.mode), type(cfg.overall_metric)) == (str, str)
+        assert cfg.to_json() == RunConfig.from_dict(raw_config(
+            mode="full-share", overall_metric="mean")).to_json()
 
     @pytest.mark.parametrize("dataset, named", [
         ({"kind": "csv", "path": 3, "schema": "s.json"},

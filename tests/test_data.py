@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import re
@@ -412,8 +413,8 @@ class TestCsvIO:
                                   f"(invalid continuation byte)")
 
     def test_save_load_round_trip(self, tmp_path):
-        spec = D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.1]))
-        ds = D.synth_generate(spec, [20, 30], seed=5)
+        spec = D.SynthSpec(2, np.eye(2), np.array([0.1, 0.1]), [20, 30])
+        ds = D.synth_generate(spec, seed=5)
         path = tmp_path / "ds.csv"
         D.save_csv(ds, path)
         again = D.load_csv(path, ds.schema)
@@ -670,8 +671,8 @@ class TestSaveCsvMemory:
 
 def synthetic(sizes, seed=0):
     d = len(sizes)
-    spec = D.AffinitySpec(d, np.eye(d), np.zeros(d))
-    return D.synth_generate(spec, sizes, seed=seed)
+    return D.synth_generate(D.SynthSpec(d, np.eye(d), np.zeros(d), sizes),
+                            seed=seed)
 
 
 class TestSplit:
@@ -1042,8 +1043,8 @@ class TestSaveCsvMatchesLoop:
         affinity = [[1.0 if i == j else 0.8 if i // 2 == j // 2 else 0.0
                      for j in range(8)] for i in range(8)]
         sizes = [round(12_000 * 0.05 ** (k / 7)) for k in range(8)]
-        ds = D.synth_generate(D.AffinitySpec(8, affinity, np.zeros(8)),
-                              sizes, seed=3)
+        ds = D.synth_generate(D.SynthSpec(8, affinity, np.zeros(8), sizes),
+                              seed=3)
         got = self.same_bytes(ds, tmp_path)
         assert got.count(b"\n") == 1 + sum(sizes)
         self.same_bytes(D.split(ds, (0.8, 0.1, 0.1), seed=3), tmp_path,
@@ -1052,9 +1053,9 @@ class TestSaveCsvMatchesLoop:
 
 class TestSynthGenerate:
     def test_deterministic(self):
-        spec = D.AffinitySpec(3, np.eye(3), np.full(3, 0.1))
-        a = D.synth_generate(spec, [40, 40, 40], seed=7)
-        b = D.synth_generate(spec, [40, 40, 40], seed=7)
+        spec = D.SynthSpec(3, np.eye(3), np.full(3, 0.1), [40, 40, 40])
+        a = D.synth_generate(spec, seed=7)
+        b = D.synth_generate(spec, seed=7)
         for d in range(3):
             np.testing.assert_array_equal(a.domain("all", d).features,
                                           b.domain("all", d).features)
@@ -1062,27 +1063,28 @@ class TestSynthGenerate:
                                           b.domain("all", d).labels)
 
     def test_fractional_size_rejected(self):
-        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
         with pytest.raises(ConfigError,
                            match=r"^sizes\[0\] must be an integer, got 50.7$"):
-            D.synth_generate(spec, [50.7, 50], seed=1)
-        ds = D.synth_generate(spec, [np.int64(50), 40], seed=1)
-        assert counts(ds, "all") == [50, 40]
+            D.SynthSpec(2, np.eye(2), np.zeros(2), [50.7, 50])
+        spec = D.SynthSpec(2, np.eye(2), np.zeros(2), [np.int64(50), 40])
+        assert [type(n) for n in spec.sizes] == [int, int]
+        assert counts(D.synth_generate(spec, seed=1), "all") == [50, 40]
 
     def test_respects_vocab(self):
-        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
-        ds = D.synth_generate(spec, [30, 30], seed=1, vocab_size=8)
+        spec = D.SynthSpec(2, np.eye(2), np.zeros(2), [30, 30], vocab_size=8)
+        ds = D.synth_generate(spec, seed=1)
         for d in range(2):
             feats = ds.domain("all", d).features
             assert feats.min() >= 0 and feats.max() < 8
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
-            D.AffinitySpec(2, np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2))
+            D.SynthSpec(2, np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2),
+                        [10, 10])
         with pytest.raises(ConfigError):
-            D.AffinitySpec(2, np.eye(2) * 2.0, np.zeros(2))
+            D.SynthSpec(2, np.eye(2) * 2.0, np.zeros(2), [10, 10])
         with pytest.raises(ConfigError):
-            D.AffinitySpec(2, np.eye(2), np.array([0.1, 0.9]))
+            D.SynthSpec(2, np.eye(2), np.array([0.1, 0.9]), [10, 10])
 
     @pytest.mark.parametrize("affinity, noise, named", [
         ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0],
@@ -1102,7 +1104,7 @@ class TestSynthGenerate:
             "affinity4-noise4-noise probabilities"])
     def test_non_finite_spec_rejected(self, affinity, noise, named):
         with pytest.raises(ConfigError) as err:
-            D.AffinitySpec(2, affinity, noise)
+            D.SynthSpec(2, affinity, noise, [10, 10])
         assert str(err.value) == named
 
     @pytest.mark.parametrize("affinity, noise, named", [
@@ -1115,21 +1117,58 @@ class TestSynthGenerate:
         (np.eye(2), 0.1, "noise must be a list, got 0.1"),
     ])
     def test_malformed_entries_rejected(self, affinity, noise, named):
-        """AffinitySpec reads each row and entry as RunConfig does, instead
+        """SynthSpec reads each row and entry as RunConfig does, instead
         of letting numpy cast a bool or a string to a float."""
         with pytest.raises(ConfigError) as err:
-            D.AffinitySpec(2, affinity, noise)
+            D.SynthSpec(2, affinity, noise, [10, 10])
         assert str(err.value) == named
 
     def test_non_integer_domain_count_rejected(self):
         with pytest.raises(ConfigError) as err:
-            D.AffinitySpec(2.0, np.eye(2), np.zeros(2))
+            D.SynthSpec(2.0, np.eye(2), np.zeros(2), [10, 10])
         assert str(err.value) == "domains must be an integer, got 2.0"
         with pytest.raises(ConfigError) as err:
-            D.AffinitySpec(0, np.eye(0), np.zeros(0))
+            D.SynthSpec(0, np.eye(0), np.zeros(0), [])
         assert str(err.value) == "domains must be >= 1, got 0"
-        spec = D.AffinitySpec(np.int64(2), np.eye(2), np.zeros(2))
+        spec = D.SynthSpec(np.int64(2), np.eye(2), np.zeros(2), [10, 10])
         assert type(spec.domains) is int
+
+    def test_fields_checked_in_order(self):
+        """SynthSpec checks its fields in their declared order: with every
+        field from one on malformed, that field's rule names it."""
+        bad = [("domains", 2.0, "domains must be an integer, got 2.0"),
+               ("affinity", [[1.0, 0.5]], "affinity must be 2x2"),
+               ("noise", [0.1], "noise must have shape (2,)"),
+               ("sizes", [10], "sizes needs 2 entries"),
+               ("fields_per_concept", 0,
+                "fields_per_concept must be >= 1, got 0"),
+               ("vocab_size", 1, "vocab_size must be >= 2, got 1"),
+               ("feature_noise", -1.0,
+                "feature_noise must be a finite number >= 0, got -1.0")]
+        assert [key for key, _, _ in bad] == [
+            f.name for f in dataclasses.fields(D.SynthSpec)]
+        good = {"domains": 2, "affinity": np.eye(2), "noise": np.zeros(2),
+                "sizes": [10, 10]}
+        for i, (_, _, named) in enumerate(bad):
+            fields = dict(good, **{key: value for key, value, _ in bad[i:]})
+            with pytest.raises(ConfigError) as err:
+                D.SynthSpec(**fields)
+            assert str(err.value) == named
+
+    def test_fields_stored_as_read(self):
+        """Each field is stored as its rule reads it: float64 arrays for
+        the affinity and the label noise, ints for the counts, a float for
+        the feature noise."""
+        spec = D.SynthSpec(2, [[1, 0], [0, 1]], (0, 0.25), [np.int64(5), 7],
+                           fields_per_concept=np.int32(3),
+                           vocab_size=np.uint8(8),
+                           feature_noise=np.float32(0.5))
+        assert spec.affinity.dtype == spec.noise.dtype == np.float64
+        assert spec.noise.tolist() == [0.0, 0.25]
+        assert spec.sizes == [5, 7]
+        assert [type(v) for v in (*spec.sizes, spec.fields_per_concept,
+                                  spec.vocab_size, spec.feature_noise)] == [
+            int, int, int, int, float]
 
     @pytest.mark.parametrize("changes, named", [
         ({"fields_per_concept": 2.0},
@@ -1150,32 +1189,32 @@ class TestSynthGenerate:
          f"vocab_size must be <= {2 ** 31}, got {2 ** 40}"),
     ])
     def test_bad_counts_rejected(self, changes, named):
-        """Every count synth_generate takes is an integer of at least its
-        minimum and at most its maximum, in a list where it takes one, and
-        feature_noise a number; anything else is a ConfigError naming it,
-        not a bare numpy or Python error."""
-        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
+        """Every count a SynthSpec or synth_generate takes is an integer of
+        at least its minimum and at most its maximum, in a list where it
+        takes one, and feature_noise a number; anything else is a
+        ConfigError naming it, not a bare numpy or Python error."""
         kwargs = {"sizes": [10, 10], "seed": 1, **changes}
+        seed = kwargs.pop("seed")
         with pytest.raises(ConfigError) as err:
-            D.synth_generate(spec, **kwargs)
+            D.synth_generate(D.SynthSpec(2, np.eye(2), np.zeros(2), **kwargs),
+                             seed)
         assert str(err.value) == named
 
     def test_empty_domain_generated(self):
-        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
-        ds = D.synth_generate(spec, [0, 10], seed=1)
+        ds = D.synth_generate(D.SynthSpec(2, np.eye(2), np.zeros(2), [0, 10]),
+                              seed=1)
         assert counts(ds, "all") == [0, 10]
 
     @pytest.mark.parametrize("feature_noise", [np.nan, np.inf, -0.1])
     def test_bad_feature_noise_rejected(self, feature_noise):
-        spec = D.AffinitySpec(2, np.eye(2), np.zeros(2))
         with pytest.raises(ConfigError, match="feature_noise must be"):
-            D.synth_generate(spec, [10, 10], seed=1,
-                             feature_noise=feature_noise)
+            D.SynthSpec(2, np.eye(2), np.zeros(2), [10, 10],
+                        feature_noise=feature_noise)
 
     def test_identity_affinity_foreign_domains_uninformative(self):
         # train a linear probe on domain 0; foreign AUC must hover at chance
-        spec = D.AffinitySpec(3, np.eye(3), np.zeros(3))
-        ds = D.synth_generate(spec, [5000, 5000, 5000], seed=42)
+        spec = D.SynthSpec(3, np.eye(3), np.zeros(3), [5000, 5000, 5000])
+        ds = D.synth_generate(spec, seed=42)
         vocab = ds.schema.vocab_sizes
         home = ds.domain("all", 0)
         w, b = train_logreg(onehot(home.features, vocab), home.labels)
@@ -1192,8 +1231,9 @@ class TestSynthGenerate:
         affinity = np.array([[1.0, 0.8, 0.0],
                              [0.8, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
-        spec = D.AffinitySpec(3, affinity, np.array([0.05, 0.05, 0.05]))
-        ds = D.synth_generate(spec, [4000, 4000, 4000], seed=11)
+        spec = D.SynthSpec(3, affinity, np.array([0.05, 0.05, 0.05]),
+                           [4000, 4000, 4000])
+        ds = D.synth_generate(spec, seed=11)
         vocab = ds.schema.vocab_sizes
         a = ds.domain("all", 0)
 

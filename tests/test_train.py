@@ -9,7 +9,7 @@ import pytest
 from ctrlab import backbone, data, metrics, nn, prototype, train
 from ctrlab.config import RunConfig, load_dataset
 from ctrlab.errors import ConfigError, LabError, NumericError, UsageError
-from helpers import CHAIN3, FIXED, tiny_config
+from helpers import CHAIN3, FIXED, same_bits, tiny_config
 import reference as ref
 
 
@@ -416,6 +416,58 @@ def test_csv_dataset_run_equals_synth_run(results, tmp_path):
         tmp_path / "run" / "checkpoint.npz")
     assert loaded == config
     assert backbone.vocab_sizes == dataset.schema.vocab_sizes
+
+
+READOUT = {"fields_per_concept": 3, "vocab_size": 8, "feature_noise": 0.1}
+
+
+def test_synth_options_reach_the_run():
+    """A synthetic spec's readout options shape the run's fields and
+    vocabularies, and its split dataset is the spec's, bit for bit."""
+    config = tiny_config("sdsp")
+    config = config.replace(dataset=dict(config.dataset, **READOUT))
+    run = train.Run(config)
+    assert run.backbone.vocab_sizes == (8,) * 9
+    spec = data.SynthSpec(3, CHAIN3, [0.0] * 3, config.dataset["sizes"],
+                          **READOUT)
+    want = data.split(data.synth_generate(spec, config.seed),
+                      config.split_fractions, config.seed)
+    for name in data.PARTITIONS:
+        for d in range(3):
+            got, ref = run.dataset.domain(name, d), want.domain(name, d)
+            assert same_bits(got.features, ref.features)
+            assert same_bits(got.labels, ref.labels)
+
+
+@pytest.fixture(scope="module")
+def mean_run():
+    """An sdsp run with split fractions and an overall metric that are not
+    the defaults."""
+    return train.train(tiny_config("sdsp").replace(
+        split_fractions=[0.6, 0.2, 0.2], overall_metric="mean"))
+
+
+def test_split_fractions_reach_the_run(mean_run):
+    """Each domain's train, val and test rows are its largest-remainder
+    shares of the configured fractions, and the report counts them."""
+    sizes = [data._largest_remainder(n, [0.6, 0.2, 0.2])
+             for n in mean_run.config.dataset["sizes"]]
+    assert [[len(mean_run.dataset.domain(name, d)) for name in data.PARTITIONS]
+            for d in range(3)] == sizes
+    for i, part in ((1, "val"), (2, "test")):
+        counts = [mean_run.report[part]["domains"][str(d)]["count"]
+                  for d in range(3)]
+        assert counts == [s[i] for s in sizes]
+
+
+def test_overall_metric_reaches_the_run(mean_run):
+    """The val and test reports combine their domains by the configured
+    overall metric: the mean of the per-domain AUCs."""
+    for part in ("val", "test"):
+        section = mean_run.report[part]
+        assert section["overall_mode"] == "mean"
+        aucs = [section["domains"][str(d)]["auc"] for d in range(3)]
+        assert section["overall_auc"] == float(np.mean(aucs))
 
 
 # Two blocks of two domains: each domain borrows from its block partner
