@@ -116,8 +116,8 @@ class Backbone:
         self.x_dim = len(self.vocab_sizes) * self.embed_dim
         self._vocab_bounds = np.array(self.vocab_sizes, dtype=np.uint32)
         # Row of each field's first entry in the embedding table, which
-        # stacks the field tables in field order. int64, so an int32
-        # index plus its offset is an int64 row number.
+        # stacks the field tables in field order. int64, so any index
+        # plus its offset is an int64 row number.
         self._field_offsets = np.cumsum((0,) + self.vocab_sizes[:-1],
                                         dtype=np.int64)
         self.embedding = Param("embedding", uniform_init(
@@ -158,10 +158,12 @@ class Backbone:
             raise UsageError(
                 f"features must be (n, {len(self.vocab_sizes)}), "
                 f"got {features.shape}")
-        # Read as uint32, a negative int32 index is at least 2**31, which
-        # no vocabulary size exceeds, so one comparison checks both bounds
-        # of every field.
-        bad = features.view(np.uint32) >= self._vocab_bounds
+        # An unsigned index is compared as it is. Read as uint32, a
+        # negative int32 index is at least 2**31, which no vocabulary size
+        # exceeds, so one comparison checks both bounds of every field.
+        unsigned = (features if features.dtype.kind == "u"
+                    else features.view(np.uint32))
+        bad = unsigned >= self._vocab_bounds
         if bad.any():
             j = int(bad.any(axis=0).nonzero()[0][0])
             raise DataError(

@@ -1,10 +1,12 @@
 """Dataset model, splitting, fixed-quota batch sampling, and synthesis.
 
-Feature values are categorical vocabulary indices, one per declared field,
-stored as int32: every vocabulary holds at most ``VOCAB_LIMIT`` = 2**31
-entries, so every index fits. A dataset is grouped by integer domain id;
-partitions ("all" after loading, "train"/"val"/"test" after splitting) hold
-per-domain int32 feature and float64 label arrays.
+Feature values are categorical vocabulary indices, one per declared field.
+``load_csv`` and ``synth_generate`` store them in the schema's
+``index_dtype``: uint8 if every vocabulary holds at most 256 entries, uint16
+if at most 65,536, else int32, which holds every index of the largest
+vocabulary allowed, ``VOCAB_LIMIT`` = 2**31 entries. A dataset is grouped by
+integer domain id; partitions ("all" after loading, "train"/"val"/"test"
+after splitting) hold per-domain feature arrays and uint8 0/1 label arrays.
 
 The synthetic generator plants a known inter-domain affinity: each sample
 carries latent concept loadings U ~ Uniform(-1,1)^D, domain d's click score
@@ -39,8 +41,11 @@ log = logging.getLogger(__name__)
 
 PARTITIONS = ("train", "val", "test")
 
+# The feature formats, narrowest first: a schema's data takes the first
+# that holds every index of its largest vocabulary.
+_INDEX_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.int32)))
 # The most entries a vocabulary may hold: its largest index, 2**31 - 1, is
-# the largest int32.
+# the largest int32, the widest feature format.
 VOCAB_LIMIT = 2 ** 31
 # The fewest samples of a domain that split takes: one per partition.
 SPLIT_MIN_SAMPLES = len(PARTITIONS)
@@ -161,6 +166,14 @@ class Schema:
     def vocab_sizes(self) -> tuple:
         return tuple(f.vocab_size for f in self.fields)
 
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The feature format of this schema's data: uint8 if every
+        vocabulary holds at most 256 entries, uint16 if at most 65,536,
+        else int32."""
+        largest = max(self.vocab_sizes)
+        return next(t for t in _INDEX_DTYPES if largest <= np.iinfo(t).max + 1)
+
     def header(self) -> str:
         return ",".join(["domain", "label"] + [f.name for f in self.fields])
 
@@ -215,17 +228,18 @@ def _exact_keys(raw, keys: tuple, what: str) -> dict:
 
 
 def feature_indices(features) -> np.ndarray:
-    """``features`` as an int32 array, refusing values that are not whole
+    """``features`` as an index array, refusing values that are not whole
     or do not fit.
 
-    An int32 array is returned as it is, after one dtype check. Any other
-    input is cast, and a value the cast would change raises ``DataError``
+    A uint8, uint16 or int32 array, the formats a schema's data is stored
+    in, is returned as it is, after one dtype check. Any other input is
+    cast to int32, and a value the cast would change raises ``DataError``
     instead of silently becoming a different index: one that is not whole
     (1.7, NaN, inf, or one outside the int64 range), or a whole one outside
     the int32 range.
     """
     features = np.asarray(features)
-    if features.dtype == np.int32:
+    if features.dtype in _INDEX_DTYPES:
         return features
     with np.errstate(invalid="ignore"):
         whole = features.astype(np.int64, copy=False)
@@ -238,17 +252,27 @@ def feature_indices(features) -> np.ndarray:
 
 
 class DomainData:
-    """Feature/label arrays for one domain within one partition."""
+    """Feature/label arrays for one domain within one partition.
+
+    Features are kept as ``feature_indices`` returns them. Labels are
+    stored as uint8; a label other than 0 or 1 (0.5, NaN, 2, -1) raises a
+    DataError naming its row.
+    """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         features = feature_indices(features)
-        labels = np.asarray(labels, dtype=np.float64)
+        labels = np.asarray(labels)
         if features.ndim != 2 or labels.ndim != 1:
             raise UsageError("features must be (n, F), labels (n,)")
         if features.shape[0] != labels.shape[0]:
             raise UsageError("features and labels disagree on sample count")
+        # Written so that NaN is refused too.
+        bad = (labels != 0) & (labels != 1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataError(f"row {i}: label {labels[i]} is not 0/1")
         self.features = features
-        self.labels = labels
+        self.labels = labels.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -258,9 +282,10 @@ class DomainData:
                           np.take(self.labels, idx))
 
     @classmethod
-    def empty(cls, num_fields: int) -> "DomainData":
-        return cls(np.zeros((0, num_fields), dtype=np.int32),
-                   np.zeros(0, dtype=np.float64))
+    def empty(cls, schema: Schema) -> "DomainData":
+        """No rows, in the formats of ``schema``'s data."""
+        return cls(np.zeros((0, schema.num_fields), dtype=schema.index_dtype),
+                   np.zeros(0, dtype=np.uint8))
 
 
 @dataclass
@@ -321,7 +346,12 @@ class SynthSpec:
 
 
 class DomainDataset:
-    """Schema plus per-domain sample arrays grouped into named partitions."""
+    """Schema plus per-domain sample arrays grouped into named partitions.
+
+    Every partition covers every domain, and every domain has one feature
+    column per field; else a UsageError names the partition, and the
+    domain whose columns differ.
+    """
 
     def __init__(self, schema: Schema, partitions: dict, malformed: int = 0):
         self.schema = schema
@@ -332,6 +362,12 @@ class DomainDataset:
                 raise UsageError(
                     f"partition {name!r} covers {len(datas)} domains, "
                     f"schema declares {schema.domains}")
+            for d, dd in enumerate(datas):
+                if dd.features.shape[1] != schema.num_fields:
+                    raise UsageError(
+                        f"partition {name!r} domain {d} has "
+                        f"{dd.features.shape[1]} feature columns, schema "
+                        f"declares {schema.num_fields} fields")
 
     def domain(self, partition: str, d: int) -> DomainData:
         return self.partitions[partition][d]
@@ -353,11 +389,11 @@ def load_csv(path, schema: Schema) -> DomainDataset:
 
     Whole lines are read about ``_CHUNK_CHARS`` characters at a time and
     parsed by digit arithmetic. A chunk's rows are copied per domain into
-    an int32 feature block and a float64 label block, the result's own
-    formats, and each domain's blocks are concatenated once at the end and
-    dropped as they are, so the peak is the result plus one domain's
-    blocks plus one chunk's working arrays, never a multiple of the file's
-    text. A chunk is decoded before any of its lines is parsed, so bytes
+    a feature block of the schema's ``index_dtype`` and a uint8 label
+    block, the result's own formats, and each domain's blocks are
+    concatenated once at the end and dropped as they are, so the peak is
+    the result plus one domain's blocks plus one chunk's working arrays,
+    never a multiple of the file's text. A chunk is decoded before any of its lines is parsed, so bytes
     that are not UTF-8 raise before any out-of-range row of their own
     chunk; an out-of-range row of an earlier chunk, or a header that does
     not match, may raise first.
@@ -395,9 +431,9 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
             malformed += sum(1 for i in np.flatnonzero(~is_row).tolist()
                              if lines[i].strip())
             line_no += len(lines)
-            # Rows lie below ``bound``, so the int32 cast is exact.
-            features = rows[:, 2:].astype(np.int32)
-            labels = rows[:, 1].astype(np.float64)
+            # Rows lie below ``bound``, so both casts are exact.
+            features = rows[:, 2:].astype(schema.index_dtype)
+            labels = rows[:, 1].astype(np.uint8)
             domains = rows[:, 0]
             # A boolean gather copies: no block keeps its chunk alive.
             for d in np.unique(domains).tolist():
@@ -412,7 +448,7 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
             datas.append(DomainData(np.concatenate([f for f, _ in d_blocks]),
                                     np.concatenate([y for _, y in d_blocks])))
         else:
-            datas.append(DomainData.empty(schema.num_fields))
+            datas.append(DomainData.empty(schema))
     return DomainDataset(schema, {"all": datas}, malformed=malformed)
 
 
@@ -482,8 +518,7 @@ def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
 
     The lines are formatted and written ``_WRITE_ROWS`` rows at a time,
     each block from an int64 table of its rows, so the memory it takes
-    does not grow with the file; labels are truncated to integers, as
-    ``int`` would.
+    does not grow with the file.
     """
     line = ",".join(["%d"] * (2 + dataset.schema.num_fields)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -661,9 +696,9 @@ def synth_generate(spec: SynthSpec, seed: int) -> DomainDataset:
     for d, n in enumerate(spec.sizes):
         u = rng.uniform(-1.0, 1.0, size=(n, d_count))
         score = u @ spec.affinity[d]
-        labels = (score > 0.0).astype(np.float64)
+        labels = (score > 0.0).astype(np.uint8)
         flips = rng.random(n) < spec.noise[d]
-        labels[flips] = 1.0 - labels[flips]
+        labels[flips] ^= 1
         # readout matrix (n, D*fields_per_concept): group k repeats its
         # mixture term affinity[d,k] * U_k across its fields
         weighted = u * spec.affinity[d]
@@ -676,5 +711,5 @@ def synth_generate(spec: SynthSpec, seed: int) -> DomainDataset:
         readout *= spec.vocab_size
         np.floor(readout, out=readout)
         np.clip(readout, 0, spec.vocab_size - 1, out=readout)
-        datas.append(DomainData(readout.astype(np.int32), labels))
+        datas.append(DomainData(readout.astype(schema.index_dtype), labels))
     return DomainDataset(schema, {"all": datas})

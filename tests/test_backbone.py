@@ -226,6 +226,18 @@ class TestEmbed:
                            match=r"^field 1 index outside \[0, 7\)$"):
             net.embed(feats)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("bad", [7, 255])
+    def test_unsigned_index_outside_vocab_rejected(self, dtype, bad):
+        """Unsigned input, the narrow stored formats, is compared as it is:
+        an index at or past the vocabulary size fails."""
+        net = small_net(vocab=(5, 7, 4))
+        feats = np.array([[0, 0, 0], [4, bad, 3]], dtype=dtype)
+        assert net.embed(feats[:1]).shape == (1, net.x_dim + 1)
+        with pytest.raises(DataError,
+                           match=r"^field 1 index outside \[0, 7\)$"):
+            net.embed(feats)
+
     def test_lowest_bad_field_is_named(self):
         net = small_net(vocab=(5, 7, 4))
         feats = np.array([[0, 0, 4], [0, -2, 0]])
@@ -480,6 +492,16 @@ class TestPredict:
         net = small_net(seed=12)
         preds = net.predict(rand_features(net, 20), 2, unmasked(net))
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
+
+    @pytest.mark.parametrize("form", [np.uint8, np.uint16, np.int64, list])
+    def test_any_index_format_gives_the_int32_predictions(self, form):
+        """The stored formats, int64 arrays and nested lists predict the
+        bits that int32 indices do."""
+        net = small_net(seed=12)
+        feats = rand_features(net, 20).astype(np.int32)
+        want = net.predict(feats, 1, unmasked(net))
+        given = feats.tolist() if form is list else feats.astype(form)
+        assert same_bits(net.predict(given, 1, unmasked(net)), want)
 
     def test_non_finite_prediction_is_numeric_error(self):
         """A NaN parameter, as a diverged run leaves, stops the domain's

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ctrlab import data as D
-from ctrlab.errors import ConfigError, DataError, SchemaError, SplitError
+from ctrlab.errors import (ConfigError, DataError, SchemaError, SplitError,
+                           UsageError)
 from ctrlab.metrics import auc
 import reference as ref
 
@@ -110,10 +111,10 @@ def loop_load_csv(path, schema):
     for d in range(schema.domains):
         if feats_by_domain[d]:
             datas.append(D.DomainData(
-                np.array(feats_by_domain[d], dtype=np.int64),
-                np.array(labels_by_domain[d], dtype=np.float64)))
+                np.array(feats_by_domain[d], dtype=schema.index_dtype),
+                np.array(labels_by_domain[d], dtype=np.uint8)))
         else:
-            datas.append(D.DomainData.empty(schema.num_fields))
+            datas.append(D.DomainData.empty(schema))
     return D.DomainDataset(schema, {"all": datas}, malformed=malformed)
 
 
@@ -287,6 +288,32 @@ class TestDomainData:
         edges = np.array([[-2 ** 31, 2 ** 31 - 1]], dtype=np.int64)
         assert D.DomainData(edges, np.array([1.0])).features.tolist() == (
             edges.tolist())
+
+    @pytest.mark.parametrize("bad, shown", [
+        (0.5, "0.5"), (np.nan, "nan"), (2, "2.0"), (-1, "-1.0")])
+    def test_label_that_is_not_0_or_1_rejected(self, bad, shown):
+        """A label save_csv would write as another one, or that would turn
+        into a NaN loss mid-run, is refused, naming its row."""
+        with pytest.raises(DataError) as err:
+            D.DomainData([[0], [1], [2]], [1.0, 0.0, bad])
+        assert str(err.value) == f"row 2: label {shown} is not 0/1"
+
+    @pytest.mark.parametrize("labels", [
+        [1.0, 0.0], np.array([1, 0]), np.array([True, False]),
+        np.array([1, 0], dtype=np.uint8)])
+    def test_labels_stored_as_uint8(self, labels):
+        out = D.DomainData([[0], [1]], labels).labels
+        assert out.dtype == np.uint8 and out.tolist() == [1, 0]
+
+    def test_feature_columns_must_match_the_schema(self):
+        """A domain with more or fewer feature columns than the schema has
+        fields is refused by name before save_csv would write it."""
+        schema = two_field_schema()
+        good = D.DomainData([[1, 2]], [1])
+        with pytest.raises(UsageError) as err:
+            D.DomainDataset(schema, {"all": [good, D.DomainData([[1]], [0])]})
+        assert str(err.value) == ("partition 'all' domain 1 has 1 feature "
+                                  "columns, schema declares 2 fields")
 
 
 class TestParseRow:
@@ -525,7 +552,7 @@ class TestLoadCsvMatchesLoop:
     def test_save_csv_output_with_an_empty_domain(self, tmp_path, caplog):
         ds = synthetic([20, 30, 25], seed=4)
         parts = list(ds.partitions["all"])
-        parts[1] = D.DomainData.empty(ds.schema.num_fields)
+        parts[1] = D.DomainData.empty(ds.schema)
         path = tmp_path / "ds.csv"
         D.save_csv(D.DomainDataset(ds.schema, {"all": parts}), path)
         want = assert_same_as_loop(path, ds.schema, caplog)
@@ -552,7 +579,7 @@ class TestLoadCsvMatchesLoop:
                D.VOCAB_LIMIT - 1]
         parts = [D.DomainData(np.column_stack([np.arange(7) % 3, big]),
                               np.arange(7) % 2),
-                 D.DomainData.empty(2),
+                 D.DomainData.empty(schema),
                  D.DomainData([[2, D.VOCAB_LIMIT - 1]], [1.0])]
         dataset = D.DomainDataset(schema, {"all": parts})
         path = tmp_path / "ds.csv"
@@ -669,10 +696,10 @@ class TestSaveCsvMemory:
         assert peak <= 4 * 2 ** 20
 
 
-def synthetic(sizes, seed=0):
+def synthetic(sizes, seed=0, **options):
     d = len(sizes)
-    return D.synth_generate(D.SynthSpec(d, np.eye(d), np.zeros(d), sizes),
-                            seed=seed)
+    return D.synth_generate(D.SynthSpec(d, np.eye(d), np.zeros(d), sizes,
+                                        **options), seed=seed)
 
 
 class TestSplit:
@@ -873,7 +900,7 @@ class TestQuotaSampler:
 
     def test_empty_domain_rejected(self):
         ds = synthetic([10, 10])
-        empty = D.DomainData.empty(ds.schema.num_fields)
+        empty = D.DomainData.empty(ds.schema)
         with pytest.raises(ConfigError, match="empty"):
             D.QuotaSampler([empty], [2], np.random.default_rng(0))
 
@@ -1016,12 +1043,12 @@ class TestSaveCsvMatchesLoop:
     def test_an_empty_domain(self, tmp_path):
         ds = synthetic([20, 30, 25], seed=4)
         parts = list(ds.partitions["all"])
-        parts[1] = D.DomainData.empty(ds.schema.num_fields)
+        parts[1] = D.DomainData.empty(ds.schema)
         self.same_bytes(D.DomainDataset(ds.schema, {"all": parts}), tmp_path)
 
     def test_every_domain_empty(self, tmp_path):
         ds = synthetic([20, 30], seed=4)
-        parts = [D.DomainData.empty(ds.schema.num_fields)] * 2
+        parts = [D.DomainData.empty(ds.schema)] * 2
         got = self.same_bytes(D.DomainDataset(ds.schema, {"all": parts}),
                               tmp_path)
         assert got.count(b"\n") == 1
@@ -1032,7 +1059,7 @@ class TestSaveCsvMatchesLoop:
         block = D._WRITE_ROWS
         ds = synthetic([2 * block + 5, 1, block - 1], seed=6)
         parts = list(ds.partitions["all"])
-        parts[1] = D.DomainData.empty(ds.schema.num_fields)
+        parts[1] = D.DomainData.empty(ds.schema)
         got = self.same_bytes(D.DomainDataset(ds.schema, {"all": parts}),
                               tmp_path)
         assert got.count(b"\n") == 1 + 3 * block + 4
@@ -1246,36 +1273,106 @@ class TestSynthGenerate:
         assert probe_auc(2) <= 0.55   # disjoint domain does not
 
 
-def synth_features(tmp_path):
-    return [dd.features for dd in synthetic([30, 20, 25]).partitions["all"]]
+def synth_features(tmp_path, vocab_size):
+    ds = synthetic([30, 20, 25], vocab_size=vocab_size)
+    return [dd.features for dd in ds.partitions["all"]]
 
 
-def csv_features(tmp_path):
-    ds = synthetic([30, 20, 25])
+def csv_features(tmp_path, vocab_size):
+    ds = synthetic([30, 20, 25], vocab_size=vocab_size)
     D.save_csv(ds, tmp_path / "data.csv")
     loaded = D.load_csv(tmp_path / "data.csv", ds.schema)
     return [dd.features for dd in loaded.partitions["all"]]
 
 
-def split_features(tmp_path):
-    out = D.split(synthetic([30, 20, 25]), (0.8, 0.1, 0.1), seed=2)
+def split_features(tmp_path, vocab_size):
+    out = D.split(synthetic([30, 20, 25], vocab_size=vocab_size),
+                  (0.8, 0.1, 0.1), seed=2)
     return [dd.features for name in D.PARTITIONS
             for dd in out.partitions[name]]
 
 
-def sampler_features(tmp_path):
-    ds = synthetic([30, 5, 25])
+def sampler_features(tmp_path, vocab_size):
+    ds = synthetic([30, 5, 25], vocab_size=vocab_size)
     sampler = D.QuotaSampler(ds.partitions["all"], [4, 7, 3],
                              np.random.default_rng(3))
     return [feats for _ in range(12) for feats, _ in sampler.next_batch()]
 
 
-@pytest.mark.parametrize("produce", [synth_features, csv_features,
-                                     split_features, sampler_features],
-                         ids=["synth", "load_csv", "split", "sampler"])
+PRODUCERS = pytest.mark.parametrize(
+    "produce", [synth_features, csv_features, split_features,
+                sampler_features],
+    ids=["synth", "load_csv", "split", "sampler"])
+
+
+@PRODUCERS
 def test_every_producer_holds_int32_features(produce, tmp_path):
     """Synthetic data, ``load_csv`` output, every split partition and
-    every sampler batch hold features in the one index format."""
-    features = produce(tmp_path)
+    every sampler batch hold features in the int32 format when a
+    vocabulary has more than 65,536 entries."""
+    features = produce(tmp_path, 65_537)
     assert features
     assert {f.dtype for f in features} == {np.dtype(np.int32)}
+
+
+@PRODUCERS
+@pytest.mark.parametrize("vocab_size, dtype", [
+    (256, np.uint8), (257, np.uint16), (65_536, np.uint16)])
+def test_every_producer_keeps_the_narrow_index_dtype(produce, tmp_path,
+                                                     vocab_size, dtype):
+    """Below the int32 range every producer holds the schema's narrower
+    format: split and the sampler keep the dtype they are given."""
+    features = produce(tmp_path, vocab_size)
+    assert features
+    assert {f.dtype for f in features} == {np.dtype(dtype)}
+
+
+class TestIndexDtype:
+    """One rule picks the feature format from the largest vocabulary."""
+
+    @pytest.mark.parametrize("vocab_sizes, dtype", [
+        ((2,), np.uint8), ((256,), np.uint8), ((257,), np.uint16),
+        ((8, 257, 3), np.uint16), ((65_536,), np.uint16),
+        ((65_537,), np.int32), ((4, D.VOCAB_LIMIT), np.int32)])
+    def test_rule(self, vocab_sizes, dtype):
+        schema = D.Schema(2, tuple(D.FeatureField(f"f{j}", v)
+                                   for j, v in enumerate(vocab_sizes)))
+        assert schema.index_dtype == np.dtype(dtype)
+
+    @pytest.mark.parametrize("vocab_size, dtype", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+        (65_537, np.int32)])
+    def test_synth_generate_at_the_boundaries(self, vocab_size, dtype):
+        """Feature noise wide enough to clip many readouts to the top bin:
+        the largest index is stored, not wrapped, in every domain, and an
+        empty domain takes the format too."""
+        ds = synthetic([60, 0, 40], seed=3, vocab_size=vocab_size,
+                       feature_noise=3.0)
+        for d, dd in enumerate(ds.partitions["all"]):
+            assert dd.features.dtype == dtype and dd.labels.dtype == np.uint8
+            if d != 1:
+                assert dd.features.min() == 0
+                assert dd.features.max() == vocab_size - 1
+        assert counts(ds, "all") == [60, 0, 40]
+
+    @pytest.mark.parametrize("vocab_size, dtype", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+        (65_537, np.int32)])
+    def test_load_csv_at_the_boundaries(self, tmp_path, vocab_size, dtype):
+        """Every domain, the empty one too, holds the schema's format, and
+        the indices around the top of the vocabulary read back as
+        written."""
+        schema = D.Schema(3, (D.FeatureField("small", 3),
+                              D.FeatureField("big", vocab_size)))
+        top = vocab_size - 1
+        path = write_csv(tmp_path, schema,
+                         f"0,1,2,{top}\n2,0,0,0\n0,0,1,{top - 1}\n"
+                         f"2,1,1,255\n")
+        ds = D.load_csv(path, schema)
+        assert counts(ds, "all") == [2, 0, 2]
+        for dd in ds.partitions["all"]:
+            assert dd.features.dtype == dtype and dd.labels.dtype == np.uint8
+        assert ds.domain("all", 0).features.tolist() == [[2, top],
+                                                         [1, top - 1]]
+        assert ds.domain("all", 2).features.tolist() == [[0, 0], [1, 255]]
+        assert ds.domain("all", 0).labels.tolist() == [1, 0]
