@@ -2,11 +2,11 @@
 
 Feature values are categorical vocabulary indices, one per declared field.
 ``load_csv`` and ``synth_generate`` store them in the schema's
-``index_dtype``: uint8 if every vocabulary holds at most 256 entries, uint16
-if at most 65,536, else int32, which holds every index of the largest
-vocabulary allowed, ``VOCAB_LIMIT`` = 2**31 entries. A dataset is grouped by
-integer domain id; partitions ("all" after loading, "train"/"val"/"test"
-after splitting) hold per-domain feature arrays and uint8 0/1 label arrays.
+``index_dtype``: uint8 if every vocabulary holds at most 256 entries, else
+int32, which holds every index of the largest vocabulary allowed,
+``VOCAB_LIMIT`` = 2**31 entries. A dataset is grouped by integer domain id;
+partitions ("all" after loading, "train"/"val"/"test" after splitting) hold
+per-domain feature arrays and uint8 0/1 label arrays.
 
 The synthetic generator plants a known inter-domain affinity: each sample
 carries latent concept loadings U ~ Uniform(-1,1)^D, domain d's click score
@@ -43,7 +43,7 @@ PARTITIONS = ("train", "val", "test")
 
 # The feature formats, narrowest first: a schema's data takes the first
 # that holds every index of its largest vocabulary.
-_INDEX_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.int32)))
+_INDEX_DTYPES = tuple(map(np.dtype, (np.uint8, np.int32)))
 # The most entries a vocabulary may hold: its largest index, 2**31 - 1, is
 # the largest int32, the widest feature format.
 VOCAB_LIMIT = 2 ** 31
@@ -169,8 +169,7 @@ class Schema:
     @property
     def index_dtype(self) -> np.dtype:
         """The feature format of this schema's data: uint8 if every
-        vocabulary holds at most 256 entries, uint16 if at most 65,536,
-        else int32."""
+        vocabulary holds at most 256 entries, else int32."""
         largest = max(self.vocab_sizes)
         return next(t for t in _INDEX_DTYPES if largest <= np.iinfo(t).max + 1)
 
@@ -231,12 +230,12 @@ def feature_indices(features) -> np.ndarray:
     """``features`` as an index array, refusing values that are not whole
     or do not fit.
 
-    A uint8, uint16 or int32 array, the formats a schema's data is stored
-    in, is returned as it is, after one dtype check. Any other input is
-    cast to int32, and a value the cast would change raises ``DataError``
-    instead of silently becoming a different index: one that is not whole
-    (1.7, NaN, inf, or one outside the int64 range), or a whole one outside
-    the int32 range.
+    A uint8 or int32 array, the formats a schema's data is stored in, is
+    returned as it is, after one dtype check. Any other input is cast to
+    int32, and a value the cast would change raises ``DataError`` instead
+    of silently becoming a different index: one that is not whole (1.7,
+    NaN, inf, or one outside the int64 range), or a whole one outside the
+    int32 range.
     """
     features = np.asarray(features)
     if features.dtype in _INDEX_DTYPES:

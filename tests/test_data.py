@@ -1309,39 +1309,34 @@ PRODUCERS = pytest.mark.parametrize(
 def test_every_producer_holds_int32_features(produce, tmp_path):
     """Synthetic data, ``load_csv`` output, every split partition and
     every sampler batch hold features in the int32 format when a
-    vocabulary has more than 65,536 entries."""
-    features = produce(tmp_path, 65_537)
+    vocabulary has more than 256 entries."""
+    features = produce(tmp_path, 257)
     assert features
     assert {f.dtype for f in features} == {np.dtype(np.int32)}
 
 
 @PRODUCERS
-@pytest.mark.parametrize("vocab_size, dtype", [
-    (256, np.uint8), (257, np.uint16), (65_536, np.uint16)])
-def test_every_producer_keeps_the_narrow_index_dtype(produce, tmp_path,
-                                                     vocab_size, dtype):
-    """Below the int32 range every producer holds the schema's narrower
-    format: split and the sampler keep the dtype they are given."""
-    features = produce(tmp_path, vocab_size)
+def test_every_producer_holds_uint8_features(produce, tmp_path):
+    """With at most 256 entries per vocabulary every producer holds
+    uint8: split and the sampler keep the dtype they are given."""
+    features = produce(tmp_path, 256)
     assert features
-    assert {f.dtype for f in features} == {np.dtype(dtype)}
+    assert {f.dtype for f in features} == {np.dtype(np.uint8)}
 
 
 class TestIndexDtype:
     """One rule picks the feature format from the largest vocabulary."""
 
     @pytest.mark.parametrize("vocab_sizes, dtype", [
-        ((2,), np.uint8), ((256,), np.uint8), ((257,), np.uint16),
-        ((8, 257, 3), np.uint16), ((65_536,), np.uint16),
-        ((65_537,), np.int32), ((4, D.VOCAB_LIMIT), np.int32)])
+        ((2,), np.uint8), ((256,), np.uint8), ((257,), np.int32),
+        ((8, 257, 3), np.int32), ((4, D.VOCAB_LIMIT), np.int32)])
     def test_rule(self, vocab_sizes, dtype):
         schema = D.Schema(2, tuple(D.FeatureField(f"f{j}", v)
                                    for j, v in enumerate(vocab_sizes)))
         assert schema.index_dtype == np.dtype(dtype)
 
     @pytest.mark.parametrize("vocab_size, dtype", [
-        (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
-        (65_537, np.int32)])
+        (256, np.uint8), (257, np.int32)])
     def test_synth_generate_at_the_boundaries(self, vocab_size, dtype):
         """Feature noise wide enough to clip many readouts to the top bin:
         the largest index is stored, not wrapped, in every domain, and an
@@ -1356,8 +1351,7 @@ class TestIndexDtype:
         assert counts(ds, "all") == [60, 0, 40]
 
     @pytest.mark.parametrize("vocab_size, dtype", [
-        (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
-        (65_537, np.int32)])
+        (256, np.uint8), (257, np.int32)])
     def test_load_csv_at_the_boundaries(self, tmp_path, vocab_size, dtype):
         """Every domain, the empty one too, holds the schema's format, and
         the indices around the top of the vocabulary read back as
