@@ -349,27 +349,60 @@ class DomainDataset:
 
     Every partition covers every domain, and every domain has one feature
     column per field; else a UsageError names the partition, and the
-    domain whose columns differ.
+    domain whose columns differ. Every feature index lies in its field's
+    vocabulary, so ``save_csv`` writes only what ``load_csv`` reads back;
+    else a DataError names the partition, the domain, the row, the field
+    and the index. Features are stored in the schema's ``index_dtype``.
     """
 
     def __init__(self, schema: Schema, partitions: dict, malformed: int = 0):
         self.schema = schema
-        self.partitions = partitions
         self.malformed = malformed
+        self.partitions = {}
+        dtype, smallest = schema.index_dtype, min(schema.vocab_sizes)
         for name, datas in partitions.items():
             if len(datas) != schema.domains:
                 raise UsageError(
                     f"partition {name!r} covers {len(datas)} domains, "
                     f"schema declares {schema.domains}")
+            checked = []
             for d, dd in enumerate(datas):
                 if dd.features.shape[1] != schema.num_fields:
                     raise UsageError(
                         f"partition {name!r} domain {d} has "
                         f"{dd.features.shape[1]} feature columns, schema "
                         f"declares {schema.num_fields} fields")
+                # The largest index alone settles a block whose indices
+                # all lie below every vocabulary.
+                indices = _unsigned(dd.features)
+                if indices.size and indices.max() >= smallest:
+                    _check_vocab(schema, dd.features,
+                                 f"partition {name!r} domain {d}")
+                if dd.features.dtype != dtype:
+                    # Every index lies in its vocabulary: the cast is exact.
+                    dd = DomainData(dd.features.astype(dtype), dd.labels)
+                checked.append(dd)
+            self.partitions[name] = checked
 
     def domain(self, partition: str, d: int) -> DomainData:
         return self.partitions[partition][d]
+
+
+def _unsigned(features: np.ndarray) -> np.ndarray:
+    """``features`` viewed as unsigned integers of the same width: a
+    negative index reads as a huge one, so one bound checks both ends."""
+    return features.view(f"u{features.itemsize}")
+
+
+def _check_vocab(schema: Schema, features: np.ndarray, where: str) -> None:
+    """Raise a DataError naming ``where``, the row, the field and the index
+    of the first index of ``features`` outside its field's vocabulary."""
+    out = _unsigned(features) >= np.array(schema.vocab_sizes)
+    if out.any():
+        i, j = np.argwhere(out)[0].tolist()
+        f = schema.fields[j]
+        raise DataError(f"{where} row {i}: field {f.name!r} index "
+                        f"{features[i, j]} outside [0, {f.vocab_size})")
 
 
 def load_csv(path, schema: Schema) -> DomainDataset:
@@ -383,19 +416,26 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     line that is not a row is malformed: counted, reported and skipped. A
     row with a value out of range (domain, label, or vocabulary index)
     aborts with a DataError naming the first such line and its first such
-    cell. A file that cannot be opened or read, or that is not UTF-8 text,
-    raises a DataError naming it, as ``read_text`` does.
+    cell. A header other than ``schema.header()`` raises a SchemaError
+    naming the missing, unexpected, repeated and out-of-order columns. A
+    file that cannot be opened or read, or that is not UTF-8 text, raises
+    a DataError naming it, as ``read_text`` does.
 
-    Whole lines are read about ``_CHUNK_CHARS`` characters at a time and
-    parsed by digit arithmetic. A chunk's rows are copied per domain into
-    a feature block of the schema's ``index_dtype`` and a uint8 label
+    Whole lines are read about ``_CHUNK_CHARS`` characters at a time, and
+    each chunk is parsed as one byte array: its separators, "," and
+    "\\n", end the cells. A row's value is assembled from the right:
+    the ones digit of every cell, then digit k of just the cells longer
+    than k digits, so the work grows with the digits the chunk holds,
+    not with its cell count times its longest cell. One stable sort
+    groups a chunk's rows by domain; each domain's rows are copied into a
+    feature block of the schema's ``index_dtype`` and a uint8 label
     block, the result's own formats, and each domain's blocks are
     concatenated once at the end and dropped as they are, so the peak is
     the result plus one domain's blocks plus one chunk's working arrays,
-    never a multiple of the file's text. A chunk is decoded before any of its lines is parsed, so bytes
-    that are not UTF-8 raise before any out-of-range row of their own
-    chunk; an out-of-range row of an earlier chunk, or a header that does
-    not match, may raise first.
+    never a multiple of the file's text. A chunk is decoded before any of
+    its lines is parsed, so bytes that are not UTF-8 raise before any
+    out-of-range row of their own chunk; an out-of-range row of an
+    earlier chunk, or a header that does not match, may raise first.
     """
     with _reading(path, DataError):
         return _load_chunks(path, schema)
@@ -411,19 +451,14 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
     malformed = 0
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        expected = schema.header()
-        if header != expected:
-            missing = [c for c in expected.split(",")
-                       if c not in header.split(",")]
-            raise SchemaError(
-                f"header mismatch: missing columns {missing}; "
-                f"expected {expected!r}, got {header!r}")
+        if header != schema.header():
+            raise _header_error(schema, header)
         line_no = 2
         while lines := fh.readlines(_CHUNK_CHARS):
             is_row, rows = _parse_chunk("".join(lines), len(bound))
-            out = (rows.view(np.uint64) >= bound).any(axis=1)
+            out = rows.view(np.uint64) >= bound
             if out.any():
-                i = int(out.argmax())
+                i = int(out.any(axis=1).argmax())
                 raise _range_error(
                     schema, line_no + int(np.flatnonzero(is_row)[i]),
                     rows[i].tolist())
@@ -434,10 +469,18 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
             features = rows[:, 2:].astype(schema.index_dtype)
             labels = rows[:, 1].astype(np.uint8)
             domains = rows[:, 0]
-            # A boolean gather copies: no block keeps its chunk alive.
-            for d in np.unique(domains).tolist():
-                mine = domains == d
-                blocks[d].append((features[mine], labels[mine]))
+            # One stable sort groups the rows by domain, in line order. A
+            # gather copies, and a domain that holds the whole chunk takes
+            # its fresh arrays: no block keeps another's rows alive.
+            order = np.argsort(domains, kind="stable")
+            stops = np.bincount(domains, minlength=schema.domains).cumsum()
+            start = 0
+            for d, stop in enumerate(stops.tolist()):
+                if stop > start:
+                    mine = (slice(None) if stop - start == len(order)
+                            else order[start:stop])
+                    blocks[d].append((features[mine], labels[mine]))
+                start = stop
     if malformed:
         log.warning("%s: skipped %d malformed row(s)", path, malformed)
     datas = []
@@ -449,6 +492,25 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
         else:
             datas.append(DomainData.empty(schema))
     return DomainDataset(schema, {"all": datas}, malformed=malformed)
+
+
+def _header_error(schema: Schema, header: str) -> SchemaError:
+    """The SchemaError for a header line that is not ``schema.header()``:
+    it names the columns missing, unexpected, repeated and out of order."""
+    expected = schema.header()
+    want, got = expected.split(","), header.split(",")
+    shared = [c for c in got if c in want]
+    problems = {
+        "missing columns": [c for c in want if c not in got],
+        "unexpected columns": [c for c in got if c not in want],
+        "repeated columns": sorted({c for c in got if got.count(c) > 1}),
+        "columns out of order": [
+            c for c, w in zip(shared, [c for c in want if c in got])
+            if c != w],
+    }
+    parts = [f"{what} {cols}" for what, cols in problems.items() if cols]
+    parts.append(f"expected {expected!r}, got {header!r}")
+    return SchemaError("header mismatch: " + "; ".join(parts))
 
 
 def _range_error(schema: Schema, line_no: int, row: list) -> DataError:
@@ -466,11 +528,26 @@ def _range_error(schema: Schema, line_no: int, row: list) -> DataError:
     return DataError(f"line {line_no}: {what}")
 
 
+def _gaps(at: np.ndarray) -> np.ndarray:
+    """``np.diff(at, prepend=-1)`` of a nonempty 1-d array, without the
+    concatenation that ``prepend`` makes."""
+    out = np.empty_like(at)
+    out[0] = at[0] + 1
+    np.subtract(at[1:], at[:-1], out=out[1:])
+    return out
+
+
 def _parse_chunk(text: str, num_cols: int):
     """Which lines of ``text`` are rows of ``num_cols`` cells, and those
     rows' values as an int64 (rows, num_cols) matrix, in line order.
 
     ``text`` is whole lines, each ending in "\\n" but perhaps the last.
+    Each cell ends at a separator, "," or "\\n". A row's cells are built
+    from the right: every such cell has a ones digit, which is read for
+    all of them with no mask; digit k is read only for the cells longer
+    than k digits, a set that narrows as k grows; the sign comes last.
+    When every line is a row, the cells are the separators as they
+    stand, with no gather.
     """
     if not text.endswith("\n"):  # the file's last line
         text += "\n"
@@ -479,10 +556,10 @@ def _parse_chunk(text: str, num_cols: int):
     sep = newline | (buf == ord(","))
     sep_at = np.flatnonzero(sep)
     ends = np.flatnonzero(newline[sep_at])  # each line's last separator
-    seps = np.diff(ends, prepend=-1)
+    seps = _gaps(ends)
     is_row = seps == num_cols
     # Each cell's digit count: its length, less one for a leading "-".
-    digits = np.diff(sep_at, prepend=-1) - 1
+    digits = _gaps(sep_at) - 1
     # Bytes that are neither a separator nor an ASCII digit (uint8 wraps
     # below "0"); of these, a "-" that begins its cell is a sign.
     odd = np.flatnonzero(~sep & (buf - ord("0") > 9))
@@ -495,17 +572,19 @@ def _parse_chunk(text: str, num_cols: int):
     bad_cells = np.flatnonzero((digits == 0) | (digits > _MAX_DIGITS))
     is_row[np.searchsorted(ends, bad_cells)] = False
     is_row[np.searchsorted(sep_at[ends], odd[~minus])] = False
-    kept = np.repeat(is_row, seps)
+    # A basic slice: the whole arrays as views, not gathered copies.
+    kept = slice(None) if is_row.all() else np.repeat(is_row, seps)
     cell_end, digits = sep_at[kept], digits[kept]
-    values = np.zeros(len(cell_end), dtype=np.int64)
-    for k in range(int(digits.max(initial=0))):  # k-th digit from the right
-        # A cell of k digits or fewer reads a byte before them, which
-        # np.where drops. The index is valid: at worst -(k + 1), and buf
-        # holds the longest cell and its separator.
-        digit = buf[cell_end - 1 - k] - ord("0")
-        values += np.where(digits > k, digit, 0) * _POW10[k]
+    values = (buf[cell_end - 1] - ord("0")).astype(np.int64)
+    longer = np.flatnonzero(digits > 1)
+    k = 1  # digit k from the right, of the cells in ``longer``
+    while longer.size:
+        digit = buf[cell_end[longer] - 1 - k] - ord("0")
+        values[longer] += digit * _POW10[k]
+        k += 1
+        longer = longer[digits[longer] > k]
     if negative.size:  # sign work only for chunks that hold a sign
-        sign = np.zeros(len(kept), dtype=bool)
+        sign = np.zeros(len(sep_at), dtype=bool)
         sign[negative] = True
         values[sign[kept]] *= -1
     return is_row, values.reshape(-1, num_cols)

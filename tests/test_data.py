@@ -76,13 +76,8 @@ def loop_load_csv(path, schema):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
-            expected = schema.header()
-            if header != expected:
-                missing = [c for c in expected.split(",")
-                           if c not in header.split(",")]
-                raise SchemaError(
-                    f"header mismatch: missing columns {missing}; "
-                    f"expected {expected!r}, got {header!r}")
+            if header != schema.header():
+                raise D._header_error(schema, header)
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -305,6 +300,52 @@ class TestDomainData:
         out = D.DomainData([[0], [1]], labels).labels
         assert out.dtype == np.uint8 and out.tolist() == [1, 0]
 
+    def test_index_outside_the_vocabulary_refused(self):
+        """A dataset that save_csv would write and load_csv refuse is
+        refused when it is built, naming where the index lies."""
+        schema = D.Schema(1, (D.FeatureField("f", 3),))
+        for feats, named in (([[7], [-2]], "row 0: field 'f' index 7"),
+                             ([[1], [-2]], "row 1: field 'f' index -2")):
+            with pytest.raises(DataError) as err:
+                D.DomainDataset(schema,
+                                {"all": [D.DomainData(feats, [1, 0])]})
+            assert str(err.value) == (
+                f"partition 'all' domain 0 {named} outside [0, 3)")
+
+    def test_index_outside_its_own_field_refused(self):
+        """Each column is held to its own field's vocabulary, in every
+        partition and domain, with the first bad index named."""
+        schema = two_field_schema()  # f0 < 8, f1 < 32
+        good = D.DomainData([[7, 31], [0, 0]], [1, 0])
+        bad = D.DomainData([[7, 9], [1, 31], [8, 32]], [1, 0, 1])
+        D.DomainDataset(schema, {"train": [good, good]})
+        with pytest.raises(DataError) as err:
+            D.DomainDataset(schema, {"train": [good, good],
+                                     "test": [good, bad]})
+        assert str(err.value) == ("partition 'test' domain 1 row 2: field "
+                                  "'f0' index 8 outside [0, 8)")
+
+    @pytest.mark.parametrize("vocab_size, dtype", [
+        (256, np.uint8), (257, np.int32)])
+    def test_features_stored_in_the_schema_format(self, tmp_path, vocab_size,
+                                                  dtype):
+        """Hand-built features, int32 or uint8, are stored in the schema's
+        format, and save_csv writes what load_csv reads back."""
+        schema = D.Schema(2, (D.FeatureField("f", vocab_size),))
+        parts = [D.DomainData(np.array([[255], [0]], dtype=np.int32), [1, 0]),
+                 D.DomainData(np.array([[3]], dtype=np.uint8), [1])]
+        dataset = D.DomainDataset(schema, {"all": parts})
+        for dd in dataset.partitions["all"]:
+            assert dd.features.dtype == dtype
+        path = tmp_path / "ds.csv"
+        D.save_csv(dataset, path)
+        again = D.load_csv(path, schema)
+        for got, want in zip(again.partitions["all"],
+                             dataset.partitions["all"]):
+            assert got.features.dtype == want.features.dtype
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.labels, want.labels)
+
     def test_feature_columns_must_match_the_schema(self):
         """A domain with more or fewer feature columns than the schema has
         fields is refused by name before save_csv would write it."""
@@ -384,6 +425,25 @@ class TestCsvIO:
         path.write_text("domain,label,f0\n")
         with pytest.raises(SchemaError, match="f1"):
             D.load_csv(path, s)
+
+    @pytest.mark.parametrize("header, named", [
+        ("domain,label,f1,f0", "columns out of order ['f1', 'f0']"),
+        ("domain,label,f0,f1,extra", "unexpected columns ['extra']"),
+        ("domain,label,f0,f1,f1", "repeated columns ['f1']"),
+        ("domain,f0,label", "missing columns ['f1']; "
+                            "columns out of order ['f0', 'label']"),
+    ])
+    def test_header_mismatch_names_the_columns(self, tmp_path, header,
+                                               named):
+        """Columns out of order, unexpected, repeated or missing are each
+        named; a reordered header no longer reads "missing columns []"."""
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n0,1,2,3\n")
+        with pytest.raises(SchemaError) as err:
+            D.load_csv(path, two_field_schema())
+        assert str(err.value) == (
+            f"header mismatch: {named}; expected 'domain,label,f0,f1', "
+            f"got {header!r}")
 
     def test_malformed_rows_counted_not_fatal(self, tmp_path):
         s = two_field_schema()
@@ -624,6 +684,46 @@ class TestLoadCsvMatchesLoop:
             assert want.malformed == 6
         else:
             assert str(want).startswith(f"line {bad_at}:")
+
+    # The grammar's edge cells: signs, spaces, empty cells, the longest
+    # cell and one digit more, non-ASCII digits.
+    EDGE_CELLS = ["-", "--1", "+1", " 1", "", "1 ", "-0", "0" * 17 + "5",
+                  "-" + "0" * 18, "0" * 19, "1" * 19, "３", "١", "x"]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_lines_across_chunk_boundaries(self, tmp_path, caplog,
+                                                  monkeypatch, seed):
+        """Random files of rows, edge cells, wrong cell counts, blank lines
+        and the odd out-of-range value, read in chunks of a few lines each
+        so that every kind of line meets a chunk boundary: load_csv returns
+        or raises what the line-by-line reference does."""
+        rng = np.random.default_rng(seed)
+        vocab = (2, 2, 8, 32)  # domain, label, f0, f1
+        cell_counts = [4] * 6 + [0, 1, 3, 5, 6]
+        # A third of the files may hold an out-of-range value, which
+        # aborts the load; the others load.
+        out_of_range = 0.02 if seed % 3 == 0 else 0.0
+
+        def cell(column):
+            r = rng.random()
+            if r < out_of_range:
+                return str(rng.choice([str(vocab[column]), "-1", "100",
+                                       "9" * 18, "-" + "123" * 6]))
+            if r < 0.9:
+                return str(rng.integers(vocab[column]))
+            return str(rng.choice(self.EDGE_CELLS))
+
+        lines = []
+        for _ in range(rng.integers(1, 60)):
+            if rng.random() < 0.05:
+                lines.append(str(rng.choice(["", " ", "\t"])))
+                continue
+            count = int(rng.choice(cell_counts))
+            lines.append(",".join(cell(min(c, 3)) for c in range(count)))
+        body = "\n".join(lines) + ("\n" if rng.random() < 0.5 else "")
+        monkeypatch.setattr(D, "_CHUNK_CHARS", int(rng.integers(1, 80)))
+        assert_same_as_loop(write_csv(tmp_path, two_field_schema(), body),
+                            two_field_schema(), caplog)
 
     def test_bad_row_before_undecodable_bytes_in_its_chunk(self, tmp_path):
         # The byte that is not UTF-8 sits about 16K characters after line
