@@ -127,14 +127,11 @@ class Backbone:
             for k in range(count):
                 self.experts.append(Mlp(
                     f"expert.d{d}e{k}",
-                    [self.x_dim, expert_hidden, self.repr_dim],
-                    ["relu", "linear"], rng))
-        self.gates = [Mlp(f"gate.d{d}", [self.x_dim, self.num_experts],
-                          ["linear"], rng)
+                    [self.x_dim, expert_hidden, self.repr_dim], rng))
+        self.gates = [Mlp(f"gate.d{d}", [self.x_dim, self.num_experts], rng)
                       for d in range(self.num_domains)]
-        self.towers = [Mlp(f"tower.d{d}",
-                           [self.repr_dim, tower_hidden, 1],
-                           ["relu", "sigmoid"], rng)
+        self.towers = [Mlp(f"tower.d{d}", [self.repr_dim, tower_hidden, 1],
+                           rng, sigmoid=True)
                        for d in range(self.num_domains)]
         self._cache = None
 
@@ -199,7 +196,8 @@ class Backbone:
                        cache: bool = True):
         """Predictions and mixed representation for one domain's batch.
 
-        Row d of ``masks`` is the domain's additive mask (``build_mask``).
+        Row d of ``masks``, a (domains, experts) array, is the domain's
+        additive mask (``build_mask``).
         Experts masked out for domain d are never evaluated; their mixing
         weight is exactly zero by masked-softmax construction. Without
         ``cache`` nothing is kept for ``backward_domain`` and the returned
@@ -207,6 +205,10 @@ class Backbone:
         """
         if not 0 <= d < self.num_domains:
             raise UsageError(f"domain {d} outside [0, {self.num_domains})")
+        shape = (self.num_domains, self.num_experts)
+        if np.shape(masks) != shape:
+            raise UsageError(f"masks must be shaped (domains, experts) = "
+                             f"{shape}, got {np.shape(masks)}")
         mask = np.asarray(masks[d], dtype=np.float64)
         features = feature_indices(features)
         x = self.embed(features)

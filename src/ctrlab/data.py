@@ -384,8 +384,16 @@ class DomainDataset:
                 checked.append(dd)
             self.partitions[name] = checked
 
+    def partition(self, name: str) -> list:
+        """Partition ``name``'s data, one DomainData per domain; a
+        UsageError names a missing partition and the ones present."""
+        if name not in self.partitions:
+            raise UsageError(f"no partition {name!r}; the dataset holds "
+                             f"{', '.join(map(repr, self.partitions))}")
+        return self.partitions[name]
+
     def domain(self, partition: str, d: int) -> DomainData:
-        return self.partitions[partition][d]
+        return self.partition(partition)[d]
 
 
 def _unsigned(features: np.ndarray) -> np.ndarray:
@@ -598,10 +606,11 @@ def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
     each block from an int64 table of its rows, so the memory it takes
     does not grow with the file.
     """
+    datas = dataset.partition(partition)
     line = ",".join(["%d"] * (2 + dataset.schema.num_fields)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dataset.schema.header() + "\n")
-        for d, dd in enumerate(dataset.partitions[partition]):
+        for d, dd in enumerate(datas):
             for start in range(0, len(dd), _WRITE_ROWS):
                 labels = dd.labels[start:start + _WRITE_ROWS]
                 table = np.column_stack((
@@ -660,7 +669,7 @@ def split(dataset: DomainDataset, fractions, seed: int) -> DomainDataset:
     seed = as_int(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = {name: [] for name in PARTITIONS}
-    for d, dd in enumerate(dataset.partitions["all"]):
+    for d, dd in enumerate(dataset.partition("all")):
         n = len(dd)
         if n < SPLIT_MIN_SAMPLES:
             raise SplitError(f"domain {d} has {n} sample(s); need >= "

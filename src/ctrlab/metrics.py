@@ -68,41 +68,43 @@ def logloss(scores, labels) -> float:
     return float(np.add.reduce(terms) / terms.size)
 
 
-def per_domain_report(scores_by_domain: dict, labels_by_domain: dict,
+def per_domain_report(scores_by_domain: list, labels_by_domain: list,
                       overall: str = "pooled") -> dict:
     """Per-domain AUC/logloss plus a combined figure.
 
-    overall="pooled" ranks all domains' scores together; overall="mean"
-    averages the per-domain AUCs. The two answer different questions and the
-    report records which one was used.
+    Entry d of each list holds domain d's scores or labels; its figures go
+    under the key ``str(d)``, in domain order. overall="pooled" ranks all
+    domains' scores together; overall="mean" averages the per-domain AUCs.
+    The two answer different questions and the report records which one
+    was used.
     """
     if overall not in OVERALL_MODES:
         raise UsageError(f"unknown overall mode {overall!r}")
-    if set(scores_by_domain) != set(labels_by_domain):
-        raise UsageError("scores and labels cover different domains")
+    if len(scores_by_domain) != len(labels_by_domain):
+        raise UsageError(f"scores cover {len(scores_by_domain)} domains, "
+                         f"labels {len(labels_by_domain)}")
     if not scores_by_domain:
         raise UsageError("no domains to report on")
     report = {"domains": {}, "overall_mode": overall}
-    for name in sorted(scores_by_domain):
-        s, y = scores_by_domain[name], labels_by_domain[name]
+    for d, (s, y) in enumerate(zip(scores_by_domain, labels_by_domain)):
         try:
-            report["domains"][name] = {
+            report["domains"][str(d)] = {
                 "auc": auc(s, y),
                 "logloss": logloss(s, y),
                 "count": int(np.size(s)),
             }
         except MetricError as exc:
-            raise MetricError(f"domain {name}: {exc}") from exc
+            raise MetricError(f"domain {d}: {exc}") from exc
     if overall == "pooled":
-        all_s = np.concatenate([np.asarray(scores_by_domain[n], dtype=float).ravel()
-                                for n in sorted(scores_by_domain)])
-        all_y = np.concatenate([np.asarray(labels_by_domain[n], dtype=float).ravel()
-                                for n in sorted(labels_by_domain)])
+        all_s = np.concatenate([np.asarray(s, dtype=float).ravel()
+                                for s in scores_by_domain])
+        all_y = np.concatenate([np.asarray(y, dtype=float).ravel()
+                                for y in labels_by_domain])
         report["overall_auc"] = auc(all_s, all_y)
         report["overall_logloss"] = logloss(all_s, all_y)
     else:
-        vals = [report["domains"][n]["auc"] for n in report["domains"]]
-        report["overall_auc"] = float(np.mean(vals))
-        lls = [report["domains"][n]["logloss"] for n in report["domains"]]
-        report["overall_logloss"] = float(np.mean(lls))
+        figures = report["domains"].values()
+        report["overall_auc"] = float(np.mean([f["auc"] for f in figures]))
+        report["overall_logloss"] = float(
+            np.mean([f["logloss"] for f in figures]))
     return report

@@ -2,8 +2,10 @@
 
 Everything is float64 and deterministic: weights come from an explicit
 numpy ``Generator``, gradients accumulate in place, and no global random
-state is ever touched. Every ``Mlp`` layer has one C-contiguous weight
-of shape (fan_in + 1, fan_out), input-major, with the bias as its last
+state is ever touched. An ``Mlp`` has ReLU on every hidden layer and a
+linear or logistic last layer, the shapes of the backbone's experts,
+gates and towers. Every ``Mlp`` layer has one C-contiguous weight of
+shape (fan_in + 1, fan_out), input-major, with the bias as its last
 row. Its input carries a trailing column of ones
 (``with_ones``; a hidden layer writes its output beside one), so the
 forward is the single product ``a @ w``, bias included, and the backward
@@ -42,8 +44,6 @@ from .errors import ConfigError, MaskError, NumericError, UsageError
 
 # Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before any log.
 CLAMP_EPS = 1e-7
-
-ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
 class Param:
@@ -103,28 +103,6 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _activate(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "relu":
-        # In place: the caller passes a fresh z, and backward reads a
-        # ReLU layer's z only as z > 0, which max(z, 0) leaves unchanged.
-        return np.maximum(z, 0.0, out=z)
-    if tag == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return z
-
-
-def _activate_grad(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The activation's derivative at ``z``, for a relu or sigmoid layer.
-
-    A linear layer has none: its derivative is 1, and ``backward`` passes
-    the upstream gradient through unchanged instead of multiplying by ones.
-    """
-    if tag == "relu":
-        # A bool array: multiplying by True/False is multiplying by 1.0/0.0.
-        return z > 0.0
-    return a * (1.0 - a)
-
-
 def with_ones(a: np.ndarray) -> np.ndarray:
     """A new C-ordered copy of the row batch ``a`` with a trailing column of
     ones: the input of a dense layer whose last weight row is its bias."""
@@ -157,48 +135,40 @@ def dense_backward(w: Param, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
 
 
 class Mlp:
-    """A stack of dense layers, each tagged relu / sigmoid / linear.
+    """A stack of dense layers: ReLU on every hidden layer, and a linear
+    last layer, or a logistic one with ``sigmoid``.
 
     Layer i maps ``dims[i]`` inputs plus a ones column to ``dims[i + 1]``
     outputs through one (dims[i] + 1, dims[i + 1]) weight. Its weight rows
     are the transpose of a (dims[i + 1], dims[i]) draw from ``rng`` in
     layer order, and its last row, the bias, starts at zero. A hidden
-    layer writes its product beside a ones column, the next layer's input;
-    ReLU and linear keep that 1, so only the last layer may be sigmoid.
-    Inputs are row batches of shape (batch, dims[0] + 1) whose last column
-    is ones (``with_ones``). ``forward`` caches intermediates unless told
-    not to; ``backward`` consumes the cache, accumulates the weights'
-    gradients and returns the gradient of the input's first dims[0]
-    columns.
+    layer writes its product beside a ones column, the next layer's input,
+    and ReLU keeps that 1. Inputs are row batches of shape
+    (batch, dims[0] + 1) whose last column is ones (``with_ones``).
+    ``forward`` caches intermediates unless told not to; ``backward``
+    consumes the cache, accumulates the weights' gradients and returns the
+    gradient of the input's first dims[0] columns.
     """
 
-    def __init__(self, name: str, dims: list[int], activations: list[str],
-                 rng: np.random.Generator):
-        if len(dims) != len(activations) + 1:
-            raise ConfigError(f"{name}: need {len(dims) - 1} activation tags")
-        for act in activations:
-            if act not in ACTIVATIONS:
-                raise ConfigError(f"{name}: unknown activation {act!r}")
-        if "sigmoid" in activations[:-1]:
-            raise ConfigError(f"{name}: a hidden layer cannot be sigmoid; "
-                              "it would not keep the ones column")
+    def __init__(self, name: str, dims: list[int], rng: np.random.Generator,
+                 sigmoid: bool = False):
         self.name = name
         self.dims = list(dims)
+        self.sigmoid = sigmoid
         self.weights = []
         for i in range(len(dims) - 1):
             w = np.zeros((dims[i] + 1, dims[i + 1]))
             w[:-1] = uniform_init(rng, (dims[i + 1], dims[i]), dims[i]).T
             self.weights.append(Param(f"{name}.l{i}.w", w))
-        self.activations = list(activations)
         self._cache = None
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """The net's output for a row batch ``x`` with its ones column.
 
-        Each layer is one product, bias included, with ReLU applied in
-        place on it; a hidden layer's product goes into the first columns
-        of a new array whose last column is ones. With ``cache`` the
-        layers' inputs and pre-activations are kept for ``backward``.
+        Each layer is one product, bias included. A hidden layer's product
+        goes into the first columns of a new array whose last column is
+        ones, and ReLU is applied to it in place. With ``cache`` each
+        layer's input, product and output are kept for ``backward``.
         Without it nothing is kept, a cache left by an earlier forward
         stays as it is, and the returned array is new and the caller's to
         modify.
@@ -210,33 +180,35 @@ class Mlp:
                               f"{in_dim}) with a ones column, got {x.shape}")
         steps = []
         a = x
-        for i, (w, act) in enumerate(zip(self.weights, self.activations)):
-            if i == len(self.weights) - 1:
-                z = a @ w.values
-            else:
-                z = np.empty((len(a), w.values.shape[1] + 1))
-                z[:, -1] = 1.0
-                np.matmul(a, w.values, out=z[:, :-1])
-            a_next = _activate(act, z)
+        for w in self.weights[:-1]:
+            z = np.empty((len(a), w.values.shape[1] + 1))
+            z[:, -1] = 1.0
+            np.matmul(a, w.values, out=z[:, :-1])
+            # In place: backward reads a hidden layer's z only as z > 0,
+            # which max(z, 0) leaves unchanged.
+            np.maximum(z, 0.0, out=z)
             if cache:
-                steps.append((a, z, a_next))
-            a = a_next
+                steps.append((a, z, z))
+            a = z
+        z = a @ self.weights[-1].values
+        out = 1.0 / (1.0 + np.exp(-z)) if self.sigmoid else z
         if cache:
+            steps.append((a, z, out))
             self._cache = steps
-        return a
+        return out
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise UsageError(f"{self.name}: backward called without a cached forward")
         da = np.asarray(upstream, dtype=np.float64)
-        for (x, z, a), w, act, out in zip(reversed(self._cache),
-                                          reversed(self.weights),
-                                          reversed(self.activations),
-                                          reversed(self.dims[1:])):
-            # A hidden layer's ones column gets no gradient: dz leaves it out.
-            dz = (da if act == "linear"
-                  else da * _activate_grad(act, z[:, :out], a[:, :out]))
-            da = dense_backward(w, x, dz)
+        (x, _, a), *hidden = reversed(self._cache)
+        dz = da * (a * (1.0 - a)) if self.sigmoid else da
+        da = dense_backward(self.weights[-1], x, dz)
+        for (x, z, _), w in zip(hidden, reversed(self.weights[:-1])):
+            # ReLU's derivative as a bool array: multiplying by True/False
+            # is multiplying by 1.0/0.0. dz leaves the ones column out, so
+            # it gets no gradient.
+            da = dense_backward(w, x, da * (z[:, :-1] > 0.0))
         self._cache = None
         return da
 

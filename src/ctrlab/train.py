@@ -93,12 +93,12 @@ def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
                        partition: str, masks: np.ndarray,
                        overall: str = "pooled") -> dict:
     """Per-domain and overall AUC/LogLoss on one partition."""
-    scores, labels = {}, {}
-    for d in range(backbone.num_domains):
-        dd = dataset.domain(partition, d)
-        scores[str(d)] = backbone.predict(dd.features, d, masks)
-        labels[str(d)] = dd.labels
-    return metrics.per_domain_report(scores, labels, overall=overall)
+    datas = [dataset.domain(partition, d)
+             for d in range(backbone.num_domains)]
+    scores = [backbone.predict(dd.features, d, masks)
+              for d, dd in enumerate(datas)]
+    return metrics.per_domain_report(scores, [dd.labels for dd in datas],
+                                     overall=overall)
 
 
 def measure_distances(backbone: Backbone, coders: list,

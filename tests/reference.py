@@ -31,16 +31,20 @@ def with_carry(w):
 
 def carry_mlp_forward(net, x):
     """Reference ``Mlp.forward`` of the carry layout: each hidden layer's
-    one product by its weight ``with_carry``, the last layer's by its
-    weight, and ReLU in place. Returns the output and the list of each
-    layer's (input, z, output), as ``Mlp.forward`` caches them."""
+    one product by its weight ``with_carry`` and ReLU in place, then the
+    last layer's product by its weight and, with ``net.sigmoid``, the
+    logistic function. Returns the output and the list of each layer's
+    (input, z, output), as ``Mlp.forward`` caches them."""
     steps, a = [], x
-    for i, (w, act) in enumerate(zip(net.weights, net.activations)):
-        z = a @ (w.values if i == len(net.weights) - 1 else with_carry(w))
-        a_next = nn._activate(act, z)
+    for w in net.weights[:-1]:
+        z = a @ with_carry(w)
+        a_next = np.maximum(z, 0.0, out=z)
         steps.append((a, z, a_next))
         a = a_next
-    return a, steps
+    z = a @ net.weights[-1].values
+    out = 1.0 / (1.0 + np.exp(-z)) if net.sigmoid else z
+    steps.append((a, z, out))
+    return out, steps
 
 
 def mlp_forward(net, x, cache=True, layout="in_out"):
@@ -49,11 +53,11 @@ def mlp_forward(net, x, cache=True, layout="in_out"):
     (``dense_weight``). With ``cache`` it keeps, as ``Mlp.forward`` does,
     each layer's input beside a ones column, z and output."""
     steps, a = [], np.ascontiguousarray(x[:, :-1])
-    for w, act in zip(net.weights, net.activations):
+    for i, w in enumerate(net.weights):
         z = a @ dense_weight(w, layout)
         z += w.values[-1]
-        a_next = (np.maximum(z, 0.0) if act == "relu"
-                  else 1.0 / (1.0 + np.exp(-z)) if act == "sigmoid" else z)
+        a_next = (np.maximum(z, 0.0) if i < len(net.weights) - 1
+                  else 1.0 / (1.0 + np.exp(-z)) if net.sigmoid else z)
         steps.append((nn.with_ones(a), z, a_next))
         a = a_next
     if cache:
@@ -62,19 +66,18 @@ def mlp_forward(net, x, cache=True, layout="in_out"):
 
 
 def mlp_backward(net, upstream, layout="in_out"):
-    """Reference ``Mlp.backward`` after either forward: a linear layer's
-    gradient multiplied by np.ones_like(z), each layer's weight gradient
-    from its input without the ones column, its bias gradient by
+    """Reference ``Mlp.backward`` after either forward: each layer's
+    gradient multiplied by ``loop_activate_grad``, each layer's weight
+    gradient from its input without the ones column, its bias gradient by
     ndarray.sum and its input gradient by the transposed weight. A hidden
     layer's z and output are read without ``Mlp.forward``'s ones column."""
     da = np.asarray(upstream, dtype=np.float64)
-    for (x, z, a), w, act, out in zip(reversed(net._cache),
-                                      reversed(net.weights),
-                                      reversed(net.activations),
-                                      reversed(net.dims[1:])):
+    last = len(net.weights) - 1
+    for i, (x, z, a), w, out in zip(range(last, -1, -1), reversed(net._cache),
+                                    reversed(net.weights),
+                                    reversed(net.dims[1:])):
         z, a = z[:, :out], a[:, :out]
-        dz = da * ((z > 0.0) if act == "relu" else a * (1.0 - a)
-                   if act == "sigmoid" else np.ones_like(z))
+        dz = da * loop_activate_grad(net, i == last, z, a)
         w.grad[:-1] += np.ascontiguousarray(x[:, :-1]).T @ dz
         w.grad[-1] += dz.sum(axis=0)
         da = dz @ dense_weight(w, layout).T
@@ -141,11 +144,13 @@ def wrapper_softmax_backward(probs, dprobs):
     return probs * (dprobs - inner)
 
 
-def loop_activate_grad(tag, z, a):
-    """Reference activation gradients, ReLU's as a float np.where."""
-    if tag == "relu":
+def loop_activate_grad(net, output, z, a):
+    """Reference activation gradient of one layer of ``net``, at its z and
+    output ``a``: a hidden layer's ReLU as a float np.where, and the output
+    layer's logistic function with ``net.sigmoid``, else np.ones_like."""
+    if not output:
         return np.where(z > 0.0, 1.0, 0.0)
-    if tag == "sigmoid":
+    if net.sigmoid:
         return a * (1.0 - a)
     return np.ones_like(z)
 

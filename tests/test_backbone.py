@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -512,6 +514,18 @@ class TestPredict:
         with pytest.raises(NumericError, match=r"^domain 1: non-finite "
                            "predictions; reduce the learning rate"):
             net.predict(feats, 1, unmasked(net))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("call", ["forward_domain", "predict"])
+    def test_masks_of_another_shape_are_usage_error(self, call, shape):
+        """Masks not shaped (domains, experts) are refused, naming the
+        shape expected, whether or not row d exists and matches the
+        experts."""
+        net = small_net(expert_counts=(1, 2, 1))
+        with pytest.raises(UsageError, match=re.escape(
+                f"masks must be shaped (domains, experts) = (3, 4), got "
+                f"{shape}")):
+            getattr(net, call)(rand_features(net, 3), 2, np.zeros(shape))
 
     def test_end_to_end_gradients_match_finite_differences(self):
         net = small_net(seed=13, expert_counts=(2, 1), vocab=(4, 6),

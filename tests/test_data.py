@@ -845,6 +845,24 @@ class TestSplit:
         for part in D.PARTITIONS:
             assert len(out.domain(part, 0)) >= 1
 
+    def test_missing_partition_is_named(self, tmp_path):
+        """Splitting a split dataset, and reading or saving a partition it
+        lacks, raise a UsageError that names the partition and the ones it
+        holds; save_csv raises before it creates the file."""
+        out = D.split(synthetic([10, 10]), (0.8, 0.1, 0.1), seed=0)
+        named = (r"^no partition 'all'; the dataset holds 'train', 'val', "
+                 r"'test'$")
+        path = tmp_path / "ds.csv"
+        for call in (lambda: D.split(out, (0.8, 0.1, 0.1), seed=0),
+                     lambda: out.domain("all", 0),
+                     lambda: D.save_csv(out, path)):
+            with pytest.raises(UsageError, match=named):
+                call()
+        assert not path.exists()
+        with pytest.raises(UsageError, match=r"^no partition 'train'; the "
+                                             r"dataset holds 'all'$"):
+            synthetic([10, 10]).domain("train", 0)
+
     def test_bad_fractions(self):
         ds = synthetic([10, 10])
         with pytest.raises(ConfigError):

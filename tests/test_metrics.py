@@ -36,21 +36,21 @@ def wrapper_report(scores_by_domain, labels_by_domain,
     """Reference ``per_domain_report`` with the log-loss of
     ``wrapper_logloss``."""
     report = {"domains": {}, "overall_mode": overall}
-    for name in sorted(scores_by_domain):
-        s, y = scores_by_domain[name], labels_by_domain[name]
+    for d in range(len(scores_by_domain)):
+        s, y = scores_by_domain[d], labels_by_domain[d]
         try:
-            report["domains"][name] = {
+            report["domains"][str(d)] = {
                 "auc": metrics.auc(s, y),
                 "logloss": wrapper_logloss(s, y),
                 "count": int(np.asarray(s).size),
             }
         except MetricError as exc:
-            raise MetricError(f"domain {name}: {exc}") from exc
+            raise MetricError(f"domain {d}: {exc}") from exc
     if overall == "pooled":
-        all_s = np.concatenate([np.asarray(scores_by_domain[n], dtype=float)
-                                .ravel() for n in sorted(scores_by_domain)])
-        all_y = np.concatenate([np.asarray(labels_by_domain[n], dtype=float)
-                                .ravel() for n in sorted(labels_by_domain)])
+        all_s = np.concatenate([np.asarray(s, dtype=float).ravel()
+                                for s in scores_by_domain])
+        all_y = np.concatenate([np.asarray(y, dtype=float).ravel()
+                                for y in labels_by_domain])
         report["overall_auc"] = metrics.auc(all_s, all_y)
         report["overall_logloss"] = wrapper_logloss(all_s, all_y)
     else:
@@ -154,25 +154,23 @@ class TestLogloss:
 
 class TestPerDomainReport:
     def _toy(self):
-        scores = {"A": np.array([0.8, 0.2, 0.7, 0.3]),
-                  "B": np.array([0.6, 0.4])}
-        labels = {"A": np.array([1.0, 0.0, 1.0, 0.0]),
-                  "B": np.array([1.0, 0.0])}
+        scores = [np.array([0.8, 0.2, 0.7, 0.3]), np.array([0.6, 0.4])]
+        labels = [np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0])]
         return scores, labels
 
     def test_per_domain_values(self):
         scores, labels = self._toy()
         rep = metrics.per_domain_report(scores, labels)
-        assert rep["domains"]["A"]["auc"] == 1.0
-        assert rep["domains"]["B"]["auc"] == 1.0
-        assert rep["domains"]["A"]["count"] == 4
+        assert rep["domains"]["0"]["auc"] == 1.0
+        assert rep["domains"]["1"]["auc"] == 1.0
+        assert rep["domains"]["0"]["count"] == 4
         assert rep["overall_mode"] == "pooled"
 
     def test_pooled_vs_mean_differ_when_scales_differ(self):
         # each domain separates perfectly but their score ranges interleave,
         # so pooled ranking is imperfect while the mean of per-domain AUCs is 1
-        scores = {"A": np.array([0.9, 0.6]), "B": np.array([0.5, 0.3])}
-        labels = {"A": np.array([1.0, 0.0]), "B": np.array([1.0, 0.0])}
+        scores = [np.array([0.9, 0.6]), np.array([0.5, 0.3])]
+        labels = [np.array([1.0, 0.0]), np.array([1.0, 0.0])]
         pooled = metrics.per_domain_report(scores, labels, overall="pooled")
         mean = metrics.per_domain_report(scores, labels, overall="mean")
         assert mean["overall_auc"] == pytest.approx(1.0)
@@ -181,8 +179,8 @@ class TestPerDomainReport:
     def test_pooled_matches_concatenated_oracle(self):
         scores, labels = self._toy()
         rep = metrics.per_domain_report(scores, labels, overall="pooled")
-        all_s = np.concatenate([scores["A"], scores["B"]])
-        all_y = np.concatenate([labels["A"], labels["B"]])
+        all_s = np.concatenate(scores)
+        all_y = np.concatenate(labels)
         assert rep["overall_auc"] == pytest.approx(pairwise_auc(all_s, all_y))
 
     @pytest.mark.parametrize("overall", metrics.OVERALL_MODES)
@@ -206,8 +204,8 @@ class TestPerDomainReport:
         report = metrics.per_domain_report(scores, labels, overall=overall)
         per_domain = [("auc", 4), ("logloss", 4), ("auc", 2), ("logloss", 2)]
         assert report["domains"] == {
-            "A": {"auc": 1.0, "logloss": 2.0, "count": 4},
-            "B": {"auc": 3.0, "logloss": 4.0, "count": 2}}
+            "0": {"auc": 1.0, "logloss": 2.0, "count": 4},
+            "1": {"auc": 3.0, "logloss": 4.0, "count": 2}}
         if overall == "pooled":
             assert calls == per_domain + [("auc", 6), ("logloss", 6)]
             assert (report["overall_auc"], report["overall_logloss"]) == (
@@ -219,9 +217,31 @@ class TestPerDomainReport:
 
     def test_domain_key_mismatch(self):
         scores, labels = self._toy()
-        del labels["B"]
-        with pytest.raises(UsageError):
+        del labels[1]
+        with pytest.raises(UsageError, match="^scores cover 2 domains, "
+                                             "labels 1$"):
             metrics.per_domain_report(scores, labels)
+
+    def test_domains_in_numeric_order(self, monkeypatch):
+        """At 11 domains the report and the pooled arrays run 0, 1, 2, ...,
+        10, not in the strings' order 0, 1, 10, 2, ...; domain d has d + 2
+        rows."""
+        scores = [np.linspace(0.1, 0.9, d + 2) for d in range(11)]
+        labels = [np.arange(d + 2) % 2.0 for d in range(11)]
+        pooled = []
+        auc = metrics.auc
+
+        def recording(s, y):
+            pooled[:] = [s, y]
+            return auc(s, y)
+
+        monkeypatch.setattr(metrics, "auc", recording)
+        report = metrics.per_domain_report(scores, labels)
+        assert list(report["domains"]) == [str(d) for d in range(11)]
+        assert [f["count"] for f in report["domains"].values()] == list(
+            range(2, 13))
+        assert pooled[0].tobytes() == np.concatenate(scores).tobytes()
+        assert pooled[1].tobytes() == np.concatenate(labels).tobytes()
 
     def test_bad_overall_mode(self):
         scores, labels = self._toy()
@@ -231,9 +251,9 @@ class TestPerDomainReport:
 
 class TestMetricProperties:
     def test_domain_id_attached_to_metric_errors(self):
-        scores = {"A": np.array([0.2, 0.8])}
-        labels = {"A": np.array([1.0, 1.0])}  # single class
-        with pytest.raises(MetricError, match="domain A"):
+        scores = [np.array([0.2, 0.8])]
+        labels = [np.array([1.0, 1.0])]  # single class
+        with pytest.raises(MetricError, match="domain 0"):
             metrics.per_domain_report(scores, labels)
 
     def test_logloss_lower_bounded_by_true_probabilities(self):
@@ -307,10 +327,10 @@ class TestSameBitsAsWrapperExpressions:
 
     @pytest.mark.parametrize("overall", ["pooled", "mean"])
     def test_report(self, overall):
-        scores = {str(d): edge_scores(n, d) for d, n in enumerate([2, 9, 400])}
-        labels = {str(d): two_class_labels(s.size, d + 7)
-                  for d, s in enumerate(scores.values())}
-        labels["1"][:4] = [-0.0, 1.0, -0.0, 1.0]
+        scores = [edge_scores(n, d) for d, n in enumerate([2, 9, 400])]
+        labels = [two_class_labels(s.size, d + 7)
+                  for d, s in enumerate(scores)]
+        labels[1][:4] = [-0.0, 1.0, -0.0, 1.0]
         got = metrics.per_domain_report(scores, labels, overall=overall)
         want = wrapper_report(scores, labels, overall=overall)
         assert got == want
@@ -327,10 +347,10 @@ class TestSameBitsAsWrapperExpressions:
         ({"scores": np.array([]), "labels": np.array([])}, UsageError),
     ])
     def test_errors(self, bad, error):
-        scores = {"a": np.array([0.3, 0.6]), "b": np.array([0.1, 0.5, 0.9])}
-        labels = {"a": np.array([0.0, 1.0]), "b": np.array([1.0, 0.0, 1.0])}
-        scores["b"] = bad.get("scores", scores["b"])
-        labels["b"] = bad.get("labels", labels["b"])
+        scores = [np.array([0.3, 0.6]), np.array([0.1, 0.5, 0.9])]
+        labels = [np.array([0.0, 1.0]), np.array([1.0, 0.0, 1.0])]
+        scores[1] = bad.get("scores", scores[1])
+        labels[1] = bad.get("labels", labels[1])
         with pytest.raises(error) as got:
             metrics.per_domain_report(scores, labels)
         with pytest.raises(error) as want:

@@ -45,8 +45,12 @@ def wrapper_masked_softmax(logits, mask):
     return probs
 
 
-def make_mlp(name, dims, activations, seed=0):
-    return nn.Mlp(name, dims, activations, np.random.default_rng(seed))
+def make_mlp(name, dims, seed=0, sigmoid=False):
+    return nn.Mlp(name, dims, np.random.default_rng(seed), sigmoid=sigmoid)
+
+
+# The output activation of a parametrized case, as make_mlp's keywords.
+LINEAR, SIGMOID = {}, {"sigmoid": True}
 
 
 class TestMlpConstruction:
@@ -55,7 +59,7 @@ class TestMlpConstruction:
         its rows are the transpose of the i-th draw from the generator, a
         (dims[i + 1], dims[i]) draw with fan-in dims[i], above a zero bias
         row."""
-        net = make_mlp("m", [5, 4, 3, 1], ["relu", "relu", "sigmoid"], seed=9)
+        net = make_mlp("m", [5, 4, 3, 1], seed=9, sigmoid=True)
         rng = np.random.default_rng(9)
         for i, (fan_in, fan_out) in enumerate([(5, 4), (4, 3), (3, 1)]):
             want = nn.uniform_init(rng, (fan_out, fan_in), fan_in)
@@ -67,30 +71,23 @@ class TestMlpConstruction:
             assert w.name == f"m.l{i}.w"
         assert net.params() == net.weights
 
-    @pytest.mark.parametrize("dims, acts, named", [
-        ([3, 2], ["relu", "linear"], "need 1 activation tags"),
-        ([3, 2, 1], ["relu"], "need 2 activation tags"),
-        ([3, 2], ["tanh"], "unknown activation 'tanh'"),
-        ([3, 2, 1], ["sigmoid", "linear"],
-         "a hidden layer cannot be sigmoid; it would not keep the ones "
-         "column")])
-    def test_bad_activations_rejected(self, dims, acts, named):
-        with pytest.raises(ConfigError) as err:
-            make_mlp("bad", dims, acts)
-        assert str(err.value) == f"bad: {named}"
-
 
 class TestMlpForward:
     def test_identity_weights(self):
-        """Two identity layers with zero biases, the first one hidden."""
-        net = make_mlp("id", [2, 2, 2], ["linear", "linear"])
+        """Two identity layers with zero biases: the hidden one's ReLU
+        zeroes the negative entry. The last one is linear, so a negative
+        bias there comes out as it is."""
+        net = make_mlp("id", [2, 2, 2])
         for w in net.weights:
             w.values = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         out = net.forward(np.array([[3.0, -1.0, 1.0]]))
-        np.testing.assert_array_equal(out, [[3.0, -1.0]])
+        np.testing.assert_array_equal(out, [[3.0, 0.0]])
+        net.weights[1].values[-1] = [0.0, -2.0]
+        out = net.forward(np.array([[3.0, -1.0, 1.0]]))
+        np.testing.assert_array_equal(out, [[3.0, -2.0]])
 
     def test_constant_map(self):
-        net = make_mlp("const", [3, 1], ["linear"])
+        net = make_mlp("const", [3, 1])
         net.weights[0].values[...] = 0.0
         net.weights[0].values[-1] = 0.5
         for x in ([[1.0, 2.0, 3.0]], [[-4.0, 0.0, 9.0]]):
@@ -100,7 +97,7 @@ class TestMlpForward:
     def test_hand_evaluated_relu_chain(self):
         # relu(1*3 - 1) * 2 + 0.5 = 4.5: the hidden output's ones column
         # reads the second bias.
-        net = make_mlp("hand", [1, 1, 1], ["relu", "linear"])
+        net = make_mlp("hand", [1, 1, 1])
         net.weights[0].values = np.array([[1.0], [-1.0]])
         net.weights[1].values = np.array([[2.0], [0.5]])
         out = net.forward(np.array([[3.0, 1.0]]))
@@ -110,8 +107,7 @@ class TestMlpForward:
         """Each hidden layer's cached output is its activation beside an
         exact ones column, and is the next layer's cached input; the last
         layer's output has no such column."""
-        net = make_mlp("h", [3, 5, 4, 2], ["relu", "linear", "sigmoid"],
-                       seed=2)
+        net = make_mlp("h", [3, 5, 4, 2], seed=2, sigmoid=True)
         x = nn.with_ones(np.random.default_rng(3).normal(size=(6, 3)))
         out = net.forward(x)
         (x0, _, a0), (x1, _, a1), (x2, _, a2) = net._cache
@@ -122,12 +118,12 @@ class TestMlpForward:
             assert same_bits(a[:, -1], np.ones(6))
 
     def test_dimension_mismatch_is_config_error(self):
-        net = make_mlp("bad", [3, 2], ["linear"])
+        net = make_mlp("bad", [3, 2])
         with pytest.raises(ConfigError):
             net.forward(np.zeros((4, 5)))
 
     def test_input_without_its_ones_column_is_config_error(self):
-        net = make_mlp("bad", [3, 2], ["linear"])
+        net = make_mlp("bad", [3, 2])
         with pytest.raises(ConfigError, match=r"^bad: expected input of "
                            r"shape \(batch, 4\) with a ones column, got "
                            r"\(4, 3\)$"):
@@ -143,7 +139,7 @@ class TestMlpForward:
 
 class TestMlpBackward:
     def test_linear_param_grad_is_outer_product(self):
-        net = make_mlp("lin", [3, 2], ["linear"], seed=3)
+        net = make_mlp("lin", [3, 2], seed=3)
         x = np.array([[1.0, -2.0, 0.5]])
         g = np.array([[0.7, -0.3]])
         net.forward(nn.with_ones(x))
@@ -152,26 +148,26 @@ class TestMlpBackward:
         np.testing.assert_allclose(net.weights[0].grad[-1], g.ravel())
 
     def test_zero_upstream_gives_zero_grads(self):
-        net = make_mlp("z", [4, 5, 2], ["relu", "sigmoid"], seed=5)
+        net = make_mlp("z", [4, 5, 2], seed=5, sigmoid=True)
         net.forward(nn.with_ones(np.random.default_rng(1).normal(size=(6, 4))))
         net.backward(np.zeros((6, 2)))
         for p in net.params():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
 
     def test_backward_without_forward_is_usage_error(self):
-        net = make_mlp("nf", [2, 2], ["linear"])
+        net = make_mlp("nf", [2, 2])
         with pytest.raises(UsageError):
             net.backward(np.zeros((1, 2)))
 
     @pytest.mark.parametrize("dims,acts,seed", [
-        ([3, 8, 1], ["relu", "sigmoid"], 11),
-        ([5, 16, 16, 2], ["relu", "relu", "linear"], 12),
-        ([4, 64, 3], ["linear", "sigmoid"], 13),
+        ([3, 8, 1], SIGMOID, 11),
+        ([5, 16, 16, 2], LINEAR, 12),
+        ([4, 64, 3], SIGMOID, 13),
     ])
     def test_grads_match_finite_differences(self, dims, acts, seed):
         """Every weight and bias entry."""
         rng = np.random.default_rng(seed)
-        net = make_mlp("fd", dims, acts, seed=seed)
+        net = make_mlp("fd", dims, seed=seed, **acts)
         x = nn.with_ones(rng.normal(size=(7, dims[0])))
         # scalar objective: weighted sum of outputs
         w_out = rng.normal(size=(7, dims[-1]))
@@ -282,16 +278,16 @@ class TestSameBitsAsReferences:
         assert np.signbit(out[..., np.isneginf(mask)]).sum() == 0
 
     @pytest.mark.parametrize("dims,acts", [
-        ([5, 16, 3], ["relu", "linear"]),
-        ([3, 8, 1], ["relu", "sigmoid"]),
-        ([4, 6, 6, 2], ["linear", "relu", "relu"]),
+        ([5, 16, 3], LINEAR),
+        ([3, 8, 1], SIGMOID),
+        ([4, 6, 6, 2], LINEAR),
     ])
     def test_no_cache_forward(self, dims, acts):
         """The no-cache forward has the cached forward's bits, and
         its output is the caller's: writing to it changes no param, no
         input, no pending cache and no later forward."""
         rng = np.random.default_rng(8)
-        net = make_mlp("nc", dims, acts, seed=4)
+        net = make_mlp("nc", dims, seed=4, **acts)
         for p in net.params():
             p.values[-1] += 0.1  # nonzero biases
         x = nn.with_ones(rng.normal(size=(130, dims[0])))
@@ -307,7 +303,7 @@ class TestSameBitsAsReferences:
             assert p.values.tobytes() == before.tobytes(), p.name
         assert net.forward(x, cache=False).tobytes() == cached.tobytes()
         dx = net.backward(upstream)
-        fresh = make_mlp("nc", dims, acts, seed=4)
+        fresh = make_mlp("nc", dims, seed=4, **acts)
         for p, before in zip(fresh.params(), params_before):
             p.values = before
         fresh.forward(x)
@@ -315,29 +311,58 @@ class TestSameBitsAsReferences:
         for p, q in zip(net.params(), fresh.params()):
             assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
-    def test_relu_gradient(self):
-        z = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, np.nan, np.inf, -np.inf])
-        da = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf])
-        z, da = np.meshgrid(z, da)
-        a = np.maximum(z, 0.0)
-        with np.errstate(invalid="ignore"):  # inf * 0
-            shipped = da * nn._activate_grad("relu", z, a)
-            reference = da * ref.loop_activate_grad("relu", z, a)
-        assert shipped.dtype == np.float64
-        assert shipped.tobytes() == reference.tobytes()
+    # Every special pre-activation (columns) against every special upstream
+    # gradient (rows), one pairing per row of a one-unit net.
+    RELU_Z, RELU_DA = (grid.reshape(-1, 1) for grid in np.meshgrid(
+        np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, np.nan, np.inf, -np.inf]),
+        np.array([-1.5, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf])))
 
-    def test_relu_gradient_of_cached_activation(self):
-        """A cached ReLU layer keeps max(z, 0), applied in place, as its z;
-        the gradient it gives has the bits of the raw z's."""
-        z = np.array([-2.0, -0.0, 0.0, 5e-324, 3.0, np.nan, np.inf, -np.inf])
-        da = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, np.inf, -np.inf])
-        z, da = np.meshgrid(z, da)
-        a = nn._activate("relu", z.copy())
+    @staticmethod
+    def relu_unit():
+        """A [1, 1, 1] net with unit weights and zero biases: its hidden z
+        is its input, and its upstream gradient reaches the hidden ReLU."""
+        net = make_mlp("relu", [1, 1, 1])
+        for w in net.weights:
+            w.values[...] = [[1.0], [0.0]]
+        return net
+
+    def test_relu_gradient(self):
+        """``Mlp.backward``'s bool ReLU gradient gives the reference's bits,
+        whose gradient is a float np.where of the raw z: the input
+        gradient exactly, the weight gradients apart from NaN payloads."""
+        x = nn.with_ones(self.RELU_Z)
+        shipped, reference = self.relu_unit(), self.relu_unit()
         with np.errstate(invalid="ignore"):  # inf * 0
-            shipped = da * nn._activate_grad("relu", a, a)
-            reference = da * ref.loop_activate_grad("relu", z,
-                                                    np.maximum(z, 0.0))
-        assert shipped.tobytes() == reference.tobytes()
+            shipped.forward(x)
+            dx = shipped.backward(self.RELU_DA)
+            ref.mlp_forward(reference, x)
+            want = ref.mlp_backward(reference, self.RELU_DA)
+        assert dx.dtype == np.float64
+        assert dx.tobytes() == want.tobytes()
+        for p, q in zip(shipped.params(), reference.params()):
+            assert same_bits_apart_from_nan(p.grad, q.grad), p.name
+
+    def test_relu_gradient_of_cached_activation(self, monkeypatch):
+        """The hidden layer caches max(z, 0), applied in place, as its z;
+        the dz that ``Mlp.backward`` takes from it has the bits of its
+        upstream gradient times the raw z's float gradient."""
+        dense_backward, passes = nn.dense_backward, []
+
+        def recording(w, x, dz):
+            da = dense_backward(w, x, dz)
+            passes.append((dz, da))
+            return da
+
+        monkeypatch.setattr(nn, "dense_backward", recording)
+        net = self.relu_unit()
+        z = self.RELU_Z
+        with np.errstate(invalid="ignore"):  # inf * 0
+            net.forward(nn.with_ones(z))
+            net.backward(self.RELU_DA)
+            (_, da), (dz, _) = passes
+            want = da * ref.loop_activate_grad(net, False, z,
+                                               np.maximum(z, 0.0))
+        assert dz.tobytes() == want.tobytes()
 
 
 class TestSameBitsAsWrapperExpressions:
@@ -416,9 +441,9 @@ class TestSameBitsAsWrapperExpressions:
 
 # The benchmark's dense stacks: an expert over 8 or 16 fields of 4
 # embedding columns, and a tower.
-BENCH_STACKS = {"expert32": ([32, 8, 8], ["relu", "linear"]),
-                "expert64": ([64, 8, 8], ["relu", "linear"]),
-                "tower": ([8, 8, 1], ["relu", "sigmoid"])}
+BENCH_STACKS = {"expert32": ([32, 8, 8], LINEAR),
+                "expert64": ([64, 8, 8], LINEAR),
+                "tower": ([8, 8, 1], SIGMOID)}
 
 
 def bench_stack_cases():
@@ -445,7 +470,7 @@ class TestFoldedBias:
     @pytest.mark.parametrize("stack, rows", bench_stack_cases())
     def test_mlp_forward_and_backward(self, stack, rows):
         dims, acts = BENCH_STACKS[stack]
-        nets = [with_random_biases(make_mlp("m", dims, acts, seed=rows), 1)
+        nets = [with_random_biases(make_mlp("m", dims, seed=rows, **acts), 1)
                 for _ in range(2)]
         start = np.random.default_rng(rows)
         for p, q in zip(*(net.params() for net in nets)):
@@ -463,9 +488,9 @@ class TestFoldedBias:
             assert np.isfinite(p.grad).all(), p.name
 
     @pytest.mark.parametrize("dims,acts", [
-        ([6, 5, 4], ["relu", "linear"]),
-        ([4, 3, 1], ["relu", "sigmoid"]),
-        ([3, 4, 4, 2], ["linear", "relu", "relu"]),
+        ([6, 5, 4], LINEAR),
+        ([4, 3, 1], SIGMOID),
+        ([3, 4, 4, 2], LINEAR),
     ])
     @pytest.mark.parametrize("rows", [1, 2, 64])
     def test_mlp_backward(self, dims, acts, rows):
@@ -475,7 +500,7 @@ class TestFoldedBias:
         another payload."""
         x = nn.with_ones(with_specials((rows, dims[0]), 3))
         upstream = with_specials((rows, dims[-1]), 4, scale=2.0)
-        shipped, reference = [make_mlp("m", dims, acts, seed=5)
+        shipped, reference = [make_mlp("m", dims, seed=5, **acts)
                               for _ in range(2)]
         with np.errstate(all="ignore"):
             shipped.forward(x)
@@ -492,7 +517,7 @@ class TestFoldedBias:
         """The output, and every layer's cached input, z and output, ones
         columns included."""
         dims, acts = BENCH_STACKS[stack]
-        net = with_random_biases(make_mlp("m", dims, acts, seed=rows), 1)
+        net = with_random_biases(make_mlp("m", dims, seed=rows, **acts), 1)
         x = nn.with_ones(with_specials((rows, dims[0]), 2, FINITE_SPECIALS))
         out = net.forward(x)
         want, steps = ref.carry_mlp_forward(net, x)
@@ -505,7 +530,7 @@ class TestFoldedBias:
         """A one-wide column's bias gradient is np.add.reduce's pairwise
         sum; a row of ones in the product would sum it in order, which
         rounds these 2,000 values differently."""
-        net = make_mlp("head", [8, 1], ["linear"], seed=1)
+        net = make_mlp("head", [8, 1], seed=1)
         dz = np.random.default_rng(2).normal(size=(2_000, 1))
         x = nn.with_ones(np.zeros((2_000, 8)))
         nn.dense_backward(net.weights[0], x, dz)

@@ -77,6 +77,19 @@ class TestTrain:
         assert val == result.report["val"]
 
 
+def test_evaluate_partition_reports_domains_in_order():
+    """At 11 domains the report lists domains 0, 1, 2, ..., 10, not in the
+    order of their keys as strings; domain d holds 20 + d rows."""
+    sizes = [20 + d for d in range(11)]
+    dataset = data.synth_generate(
+        data.SynthSpec(11, np.eye(11), np.zeros(11), sizes), seed=0)
+    net = backbone.Backbone(dataset.schema.vocab_sizes, 2, [1] * 11, 2, 2, 2,
+                            np.random.default_rng(0))
+    report = train.evaluate_partition(net, dataset, "all", np.zeros((11, 11)))
+    assert list(report["domains"]) == [str(d) for d in range(11)]
+    assert [f["count"] for f in report["domains"].values()] == sizes
+
+
 def test_zero_proto_loss_weight_leaves_the_coders_untrained():
     """With proto_loss_weight 0 the reconstruction loss is still measured,
     but no gradient reaches a prototype coder."""
@@ -329,16 +342,14 @@ def test_same_decisions_as_loop_references(monkeypatch):
 
 def test_same_decisions_as_per_call_references(results, monkeypatch):
     """The single-gather embed, the flat embedding gradient, the softmax
-    over active columns, the bool ReLU gradient, the one-array SGD step and
-    the one-pass-per-source distance matrix change no report or trace
-    byte. Every batch the coders encode, in every mode, gets the same row
-    order from its first column as from a lexicographic sort of all its
-    columns."""
+    over active columns, the one-array SGD step and the one-pass-per-source
+    distance matrix change no report or trace byte. Every batch the coders
+    encode, in every mode, gets the same row order from its first column
+    as from a lexicographic sort of all its columns."""
     monkeypatch.setattr(backbone.Backbone, "embed", ref.loop_embed)
     monkeypatch.setattr(backbone.Backbone, "_embed_backward",
                         ref.loop_embed_backward)
     monkeypatch.setattr(backbone, "masked_softmax", ref.loop_masked_softmax)
-    monkeypatch.setattr(nn, "_activate_grad", ref.loop_activate_grad)
     monkeypatch.setattr(nn, "sgd_step", ref.loop_sgd_step)
     monkeypatch.setattr(prototype, "distance_matrix", ref.loop_distance_matrix)
     monkeypatch.setattr(train, "distance_matrix", ref.loop_distance_matrix)
