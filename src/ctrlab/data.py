@@ -18,6 +18,7 @@ support are mutually uninformative by construction.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -50,8 +51,12 @@ VOCAB_LIMIT = 2 ** 31
 # The fewest samples of a domain that split takes: one per partition.
 SPLIT_MIN_SAMPLES = len(PARTITIONS)
 
-# Characters of whole lines that load_csv reads and parses at a time.
+# Characters of whole lines that load_csv reads and parses at a time: a
+# chunk ends with the line that takes it past this many.
 _CHUNK_CHARS = 1 << 16
+# Bytes that text mode's readline decodes at a time, in blocks from the
+# start of the file.
+_DECODE_BYTES = 8192
 # The longest cell parsed by digit arithmetic: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
 _POW10 = np.array([10 ** k for k in range(_MAX_DIGITS)], dtype=np.int64)
@@ -393,6 +398,10 @@ class DomainDataset:
         return self.partitions[name]
 
     def domain(self, partition: str, d: int) -> DomainData:
+        """Domain ``d``'s data in partition ``partition``; a UsageError
+        names a domain outside the schema's."""
+        if not 0 <= d < self.schema.domains:
+            raise UsageError(f"domain {d} outside [0, {self.schema.domains})")
         return self.partition(partition)[d]
 
 
@@ -429,24 +438,40 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     file that cannot be opened or read, or that is not UTF-8 text, raises
     a DataError naming it, as ``read_text`` does.
 
-    Whole lines are read about ``_CHUNK_CHARS`` characters at a time, and
-    each chunk is parsed as one byte array: its separators, "," and
-    "\\n", end the cells. A row's value is assembled from the right:
-    the ones digit of every cell, then digit k of just the cells longer
-    than k digits, so the work grows with the digits the chunk holds,
-    not with its cell count times its longest cell. One stable sort
-    groups a chunk's rows by domain; each domain's rows are copied into a
-    feature block of the schema's ``index_dtype`` and a uint8 label
-    block, the result's own formats, and each domain's blocks are
+    A chunk is one ``read`` of ``_CHUNK_CHARS + 1`` characters, completed
+    by a ``readline`` when it ends inside a line: the lines up to the one
+    that takes it past ``_CHUNK_CHARS``. Each chunk is parsed as one byte
+    array: its separators, "," and "\\n", end the cells. A row's value is
+    assembled from the right: the ones digit of every cell, then digit k of
+    just the cells longer than k digits, so the work grows with the digits
+    the chunk holds, not with its cell count times its longest cell. One
+    stable sort groups a chunk's rows by domain; each domain's rows are
+    copied into a feature block of the schema's ``index_dtype`` and a uint8
+    label block, the result's own formats, and each domain's blocks are
     concatenated once at the end and dropped as they are, so the peak is
     the result plus one domain's blocks plus one chunk's working arrays,
     never a multiple of the file's text. A chunk is decoded before any of
-    its lines is parsed, so bytes that are not UTF-8 raise before any
-    out-of-range row of their own chunk; an out-of-range row of an
-    earlier chunk, or a header that does not match, may raise first.
+    its lines is parsed, in the blocks ``readline`` decodes
+    (``_DecodeBlocks``), so bytes that are not UTF-8 raise before any
+    out-of-range row of their own chunk; an out-of-range row of an earlier
+    chunk, or a header that does not match, may raise first.
     """
     with _reading(path, DataError):
         return _load_chunks(path, schema)
+
+
+class _DecodeBlocks(io.BufferedReader):
+    """A binary file that returns at most ``_DECODE_BYTES`` bytes a read.
+
+    Text mode's ``read(n)`` asks its binary file for about n bytes at
+    once. Under this cap it decodes the file in the ``_DECODE_BYTES``
+    blocks from the start that ``readline`` decodes, and no further than
+    the block that holds its last character: a chunk read with ``read``
+    has decoded what a read of the same lines with ``readline`` has.
+    """
+
+    def read1(self, size=-1):
+        return super().read1(min(size, _DECODE_BYTES))
 
 
 def _load_chunks(path, schema: Schema) -> DomainDataset:
@@ -457,24 +482,31 @@ def _load_chunks(path, schema: Schema) -> DomainDataset:
     bound = np.array((schema.domains, 2) + schema.vocab_sizes, dtype=np.uint64)
     blocks = [[] for _ in range(schema.domains)]
     malformed = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    dtype = schema.index_dtype
+    with io.TextIOWrapper(_DecodeBlocks(io.FileIO(path)),
+                          encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != schema.header():
             raise _header_error(schema, header)
         line_no = 2
-        while lines := fh.readlines(_CHUNK_CHARS):
-            is_row, rows = _parse_chunk("".join(lines), len(bound))
+        while text := fh.read(_CHUNK_CHARS + 1):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            is_row, rows = _parse_chunk(text, len(bound))
             out = rows.view(np.uint64) >= bound
             if out.any():
                 i = int(out.any(axis=1).argmax())
                 raise _range_error(
                     schema, line_no + int(np.flatnonzero(is_row)[i]),
                     rows[i].tolist())
-            malformed += sum(1 for i in np.flatnonzero(~is_row).tolist()
-                             if lines[i].strip())
-            line_no += len(lines)
+            if not is_row.all():
+                # Lines end at "\n" alone, as the parse splits them.
+                lines = text.split("\n")
+                malformed += sum(1 for i in np.flatnonzero(~is_row).tolist()
+                                 if lines[i].strip())
+            line_no += len(is_row)
             # Rows lie below ``bound``, so both casts are exact.
-            features = rows[:, 2:].astype(schema.index_dtype)
+            features = rows[:, 2:].astype(dtype)
             labels = rows[:, 1].astype(np.uint8)
             domains = rows[:, 0]
             # One stable sort groups the rows by domain, in line order. A

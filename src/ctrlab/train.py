@@ -92,7 +92,11 @@ def _build_model(config: RunConfig, vocab_sizes, rng: np.random.Generator):
 def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
                        partition: str, masks: np.ndarray,
                        overall: str = "pooled") -> dict:
-    """Per-domain and overall AUC/LogLoss on one partition."""
+    """Per-domain and overall AUC/LogLoss on one partition; a UsageError
+    names a dataset whose domain count is not the backbone's."""
+    if dataset.schema.domains != backbone.num_domains:
+        raise UsageError(f"dataset has {dataset.schema.domains} domains, "
+                         f"backbone {backbone.num_domains}")
     datas = [dataset.domain(partition, d)
              for d in range(backbone.num_domains)]
     scores = [backbone.predict(dd.features, d, masks)

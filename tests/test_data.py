@@ -356,6 +356,13 @@ class TestDomainData:
         assert str(err.value) == ("partition 'all' domain 1 has 1 feature "
                                   "columns, schema declares 2 fields")
 
+    @pytest.mark.parametrize("d", [-1, 2])
+    def test_domain_outside_the_schema_is_named(self, d):
+        ds = synthetic([10, 12])
+        with pytest.raises(UsageError,
+                           match=rf"^domain {d} outside \[0, 2\)$"):
+            ds.domain("all", d)
+
 
 class TestParseRow:
     """How ``load_csv`` reads one data line of ``two_field_schema()``."""
@@ -724,6 +731,66 @@ class TestLoadCsvMatchesLoop:
         monkeypatch.setattr(D, "_CHUNK_CHARS", int(rng.integers(1, 80)))
         assert_same_as_loop(write_csv(tmp_path, two_field_schema(), body),
                             two_field_schema(), caplog)
+
+    @pytest.mark.parametrize("case", ["crlf", "lone-cr",
+                                      "mixed-endings-no-final-newline",
+                                      "blank-and-whitespace-lines"])
+    def test_every_chunk_size(self, tmp_path, caplog, monkeypatch, case):
+        """Chunks of every size up to the whole body, so that a read ends
+        at every character: beside each "\\r\\n" and lone "\\r", just
+        before a last line without "\\n", on a blank line. load_csv returns
+        what the line-by-line reference does."""
+        body = LOOP_CASES[case]
+        path = write_csv(tmp_path, two_field_schema(), body)
+        for chars in range(1, len(body) + 1):
+            monkeypatch.setattr(D, "_CHUNK_CHARS", chars)
+            assert_same_as_loop(path, two_field_schema(), caplog)
+
+    @pytest.mark.parametrize("where, error", [
+        ("last byte of the chunk end's block", "not UTF-8"),
+        ("first byte past that block", "line 2: field 'f1' index 99"),
+        ("two chunks later", "line 2: field 'f1' index 99")])
+    def test_decoded_bytes_stop_at_the_block_of_the_chunk_end(
+            self, tmp_path, where, error):
+        """An out-of-range row on line 2 and a byte that is not UTF-8 after
+        the first chunk. A chunk's read decodes the 8 KiB blocks from the
+        start of the file that a line-by-line read of it does: up to the
+        end of the block that holds the chunk's last byte. A byte in that
+        block raises first; a byte past it comes after the row."""
+        schema = two_field_schema()
+        header = len(schema.header()) + 1
+        body = b"1,0,4,99\n" + b"0,1,2,3\n" * 40_000
+        # The first chunk's lines, up to the one that holds its
+        # (_CHUNK_CHARS + 1)-th character, end here in the file.
+        chunk_end = header + body.index(b"\n", D._CHUNK_CHARS) + 1
+        block_end = -(-chunk_end // D._DECODE_BYTES) * D._DECODE_BYTES
+        assert chunk_end < block_end
+        at = {"last byte of the chunk end's block": block_end - 1,
+              "first byte past that block": block_end,
+              "two chunks later": chunk_end + 2 * D._CHUNK_CHARS}[where]
+        raw = bytearray(body)
+        raw[at - header] = 0xFF
+        path = write_csv(tmp_path, schema, bytes(raw))
+        with pytest.raises(DataError) as err:
+            D.load_csv(path, schema)
+        assert error in str(err.value)
+
+    def test_a_chunk_of_exactly_chunk_chars_takes_one_line_more(
+            self, tmp_path):
+        """Lines of exactly ``_CHUNK_CHARS`` characters do not end a chunk:
+        it ends with the line that takes it past that many. So the
+        out-of-range row right after them is parsed with them, and raises
+        before a byte that is not UTF-8 three decode blocks later."""
+        schema = two_field_schema()
+        assert D._CHUNK_CHARS % 8 == 0
+        raw = bytearray(b"0,1,2,3\n" * (D._CHUNK_CHARS // 8)
+                        + b"1,0,4,99\n" + b"0,1,2,3\n" * 5_000)
+        raw[D._CHUNK_CHARS + 3 * D._DECODE_BYTES] = 0xFF
+        path = write_csv(tmp_path, schema, bytes(raw))
+        with pytest.raises(DataError) as err:
+            D.load_csv(path, schema)
+        assert str(err.value) == (f"line {D._CHUNK_CHARS // 8 + 2}: field "
+                                  f"'f1' index 99 outside [0, 32)")
 
     def test_bad_row_before_undecodable_bytes_in_its_chunk(self, tmp_path):
         # The byte that is not UTF-8 sits about 16K characters after line

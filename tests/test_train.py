@@ -90,6 +90,18 @@ def test_evaluate_partition_reports_domains_in_order():
     assert [f["count"] for f in report["domains"].values()] == sizes
 
 
+def test_evaluate_partition_refuses_another_domain_count():
+    """A 2-domain backbone on a 3-domain dataset would report on part of
+    it: refused, naming both counts."""
+    dataset = data.synth_generate(
+        data.SynthSpec(3, np.eye(3), np.zeros(3), [20] * 3), seed=0)
+    net = backbone.Backbone(dataset.schema.vocab_sizes, 2, [1] * 2, 2, 2, 2,
+                            np.random.default_rng(0))
+    with pytest.raises(UsageError,
+                       match=r"^dataset has 3 domains, backbone 2$"):
+        train.evaluate_partition(net, dataset, "all", np.zeros((2, 2)))
+
+
 def test_zero_proto_loss_weight_leaves_the_coders_untrained():
     """With proto_loss_weight 0 the reconstruction loss is still measured,
     but no gradient reaches a prototype coder."""
