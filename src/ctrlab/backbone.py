@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import VOCAB_LIMIT, as_int, as_list, feature_indices
+from .data import (VOCAB_LIMIT, as_int, as_list, feature_indices,
+                   unsigned_indices)
 from .errors import ConfigError, DataError, NumericError, UsageError
 from .nn import (Mlp, Param, masked_softmax, softmax_backward, uniform_init,
                  with_ones)
@@ -155,12 +156,7 @@ class Backbone:
             raise UsageError(
                 f"features must be (n, {len(self.vocab_sizes)}), "
                 f"got {features.shape}")
-        # An unsigned index is compared as it is. Read as uint32, a
-        # negative int32 index is at least 2**31, which no vocabulary size
-        # exceeds, so one comparison checks both bounds of every field.
-        unsigned = (features if features.dtype.kind == "u"
-                    else features.view(np.uint32))
-        bad = unsigned >= self._vocab_bounds
+        bad = unsigned_indices(features) >= self._vocab_bounds
         if bad.any():
             j = int(bad.any(axis=0).nonzero()[0][0])
             raise DataError(

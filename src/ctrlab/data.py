@@ -18,7 +18,6 @@ support are mutually uninformative by construction.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -34,6 +33,7 @@ __all__ = [
     "FeatureField", "Schema", "DomainData", "DomainDataset",
     "SynthSpec", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
+    "unsigned_indices",
     "as_int", "as_float", "as_list", "read_text", "check_fractions",
     "VOCAB_LIMIT", "SPLIT_MIN_SAMPLES",
 ]
@@ -54,9 +54,6 @@ SPLIT_MIN_SAMPLES = len(PARTITIONS)
 # Characters of whole lines that load_csv reads and parses at a time: a
 # chunk ends with the line that takes it past this many.
 _CHUNK_CHARS = 1 << 16
-# Bytes that text mode's readline decodes at a time, in blocks from the
-# start of the file.
-_DECODE_BYTES = 8192
 # The longest cell parsed by digit arithmetic: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
 _POW10 = np.array([10 ** k for k in range(_MAX_DIGITS)], dtype=np.int64)
@@ -255,6 +252,14 @@ def feature_indices(features) -> np.ndarray:
     return whole.astype(np.int32)
 
 
+def unsigned_indices(features: np.ndarray) -> np.ndarray:
+    """``features``, in a format ``feature_indices`` returns, viewed as
+    unsigned integers of the same width: a negative int32 index reads as
+    one of at least ``VOCAB_LIMIT``, past every vocabulary, so one bound
+    checks both ends of each field's range."""
+    return features.view(f"u{features.itemsize}")
+
+
 class DomainData:
     """Feature/label arrays for one domain within one partition.
 
@@ -379,7 +384,7 @@ class DomainDataset:
                         f"declares {schema.num_fields} fields")
                 # The largest index alone settles a block whose indices
                 # all lie below every vocabulary.
-                indices = _unsigned(dd.features)
+                indices = unsigned_indices(dd.features)
                 if indices.size and indices.max() >= smallest:
                     _check_vocab(schema, dd.features,
                                  f"partition {name!r} domain {d}")
@@ -405,16 +410,10 @@ class DomainDataset:
         return self.partition(partition)[d]
 
 
-def _unsigned(features: np.ndarray) -> np.ndarray:
-    """``features`` viewed as unsigned integers of the same width: a
-    negative index reads as a huge one, so one bound checks both ends."""
-    return features.view(f"u{features.itemsize}")
-
-
 def _check_vocab(schema: Schema, features: np.ndarray, where: str) -> None:
     """Raise a DataError naming ``where``, the row, the field and the index
     of the first index of ``features`` outside its field's vocabulary."""
-    out = _unsigned(features) >= np.array(schema.vocab_sizes)
+    out = unsigned_indices(features) >= np.array(schema.vocab_sizes)
     if out.any():
         i, j = np.argwhere(out)[0].tolist()
         f = schema.fields[j]
@@ -451,40 +450,17 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     concatenated once at the end and dropped as they are, so the peak is
     the result plus one domain's blocks plus one chunk's working arrays,
     never a multiple of the file's text. A chunk is decoded before any of
-    its lines is parsed, in the blocks ``readline`` decodes
-    (``_DecodeBlocks``), so bytes that are not UTF-8 raise before any
-    out-of-range row of their own chunk; an out-of-range row of an earlier
-    chunk, or a header that does not match, may raise first.
+    its lines is parsed, so bytes that are not UTF-8 raise before an
+    out-of-range row of their own chunk; such bytes in a later chunk may
+    raise before or after it, as far as text mode has decoded ahead.
     """
-    with _reading(path, DataError):
-        return _load_chunks(path, schema)
-
-
-class _DecodeBlocks(io.BufferedReader):
-    """A binary file that returns at most ``_DECODE_BYTES`` bytes a read.
-
-    Text mode's ``read(n)`` asks its binary file for about n bytes at
-    once. Under this cap it decodes the file in the ``_DECODE_BYTES``
-    blocks from the start that ``readline`` decodes, and no further than
-    the block that holds its last character: a chunk read with ``read``
-    has decoded what a read of the same lines with ``readline`` has.
-    """
-
-    def read1(self, size=-1):
-        return super().read1(min(size, _DECODE_BYTES))
-
-
-def _load_chunks(path, schema: Schema) -> DomainDataset:
-    """``load_csv``, reading the file a chunk of lines at a time; the peak
-    is the result plus one domain's blocks."""
     # A negative value reads as a huge unsigned one, so one comparison
     # with the bounds checks both ends of each range.
     bound = np.array((schema.domains, 2) + schema.vocab_sizes, dtype=np.uint64)
     blocks = [[] for _ in range(schema.domains)]
     malformed = 0
     dtype = schema.index_dtype
-    with io.TextIOWrapper(_DecodeBlocks(io.FileIO(path)),
-                          encoding="utf-8") as fh:
+    with _reading(path, DataError), open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != schema.header():
             raise _header_error(schema, header)

@@ -93,8 +93,8 @@ def per_domain_report(scores_by_domain: list, labels_by_domain: list,
                 "logloss": logloss(s, y),
                 "count": int(np.size(s)),
             }
-        except MetricError as exc:
-            raise MetricError(f"domain {d}: {exc}") from exc
+        except (MetricError, UsageError) as exc:
+            raise type(exc)(f"domain {d}: {exc}") from exc
     if overall == "pooled":
         all_s = np.concatenate([np.asarray(s, dtype=float).ravel()
                                 for s in scores_by_domain])

@@ -747,26 +747,21 @@ class TestLoadCsvMatchesLoop:
             assert_same_as_loop(path, two_field_schema(), caplog)
 
     @pytest.mark.parametrize("where, error", [
-        ("last byte of the chunk end's block", "not UTF-8"),
-        ("first byte past that block", "line 2: field 'f1' index 99"),
+        ("last line of the row's chunk", "not UTF-8"),
         ("two chunks later", "line 2: field 'f1' index 99")])
-    def test_decoded_bytes_stop_at_the_block_of_the_chunk_end(
+    def test_a_chunk_is_decoded_before_it_is_parsed(
             self, tmp_path, where, error):
         """An out-of-range row on line 2 and a byte that is not UTF-8 after
-        the first chunk. A chunk's read decodes the 8 KiB blocks from the
-        start of the file that a line-by-line read of it does: up to the
-        end of the block that holds the chunk's last byte. A byte in that
-        block raises first; a byte past it comes after the row."""
+        it. A chunk is decoded whole before any of its lines is parsed, so
+        a byte in the row's own chunk raises first; a byte two chunks later
+        has not been decoded when the row raises."""
         schema = two_field_schema()
         header = len(schema.header()) + 1
         body = b"1,0,4,99\n" + b"0,1,2,3\n" * 40_000
         # The first chunk's lines, up to the one that holds its
         # (_CHUNK_CHARS + 1)-th character, end here in the file.
         chunk_end = header + body.index(b"\n", D._CHUNK_CHARS) + 1
-        block_end = -(-chunk_end // D._DECODE_BYTES) * D._DECODE_BYTES
-        assert chunk_end < block_end
-        at = {"last byte of the chunk end's block": block_end - 1,
-              "first byte past that block": block_end,
+        at = {"last line of the row's chunk": chunk_end - 2,
               "two chunks later": chunk_end + 2 * D._CHUNK_CHARS}[where]
         raw = bytearray(body)
         raw[at - header] = 0xFF
@@ -780,12 +775,12 @@ class TestLoadCsvMatchesLoop:
         """Lines of exactly ``_CHUNK_CHARS`` characters do not end a chunk:
         it ends with the line that takes it past that many. So the
         out-of-range row right after them is parsed with them, and raises
-        before a byte that is not UTF-8 three decode blocks later."""
+        before a byte that is not UTF-8 half a chunk later."""
         schema = two_field_schema()
         assert D._CHUNK_CHARS % 8 == 0
         raw = bytearray(b"0,1,2,3\n" * (D._CHUNK_CHARS // 8)
                         + b"1,0,4,99\n" + b"0,1,2,3\n" * 5_000)
-        raw[D._CHUNK_CHARS + 3 * D._DECODE_BYTES] = 0xFF
+        raw[D._CHUNK_CHARS + D._CHUNK_CHARS // 2] = 0xFF
         path = write_csv(tmp_path, schema, bytes(raw))
         with pytest.raises(DataError) as err:
             D.load_csv(path, schema)

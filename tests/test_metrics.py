@@ -44,8 +44,8 @@ def wrapper_report(scores_by_domain, labels_by_domain,
                 "logloss": wrapper_logloss(s, y),
                 "count": int(np.asarray(s).size),
             }
-        except MetricError as exc:
-            raise MetricError(f"domain {d}: {exc}") from exc
+        except (MetricError, UsageError) as exc:
+            raise type(exc)(f"domain {d}: {exc}") from exc
     if overall == "pooled":
         all_s = np.concatenate([np.asarray(s, dtype=float).ravel()
                                 for s in scores_by_domain])
@@ -356,3 +356,4 @@ class TestSameBitsAsWrapperExpressions:
         with pytest.raises(error) as want:
             wrapper_report(scores, labels)
         assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("domain 1: ")

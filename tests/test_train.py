@@ -102,6 +102,20 @@ def test_evaluate_partition_refuses_another_domain_count():
         train.evaluate_partition(net, dataset, "all", np.zeros((2, 2)))
 
 
+def test_evaluate_partition_names_an_empty_domain():
+    """load_csv gives a domain without rows an empty block; evaluating it
+    raises the UsageError of an empty score array, naming the domain."""
+    dataset = data.synth_generate(
+        data.SynthSpec(3, np.eye(3), np.zeros(3), [20] * 3), seed=0)
+    datas = dataset.partition("all")
+    datas[1] = data.DomainData.empty(dataset.schema)
+    dataset = data.DomainDataset(dataset.schema, {"all": datas})
+    net = backbone.Backbone(dataset.schema.vocab_sizes, 2, [1] * 3, 2, 2, 2,
+                            np.random.default_rng(0))
+    with pytest.raises(UsageError, match=r"^domain 1: empty score array$"):
+        train.evaluate_partition(net, dataset, "all", np.zeros((3, 3)))
+
+
 def test_zero_proto_loss_weight_leaves_the_coders_untrained():
     """With proto_loss_weight 0 the reconstruction loss is still measured,
     but no gradient reaches a prototype coder."""
