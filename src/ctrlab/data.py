@@ -57,8 +57,9 @@ _CHUNK_CHARS = 1 << 16
 # The longest cell parsed by digit arithmetic: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
 _POW10 = np.array([10 ** k for k in range(_MAX_DIGITS)], dtype=np.int64)
-# Rows that save_csv formats and writes at a time.
-_WRITE_ROWS = 1 << 12
+# Rows that save_csv formats and writes, and synth_generate draws and
+# bins, at a time.
+_BLOCK_ROWS = 1 << 12
 
 
 def as_int(value, name: str, error=ConfigError, minimum=None,
@@ -610,7 +611,7 @@ def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
     """Write one partition as the CSV ``load_csv`` reads: the schema header,
     then a ``domain,label,features...`` line per sample, domain by domain.
 
-    The lines are formatted and written ``_WRITE_ROWS`` rows at a time,
+    The lines are formatted and written ``_BLOCK_ROWS`` rows at a time,
     each block from an int64 table of its rows, so the memory it takes
     does not grow with the file.
     """
@@ -619,11 +620,11 @@ def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dataset.schema.header() + "\n")
         for d, dd in enumerate(datas):
-            for start in range(0, len(dd), _WRITE_ROWS):
-                labels = dd.labels[start:start + _WRITE_ROWS]
+            for start in range(0, len(dd), _BLOCK_ROWS):
+                labels = dd.labels[start:start + _BLOCK_ROWS]
                 table = np.column_stack((
                     np.full(len(labels), d), labels.astype(np.int64),
-                    dd.features[start:start + _WRITE_ROWS]))
+                    dd.features[start:start + _BLOCK_ROWS]))
                 fh.write("".join([line % tuple(row)
                                   for row in table.tolist()]))
 
@@ -779,6 +780,13 @@ def synth_generate(spec: SynthSpec, seed: int) -> DomainDataset:
     s = affinity[d] . U; label = [s > 0] flipped with probability noise[d].
     Field j in concept group k reads affinity[d, k] * U_k plus Gaussian
     feature noise, binned uniformly over [-1.5, 1.5] into the vocabulary.
+
+    One generator, seeded by ``seed``, draws domain by domain: the (n, D)
+    loadings, then n uniforms for the flips, then the readout noise as
+    standard normals in row order, fields within concepts within a row,
+    scaled by ``feature_noise``. The noise is drawn and binned
+    ``_BLOCK_ROWS`` rows at a time into the domain's feature array, so a
+    domain takes its loadings and one block beside its result.
     """
     seed = as_int(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -786,25 +794,25 @@ def synth_generate(spec: SynthSpec, seed: int) -> DomainDataset:
     fields = tuple(FeatureField(f"c{k}r{r}", spec.vocab_size)
                    for k in range(d_count) for r in range(per_concept))
     schema = Schema(domains=d_count, fields=fields)
-    half_range = 1.5
     datas = []
     for d, n in enumerate(spec.sizes):
         u = rng.uniform(-1.0, 1.0, size=(n, d_count))
-        score = u @ spec.affinity[d]
-        labels = (score > 0.0).astype(np.uint8)
-        flips = rng.random(n) < spec.noise[d]
-        labels[flips] ^= 1
-        # readout matrix (n, D*fields_per_concept): group k repeats its
-        # mixture term affinity[d,k] * U_k across its fields
-        weighted = u * spec.affinity[d]
-        readout = np.repeat(weighted, per_concept, axis=1)
-        readout += rng.normal(0.0, spec.feature_noise, size=readout.shape)
-        # Binned in place: floor((readout + half_range) / (2 * half_range)
-        # * vocab_size), clipped to the vocabulary, then cast once.
-        readout += half_range
-        readout /= 2 * half_range
-        readout *= spec.vocab_size
-        np.floor(readout, out=readout)
-        np.clip(readout, 0, spec.vocab_size - 1, out=readout)
-        datas.append(DomainData(readout.astype(schema.index_dtype), labels))
+        labels = (u @ spec.affinity[d] > 0.0).astype(np.uint8)
+        labels[rng.random(n) < spec.noise[d]] ^= 1
+        u *= spec.affinity[d]  # each concept's mixture term
+        features = np.empty((n, schema.num_fields), dtype=schema.index_dtype)
+        for start in range(0, n, _BLOCK_ROWS):
+            mixed = u[start:start + _BLOCK_ROWS, :, None]
+            # Noise plus the mixture term on each of the concept's fields,
+            # binned in place: floor((readout + 1.5) / 3 * vocab_size).
+            block = rng.standard_normal((len(mixed), d_count, per_concept))
+            block *= spec.feature_noise
+            block += mixed
+            block += 1.5
+            block /= 3.0
+            block *= spec.vocab_size
+            np.floor(block, out=block)
+            np.clip(block, 0, spec.vocab_size - 1, out=block)
+            features[start:start + _BLOCK_ROWS] = block.reshape(len(mixed), -1)
+        datas.append(DomainData(features, labels))
     return DomainDataset(schema, {"all": datas})

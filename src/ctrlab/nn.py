@@ -40,6 +40,7 @@ do not.
 
 import numpy as np
 
+from .data import as_int, as_list
 from .errors import ConfigError, MaskError, NumericError, UsageError
 
 # Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before any log.
@@ -147,13 +148,20 @@ class Mlp:
     (batch, dims[0] + 1) whose last column is ones (``with_ones``).
     ``forward`` caches intermediates unless told not to; ``backward``
     consumes the cache, accumulates the weights' gradients and returns the
-    gradient of the input's first dims[0] columns.
+    gradient of the input's first dims[0] columns. ``dims`` is a list
+    (``as_list``) of at least two integers >= 1 (``as_int``); anything
+    else raises a ConfigError that names the net.
     """
 
     def __init__(self, name: str, dims: list[int], rng: np.random.Generator,
                  sigmoid: bool = False):
         self.name = name
-        self.dims = list(dims)
+        dims = as_list(dims, f"{name}: dims")
+        self.dims = dims = [as_int(n, f"{name}: dims[{i}]", minimum=1)
+                            for i, n in enumerate(dims)]
+        if len(dims) < 2:
+            raise ConfigError(f"{name}: dims needs at least 2 entries, "
+                              f"got {dims}")
         self.sigmoid = sigmoid
         self.weights = []
         for i in range(len(dims) - 1):
@@ -296,7 +304,7 @@ def sgd_step(store: ParamStore, lr: float) -> None:
     All or nothing: a non-finite gradient anywhere raises NumericError,
     naming the first param that holds one, before any value changes.
     """
-    if lr <= 0.0:
+    if not lr > 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     bad = store.first_non_finite(store.grad)
     if bad is not None:

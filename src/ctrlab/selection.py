@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import as_int
 from .errors import MetricError, UsageError
 from .prototype import rank_domains
 
@@ -44,23 +45,34 @@ def candidate_states(ranking) -> list:
 
 
 class ValueTable:
-    """Per-domain subset values: the running mean of credited rewards."""
+    """Per-domain subset values: the running mean of credited rewards.
+
+    The domain count is an integer >= 1 (``as_int``); a domain outside
+    [0, count) raises a UsageError naming it.
+    """
 
     def __init__(self, num_domains: int):
-        self.num_domains = int(num_domains)
+        self.num_domains = as_int(num_domains, "num_domains", UsageError,
+                                  minimum=1)
         self._tables = [dict() for _ in range(self.num_domains)]
+
+    def _table(self, d: int) -> dict:
+        if not 0 <= d < self.num_domains:
+            raise UsageError(f"domain {d} outside [0, {self.num_domains})")
+        return self._tables[d]
 
     def update(self, d: int, subset, reward: float) -> None:
         """Fold one reward into the subset's running mean."""
+        table = self._table(d)
         if not np.isfinite(reward):
             raise MetricError(f"reward for domain {d} is not finite: {reward}")
         key = canonical(subset)
-        value, count = self._tables[d].get(key, (0.0, 0))
+        value, count = table.get(key, (0.0, 0))
         value = value + (float(reward) - value) / (count + 1)
-        self._tables[d][key] = (value, count + 1)
+        table[key] = (value, count + 1)
 
     def value(self, d: int, subset) -> float | None:
-        entry = self._tables[d].get(canonical(subset))
+        entry = self._table(d).get(canonical(subset))
         return None if entry is None else entry[0]
 
     def snapshot(self) -> list:

@@ -157,7 +157,7 @@ def loop_activate_grad(net, output, z, a):
 
 def loop_sgd_step(store, lr):
     """Reference ``sgd_step``: one finiteness check and update per Param."""
-    if lr <= 0.0:
+    if not lr > 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     for p in store.params:
         if not np.all(np.isfinite(p.grad)):
@@ -210,6 +210,36 @@ class LoopSampler(data.QuotaSampler):
         taken, swaps = loop_draw_domain(self, d)
         self.swaps += swaps
         return taken
+
+
+def whole_array_synth_generate(spec, seed):
+    """Reference ``synth_generate``: each domain's readout as one
+    (n, D * fields_per_concept) array, its mixture terms repeated across
+    each concept's fields and ``rng.normal`` noise added, then binned."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    d_count, per_concept = spec.domains, spec.fields_per_concept
+    fields = tuple(data.FeatureField(f"c{k}r{r}", spec.vocab_size)
+                   for k in range(d_count) for r in range(per_concept))
+    schema = data.Schema(domains=d_count, fields=fields)
+    half_range = 1.5
+    datas = []
+    for d, n in enumerate(spec.sizes):
+        u = rng.uniform(-1.0, 1.0, size=(n, d_count))
+        score = u @ spec.affinity[d]
+        labels = (score > 0.0).astype(np.uint8)
+        flips = rng.random(n) < spec.noise[d]
+        labels[flips] ^= 1
+        weighted = u * spec.affinity[d]
+        readout = np.repeat(weighted, per_concept, axis=1)
+        readout += rng.normal(0.0, spec.feature_noise, size=readout.shape)
+        readout += half_range
+        readout /= 2 * half_range
+        readout *= spec.vocab_size
+        np.floor(readout, out=readout)
+        np.clip(readout, 0, spec.vocab_size - 1, out=readout)
+        datas.append(data.DomainData(readout.astype(schema.index_dtype),
+                                     labels))
+    return data.DomainDataset(schema, {"all": datas})
 
 
 def loop_average_ranks(scores: np.ndarray) -> np.ndarray:

@@ -832,6 +832,28 @@ class TestLoadCsvMemory:
         assert peak <= 1.5 * result + 4 * 2 ** 20
 
 
+class TestSynthGenerateMemory:
+    def test_peak_within_the_loadings_plus_the_result(self):
+        # One 200,000-row domain in the benchmark's chain4 shape (4
+        # concepts, 2 fields each): a whole-array readout holds several
+        # float64 copies of (n, 8); the block draw holds the (n, 4)
+        # loadings, one block and the result.
+        n, d = 200_000, 4
+        affinity = np.full((d, d), 0.25) + 0.5 * np.eye(d)
+        spec = D.SynthSpec(d, affinity, np.full(d, 0.1), [n, 0, 0, 0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = D.synth_generate(spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert counts(ds, "all") == [n, 0, 0, 0]
+        result = sum(dd.features.nbytes + dd.labels.nbytes
+                     for dd in ds.partitions["all"])
+        assert peak <= n * d * 8 + 2 * result + 4 * 2 ** 20
+
+
 class TestSaveCsvMemory:
     def test_peak_does_not_grow_with_the_file(self, tmp_path):
         # 200,000 rows in the benchmark's blocks8 shape (8 domains, 16
@@ -1236,7 +1258,7 @@ class TestSaveCsvMatchesLoop:
     def test_several_write_blocks(self, tmp_path):
         """Domains that span several write blocks, end inside one, and
         are empty."""
-        block = D._WRITE_ROWS
+        block = D._BLOCK_ROWS
         ds = synthetic([2 * block + 5, 1, block - 1], seed=6)
         parts = list(ds.partitions["all"])
         parts[1] = D.DomainData.empty(ds.schema)
@@ -1256,6 +1278,38 @@ class TestSaveCsvMatchesLoop:
         assert got.count(b"\n") == 1 + sum(sizes)
         self.same_bytes(D.split(ds, (0.8, 0.1, 0.1), seed=3), tmp_path,
                         "train")
+
+
+class TestSynthGenerateMatchesWholeArray:
+    """The block draw returns the arrays of the whole-array generator: the
+    same draws in the same order, binned alike, for domains of fewer,
+    exactly and more rows than a block (``_BLOCK_ROWS``), one of them
+    empty."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("vocab_size", [16, 257])
+    @pytest.mark.parametrize("feature_noise", [0.0, 0.3])
+    @pytest.mark.parametrize("per_concept", [1, 3])
+    def test_same_arrays(self, per_concept, feature_noise, vocab_size,
+                         noise):
+        block = D._BLOCK_ROWS
+        sizes = [0, 1, block - 1, block, block + 1, 2 * block + 3]
+        d = len(sizes)
+        # Zero affinities too: a negative loading times 0 is -0.0.
+        rng = np.random.default_rng(2)
+        affinity = rng.uniform(0.0, 1.0, (d, d)) * (rng.random((d, d)) < 0.6)
+        np.fill_diagonal(affinity, 0.8)
+        spec = D.SynthSpec(d, affinity, np.full(d, noise), sizes,
+                           fields_per_concept=per_concept,
+                           vocab_size=vocab_size, feature_noise=feature_noise)
+        got = D.synth_generate(spec, seed=9)
+        want = ref.whole_array_synth_generate(spec, seed=9)
+        assert counts(got, "all") == sizes
+        for g, w in zip(got.partitions["all"], want.partitions["all"]):
+            assert g.features.dtype == w.features.dtype
+            assert g.labels.dtype == w.labels.dtype
+            np.testing.assert_array_equal(g.features, w.features)
+            np.testing.assert_array_equal(g.labels, w.labels)
 
 
 class TestSynthGenerate:

@@ -71,6 +71,25 @@ class TestMlpConstruction:
             assert w.name == f"m.l{i}.w"
         assert net.params() == net.weights
 
+    @pytest.mark.parametrize("dims, message", [
+        ([4], "dims needs at least 2 entries, got [4]"),
+        ([], "dims needs at least 2 entries, got []"),
+        ([4, 0, 1], "dims[1] must be >= 1, got 0"),
+        ([4, -1], "dims[1] must be >= 1, got -1"),
+        ([4, 2.5, 1], "dims[1] must be an integer, got 2.5"),
+        ([True, 3], "dims[0] must be an integer, got True"),
+        (4, "dims must be a list, got 4")])
+    def test_malformed_dims_name_the_net(self, dims, message):
+        """Each malformed ``dims`` raises one ConfigError naming the net,
+        at construction rather than at the first forward."""
+        with pytest.raises(ConfigError) as info:
+            make_mlp("tower.d3", dims)
+        assert str(info.value) == f"tower.d3: {message}"
+
+    def test_dims_are_ints(self):
+        net = make_mlp("m", (np.int64(3), 2))
+        assert net.dims == [3, 2] and [type(n) for n in net.dims] == [int, int]
+
 
 class TestMlpForward:
     def test_identity_weights(self):
@@ -744,3 +763,13 @@ class TestSgdStep:
     def test_bad_lr(self):
         with pytest.raises(ConfigError):
             nn.sgd_step(nn.ParamStore([]), lr=0.0)
+
+    def test_nan_lr_changes_nothing(self):
+        """``lr <= 0`` is false for NaN; the check refuses it too, before
+        the step turns every value into NaN."""
+        p = nn.Param("w", np.ones(3))
+        p.grad[...] = 1.0
+        with pytest.raises(ConfigError,
+                           match=r"^learning rate must be positive, got nan$"):
+            nn.sgd_step(nn.ParamStore([p]), lr=float("nan"))
+        assert same_bits(p.values, np.ones(3))

@@ -86,6 +86,31 @@ class TestValueTable:
         t.update(0, (0, 1), 0.5)
         json.dumps(t.snapshot())
 
+    @pytest.mark.parametrize("d", [-1, 2, 5])
+    def test_domain_outside_the_table(self, d):
+        """A domain outside [0, D) raises a UsageError naming it, from
+        every entry point, and credits no domain."""
+        t = sel.ValueTable(2)
+        t.update(1, (1,), 0.5)
+        message = rf"^domain {d} outside \[0, 2\)$"
+        with pytest.raises(UsageError, match=message):
+            t.update(d, (1,), 0.9)
+        with pytest.raises(UsageError, match=message):
+            t.value(d, (1,))
+        with pytest.raises(UsageError, match=message):
+            sel.greedy(d, [(1,)], t)
+        assert t.snapshot() == [{}, {"1": [0.5, 1]}]
+
+    @pytest.mark.parametrize("count, message", [
+        (0, "num_domains must be >= 1, got 0"),
+        (-2, "num_domains must be >= 1, got -2"),
+        (1.5, "num_domains must be an integer, got 1.5"),
+        (True, "num_domains must be an integer, got True")])
+    def test_bad_domain_count(self, count, message):
+        with pytest.raises(UsageError) as info:
+            sel.ValueTable(count)
+        assert str(info.value) == message
+
 
 class TestPolicyState:
     """The exploration policy's state as the training run keeps it: the
