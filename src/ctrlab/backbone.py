@@ -68,12 +68,11 @@ def check_subsets(subsets, domains: int, name: str) -> list:
         raise ConfigError(f"{name} needs {domains} entries")
     normalized = []
     for d, subset in enumerate(subsets):
-        members = sorted(as_int(s, f"{name}[{d}] entry")
+        members = sorted(as_int(s, f"{name}[{d}] entry", minimum=0,
+                                maximum=domains - 1)
                          for s in as_list(subset, f"{name}[{d}]"))
         if d not in members:
             raise ConfigError(f"{name}[{d}] must contain domain {d}")
-        if any(not 0 <= s < domains for s in members):
-            raise ConfigError(f"{name}[{d}] references unknown domains")
         if len(set(members)) != len(members):
             raise ConfigError(f"{name}[{d}] names a domain twice: {members}")
         normalized.append(members)
@@ -192,15 +191,16 @@ class Backbone:
                        cache: bool = True):
         """Predictions and mixed representation for one domain's batch.
 
-        Row d of ``masks``, a (domains, experts) array, is the domain's
-        additive mask (``build_mask``).
+        ``d`` is an integer in [0, domains) by ``as_int``, else a
+        UsageError. Row d of ``masks``, a (domains, experts) array, is the
+        domain's additive mask (``build_mask``).
         Experts masked out for domain d are never evaluated; their mixing
         weight is exactly zero by masked-softmax construction. Without
         ``cache`` nothing is kept for ``backward_domain`` and the returned
         arrays are new.
         """
-        if not 0 <= d < self.num_domains:
-            raise UsageError(f"domain {d} outside [0, {self.num_domains})")
+        d = as_int(d, "domain", UsageError, minimum=0,
+                   maximum=self.num_domains - 1)
         shape = (self.num_domains, self.num_experts)
         if np.shape(masks) != shape:
             raise UsageError(f"masks must be shaped (domains, experts) = "
@@ -245,8 +245,10 @@ class Backbone:
 
         dh_extra carries an additional gradient on the mixed representation
         (the prototype reconstruction term). Must directly follow a cached
-        forward_domain for the same domain.
+        forward_domain for the same domain, an integer by ``as_int``.
         """
+        d = as_int(d, "domain", UsageError, minimum=0,
+                   maximum=self.num_domains - 1)
         if self._cache is None or self._cache["d"] != d:
             raise UsageError(
                 f"backward_domain({d}) without a matching cached forward")

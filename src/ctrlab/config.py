@@ -9,7 +9,10 @@ given, so a CSV ``path`` named from another directory hashes differently.
 The rules for ``fixed_subsets``, ``expert_counts``, ``overall_metric`` and
 a synthetic spec belong to the modules that use them:
 ``backbone.check_subsets``, ``backbone.check_expert_counts``,
-``metrics.OVERALL_MODES`` and ``data.SynthSpec``.
+``metrics.OVERALL_MODES`` and ``data.SynthSpec``. ``data.check_keys`` owns
+the key sets of the config and its dataset spec, as it does the schema's
+and a checkpoint meta's, and ``data.check_quotas`` owns ``quotas``, as it
+does ``QuotaSampler``'s.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import data as data_mod
 from .backbone import check_expert_counts, check_subsets
-from .data import as_float, as_int, as_list
+from .data import as_float, as_int, check_keys, check_quotas, file_errors
 from .errors import ConfigError
 from .metrics import OVERALL_MODES
 
@@ -121,11 +124,7 @@ class RunConfig:
             self.early_stop_patience, "early_stop_patience", minimum=0)
         if self.quotas is None:
             self.quotas = data_mod.equal_quotas(self.batch_size, self.domains)
-        self.quotas = [as_int(q, f"quotas[{i}]", minimum=1)
-                       for i, q in enumerate(as_list(self.quotas, "quotas"))]
-        if len(self.quotas) != self.domains:
-            raise ConfigError(
-                f"quotas needs {self.domains} entries, got {self.quotas}")
+        self.quotas = check_quotas(self.quotas, self.domains)
         if sum(self.quotas) != self.batch_size:
             raise ConfigError(
                 f"quotas {self.quotas} sum to {sum(self.quotas)}, "
@@ -168,12 +167,8 @@ class RunConfig:
             raise ConfigError(f'dataset kind must be "synth" or "csv", '
                               f'got {kind!r}')
         required, optional = DATASET_KEYS[kind]
-        for key in required:
-            if key not in self.dataset:
-                raise ConfigError(f"{kind} dataset needs {key!r}")
-        for key in self.dataset:
-            if key not in ("kind",) + required + optional:
-                raise ConfigError(f"{kind} dataset has unknown key {key!r}")
+        check_keys(self.dataset, f"{kind} dataset", ("kind",) + required,
+                   optional, ConfigError)
         checked = {key: _plain(value) for key, value in self.dataset.items()}
         if kind == "synth":
             try:
@@ -202,17 +197,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(
-                f"config must be an object, got {type(raw).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"domains", "dataset"} - set(raw)
-        if missing:
-            raise ConfigError(f"missing required config keys: {sorted(missing)}")
-        return cls(**raw)
+        # The fields without a default, domains and dataset, come first.
+        names = [f.name for f in dataclasses.fields(cls)]
+        return cls(**check_keys(raw, "config", names[:2], names[2:],
+                                ConfigError))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -227,7 +215,8 @@ class RunConfig:
         return cls.from_json(data_mod.read_text(path, ConfigError))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with (file_errors(path, ConfigError, "written"),
+              open(path, "w", encoding="utf-8") as fh):
             fh.write(self.to_json() + "\n")
 
     def config_hash(self) -> str:

@@ -34,7 +34,8 @@ __all__ = [
     "SynthSpec", "load_csv", "save_csv", "split",
     "equal_quotas", "QuotaSampler", "synth_generate", "feature_indices",
     "unsigned_indices",
-    "as_int", "as_float", "as_list", "read_text", "check_fractions",
+    "as_int", "as_float", "as_list", "check_keys", "check_quotas",
+    "file_errors", "read_text", "check_fractions",
     "VOCAB_LIMIT", "SPLIT_MIN_SAMPLES",
 ]
 
@@ -105,23 +106,45 @@ def as_list(value, name: str) -> list:
     raise ConfigError(f"{name} must be a list, got {value!r}")
 
 
+def check_keys(raw, what: str, required, optional=(),
+               error=SchemaError) -> dict:
+    """``raw`` if it is a JSON object holding every key of ``required`` and
+    no key outside ``required`` and ``optional``; else ``error("<what> must
+    be an object, got <raw>")``, ``error("<what> has unknown keys [...]; it
+    takes [...]")`` or ``error("<what> is missing keys [...]")``: the one
+    rule for the key set of the schema, the config, its dataset spec and a
+    checkpoint's meta."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be an object, got {raw!r}")
+    keys = [*required, *optional]
+    unknown = [k for k in raw if k not in keys]
+    if unknown:
+        raise error(f"{what} has unknown keys {unknown}; it takes {keys}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise error(f"{what} is missing keys {missing}")
+    return raw
+
+
 @contextmanager
-def _reading(path, error):
-    """Raise ``error`` naming ``path`` for a file that cannot be read or is
-    not UTF-8 text, chained from the cause."""
+def file_errors(path, error, action="read"):
+    """Raise ``error`` naming ``path`` for a file that cannot be read (or
+    written, as ``action`` says) or is not UTF-8 text, chained from the
+    cause: ``error("<path>: cannot be <action> (...)")`` or ``error("<path>:
+    not UTF-8 text (...)")``."""
     try:
         yield
     except OSError as exc:
-        raise error(f"{path}: cannot be read ({exc.strerror or exc})") from exc
+        raise error(
+            f"{path}: cannot be {action} ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def read_text(path, error) -> str:
     """The whole text of a UTF-8 file, newlines translated as text mode
-    does; else ``error("<path>: cannot be read (...)")`` or
-    ``error("<path>: not UTF-8 text (...)")``."""
-    with _reading(path, error), open(path, "r", encoding="utf-8") as fh:
+    does; else ``error`` by ``file_errors``."""
+    with file_errors(path, error), open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -195,13 +218,13 @@ class Schema:
             raw = json.loads(text)
         except ValueError as exc:
             raise SchemaError(f"cannot parse schema: {exc}") from exc
-        _exact_keys(raw, ("domains", "fields"), "schema")
+        check_keys(raw, "schema", ("domains", "fields"))
         if not isinstance(raw["fields"], list):
             raise SchemaError(
                 f"schema fields must be a list, got {raw['fields']!r}")
         fields = tuple(
-            FeatureField(**_exact_keys(f, ("name", "vocab_size"),
-                                       f"schema fields[{i}]"))
+            FeatureField(**check_keys(f, f"schema fields[{i}]",
+                                      ("name", "vocab_size")))
             for i, f in enumerate(raw["fields"]))
         return cls(domains=raw["domains"], fields=fields)
 
@@ -210,23 +233,9 @@ class Schema:
         return cls.from_json(read_text(path, SchemaError))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with (file_errors(path, SchemaError, "written"),
+              open(path, "w", encoding="utf-8") as fh):
             fh.write(self.to_json() + "\n")
-
-
-def _exact_keys(raw, keys: tuple, what: str) -> dict:
-    """``raw`` if it is a JSON object holding exactly ``keys``; else a
-    SchemaError naming ``what`` and the unknown or missing keys."""
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{what} must be an object, got {raw!r}")
-    unknown = sorted(set(raw) - set(keys))
-    if unknown:
-        raise SchemaError(
-            f"{what} has unknown keys {unknown}; it takes {list(keys)}")
-    missing = [k for k in keys if k not in raw]
-    if missing:
-        raise SchemaError(f"{what} is missing keys {missing}")
-    return raw
 
 
 def feature_indices(features) -> np.ndarray:
@@ -404,10 +413,10 @@ class DomainDataset:
         return self.partitions[name]
 
     def domain(self, partition: str, d: int) -> DomainData:
-        """Domain ``d``'s data in partition ``partition``; a UsageError
-        names a domain outside the schema's."""
-        if not 0 <= d < self.schema.domains:
-            raise UsageError(f"domain {d} outside [0, {self.schema.domains})")
+        """Domain ``d``'s data in partition ``partition``; ``d`` is an
+        integer in [0, domains) by ``as_int``, else a UsageError."""
+        d = as_int(d, "domain", UsageError, minimum=0,
+                   maximum=self.schema.domains - 1)
         return self.partition(partition)[d]
 
 
@@ -461,7 +470,7 @@ def load_csv(path, schema: Schema) -> DomainDataset:
     blocks = [[] for _ in range(schema.domains)]
     malformed = 0
     dtype = schema.index_dtype
-    with _reading(path, DataError), open(path, encoding="utf-8") as fh:
+    with file_errors(path, DataError), open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != schema.header():
             raise _header_error(schema, header)
@@ -617,7 +626,8 @@ def save_csv(dataset: DomainDataset, path, partition: str = "all") -> None:
     """
     datas = dataset.partition(partition)
     line = ",".join(["%d"] * (2 + dataset.schema.num_fields)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with (file_errors(path, DataError, "written"),
+          open(path, "w", encoding="utf-8", newline="\n") as fh):
         fh.write(dataset.schema.header() + "\n")
         for d, dd in enumerate(datas):
             for start in range(0, len(dd), _BLOCK_ROWS):
@@ -650,6 +660,17 @@ def equal_quotas(batch_size: int, domains: int) -> list:
         raise ConfigError(
             f"batch size {batch_size} smaller than domain count {domains}")
     return _largest_remainder(batch_size, np.ones(domains))
+
+
+def check_quotas(quotas, domains: int) -> list:
+    """``quotas`` as a list of ints, if it is a list (``as_list``) of
+    ``domains`` integers >= 1 (``as_int``); else ConfigError. The rule for
+    ``RunConfig`` and ``QuotaSampler``."""
+    quotas = as_list(quotas, "quotas")
+    if len(quotas) != domains:
+        raise ConfigError(
+            f"quotas needs {domains} entries, got {len(quotas)}")
+    return [as_int(q, f"quotas[{d}]", minimum=1) for d, q in enumerate(quotas)]
 
 
 def check_fractions(fractions) -> list:
@@ -717,12 +738,7 @@ class QuotaSampler:
     """
 
     def __init__(self, datas, quotas, rng: np.random.Generator):
-        quotas = as_list(quotas, "quotas")
-        if len(quotas) != len(datas):
-            raise ConfigError(
-                f"{len(quotas)} quotas for {len(datas)} domains")
-        self.quotas = [as_int(q, f"quotas[{d}]", minimum=1)
-                       for d, q in enumerate(quotas)]
+        self.quotas = check_quotas(quotas, len(datas))
         for d, dd in enumerate(datas):
             if len(dd) == 0:
                 raise ConfigError(f"domain {d} is empty; cannot sample")

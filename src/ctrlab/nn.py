@@ -29,18 +29,12 @@ the shapes. With OpenBLAS 0.3.31 (Haswell kernels) the benchmark's layers
 keep every bit up to 2,000 rows (256 for the 64-input ones, whose
 gradient a second block sums at 2,000), while, for example, 2 to 4 or 9
 outputs over 16 or more inputs, or one output over an odd number of
-inputs, round some sums differently in the last bit. A hidden layer's
-product covers only its live columns, where an earlier layout added a
-stored column [0, ..., 0, 1] that copied the ones on. At 8 or 16 live
-columns the two agree bit for bit (3 to 129 inputs, 1 to 2,000 rows), but
-not at every width: of the unit tests' small runs, those with hidden
-widths (4, 4), (12, 7) or (1, 1) change, and (3, 5), (2, 9) or (16, 16)
-do not.
+inputs, round some sums differently in the last bit.
 """
 
 import numpy as np
 
-from .data import as_int, as_list
+from .data import as_float, as_int, as_list
 from .errors import ConfigError, MaskError, NumericError, UsageError
 
 # Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before any log.
@@ -301,10 +295,13 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
 def sgd_step(store: ParamStore, lr: float) -> None:
     """Plain gradient descent on every packed param; zeroes the gradients.
 
-    All or nothing: a non-finite gradient anywhere raises NumericError,
-    naming the first param that holds one, before any value changes.
+    ``lr`` is a finite number by ``as_float`` and positive, else a
+    ConfigError. All or nothing: a non-finite gradient anywhere raises
+    NumericError, naming the first param that holds one, before any value
+    changes.
     """
-    if not lr > 0.0:
+    lr = as_float(lr, "learning rate")
+    if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     bad = store.first_non_finite(store.grad)
     if bad is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import as_int
+from .data import as_int, file_errors
 from .errors import ConfigError, UsageError
 from .nn import Param, uniform_init
 
@@ -148,10 +148,10 @@ def distance_matrix(protosets: list) -> np.ndarray:
 
 def rank_domains(matrix: np.ndarray, d: int) -> list:
     """Domains by ascending distance from d; d itself always first, other
-    ties broken by ascending id."""
+    ties broken by ascending id. ``d`` is an integer in [0, rows) by
+    ``as_int``, else a UsageError."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if not 0 <= d < matrix.shape[0]:
-        raise UsageError(f"domain {d} outside matrix of size {matrix.shape}")
+    d = as_int(d, "domain", UsageError, minimum=0, maximum=matrix.shape[0] - 1)
     if not np.isfinite(matrix[d]).all():
         raise UsageError(f"row {d} contains non-finite distances")
     others = [j for j in range(matrix.shape[0]) if j != d]
@@ -174,10 +174,12 @@ def distance_round(h_by_domain: list, coders: list) -> np.ndarray:
 
 def save_distance_csv(matrix: np.ndarray, path) -> None:
     """CSV with a domain-id header row and row labels; row d = distances
-    from domain d."""
+    from domain d. A path that cannot be written raises a ConfigError
+    naming it, as the run's other output writers do."""
     matrix = np.asarray(matrix, dtype=np.float64)
     d = matrix.shape[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with (file_errors(path, ConfigError, "written"),
+          open(path, "w", encoding="utf-8", newline="\n") as fh):
         fh.write("domain," + ",".join(str(j) for j in range(d)) + "\n")
         for i in range(d):
             fh.write(str(i) + "," +

@@ -47,8 +47,8 @@ def candidate_states(ranking) -> list:
 class ValueTable:
     """Per-domain subset values: the running mean of credited rewards.
 
-    The domain count is an integer >= 1 (``as_int``); a domain outside
-    [0, count) raises a UsageError naming it.
+    The domain count is an integer >= 1 and a domain an integer in
+    [0, count), by ``as_int``; else a UsageError.
     """
 
     def __init__(self, num_domains: int):
@@ -57,9 +57,8 @@ class ValueTable:
         self._tables = [dict() for _ in range(self.num_domains)]
 
     def _table(self, d: int) -> dict:
-        if not 0 <= d < self.num_domains:
-            raise UsageError(f"domain {d} outside [0, {self.num_domains})")
-        return self._tables[d]
+        return self._tables[as_int(d, "domain", UsageError, minimum=0,
+                                   maximum=self.num_domains - 1)]
 
     def update(self, d: int, subset, reward: float) -> None:
         """Fold one reward into the subset's running mean."""

@@ -97,8 +97,7 @@ def evaluate_partition(backbone: Backbone, dataset: data_mod.DomainDataset,
     if dataset.schema.domains != backbone.num_domains:
         raise UsageError(f"dataset has {dataset.schema.domains} domains, "
                          f"backbone {backbone.num_domains}")
-    datas = [dataset.domain(partition, d)
-             for d in range(backbone.num_domains)]
+    datas = dataset.partition(partition)
     scores = [backbone.predict(dd.features, d, masks)
               for d, dd in enumerate(datas)]
     return metrics.per_domain_report(scores, [dd.labels for dd in datas],
@@ -127,9 +126,9 @@ class Run:
                                       seed=config.seed)
         # RunConfig's positive split fractions give every partition of
         # every domain a row. Validation and test AUC need both classes.
-        for d in range(config.domains):
-            for part in ("val", "test"):
-                labels = self.dataset.domain(part, d).labels
+        for part in ("val", "test"):
+            for d, dd in enumerate(self.dataset.partition(part)):
+                labels = dd.labels
                 if np.all(labels == labels[0]):
                     raise ConfigError(
                         f"{part} partition of domain {d} holds only label "
@@ -142,8 +141,7 @@ class Run:
         self.backbone, self.coders, self.store = _build_model(
             config, self.dataset.schema.vocab_sizes,
             np.random.default_rng(streams[0]))
-        train_datas = [self.dataset.domain("train", d)
-                       for d in range(config.domains)]
+        train_datas = self.dataset.partition("train")
         self.sampler = data_mod.QuotaSampler(
             train_datas, config.quotas, np.random.default_rng(streams[1]))
         self.protos = None  # per domain, from the last train step
@@ -315,18 +313,22 @@ def train(config: RunConfig, out_dir=None) -> Run:
 # ------------------------------------------------------------------ outputs
 
 def write_outputs(run: Run, out_dir) -> None:
+    """Write the run's four files into ``out_dir``, made if need be; a
+    directory or file that cannot be written raises a ConfigError naming
+    ``out_dir``."""
     import os
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(run.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "selection_trace.log"), "w",
-              encoding="utf-8") as fh:
-        for line in run.trace:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
-    save_distance_csv(np.asarray(run.report["final_distance_matrix"]),
-                      os.path.join(out_dir, "distance_matrix.csv"))
+    with data_mod.file_errors(out_dir, ConfigError, "written"):
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "report.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(run.report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(os.path.join(out_dir, "selection_trace.log"), "w",
+                  encoding="utf-8") as fh:
+            for line in run.trace:
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
+        save_distance_csv(np.asarray(run.report["final_distance_matrix"]),
+                          os.path.join(out_dir, "distance_matrix.csv"))
     save_checkpoint(run, os.path.join(out_dir, "checkpoint.npz"))
 
 
@@ -339,7 +341,8 @@ def save_checkpoint(run: Run, path) -> None:
             "weight_layout": WEIGHT_LAYOUT}
     # np.savez writes to the file opened here, so a path without the .npz
     # suffix is written as it is, not with the suffix appended.
-    with open(path, "wb") as fh:
+    with (data_mod.file_errors(path, ConfigError, "written"),
+          open(path, "wb") as fh):
         np.savez(fh, values=run.store.values,
                  meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
 
@@ -378,12 +381,7 @@ def _load_checkpoint(path):
             values = zf["values"]
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"not a checkpoint file ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"checkpoint meta holds {meta!r}, expected a JSON "
-                          f"object of the keys {META_KEYS!r}")
-    if sorted(meta) != META_KEYS:
-        raise ConfigError(f"checkpoint meta holds {sorted(meta)!r}, expected "
-                          f"{META_KEYS!r}")
+    data_mod.check_keys(meta, "checkpoint meta", META_KEYS, error=ConfigError)
     if meta["weight_layout"] != WEIGHT_LAYOUT:
         raise ConfigError("checkpoint weight layout is "
                           f"{meta['weight_layout']!r}, expected "

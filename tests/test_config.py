@@ -1,12 +1,14 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctrlab import data as D
+from ctrlab import train
 from ctrlab.config import DATASET_KEYS, RunConfig, load_dataset
-from ctrlab.errors import ConfigError
+from ctrlab.errors import ConfigError, SchemaError
 
 
 SYNTH = {"kind": "synth", "affinity": [[1.0, 0.5], [0.5, 1.0]],
@@ -23,8 +25,12 @@ def raw_config(**changes) -> dict:
     return raw
 
 
-UNKNOWN_KEY = ("feature_nosie", 0.1,
-               "synth dataset has unknown key 'feature_nosie'")
+UNKNOWN_KEY = pytest.param(
+    "feature_nosie", 0.1,
+    "synth dataset has unknown keys ['feature_nosie']; it takes ['kind', "
+    "'affinity', 'noise', 'sizes', 'fields_per_concept', 'vocab_size', "
+    "'feature_noise']",
+    id="feature_nosie-0.1-synth dataset has unknown key 'feature_nosie'")
 
 # A synthetic spec with one bad entry, and RunConfig's message for it. A
 # message that is one of SynthSpec's range and shape rules behind
@@ -79,7 +85,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("key", ["pin_full_share", "reward_metric",
                                      "value_aggregation"])
     def test_removed_keys_are_unknown(self, key):
-        with pytest.raises(ConfigError, match="unknown config keys"):
+        with pytest.raises(
+                ConfigError,
+                match=rf"^config has unknown keys \['{key}'\]; it takes "
+                      r"\['domains', 'dataset', 'seed', "):
             RunConfig.from_dict(raw_config(**{key: "x"}))
 
     def test_exhaustive_oracle_is_not_a_mode(self):
@@ -176,7 +185,8 @@ class TestRunConfig:
          "early_stop_patience must be >= 0, got -1"),
         ({"expert_counts": [1, 1, 1]},
          "expert_counts needs 2 entries, got [1, 1, 1]"),
-        ({"quotas": [8]}, "quotas needs 2 entries, got [8]"),
+        pytest.param({"quotas": [8]}, "quotas needs 2 entries, got 1",
+                     id="changes33-quotas needs 2 entries, got [8]"),
     ])
     def test_non_integer_fields_rejected(self, changes, named):
         """A malformed or out-of-range number fails with a ConfigError that
@@ -316,7 +326,8 @@ class TestRunConfig:
         ({"kind": "csv", "path": "d.csv", "schema": b"s.json"},
          "dataset schema must be a str or os.PathLike, got b's.json'"),
         ({"kind": "csv", "path": "d.csv", "schema": "s.json", "sizes": [9]},
-         "csv dataset has unknown key 'sizes'"),
+         "csv dataset has unknown keys ['sizes']; it takes ['kind', 'path', "
+         "'schema']"),
         ({"kind": ["csv"]}, 'dataset kind must be "synth" or "csv", '
                             "got ['csv']"),
     ], ids=["int path", "bytes schema", "synth key in csv", "list kind"])
@@ -383,3 +394,72 @@ class TestRunConfig:
         values = [cfg.learning_rate, cfg.proto_loss_weight, cfg.explore_init,
                   cfg.explore_decay] + cfg.split_fractions
         assert [type(v) for v in values] == [float] * 7
+
+
+def checkpoint_with_meta(meta, tmp_path):
+    """``train.load_checkpoint`` of an archive whose meta is ``meta``."""
+    path = tmp_path / "checkpoint.npz"
+    np.savez(path, values=np.zeros(1),
+             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    train.load_checkpoint(path)
+
+
+# Each JSON object whose key set ``data.check_keys`` checks, by its name in
+# messages: a load of it, the error class, a valid key set and one of its
+# required keys.
+KEY_SETS = {
+    "schema": (lambda raw, _: D.Schema.from_json(json.dumps(raw)),
+               SchemaError, {"domains": 2, "fields": []}, "fields"),
+    "schema fields[0]": (
+        lambda raw, _: D.Schema.from_json(json.dumps(
+            {"domains": 2, "fields": [raw]})),
+        SchemaError, {"name": "f0", "vocab_size": 4}, "vocab_size"),
+    "config": (lambda raw, _: RunConfig.from_dict(raw), ConfigError,
+               raw_config(), "dataset"),
+    "synth dataset": (lambda raw, _: RunConfig.from_dict(raw_config(
+        dataset=raw)), ConfigError, SYNTH, "noise"),
+    "csv dataset": (lambda raw, _: RunConfig.from_dict(raw_config(
+        dataset=raw)), ConfigError,
+        {"kind": "csv", "path": "d.csv", "schema": "s.json"}, "schema"),
+    "checkpoint meta": (checkpoint_with_meta, ConfigError,
+                        dict.fromkeys(train.META_KEYS), "subsets"),
+}
+
+
+@pytest.mark.parametrize("case", ["not-an-object", "unknown-key",
+                                  "missing-key"])
+@pytest.mark.parametrize("what", KEY_SETS)
+def test_key_set_refused_by_name(what, case, tmp_path):
+    """One rule for the keys of every JSON object the package reads: each
+    object refuses a non-object, an unknown key and a missing key with its
+    own error class, naming the object and the keys."""
+    load, error, good, key = KEY_SETS[what]
+    raw = {"not-an-object": [1], "unknown-key": dict(good, zz=1),
+           "missing-key": {k: v for k, v in good.items() if k != key}}[case]
+    with pytest.raises(error) as err:
+        load(raw, tmp_path)
+    # load_checkpoint names its file first.
+    message = str(err.value).removeprefix(f"{tmp_path / 'checkpoint.npz'}: ")
+    if case == "not-an-object":
+        # A dataset's kind says which keys it takes, so it is read first.
+        assert message == ('dataset must be an object with a "kind" key'
+                           if what.endswith(" dataset")
+                           else f"{what} must be an object, got [1]")
+    elif case == "unknown-key":
+        assert message.startswith(
+            f"{what} has unknown keys ['zz']; it takes [")
+        assert all(repr(k) in message for k in good)
+    else:
+        assert message == f"{what} is missing keys [{key!r}]"
+
+
+@pytest.mark.parametrize("quotas", [[8], [3, 3, 2]])
+def test_quota_list_of_the_wrong_length(quotas):
+    """RunConfig and QuotaSampler share one rule for a quota list."""
+    with pytest.raises(ConfigError) as config_err:
+        RunConfig.from_dict(raw_config(quotas=quotas))
+    with pytest.raises(ConfigError) as sampler_err:
+        D.QuotaSampler([D.DomainData([[0]], [0])] * 2, quotas,
+                       np.random.default_rng(0))
+    assert str(config_err.value) == str(sampler_err.value) == (
+        f"quotas needs 2 entries, got {len(quotas)}")

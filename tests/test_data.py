@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from ctrlab import data as D
+from ctrlab import selection
+from ctrlab.backbone import Backbone, build_mask
 from ctrlab.errors import (ConfigError, DataError, SchemaError, SplitError,
                            UsageError)
 from ctrlab.metrics import auc
+from ctrlab.prototype import rank_domains
 import reference as ref
 
 
@@ -356,11 +359,12 @@ class TestDomainData:
         assert str(err.value) == ("partition 'all' domain 1 has 1 feature "
                                   "columns, schema declares 2 fields")
 
-    @pytest.mark.parametrize("d", [-1, 2])
-    def test_domain_outside_the_schema_is_named(self, d):
+    @pytest.mark.parametrize("d, named", [
+        pytest.param(-1, "domain must be >= 0, got -1", id="-1"),
+        pytest.param(2, "domain must be <= 1, got 2", id="2")])
+    def test_domain_outside_the_schema_is_named(self, d, named):
         ds = synthetic([10, 12])
-        with pytest.raises(UsageError,
-                           match=rf"^domain {d} outside \[0, 2\)$"):
+        with pytest.raises(UsageError, match=rf"^{re.escape(named)}$"):
             ds.domain("all", d)
 
 
@@ -1604,3 +1608,67 @@ class TestIndexDtype:
                                                          [1, top - 1]]
         assert ds.domain("all", 2).features.tolist() == [[0, 0], [1, 255]]
         assert ds.domain("all", 0).labels.tolist() == [1, 0]
+
+
+@pytest.fixture(scope="module")
+def domain_readers() -> dict:
+    """Each function that takes a domain argument, as a call of that
+    argument alone on three domains, returning what it read."""
+    dataset = synthetic([4, 5, 6])
+    table = selection.ValueTable(3)
+    table.update(1, (1,), 0.5)
+    matrix = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    features = np.array([[1, 2], [3, 0]])
+    masks = build_mask([[0], [0, 1], [1, 2]], [1, 1, 1])
+
+    def backbone():
+        return Backbone([4, 3], 2, [1, 1, 1], 3, 2, 3,
+                        np.random.default_rng(0))
+
+    def update(d):
+        fresh = selection.ValueTable(3)
+        fresh.update(d, (1,), 0.5)
+        return fresh.snapshot()
+
+    def backward(d):
+        net = backbone()
+        net.forward_domain(features, 1, masks)
+        net.backward_domain(d, np.ones(2))
+        return net.embedding.grad.tolist()
+
+    return {
+        "DomainDataset.domain": lambda d: dataset.domain("all", d).labels,
+        "ValueTable.update": update,
+        "ValueTable.value": lambda d: table.value(d, (1,)),
+        "greedy": lambda d: selection.greedy(d, [(1,), (0, 1)], table),
+        "rank_domains": lambda d: rank_domains(matrix, d),
+        "forward_domain": lambda d: backbone().forward_domain(
+            features, d, masks)[0],
+        "predict": lambda d: backbone().predict(features, d, masks),
+        "backward_domain": backward,
+    }
+
+
+DOMAIN_READERS = ["DomainDataset.domain", "ValueTable.update",
+                  "ValueTable.value", "greedy", "rank_domains",
+                  "forward_domain", "predict", "backward_domain"]
+
+
+class TestDomainArgument:
+    """One rule for a domain argument, ``as_int(d, "domain", UsageError,
+    minimum=0, maximum=D - 1)``, in every function that takes one."""
+
+    def test_the_table_covers_every_reader(self, domain_readers):
+        assert list(domain_readers) == DOMAIN_READERS
+
+    @pytest.mark.parametrize("d", [True, 1.5, np.float64(1.0), -1, 3],
+                             ids=["bool", "float", "numpy-float", "-1", "D"])
+    @pytest.mark.parametrize("reader", DOMAIN_READERS)
+    def test_refused(self, domain_readers, reader, d):
+        with pytest.raises(UsageError, match=r"^domain must be "):
+            domain_readers[reader](d)
+
+    @pytest.mark.parametrize("reader", DOMAIN_READERS)
+    def test_numpy_integer_reads_as_int(self, domain_readers, reader):
+        read = domain_readers[reader]
+        np.testing.assert_equal(read(np.int64(1)), read(1))

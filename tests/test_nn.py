@@ -769,7 +769,20 @@ class TestSgdStep:
         the step turns every value into NaN."""
         p = nn.Param("w", np.ones(3))
         p.grad[...] = 1.0
-        with pytest.raises(ConfigError,
-                           match=r"^learning rate must be positive, got nan$"):
+        with pytest.raises(
+                ConfigError,
+                match=r"^learning rate must be a finite number, got nan$"):
             nn.sgd_step(nn.ParamStore([p]), lr=float("nan"))
+        assert same_bits(p.values, np.ones(3))
+
+    @pytest.mark.parametrize("lr", [float("inf"), np.float64(-np.inf), True])
+    def test_lr_that_is_not_a_finite_number_changes_nothing(self, lr):
+        """An infinite rate would turn a zero gradient into NaN and the
+        others into infinities; a bool is not a rate."""
+        p = nn.Param("w", np.ones(3))
+        p.grad[...] = [0.0, 1.0, -1.0]
+        with pytest.raises(ConfigError) as err:
+            nn.sgd_step(nn.ParamStore([p]), lr=lr)
+        assert str(err.value) == (
+            f"learning rate must be a finite number, got {lr!r}")
         assert same_bits(p.values, np.ones(3))

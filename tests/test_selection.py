@@ -92,7 +92,8 @@ class TestValueTable:
         every entry point, and credits no domain."""
         t = sel.ValueTable(2)
         t.update(1, (1,), 0.5)
-        message = rf"^domain {d} outside \[0, 2\)$"
+        bound = ">= 0" if d < 0 else "<= 1"
+        message = rf"^domain must be {bound}, got {d}$"
         with pytest.raises(UsageError, match=message):
             t.update(d, (1,), 0.9)
         with pytest.raises(UsageError, match=message):

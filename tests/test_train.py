@@ -1,6 +1,12 @@
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -772,10 +778,10 @@ class TestCheckpoint:
             train.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, named", [
-        (json_edit(lambda meta: meta.pop("config")), "checkpoint meta holds"),
+        (json_edit(lambda meta: meta.pop("config")),
+         "checkpoint meta is missing keys ['config']"),
         (json_edit(lambda meta: meta.pop("weight_layout")),
-         "checkpoint meta holds ['config', 'subsets', 'vocab_sizes'], "
-         "expected ['config', 'subsets', 'vocab_sizes', 'weight_layout']"),
+         "checkpoint meta is missing keys ['weight_layout']"),
         (json_edit(lambda meta: meta.update(weight_layout="out_in")),
          "checkpoint weight layout is 'out_in', expected 'in_bias_out'"),
         (json_edit(lambda meta: meta.update(weight_layout="in_out")),
@@ -784,7 +790,7 @@ class TestCheckpoint:
          "checkpoint weight layout is 'in_out_bias_row', expected "
          "'in_bias_out'"),
         (json_edit(lambda meta: meta["config"].update(reward_metric="auc")),
-         "unknown config keys"),
+         "config has unknown keys ['reward_metric']; it takes "),
         (json_edit(lambda meta: meta.update(subsets=[[1], [0, 1], [1, 2]])),
          "subsets[0] must contain domain 0"),
         (json_edit(lambda meta: meta.update(subsets=["ab", [0, 1], [1, 2]])),
@@ -795,11 +801,13 @@ class TestCheckpoint:
         (json_edit(lambda meta: meta.update(vocab_sizes=8)),
          "vocab_sizes must be a list, got 8"),
         (json_edit(lambda meta: meta.update(config=[])),
-         "config must be an object, got list"),
+         "config must be an object, got []"),
         (lambda raw: b"\xff" + raw, "not a checkpoint file"),
-        (lambda raw: b"[1, 2]", "checkpoint meta holds [1, 2]"),
+        (lambda raw: b"[1, 2]",
+         "checkpoint meta must be an object, got [1, 2]"),
         (lambda raw: json.dumps(train.META_KEYS).encode(),
-         "expected a JSON object of the keys"),
+         "checkpoint meta must be an object, got ['config', 'subsets', "
+         "'vocab_sizes', 'weight_layout']"),
         (json_edit(lambda meta: meta.update(subsets=[[0], [0, 1, 1], [1, 2]])),
          "subsets[1] names a domain twice: [0, 1, 1]")],
         ids=["no-config", "written-before-the-in-out-layout",
@@ -869,3 +877,68 @@ def test_text_that_is_not_utf8_is_a_lab_error_naming_it(tmp_path, loader):
         FILE_LOADERS[loader](path)
     assert str(err.value).startswith(f"{path}: not UTF-8 text (")
     assert causes(err.value)[1] is UnicodeDecodeError
+
+
+# Every writer of a file, called on a path, and its error class: that of
+# the file's reader, or ConfigError for a run's outputs.
+FILE_WRITERS = {
+    "save_csv": (lambda path: data.save_csv(data.DomainDataset(
+        data.Schema(1, (data.FeatureField("a", 3),)),
+        {"all": [data.DomainData([[2]], [1])]}), path), data.DataError),
+    "Schema.save": (lambda path: data.Schema(
+        1, (data.FeatureField("a", 3),)).save(path), data.SchemaError),
+    "RunConfig.save": (lambda path: tiny_config("sdsp").save(path),
+                       ConfigError),
+    "save_distance_csv": (lambda path: prototype.save_distance_csv(
+        np.zeros((2, 2)), path), ConfigError),
+    "save_checkpoint": (lambda path: train.save_checkpoint(
+        train.Run(tiny_config("sdsp")), path), ConfigError),
+    "train": (lambda path: train.train(
+        tiny_config("sdsp").replace(epochs=1), path), ConfigError),
+}
+
+
+@pytest.mark.parametrize("writer", FILE_WRITERS)
+def test_path_under_a_file_is_a_lab_error_naming_it(tmp_path, writer):
+    write, error = FILE_WRITERS[writer]
+    (tmp_path / "file").write_bytes(b"kept")
+    path = tmp_path / "file" / "out"
+    with pytest.raises(error) as err:
+        write(path)
+    assert str(err.value).startswith(f"{path}: cannot be written (")
+    assert NotADirectoryError in causes(err.value)
+    assert (tmp_path / "file").read_bytes() == b"kept"
+
+
+def test_output_directory_that_is_a_file_is_a_lab_error_naming_it(tmp_path):
+    path = tmp_path / "file"
+    path.write_bytes(b"kept")
+    write, error = FILE_WRITERS["train"]
+    with pytest.raises(error) as err:
+        write(path)
+    assert str(err.value).startswith(f"{path}: cannot be written (")
+    assert FileExistsError in causes(err.value)
+    assert path.read_bytes() == b"kept"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_train_example_prints_the_stated_auc(tmp_path):
+    """README's Train example, read from README.md and run with its
+    PYTHONPATH, prints the test AUC that the README states, rounded to the
+    places it gives. It runs outside the checkout and writes no bytecode."""
+    section = README.read_text(encoding="utf-8").split("\n## Train\n")[1]
+    block = re.search(r"\n\n((?:    .*\n|\n)+)", section).group(1)
+    code = re.fullmatch(r"PYTHONPATH=src python3 -c '(.*)'\n",
+                        textwrap.dedent(block).strip() + "\n",
+                        re.S).group(1)
+    stated = re.search(r"It prints a test AUC near (\d\.\d+)\.",
+                       section).group(1)
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    places = len(stated.split(".")[1])
+    assert round(float(done.stdout), places) == float(stated)
